@@ -55,7 +55,6 @@ from .ou import (
     simulate_ou,
 )
 from .policies import (
-    ClientReport,
     ClientStats,
     PolicyConfig,
     compute_adaptive_threshold,
@@ -65,7 +64,6 @@ from .seeding import derive_rng, seed_sequence
 
 __all__ = [
     "CSVSchema",
-    "ClientReport",
     "ClientStats",
     "CommLedger",
     "ConfigError",

@@ -6,7 +6,7 @@ Subcommands:
   ``manifest.json`` into the output directory.
 * ``sweep``: a policy grid (an FT gamma grid and/or explicit policy
   tokens) crossed with seeds; one metrics CSV per cell under ``runs/``
-  plus ``summary.csv``. Cells run in parallel up to FEDSAMPLE_THREADS.
+  plus ``summary.csv``. Cells run one after another in grid order.
 * ``ou-demo``: central (single-worker) training with every-step
   trajectory tracking; writes per-coordinate trajectories, an increment
   histogram, and the per-coordinate AR(1)/process fits.
@@ -19,7 +19,6 @@ inside their output directory.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -41,7 +40,7 @@ from .engine import METRICS_HEADER, CommLedger, format_metrics_row, iter_rounds
 from .errors import ConfigError, NumericError
 from .models import init_params, local_train
 from .ou import fit_ou_ls_columns
-from .policies import PolicyConfig
+from .policies import POLICY_KINDS, POLICY_PARAMS, PolicyConfig
 from .seeding import seed_sequence
 
 TRUNCATION_MARKER = "TRUNCATED"
@@ -54,19 +53,6 @@ SUMMARY_HEADER = (
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("FEDSAMPLE_THREADS")
-    if raw is None:
-        return min(os.cpu_count() or 1, 8)
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"FEDSAMPLE_THREADS: expected an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ConfigError("FEDSAMPLE_THREADS: must be >= 1")
-    return cap
 
 
 def _run_id(config_path: str, seed: int) -> str:
@@ -143,20 +129,26 @@ def cmd_run(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     started = _now()
     csv_path = os.path.join(args.out, "metrics.csv")
-    status, stats = _stream_run(settings, seed, csv_path)
-    _write_manifest(
-        args.out,
-        {
-            "run_id": _run_id(args.config, seed),
-            "command": "run",
-            "config_path": os.path.abspath(args.config),
-            "seed": seed,
-            "started_at": started,
-            "finished_at": _now(),
-            "status": status,
-            "outputs": ["metrics.csv"],
-        },
-    )
+    status = "error"
+    try:
+        status, stats = _stream_run(settings, seed, csv_path)
+    except ConfigError as err:
+        status = f"error: {err}"
+        raise
+    finally:
+        _write_manifest(
+            args.out,
+            {
+                "run_id": _run_id(args.config, seed),
+                "command": "run",
+                "config_path": os.path.abspath(args.config),
+                "seed": seed,
+                "started_at": started,
+                "finished_at": _now(),
+                "status": status,
+                "outputs": ["metrics.csv"],
+            },
+        )
     if not args.quiet:
         acc = stats["final_acc"]
         acc_txt = "n/a" if acc is None or (isinstance(acc, float) and math.isnan(acc)) else f"{acc:.4f}"
@@ -173,21 +165,11 @@ def _parse_policy_token(token: str) -> PolicyConfig:
     """Grid tokens: full, at, aou, ft:0.5, random:0.3, ou:0.1."""
     kind, sep, arg = token.partition(":")
     kind = kind.strip()
+    name = POLICY_PARAMS.get(kind)
     try:
-        if kind in ("full", "at", "aou"):
-            if sep:
-                raise ValueError(f"{kind} takes no parameter")
-            return PolicyConfig(kind)
-        if not sep:
-            raise ValueError(f"{kind} needs a parameter, e.g. {kind}:0.5")
-        value = float(arg)
-        if kind == "ft":
-            return PolicyConfig("ft", gamma=value)
-        if kind == "random":
-            return PolicyConfig("random", q=value)
-        if kind == "ou":
-            return PolicyConfig("ou", r=value)
-        raise ValueError(f"unknown policy {kind!r}")
+        if sep and name is None and kind in POLICY_KINDS:
+            raise ValueError(f"policy {kind!r} takes no parameter")
+        return PolicyConfig(kind, **({name: float(arg)} if sep and name else {}))
     except ValueError as err:
         raise ConfigError(f"policy grid: {err}") from None
 
@@ -256,10 +238,10 @@ def cmd_sweep(args) -> int:
     os.makedirs(runs_dir, exist_ok=True)
     started = _now()
 
-    datasets: dict[int, object] = {}
+    datasets = {seed: build_dataset_for_seed(settings, seed) for seed in seeds}
     cells = [(policy, seed) for policy in policies for seed in seeds]
-
-    def one_cell(policy: PolicyConfig, seed: int) -> dict:
+    results: list[dict] = []
+    for policy, seed in cells:
         cell_settings = dataclasses.replace(settings, policy=policy)
         csv_path = os.path.join(runs_dir, f"{policy.label}_s{seed}.csv")
         try:
@@ -270,27 +252,15 @@ def cmd_sweep(args) -> int:
                 "final_acc": None, "final_loss": None, "total_uplink_bytes": 0,
                 "total_downlink_bytes": 0, "status": f"error: {err}".replace(",", ";"),
             }
-        return stats
-
-    for seed in seeds:
-        datasets[seed] = build_dataset_for_seed(settings, seed)
-
-    results: dict[tuple[str, int], dict] = {}
-    with concurrent.futures.ThreadPoolExecutor(max_workers=_thread_cap()) as pool:
-        futures = {
-            pool.submit(one_cell, policy, seed): (policy.label, seed)
-            for policy, seed in cells
-        }
-        for future in concurrent.futures.as_completed(futures):
-            results[futures[future]] = future.result()
+        results.append(stats)
 
     summary_path = os.path.join(args.out, "summary.csv")
     with open(summary_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(SUMMARY_HEADER + "\n")
-        for policy, seed in cells:
-            fh.write(_summary_row(results[(policy.label, seed)]) + "\n")
+        for stats in results:
+            fh.write(_summary_row(stats) + "\n")
 
-    n_failed = sum(1 for r in results.values() if r["status"] != "ok")
+    n_failed = sum(1 for r in results if r["status"] != "ok")
     _write_manifest(
         args.out,
         {

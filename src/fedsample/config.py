@@ -27,10 +27,10 @@ import math
 from dataclasses import dataclass
 
 from .data import CSVSchema, FederatedDataset, load_csv, synth_blobs
-from .engine import RoundConfig
+from .engine import NACK_MODES, RoundConfig
 from .errors import ConfigError
-from .models import ModelSpec
-from .policies import POLICY_KINDS, PolicyConfig
+from .models import MODEL_KINDS, ModelSpec
+from .policies import POLICY_PARAMS, PolicyConfig
 
 _TOP_KEYS = {
     "dataset", "model", "K", "C", "E", "B", "eta", "rounds", "policy",
@@ -42,7 +42,7 @@ _DATASET_KEYS = {
     "csv": {"kind", "path", "n_classes", "dim"},
 }
 _MODEL_KEYS = {"kind", "hidden_dim"}
-_POLICY_KEYS = {"kind", "gamma", "q", "r"}
+_POLICY_KEYS = {"kind", *POLICY_PARAMS.values()}
 
 
 @dataclass(frozen=True)
@@ -96,14 +96,10 @@ def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
 def _parse_policy(obj: dict) -> PolicyConfig:
     _check_keys(obj, _POLICY_KEYS, "policy")
     kind = _require(obj, "kind", "policy")
-    if kind not in POLICY_KINDS:
-        raise ConfigError(
-            f"policy.kind: {kind!r} is not one of {', '.join(POLICY_KINDS)}"
-        )
-    kwargs = {}
-    for name in ("gamma", "q", "r"):
-        if name in obj:
-            kwargs[name] = _as_number(obj[name], f"policy.{name}")
+    kwargs = {
+        name: _as_number(value, f"policy.{name}")
+        for name, value in obj.items() if name != "kind"
+    }
     try:
         return PolicyConfig(kind, **kwargs)
     except ValueError as err:
@@ -141,8 +137,10 @@ def parse_config(doc: dict) -> RunSettings:
     model = _require(doc, "model", "config")
     _check_keys(model, _MODEL_KEYS, "model")
     m_kind = _require(model, "kind", "model")
-    if m_kind not in ("logistic", "mlp1", "quadratic-diagnostic"):
-        raise ConfigError(f"model.kind: unknown kind {m_kind!r}")
+    if m_kind not in MODEL_KINDS:
+        raise ConfigError(
+            f"model.kind: {m_kind!r} is not one of {', '.join(MODEL_KINDS)}"
+        )
     if m_kind == "mlp1":
         _as_int(_require(model, "hidden_dim", "model"), "model.hidden_dim", 1)
     elif "hidden_dim" in model:
@@ -161,9 +159,9 @@ def parse_config(doc: dict) -> RunSettings:
     policy = _parse_policy(_require(doc, "policy", "config"))
 
     mode = doc.get("nack_estimate_mode", "carry_forward")
-    if mode not in ("carry_forward", "ou_decode"):
+    if mode not in NACK_MODES:
         raise ConfigError(
-            "nack_estimate_mode: must be carry_forward or ou_decode"
+            f"nack_estimate_mode: must be one of {', '.join(NACK_MODES)}"
         )
     seed = _as_int(doc.get("seed", 0), "seed")
 

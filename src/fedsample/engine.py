@@ -42,7 +42,13 @@ from .models import (
     local_train,
 )
 from .ou import OUParams, band_fraction, decode, fit_ou_ls_columns
-from .policies import ClientStats, PolicyConfig, compute_adaptive_threshold, local_decide
+from .policies import (
+    NORM_POLICIES,
+    ClientStats,
+    PolicyConfig,
+    compute_adaptive_threshold,
+    local_decide,
+)
 from .seeding import derive_rng, seed_sequence
 
 PARAM_BYTES = 4      # single-precision payload accounting
@@ -325,6 +331,10 @@ def run_round(
         if policy.needs_band_fraction:
             stats[k] = ClientStats(band_fraction=_band_stats(rep))
         else:
+            if policy.kind in NORM_POLICIES and not math.isfinite(rep.update_norm):
+                raise NumericError(
+                    f"update norm of client {k} non-finite at round {t} (policy {policy.label})"
+                )
             stats[k] = ClientStats(update_norm=rep.update_norm)
 
     threshold: float | None = None

@@ -326,6 +326,9 @@ def local_train(
                 step += 1
                 if path is not None:
                     path[step, :] = theta[tracked]
+        # May overflow to inf from finite parameters; the engine rejects a
+        # non-finite decision statistic.
+        update_norm = float(np.linalg.norm(theta - start.data))
 
     if not np.isfinite(theta).all():
         raise NumericError("parameters diverged during local training")
@@ -333,7 +336,6 @@ def local_train(
     trajectory = None
     if tracked is not None:
         trajectory = TrackedTrajectories(indices=tracked, values=path)
-    update_norm = float(np.linalg.norm(theta - start.data))
     return LocalTrainReport(
         params_after=current,
         update_norm=update_norm,

@@ -25,11 +25,11 @@ band around their fitted means.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .seeding import derive_rng
 
@@ -126,11 +126,6 @@ def simulate_ou(
         raise ValueError("lam <= 0 with sigma > 0: transition noise scale undefined")
 
     a = math.exp(-params.lam * dt)
-    values = np.empty(steps + 1, dtype=np.float64)
-    values[0] = theta0
-    if steps == 0:
-        return Trajectory(values=values, dt=dt)
-
     if params.sigma > 0.0:
         noise_sd = params.sigma * math.sqrt((1.0 - a * a) / (2.0 * params.lam))
         z = derive_path_rng(seed).standard_normal(steps)
@@ -138,9 +133,11 @@ def simulate_ou(
     else:
         drive = np.full(steps, (1.0 - a) * params.mu)
 
-    # theta_{t+1} = a * theta_t + drive_t, run as an IIR filter for speed;
-    # arithmetic is identical to the explicit loop.
-    values[1:] = lfilter([1.0], [1.0, -a], drive, zi=np.array([a * theta0]))[0]
+    # theta_{t+1} = a * theta_t + drive_t, in plain float arithmetic.
+    path = itertools.accumulate(
+        drive.tolist(), lambda theta, d: a * theta + d, initial=float(theta0)
+    )
+    values = np.fromiter(path, dtype=np.float64, count=steps + 1)
     return Trajectory(values=values, dt=dt)
 
 

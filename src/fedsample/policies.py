@@ -26,6 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 POLICY_KINDS = ("full", "random", "ft", "at", "ou", "aou")
+# The one parameter each parametrised rule takes; the other rules take none.
+POLICY_PARAMS = {"random": "q", "ft": "gamma", "ou": "r"}
 
 # Rules whose decision statistic is the update norm vs the band fraction.
 NORM_POLICIES = ("ft", "at")
@@ -44,9 +46,11 @@ class PolicyConfig:
 
     def __post_init__(self) -> None:
         if self.kind not in POLICY_KINDS:
-            raise ValueError(f"unknown policy kind {self.kind!r}")
-        needed = {"random": "q", "ft": "gamma", "ou": "r"}.get(self.kind)
-        for name in ("q", "gamma", "r"):
+            raise ValueError(
+                f"unknown policy kind {self.kind!r}; expected one of {', '.join(POLICY_KINDS)}"
+            )
+        needed = POLICY_PARAMS.get(self.kind)
+        for name in POLICY_PARAMS.values():
             value = getattr(self, name)
             if name == needed:
                 if value is None:
@@ -71,27 +75,12 @@ class PolicyConfig:
 
     @property
     def label(self) -> str:
-        """Compact run label used in ledger CSVs, e.g. ft_g0.5."""
-        if self.kind == "random":
-            return f"random_q{self.q:g}"
-        if self.kind == "ft":
-            return f"ft_g{self.gamma:g}"
-        if self.kind == "ou":
-            return f"ou_r{self.r:g}"
-        return self.kind
-
-
-@dataclass(frozen=True)
-class ClientReport:
-    """One client's phase-one scalar: its update norm (at) or band
-    fraction (aou)."""
-
-    client_id: int
-    scalar: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.scalar) and self.scalar >= 0.0):
-            raise ValueError("reported scalar must be finite and >= 0")
+        """Compact run label used in ledger CSVs, e.g. ft_g0.5: the kind, then
+        the parameter's initial and value."""
+        name = POLICY_PARAMS.get(self.kind)
+        if name is None:
+            return self.kind
+        return f"{self.kind}_{name[0]}{getattr(self, name):g}"
 
 
 @dataclass(frozen=True)

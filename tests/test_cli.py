@@ -1,6 +1,7 @@
 """Tests for config parsing and the command-line front end."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -171,24 +172,32 @@ def test_bad_config_exits_2(tmp_path):
     }
     cfg3 = write_config(tmp_path, {"dataset": data_cfg}, name="csvless.json")
     assert main(["run", "--config", cfg3, "--out", str(tmp_path / "o3"), "--quiet"]) == 2
+    # The output directory exists by then, so the failure is recorded there.
+    manifest = json.loads((tmp_path / "o3" / "manifest.json").read_text())
+    assert manifest["status"].startswith("error: dataset")
 
 
-def test_numeric_blowup_truncates_and_exits_3(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        {
-            "model": {"kind": "quadratic-diagnostic"},
-            "eta": 1e18,
-            "E": 3,
-            "rounds": 10,
-        },
-    )
+@pytest.mark.parametrize(
+    "overrides, min_completed",
+    [
+        # The parameters themselves overflow in round 1.
+        ({"model": {"kind": "quadratic-diagnostic"}, "eta": 1e18, "E": 3,
+          "rounds": 10}, 1),
+        # Finite parameters whose update norm overflows in round 0, the
+        # input of the adaptive threshold.
+        ({"model": {"kind": "quadratic-diagnostic"}, "K": 4, "C": 1, "E": 40,
+          "B": 1, "eta": 5.0, "policy": {"kind": "at"}, "rounds": 30}, 0),
+    ],
+    ids=["params_overflow", "update_norm_overflow"],
+)
+def test_numeric_blowup_truncates_and_exits_3(tmp_path, overrides, min_completed):
+    cfg = write_config(tmp_path, overrides)
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 3
     rows = read_csv(out / "metrics.csv")
     assert rows[-1][0] == "TRUNCATED"
     assert len(rows[-1]) == len(rows[0])
-    assert 1 < len(rows) - 1 <= 10
+    assert min_completed <= len(rows) - 2 < overrides["rounds"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "truncated"
 
@@ -262,15 +271,60 @@ def test_sweep_continues_past_failed_cell(tmp_path):
     assert rows[1][8] == "truncated"
 
 
-def test_sweep_thread_cap_env(tmp_path, monkeypatch):
+FINGERPRINT_CONFIG = {
+    "model": {"kind": "mlp1", "hidden_dim": 4},
+    "rounds": 8,
+    "nack_estimate_mode": "ou_decode",
+}
+
+# sha256 of every CSV an ou_decode sweep writes. Any change to a sender set,
+# a byte count, or an accuracy or loss at the 6 significant digits the CSVs
+# keep shows up here.
+SWEEP_FINGERPRINT = {
+    "summary.csv":
+        "0a3c10bd8069a7e8480efa9adafa7a18bdfc15465cd048cddcc1145bb09469a9",
+    "runs/aou_s0.csv":
+        "65cd31c1fcff75ed3e81f503829893c165682f21cee31becea38f75eecdebd02",
+    "runs/aou_s1.csv":
+        "55955b33150001dda0faab2a4f5bf452c4849dfb3d997a921fd4a7982242f5d8",
+    "runs/at_s0.csv":
+        "0527284f22fe224241e5a49b9492863ee3a1d89d267d97f6f030fae87630e941",
+    "runs/at_s1.csv":
+        "a9c8f42721149a48755955ac9b3f10c3b07776c2f611b3e11dd32d694c4b13d3",
+    "runs/ft_g0.25_s0.csv":
+        "0ec45e22d0222c0231625b122d3f3f6d4ad8d64da9a1f4f0ab367138316fbc7c",
+    "runs/ft_g0.25_s1.csv":
+        "0871218c9b89a71c4653a908cfd7c2795799b8d07c80e7681582d6bbecc3f33d",
+    "runs/full_s0.csv":
+        "386f586cf3c8ac03c099b3fc3a3a72c2280ff7e9cc193f5873af0fb67cf22c38",
+    "runs/full_s1.csv":
+        "f26c82799fbac3b6da5dfaf42e3713050ebcc46b7803a0ac99878b5fbb9c0699",
+}
+
+
+def sweep_fingerprint(out):
+    paths = ["summary.csv"] + sorted(
+        os.path.join("runs", name) for name in os.listdir(out / "runs")
+    )
+    return {p: hashlib.sha256((out / p).read_bytes()).hexdigest() for p in paths}
+
+
+def test_sweep_output_fingerprint(tmp_path):
+    cfg = write_config(tmp_path, FINGERPRINT_CONFIG)
+    out = tmp_path / "fp"
+    assert main([
+        "sweep", "--config", cfg, "--out", str(out),
+        "--policies", "full,ft:0.25,at,aou", "--seeds", "0,1", "--quiet",
+    ]) == 0
+    assert sweep_fingerprint(out) == SWEEP_FINGERPRINT
+
+
+def test_sweep_bad_policy_tokens_exit_2(tmp_path):
     cfg = write_config(tmp_path)
-    monkeypatch.setenv("FEDSAMPLE_THREADS", "2")
-    out = tmp_path / "sweepT"
-    assert main(["sweep", "--config", cfg, "--out", str(out),
-                 "--gammas", "0.2,0.4", "--quiet"]) == 0
-    monkeypatch.setenv("FEDSAMPLE_THREADS", "zero")
-    assert main(["sweep", "--config", cfg, "--out", str(out),
-                 "--gammas", "0.2", "--quiet"]) == 2
+    for token in ("ft", "full:1", "warp:1", "ft:x"):
+        out = tmp_path / token.replace(":", "_")
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--policies", token, "--quiet"]) == 2
 
 
 # ------------------------------------------------------------------- ou-demo

@@ -1,6 +1,8 @@
 """Tests for OU simulation, least-squares estimation, decoding, and bands."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from fedsample import (
     fit_ou_ls_columns,
     simulate_ou,
 )
+from fedsample.ou import derive_path_rng
 
 
 # ---------------------------------------------------------------- simulate_ou
@@ -48,6 +51,31 @@ def test_same_seed_same_path_bitwise():
     a = simulate_ou(p, 0.2, 0.05, 1000, seed=42)
     b = simulate_ou(p, 0.2, 0.05, 1000, seed=42)
     assert np.array_equal(a.values, b.values)
+
+
+def test_noisy_path_equals_explicit_recurrence_bitwise():
+    for seed, (lam, mu, sigma, theta0, dt, steps) in enumerate([
+        (0.8, -1.0, 0.3, 0.2, 0.05, 500),
+        (25.0, 3.0, 2.0, -7.5, 0.3, 64),
+        (1e-3, 0.5, 1e-4, 1.0, 1.0, 1),
+    ]):
+        a = math.exp(-lam * dt)
+        noise_sd = sigma * math.sqrt((1.0 - a * a) / (2.0 * lam))
+        z = derive_path_rng(seed).standard_normal(steps)
+        drive = (1.0 - a) * mu + noise_sd * z
+        expected = [theta0]
+        for d in drive:
+            expected.append(a * expected[-1] + float(d))
+        got = simulate_ou(OUParams(lam, mu, sigma), theta0, dt, steps, seed=seed)
+        assert got.values.tobytes() == np.array(expected).tobytes()
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, fedsample; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_different_seeds_differ():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fedsample.policies import (
-    ClientReport,
     ClientStats,
     PolicyConfig,
     compute_adaptive_threshold,
@@ -127,8 +126,6 @@ def test_policy_config_validation():
         PolicyConfig("at", gamma=0.5)  # stray parameter
     with pytest.raises(ValueError):
         PolicyConfig("ou", r=2.0)
-    with pytest.raises(ValueError):
-        ClientReport(0, -0.5)
 
 
 def test_policy_labels():
