@@ -35,7 +35,7 @@ print(f"update norm {report.update_norm:.4f}")
 
 # Column-wise least squares over the whole path.
 fits = fit_ou_ls_columns(report.trajectory.values, dt=1.0)
-slopes = np.array([f.a for _, f in fits])
+slopes = fits.a
 in_band = np.mean((slopes > 0.0) & (slopes < 1.0))
 print(f"slope a in (0,1) for {in_band:.0%} of coordinates")
 print(f"slope range [{slopes.min():.4f}, {slopes.max():.4f}]")
@@ -43,7 +43,7 @@ print(f"slope range [{slopes.min():.4f}, {slopes.max():.4f}]")
 # The later the window, the more settled the path: refit on the back half.
 half = steps // 2
 late = fit_ou_ls_columns(report.trajectory.values[half:], dt=1.0)
-late_slopes = np.array([f.a for _, f in late])
+late_slopes = late.a
 late_band = np.mean((late_slopes > 0.0) & (late_slopes < 1.0))
 print(f"back-half window: a in (0,1) for {late_band:.0%} of coordinates")
 

@@ -45,7 +45,7 @@ from .models import (
     loss_and_grad,
 )
 from .ou import (
-    LSFit,
+    OUFit,
     OUParams,
     Trajectory,
     band_fraction,
@@ -55,7 +55,6 @@ from .ou import (
     simulate_ou,
 )
 from .policies import (
-    ClientStats,
     PolicyConfig,
     compute_adaptive_threshold,
     local_decide,
@@ -64,15 +63,14 @@ from .seeding import derive_rng, seed_sequence
 
 __all__ = [
     "CSVSchema",
-    "ClientStats",
     "CommLedger",
     "ConfigError",
     "FederatedDataset",
-    "LSFit",
     "LocalTrainReport",
     "METRICS_HEADER",
     "ModelSpec",
     "NumericError",
+    "OUFit",
     "OUParams",
     "ParamVector",
     "ParseError",

@@ -333,31 +333,16 @@ def cmd_ou_demo(args) -> int:
         for i, c in enumerate(counts):
             fh.write(f"{edges[i]!r},{edges[i + 1]!r},{int(c)}\n")
 
-    n_ok = 0
-    n_degenerate = 0
-    n_non_reverting = 0
+    flags = np.where(fits.non_reverting, "non_reverting",
+                     np.where(fits.degenerate, "degenerate", "ok"))
+    columns = [traj.indices, fits.a, fits.b, fits.resid_sd, fits.lam, fits.mu, fits.sigma, flags]
     with open(os.path.join(args.out, "fits.csv"), "w", encoding="utf-8") as fh:
         fh.write("coord,a,b,resid_sd,lam,mu,sigma,flag\n")
-        for j, (params, fit) in enumerate(fits):
-            if params.non_reverting:
-                flag = "non_reverting"
-                n_non_reverting += 1
-            elif params.degenerate:
-                flag = "degenerate"
-                n_degenerate += 1
-            else:
-                flag = "ok"
-            if not math.isnan(fit.a) and 0.0 < fit.a < 1.0:
-                n_ok += 1
-            fh.write(
-                ",".join(
-                    [str(int(traj.indices[j]))]
-                    + [format(v, ".12g") for v in (fit.a, fit.b, fit.resid_sd,
-                                                   params.lam, params.mu, params.sigma)]
-                    + [flag]
-                )
-                + "\n"
-            )
+        for coord, *values, flag in zip(*(c.tolist() for c in columns)):
+            fh.write(",".join([str(coord)] + [format(v, ".12g") for v in values] + [flag]) + "\n")
+    n_ok = int(np.count_nonzero((fits.a > 0.0) & (fits.a < 1.0)))  # NaN slopes compare False
+    n_degenerate = int(np.count_nonzero(fits.degenerate))
+    n_non_reverting = int(np.count_nonzero(fits.non_reverting))
 
     n_coords = traj.n_tracked
     fraction = n_ok / n_coords

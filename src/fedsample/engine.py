@@ -41,10 +41,9 @@ from .models import (
     init_params,
     local_train,
 )
-from .ou import OUParams, band_fraction, decode, fit_ou_ls_columns
+from .ou import OUFit, band_fraction, decode, fit_ou_ls_columns
 from .policies import (
     NORM_POLICIES,
-    ClientStats,
     PolicyConfig,
     compute_adaptive_threshold,
     local_decide,
@@ -102,13 +101,14 @@ class RoundConfig:
 @dataclass
 class ServerState:
     """Global model, round counter, and the recent-model history used by
-    the decoding estimator. history[-1] is always the current model."""
+    the decoding estimator. history[-1] is always the current model;
+    ou_estimate caches the round's decoded NACK estimate."""
 
     global_params: ParamVector
     round: int = 0
     history: list[np.ndarray] = field(default_factory=list)
     history_len: int = 20
-    ou_fits: list[OUParams] | None = None
+    ou_estimate: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if not self.history:
@@ -120,7 +120,7 @@ class ServerState:
         self.history.append(new_params.data.copy())
         if len(self.history) > self.history_len:
             del self.history[: len(self.history) - self.history_len]
-        self.ou_fits = None
+        self.ou_estimate = None
 
 
 @dataclass(frozen=True)
@@ -162,6 +162,7 @@ class CommLedger:
     senders: list[int] = field(default_factory=list)
     uplink_bytes: list[int] = field(default_factory=list)
     downlink_bytes: list[int] = field(default_factory=list)
+    total_uplink: int = field(default=0, init=False)  # running sum of uplink_bytes
 
     def append(self, selected: int, senders: int, uplink: int, downlink: int) -> None:
         if not 0 <= senders <= selected:
@@ -170,14 +171,11 @@ class CommLedger:
         self.senders.append(senders)
         self.uplink_bytes.append(uplink)
         self.downlink_bytes.append(downlink)
+        self.total_uplink += uplink
 
     @property
     def rounds(self) -> int:
         return len(self.uplink_bytes)
-
-    @property
-    def total_uplink(self) -> int:
-        return sum(self.uplink_bytes)
 
     @property
     def total_downlink(self) -> int:
@@ -224,15 +222,13 @@ def broadcast_bytes(n_params: int, n_receivers: int) -> int:
     return PARAM_BYTES * n_params * n_receivers
 
 
-def _history_fits(state: ServerState) -> list[OUParams] | None:
-    """Per-coordinate OU fits over the model history, cached for the round;
-    None while the history is too short to regress."""
-    if len(state.history) < 3:
-        return None
-    if state.ou_fits is None:
-        matrix = np.stack(state.history, axis=0)
-        state.ou_fits = [params for params, _ in fit_ou_ls_columns(matrix, dt=1.0)]
-    return state.ou_fits
+def _ou_fit(values: np.ndarray, dt: float, what: str) -> OUFit:
+    """Column-wise OU fit of finite paths; a fit statistic that overflows
+    to a non-finite value is a NumericError naming ``what``."""
+    try:
+        return fit_ou_ls_columns(values, dt=dt)
+    except ValueError as exc:
+        raise NumericError(f"OU fit of {what} non-finite: {exc}") from exc
 
 
 def server_estimate(
@@ -243,9 +239,11 @@ def server_estimate(
     ACK payloads pass through verbatim. NACKs are filled with the current
     global model (carry_forward) or, in ou_decode mode, with the
     one-round-ahead conditional mean of each coordinate's fitted process;
-    coordinates whose fits are flagged fall back to the global value. A
-    history shorter than 3 rounds forces carry_forward; the returned flag
-    reports that fallback.
+    coordinates whose fits are flagged fall back to the global value. The
+    decoded estimate is the same for every NACK of a round, so it is
+    computed once, at the round's first NACK, and shared: callers must not
+    mutate it. A history shorter than 3 rounds forces carry_forward; the
+    returned flag reports that fallback.
     """
     if mode not in NACK_MODES:
         raise ValueError(f"mode must be one of {NACK_MODES}")
@@ -258,15 +256,15 @@ def server_estimate(
     if mode == "carry_forward":
         return theta, False
 
-    fits = _history_fits(state)
-    if fits is None:
+    if len(state.history) < 3:
         return theta, True
-
-    est = theta.copy()
-    for j, p in enumerate(fits):
-        if not p.flagged:
-            est[j] = decode(theta[j], p, 1.0)
-    return est, False
+    if state.ou_estimate is None:
+        fit = _ou_fit(np.stack(state.history), 1.0, f"the model history at round {state.round}")
+        live = ~fit.flagged
+        est = theta.copy()
+        est[live] = decode(theta[live], fit.columns(live), 1.0)
+        state.ou_estimate = est
+    return state.ou_estimate, False
 
 
 def aggregate(estimates: list[tuple[np.ndarray, int]]) -> np.ndarray:
@@ -286,15 +284,14 @@ def aggregate(estimates: list[tuple[np.ndarray, int]]) -> np.ndarray:
     return anchor + acc
 
 
-def _band_stats(report: LocalTrainReport) -> float:
+def _band_stats(report: LocalTrainReport, what: str) -> float:
     traj = report.trajectory
     if traj is None or traj.values.shape[0] < 3:
         raise ValueError(
             "band policies need at least 2 local steps per round "
             "(epochs * ceil(n_i / batch_size) >= 2)"
         )
-    fits = [p for p, _ in fit_ou_ls_columns(traj.values, dt=traj.dt)]
-    return band_fraction(traj.final_values, fits)
+    return band_fraction(traj.final_values, _ou_fit(traj.values, traj.dt, what))
 
 
 def run_round(
@@ -314,7 +311,7 @@ def run_round(
 
     track = config.track if policy.needs_band_fraction else None
     reports: dict[int, LocalTrainReport] = {}
-    stats: dict[int, ClientStats] = {}
+    stats: dict[int, float] = {}  # each client's decision statistic
     for k in selected:
         k = int(k)
         rep = local_train(
@@ -329,18 +326,17 @@ def run_round(
         )
         reports[k] = rep
         if policy.needs_band_fraction:
-            stats[k] = ClientStats(band_fraction=_band_stats(rep))
+            stats[k] = _band_stats(rep, f"client {k} at round {t} (policy {policy.label})")
         else:
             if policy.kind in NORM_POLICIES and not math.isfinite(rep.update_norm):
                 raise NumericError(
                     f"update norm of client {k} non-finite at round {t} (policy {policy.label})"
                 )
-            stats[k] = ClientStats(update_norm=rep.update_norm)
+            stats[k] = rep.update_norm
 
     threshold: float | None = None
     if policy.adaptive:
-        key = "band_fraction" if policy.needs_band_fraction else "update_norm"
-        scalars = np.array([getattr(stats[int(k)], key) for k in selected])
+        scalars = np.array([stats[int(k)] for k in selected])
         uplink += SCALAR_BYTES * selected.size
         threshold = compute_adaptive_threshold(scalars)
         downlink += SCALAR_BYTES * selected.size
@@ -388,7 +384,7 @@ def run_round(
         senders=senders,
         threshold=threshold,
         uplink_bytes=uplink,
-        cum_uplink_bytes=sum(ledger.uplink_bytes),
+        cum_uplink_bytes=ledger.total_uplink,
         downlink_bytes=downlink,
         test_acc=test_acc,
         test_loss=test_loss,

@@ -1,4 +1,4 @@
-"""Scalar Ornstein-Uhlenbeck processes: simulation, estimation, decoding.
+"""Ornstein-Uhlenbeck processes: simulation, column-wise fits, decoding.
 
 The mean-reverting process
 
@@ -10,17 +10,21 @@ has an exact one-step transition over a sampling period ``dt``:
     a = exp(-lam * dt),
     eps_t ~ N(0, sigma^2 * (1 - a^2) / (2 * lam)).
 
-``simulate_ou`` draws sample paths from this transition, ``fit_ou_ls``
-inverts it: ordinary least squares of theta_{t+1} on theta_t yields
-(a, b, resid_sd), from which
+``simulate_ou`` draws sample paths from this transition.
+``fit_ou_ls_columns`` inverts it for every column of a (T, k) array:
+ordinary least squares of theta_{t+1} on theta_t yields (a, b, resid_sd),
+from which
 
     lam   = -ln(a) / dt,
     mu    = b / (1 - a),
     sigma = resid_sd * sqrt(-2 * ln(a) / (dt * (1 - a^2))).
 
-``decode`` gives the conditional-mean estimate of an unobserved value and
-``band_fraction`` counts coordinates still outside the one-stationary-sd
-band around their fitted means.
+It returns one ``OUFit`` of arrays over the columns, which ``decode``
+(conditional-mean estimates) and ``band_fraction`` (the share of columns
+outside their one-stationary-sd band) take whole. ``fit_ou_ls`` (column 0
+of a one-column fit) and ``OUParams`` (one process) are the scalar view of
+the same code. ``math.log``/``math.exp`` run element by element: numpy's
+vectorised log and exp can differ from them in the last bit.
 """
 
 from __future__ import annotations
@@ -39,8 +43,37 @@ from .seeding import derive_rng
 _SLOPE_FLOOR = 1e-6
 
 
+def _elementwise(fn, x: np.ndarray) -> np.ndarray:
+    """fn (math.log or math.exp) applied to every element of x."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.fromiter(map(fn, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
+
+
+class _Processes:
+    """The checks and stationary law OUParams (one process) and OUFit
+    (arrays over columns) share."""
+
+    def __post_init__(self) -> None:
+        # Unflagged processes must be populated; flagged ones may hold NaN.
+        if not np.all(self.flagged | (np.isfinite(self.lam) & np.isfinite(self.mu))):
+            raise ValueError("lam and mu must be finite")
+        if not np.all(self.flagged | (np.isfinite(self.sigma) & (self.sigma >= 0.0))):
+            raise ValueError("sigma must be finite and >= 0")
+
+    @property
+    def flagged(self):
+        return self.degenerate | self.non_reverting
+
+    def stationary_sd(self):
+        """Standard deviation of the stationary law N(mu, sigma^2 / (2 lam));
+        NaN where the process is flagged or lam <= 0."""
+        live = ~np.asarray(self.flagged) & (self.lam > 0.0)
+        sd = np.where(live, self.sigma / np.sqrt(np.where(live, 2.0 * self.lam, 1.0)), np.nan)
+        return sd if sd.ndim else float(sd)
+
+
 @dataclass(frozen=True)
-class OUParams:
+class OUParams(_Processes):
     """Process parameters (rate, long-run mean, volatility) plus fit flags.
 
     ``degenerate`` marks fits with no usable slope (constant predictor, or
@@ -54,22 +87,41 @@ class OUParams:
     degenerate: bool = False
     non_reverting: bool = False
 
-    def __post_init__(self) -> None:
-        if not (self.degenerate or self.non_reverting):
-            if not (math.isfinite(self.lam) and math.isfinite(self.mu)):
-                raise ValueError("lam and mu must be finite")
-            if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
-                raise ValueError("sigma must be finite and >= 0")
 
-    @property
-    def flagged(self) -> bool:
-        return self.degenerate or self.non_reverting
+@dataclass(frozen=True, eq=False)
+class OUFit(_Processes):
+    """Least-squares OU fits of k columns, each field but ``n_points`` an
+    array over the columns: the AR(1) regression theta_{t+1} = a * theta_t
+    + b + eps_t over ``n_points`` pairs, and the process (lam, mu, sigma)
+    it implies, flagged as in OUParams. ``fit[j]`` (and iteration) gives
+    column j as ``fit_ou_ls`` does: (OUParams, the column with scalar fields).
+    """
 
-    def stationary_sd(self) -> float:
-        """Standard deviation of the stationary law N(mu, sigma^2 / (2 lam))."""
-        if self.flagged or self.lam <= 0.0:
-            return math.nan
-        return self.sigma / math.sqrt(2.0 * self.lam)
+    a: np.ndarray
+    b: np.ndarray
+    resid_sd: np.ndarray
+    n_points: int
+    lam: np.ndarray
+    mu: np.ndarray
+    sigma: np.ndarray
+    degenerate: np.ndarray
+    non_reverting: np.ndarray
+
+    def __len__(self) -> int:
+        return int(np.size(self.lam))
+
+    def columns(self, index) -> OUFit:
+        """The fit of the columns ``index`` selects (an int gives scalar fields)."""
+        return OUFit(
+            self.a[index], self.b[index], self.resid_sd[index], self.n_points,
+            self.lam[index], self.mu[index], self.sigma[index],
+            self.degenerate[index], self.non_reverting[index],
+        )
+
+    def __getitem__(self, j: int) -> tuple[OUParams, OUFit]:
+        col = self.columns(j)
+        flags = bool(col.degenerate), bool(col.non_reverting)
+        return OUParams(float(col.lam), float(col.mu), float(col.sigma), *flags), col
 
 
 @dataclass(frozen=True)
@@ -91,17 +143,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return int(self.values.size)
-
-
-@dataclass(frozen=True)
-class LSFit:
-    """AR(1) regression result for theta_{t+1} = a * theta_t + b + eps_t."""
-
-    a: float
-    b: float
-    resid_sd: float
-    n_points: int
-    degenerate: bool = False
 
 
 def simulate_ou(
@@ -180,35 +221,28 @@ def _ar1_ols(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, in
 
 
 def _invert_ar1(
-    a: np.ndarray,
-    b: np.ndarray,
-    resid_sd: np.ndarray,
-    dt: float,
-    degenerate: np.ndarray,
-) -> list[OUParams]:
-    """Map regression coefficients to OUParams, flagging out-of-range slopes."""
-    out: list[OUParams] = []
-    for j in range(a.size):
-        if degenerate[j]:
-            out.append(OUParams(math.nan, math.nan, math.nan, degenerate=True))
-            continue
-        aj = float(a[j])
-        bj = float(b[j])
-        if aj >= 1.0:
-            mu = bj / (1.0 - aj) if aj != 1.0 else math.nan
-            out.append(OUParams(math.nan, mu, math.nan, non_reverting=True))
-            continue
-        clamped = aj <= 0.0
-        a_eff = _SLOPE_FLOOR if clamped else aj
-        lam = -math.log(a_eff) / dt
-        mu = bj / (1.0 - a_eff)
-        sigma = float(resid_sd[j]) * math.sqrt(-2.0 * math.log(a_eff) / (dt * (1.0 - a_eff * a_eff)))
-        out.append(OUParams(lam, mu, sigma, degenerate=clamped))
-    return out
+    a: np.ndarray, b: np.ndarray, resid_sd: np.ndarray, dt: float, degenerate: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Column-wise (lam, mu, sigma, degenerate, non_reverting) from the
+    regression; slopes >= 1 are non-reverting, slopes <= 0 are clamped and
+    flagged degenerate."""
+    non_reverting = a >= 1.0  # False where a is NaN (degenerate)
+    live = ~(degenerate | non_reverting)
+    clamped = live & (a <= 0.0)
+    a_eff = np.where(clamped, _SLOPE_FLOOR, a)
+    log_a = _elementwise(math.log, np.where(live, a_eff, np.nan))
+    lam = np.where(live, -log_a / dt, np.nan)
+    mu = np.where(degenerate | (a == 1.0), np.nan, b / (1.0 - a_eff))
+    sigma = resid_sd * np.sqrt(-2.0 * log_a / (dt * (1.0 - a_eff * a_eff)))
+    return lam, mu, sigma, degenerate | clamped, non_reverting
 
 
-def fit_ou_ls_columns(values: np.ndarray, dt: float) -> list[tuple[OUParams, LSFit]]:
-    """Fit every column of a (T, k) array of trajectories sharing one dt."""
+def fit_ou_ls_columns(values: np.ndarray, dt: float) -> OUFit:
+    """Fit every column of a (T, k) array of trajectories sharing one dt.
+
+    Raises ValueError for non-finite input, and when a fit statistic of an
+    unflagged column overflows to a non-finite value.
+    """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise ValueError("expected a (T, k) array of column trajectories")
@@ -219,69 +253,59 @@ def fit_ou_ls_columns(values: np.ndarray, dt: float) -> list[tuple[OUParams, LSF
     if not np.isfinite(values).all():
         raise ValueError("trajectory values must be finite")
 
-    a, b, resid_sd, n, degenerate = _ar1_ols(values)
-    params = _invert_ar1(a, b, resid_sd, dt, degenerate)
-    fits = [
-        LSFit(
-            a=float(a[j]),
-            b=float(b[j]),
-            resid_sd=float(resid_sd[j]),
-            n_points=n,
-            degenerate=bool(degenerate[j]),
-        )
-        for j in range(values.shape[1])
-    ]
-    return list(zip(params, fits))
+    with np.errstate(all="ignore"):
+        a, b, resid_sd, n, degenerate = _ar1_ols(values)
+        return OUFit(a, b, resid_sd, n, *_invert_ar1(a, b, resid_sd, dt, degenerate))
 
 
-def fit_ou_ls(traj: Trajectory) -> tuple[OUParams, LSFit]:
+def fit_ou_ls(traj: Trajectory) -> tuple[OUParams, OUFit]:
     """Least-squares fit of a single trajectory; see module docstring.
 
+    Column 0 of the one-column fit: (OUParams, the fit with scalar fields).
     Raises ValueError for trajectories shorter than 3 points. A constant
     path yields a degenerate fit (no usable regression slope).
     """
     if len(traj) < 3:
         raise ValueError("need at least 3 observations to fit")
-    [(params, fit)] = fit_ou_ls_columns(traj.values[:, None], traj.dt)
-    return params, fit
+    return fit_ou_ls_columns(traj.values[:, None], traj.dt)[0]
 
 
-def decode(theta_ref: float, params: OUParams, elapsed: float) -> float:
+def decode(theta_ref, params: OUParams | OUFit, elapsed: float):
     """Conditional-mean estimate of the process ``elapsed`` after theta_ref:
 
         exp(-lam * elapsed) * theta_ref + (1 - exp(-lam * elapsed)) * mu
+
+    One OUParams with a float theta_ref gives a float; an OUFit with one
+    theta_ref per column gives an array. Every process must have finite
+    lam and mu.
     """
-    if not (math.isfinite(theta_ref) and math.isfinite(elapsed)):
+    theta, lam, mu = np.asarray(theta_ref, dtype=np.float64), params.lam, params.mu
+    if not (np.isfinite(theta).all() and math.isfinite(elapsed)):
         raise ValueError("decode requires finite inputs")
     if elapsed < 0.0:
         raise ValueError("elapsed must be >= 0")
-    if not (math.isfinite(params.lam) and math.isfinite(params.mu)):
+    if not (np.isfinite(lam).all() and np.isfinite(mu).all()):
         raise ValueError("decode requires populated lam and mu")
-    w = math.exp(-params.lam * elapsed)
-    return w * theta_ref + (1.0 - w) * params.mu
+    w = _elementwise(math.exp, -lam * elapsed)
+    est = w * theta + (1.0 - w) * mu
+    return float(est) if est.ndim == 0 else est
 
 
-def band_fraction(finals: np.ndarray, fits: list[OUParams]) -> float:
-    """Fraction of coordinates strictly outside [mu - sd, mu + sd].
+def band_fraction(finals: np.ndarray, fit: OUFit) -> float:
+    """Fraction of columns whose final value lies strictly outside
+    [mu - sd, mu + sd].
 
-    The band half-width is each fit's stationary sd. Degenerate coordinates
+    The band half-width is each column's stationary sd. Degenerate columns
     count as inside (nothing left to move), non-reverting ones as outside
     (no steady state to have reached).
     """
     finals = np.asarray(finals, dtype=np.float64)
     if finals.ndim != 1 or finals.size == 0:
         raise ValueError("finals must be a non-empty vector")
-    if len(fits) != finals.size:
+    if len(fit) != finals.size:
         raise ValueError("finals and fits must have equal length")
 
-    outside = 0
-    for value, p in zip(finals, fits):
-        if p.non_reverting:
-            outside += 1
-        elif p.degenerate:
-            continue
-        else:
-            band = p.stationary_sd()
-            if value > p.mu + band or value < p.mu - band:
-                outside += 1
-    return outside / finals.size
+    band = fit.stationary_sd()
+    off_band = (finals > fit.mu + band) | (finals < fit.mu - band)
+    outside = fit.non_reverting | (~fit.degenerate & off_band)
+    return int(np.count_nonzero(outside)) / finals.size

@@ -83,14 +83,6 @@ class PolicyConfig:
         return f"{self.kind}_{name[0]}{getattr(self, name):g}"
 
 
-@dataclass(frozen=True)
-class ClientStats:
-    """Decision inputs computed during local training."""
-
-    update_norm: float | None = None
-    band_fraction: float | None = None
-
-
 def compute_adaptive_threshold(scalars: np.ndarray) -> float:
     """Round threshold from the clients' reported scalars: mean minus
     population standard deviation."""
@@ -104,11 +96,13 @@ def compute_adaptive_threshold(scalars: np.ndarray) -> float:
 
 def local_decide(
     policy: PolicyConfig,
-    stats: ClientStats,
+    value: float | None,
     broadcast_threshold: float | None = None,
     rng: np.random.Generator | None = None,
 ) -> bool:
-    """One client's send/suppress decision for the current round."""
+    """One client's send/suppress decision for the current round. ``value``
+    is the client's decision statistic: its update norm under ft/at, its
+    band fraction under ou/aou, unused (None) otherwise."""
     if policy.kind == "full":
         return True
 
@@ -117,16 +111,10 @@ def local_decide(
             raise ValueError("random policy needs an rng stream")
         return float(rng.uniform()) < 1.0 - policy.q
 
-    if policy.kind in NORM_POLICIES:
-        if stats.update_norm is None:
-            raise ValueError(f"{policy.kind} policy needs update_norm")
-        value = stats.update_norm
-        cutoff = policy.gamma
-    else:
-        if stats.band_fraction is None:
-            raise ValueError(f"{policy.kind} policy needs band_fraction")
-        value = stats.band_fraction
-        cutoff = policy.r
+    if value is None:
+        stat = "band_fraction" if policy.needs_band_fraction else "update_norm"
+        raise ValueError(f"{policy.kind} policy needs {stat}")
+    cutoff = policy.r if policy.needs_band_fraction else policy.gamma
 
     if policy.adaptive:
         if broadcast_threshold is None:

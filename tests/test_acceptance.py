@@ -27,7 +27,6 @@ from fedsample.engine import (
 from fedsample.models import ModelSpec, ParamVector, init_params
 from fedsample.ou import OUParams, Trajectory, fit_ou_ls, simulate_ou
 from fedsample.policies import (
-    ClientStats,
     PolicyConfig,
     compute_adaptive_threshold,
     local_decide,
@@ -265,11 +264,7 @@ def test_gate_7_policy_invariants(capsys):
         return {
             i
             for i, v in enumerate(norms)
-            if local_decide(
-                at,
-                ClientStats(update_norm=float(v), band_fraction=None),
-                broadcast_threshold=gamma,
-            )
+            if local_decide(at, float(v), broadcast_threshold=gamma)
         }
 
     # Scale covariance: power-of-two factors make c*x representable, so

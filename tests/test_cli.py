@@ -187,8 +187,16 @@ def test_bad_config_exits_2(tmp_path):
         # input of the adaptive threshold.
         ({"model": {"kind": "quadratic-diagnostic"}, "K": 4, "C": 1, "E": 40,
           "B": 1, "eta": 5.0, "policy": {"kind": "at"}, "rounds": 30}, 0),
+        # The same run under band policies: finite trajectories whose AR(1)
+        # fit overflows, on the clients and in the server's decode fit.
+        ({"model": {"kind": "quadratic-diagnostic"}, "K": 4, "C": 1, "E": 40,
+          "B": 1, "eta": 5.0, "policy": {"kind": "ou", "r": 0.5}, "rounds": 30}, 0),
+        ({"model": {"kind": "quadratic-diagnostic"}, "K": 4, "C": 1, "E": 40,
+          "B": 1, "eta": 5.0, "policy": {"kind": "aou"},
+          "nack_estimate_mode": "ou_decode", "rounds": 30}, 0),
     ],
-    ids=["params_overflow", "update_norm_overflow"],
+    ids=["params_overflow", "update_norm_overflow", "band_fit_overflow_ou",
+         "band_fit_overflow_aou_ou_decode"],
 )
 def test_numeric_blowup_truncates_and_exits_3(tmp_path, overrides, min_completed):
     cfg = write_config(tmp_path, overrides)

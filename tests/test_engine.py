@@ -1,6 +1,7 @@
 """Tests for the round protocol: selection, estimation, aggregation,
 byte accounting, and end-to-end agreement with a reference FedAvg."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -152,6 +153,16 @@ def test_estimate_ou_decode_tiny_slope_lands_on_mean():
     state.global_params = state.global_params.with_data(history[-1].copy())
     est, _ = server_estimate(UpdateMessage(0, 3), state, "ou_decode")
     np.testing.assert_allclose(est, b / (1.0 - a), rtol=1e-6)
+
+
+def test_estimate_ou_decode_overflowing_fit_is_numeric_error():
+    # A finite history whose regression sums overflow is a numeric failure
+    # of the run, not a bad argument.
+    history = [np.array([(-1.0) ** t * 1e300, 1.0 + t]) for t in range(5)]
+    state = make_state(p=2, history=history)
+    state.global_params = state.global_params.with_data(history[-1].copy())
+    with pytest.raises(NumericError, match="OU fit"):
+        server_estimate(UpdateMessage(0, 3), state, "ou_decode")
 
 
 def test_estimate_rejects_bad_payload_and_mode():
@@ -415,3 +426,67 @@ def test_metrics_row_format():
     row2 = format_metrics_row(rep2, "at", seed=0)
     assert ",0.123457," in row2
     assert ",nan," in row2
+
+
+# ------------------------------------------------------- ou_decode contracts
+
+MLP = ModelSpec("mlp1", input_dim=6, n_classes=4, hidden_dim=4)
+
+
+def ou_decode_rounds(policy, rounds=20):
+    """Yield (state, report) per round of a short mlp1 ou_decode run in
+    which some clients stay silent once the history is long enough."""
+    from fedsample.engine import iter_rounds
+
+    ds = small_dataset()
+    cfg = config(policy, client_fraction=0.5, epochs=3, batch_size=2,
+                 nack_estimate_mode="ou_decode")
+    state = ServerState(global_params=init_params(MLP, cfg.seed), history_len=cfg.history_len)
+    for report in iter_rounds(MLP, cfg, ds, rounds, CommLedger(), state=state):
+        yield state, report
+
+
+# sha256 of the final parameter bytes and of every round's (senders,
+# uplink_bytes), recorded with the per-coordinate OU implementation. A
+# changed decision or a last-bit change that survives aggregation shows up
+# here, unlike in the 6-digit CSVs; test_ou pins the OU layer's own bits.
+OU_DECODE_FINGERPRINT = {
+    "aou": "b53ccefa73207ffd0512f9219f27cda257194563fb00ca1c7c00dd4203f4b484",
+    "ou_r0.3": "b5407389ab2140ff92519d6506356198cd80bfdf2c35a3b3576833f5f1ac2abe",
+}
+
+
+@pytest.mark.parametrize("policy", [PolicyConfig("aou"), PolicyConfig("ou", r=0.3)],
+                         ids=["aou", "ou_r0.3"])
+def test_ou_decode_output_fingerprint_bitwise(policy):
+    reports = []
+    for state, report in ou_decode_rounds(policy):
+        reports.append(report)
+    final = state.global_params.data
+    rounds = [(r.senders, r.uplink_bytes) for r in reports]
+    # Silent clients in decoded rounds, so the estimate reaches the model.
+    assert any(len(r.senders) < len(r.selected) for r in reports[2:])
+    digest = hashlib.sha256(final.tobytes() + repr(rounds).encode()).hexdigest()
+    assert digest == OU_DECODE_FINGERPRINT[policy.label]
+
+
+def test_ou_decode_estimates_once_per_round(monkeypatch):
+    import fedsample.engine as engine
+
+    calls = []
+    decode = engine.decode
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return decode(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "decode", counted)
+    per_round = []
+    for _, report in ou_decode_rounds(PolicyConfig("aou")):
+        per_round.append((len(calls), len(report.selected) - len(report.senders)))
+        calls.clear()
+    # Rounds 0-1 lack history; from then on every round with a silent
+    # client decodes exactly once, however many clients are silent.
+    assert max(nacks for _, nacks in per_round[2:]) >= 2
+    assert [n for n, _ in per_round[:2]] == [0, 0]
+    assert all(n == int(nacks > 0) for n, nacks in per_round[2:])

@@ -1,5 +1,6 @@
 """Tests for OU simulation, least-squares estimation, decoding, and bands."""
 
+import hashlib
 import math
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from fedsample import (
-    LSFit,
+    OUFit,
     OUParams,
     Trajectory,
     band_fraction,
@@ -216,6 +217,16 @@ def test_columns_fit_rejects_bad_shapes():
         fit_ou_ls_columns(np.zeros((5, 2)), dt=0.0)
 
 
+def test_columns_fit_rejects_non_finite_input_and_statistics():
+    with pytest.raises(ValueError, match="finite"):
+        fit_ou_ls_columns(np.array([[1.0], [math.nan], [2.0]]), dt=1.0)
+    # Finite paths whose regression sums overflow leave an unflagged column
+    # without a finite rate; the fit's own check rejects it, warning-free.
+    overflowing = np.array([[(-1.0) ** t * 1e300] for t in range(5)])
+    with pytest.raises(ValueError, match="lam and mu must be finite"):
+        fit_ou_ls_columns(overflowing, dt=1.0)
+
+
 # --------------------------------------------------------------------- decode
 
 def test_decode_zero_elapsed_returns_reference():
@@ -248,28 +259,42 @@ def test_decode_rejects_unpopulated_params():
 
 # -------------------------------------------------------------- band_fraction
 
+def fit_of(params):
+    """A fit whose columns are the given processes, with no regression
+    behind them."""
+    nan = np.full(len(params), np.nan)
+    return OUFit(
+        a=nan, b=nan, resid_sd=nan, n_points=0,
+        lam=np.array([p.lam for p in params]),
+        mu=np.array([p.mu for p in params]),
+        sigma=np.array([p.sigma for p in params]),
+        degenerate=np.array([p.degenerate for p in params], dtype=bool),
+        non_reverting=np.array([p.non_reverting for p in params], dtype=bool),
+    )
+
+
 def test_band_all_at_mean_is_zero():
     fits = [OUParams(1.0, 0.5, 0.2) for _ in range(5)]
-    assert band_fraction(np.full(5, 0.5), fits) == 0.0
+    assert band_fraction(np.full(5, 0.5), fit_of(fits)) == 0.0
 
 
 def test_band_all_far_outside_is_one():
     fits = [OUParams(1.0, 0.0, 0.2) for _ in range(5)]
     sd = fits[0].stationary_sd()
-    assert band_fraction(np.full(5, 10.0 * sd), fits) == 1.0
+    assert band_fraction(np.full(5, 10.0 * sd), fit_of(fits)) == 1.0
 
 
 def test_band_counts_fractionally():
     p = OUParams(2.0, 0.0, 0.2)
     sd = p.stationary_sd()
     finals = np.array([0.0, 0.5 * sd, -0.9 * sd, 5.0 * sd])
-    assert band_fraction(finals, [p] * 4) == 0.25
+    assert band_fraction(finals, fit_of([p] * 4)) == 0.25
 
 
 def test_band_boundary_is_inside():
     # Strict inequalities: sitting exactly on the band edge does not count.
     p = OUParams(2.0, 0.0, 0.2)
-    assert band_fraction(np.array([p.stationary_sd()]), [p]) == 0.0
+    assert band_fraction(np.array([p.stationary_sd()]), fit_of([p])) == 0.0
 
 
 def test_band_flag_conventions():
@@ -277,14 +302,44 @@ def test_band_flag_conventions():
     nr = OUParams(math.nan, 0.0, math.nan, non_reverting=True)
     live = OUParams(1.0, 0.0, 0.2)
     finals = np.array([100.0, 0.0, 0.0])
-    assert band_fraction(finals, [deg, nr, live]) == pytest.approx(1.0 / 3.0)
+    assert band_fraction(finals, fit_of([deg, nr, live])) == pytest.approx(1.0 / 3.0)
 
 
 def test_band_rejects_empty_and_mismatched():
     with pytest.raises(ValueError):
-        band_fraction(np.array([]), [])
+        band_fraction(np.array([]), fit_of([]))
     with pytest.raises(ValueError):
-        band_fraction(np.array([1.0]), [])
+        band_fraction(np.array([1.0]), fit_of([]))
+
+
+# ---------------------------------------------------------------- bitwise pin
+
+def test_fit_decode_band_bits_are_pinned():
+    # sha256 recorded with the per-coordinate scalar implementation (one
+    # OUParams per column, a Python loop in decode and band_fraction). The
+    # array code must reproduce every bit: numpy's vectorised log and exp
+    # would not. Columns 0-4 are constant (degenerate); slopes in
+    # (-0.5, 1.1) give clamped and non-reverting fits too.
+    rng = np.random.default_rng(20261018)
+    k = 2000
+    slopes = rng.uniform(-0.5, 1.1, k)
+    values = np.empty((15, k))
+    values[0] = rng.standard_normal(k)
+    for t in range(1, 15):
+        values[t] = slopes * values[t - 1] + 0.3 + 0.1 * rng.standard_normal(k)
+    values[:, :5] = 2.0
+
+    fit = fit_ou_ls_columns(values, dt=0.5)
+    live = ~fit.flagged
+    est = decode(values[-1][live], fit.columns(live), 1.0)
+    band = band_fraction(values[-1], fit)
+    assert (int(fit.degenerate.sum()), int(fit.non_reverting.sum()), est.size) == (679, 124, 1197)
+    fields = np.stack([fit.a, fit.b, fit.resid_sd, fit.lam, fit.mu, fit.sigma])
+    digest = hashlib.sha256(
+        fields.tobytes() + fit.degenerate.tobytes() + fit.non_reverting.tobytes()
+        + est.tobytes() + band.hex().encode()
+    ).hexdigest()
+    assert digest == "0dbee43f6bf7ae325cd6f670599c17acbcbb339d30e9884184a3a07d49c0b9a0"
 
 
 # ---------------------------------------------------------------------- types

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fedsample.policies import (
-    ClientStats,
     PolicyConfig,
     compute_adaptive_threshold,
     local_decide,
@@ -15,11 +14,7 @@ from fedsample.seeding import derive_rng
 
 
 def decide_all(policy, scalars, threshold=None):
-    key = "band_fraction" if policy.needs_band_fraction else "update_norm"
-    return [
-        local_decide(policy, ClientStats(**{key: float(s)}), threshold)
-        for s in scalars
-    ]
+    return [local_decide(policy, float(s), threshold) for s in scalars]
 
 
 # ----------------------------------------------------- adaptive threshold
@@ -54,21 +49,21 @@ def test_threshold_can_be_negative():
 # ------------------------------------------------------------ local_decide
 
 def test_full_always_sends():
-    assert local_decide(PolicyConfig("full"), ClientStats()) is True
+    assert local_decide(PolicyConfig("full"), None) is True
 
 
 def test_random_edge_probabilities():
     rng = derive_rng(0, "decide")
     always = PolicyConfig("random", q=0.0)
     never = PolicyConfig("random", q=1.0)
-    assert all(local_decide(always, ClientStats(), rng=rng) for _ in range(200))
-    assert not any(local_decide(never, ClientStats(), rng=rng) for _ in range(200))
+    assert all(local_decide(always, None, rng=rng) for _ in range(200))
+    assert not any(local_decide(never, None, rng=rng) for _ in range(200))
 
 
 def test_random_rate_matches_q():
     policy = PolicyConfig("random", q=0.3)
     sends = sum(
-        local_decide(policy, ClientStats(), rng=derive_rng(7, "decide", i))
+        local_decide(policy, None, rng=derive_rng(7, "decide", i))
         for i in range(4000)
     )
     assert sends / 4000 == pytest.approx(0.7, abs=0.03)
@@ -76,8 +71,8 @@ def test_random_rate_matches_q():
 
 def test_ft_strict_boundary():
     policy = PolicyConfig("ft", gamma=0.5)
-    assert local_decide(policy, ClientStats(update_norm=0.5)) is False
-    assert local_decide(policy, ClientStats(update_norm=0.5 + 1e-9)) is True
+    assert local_decide(policy, 0.5) is False
+    assert local_decide(policy, 0.5 + 1e-9) is True
 
 
 def test_at_identical_norms_sends_nobody():
@@ -88,8 +83,8 @@ def test_at_identical_norms_sends_nobody():
 
 def test_ou_fraction_rule():
     policy = PolicyConfig("ou", r=0.25)
-    assert local_decide(policy, ClientStats(band_fraction=0.25)) is False
-    assert local_decide(policy, ClientStats(band_fraction=0.26)) is True
+    assert local_decide(policy, 0.25) is False
+    assert local_decide(policy, 0.26) is True
 
 
 def test_aou_uses_broadcast_threshold():
@@ -102,13 +97,13 @@ def test_aou_uses_broadcast_threshold():
 
 def test_missing_inputs_are_rejected():
     with pytest.raises(ValueError):
-        local_decide(PolicyConfig("ft", gamma=0.5), ClientStats(band_fraction=0.1))
+        local_decide(PolicyConfig("ft", gamma=0.5), None)
     with pytest.raises(ValueError):
-        local_decide(PolicyConfig("ou", r=0.5), ClientStats(update_norm=0.1))
+        local_decide(PolicyConfig("ou", r=0.5), None)
     with pytest.raises(ValueError):
-        local_decide(PolicyConfig("at"), ClientStats(update_norm=0.1))
+        local_decide(PolicyConfig("at"), 0.1)
     with pytest.raises(ValueError):
-        local_decide(PolicyConfig("random", q=0.5), ClientStats())
+        local_decide(PolicyConfig("random", q=0.5), None)
 
 
 # ------------------------------------------------------------------ config
