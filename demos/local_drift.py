@@ -29,12 +29,12 @@ report = local_train(
     spec, start, (x, y),
     epochs=12, batch_size=30, eta=0.05, seed=17, track="all",
 )
-steps, n_coords = report.trajectory.values.shape
+steps, n_coords = report.path.shape
 print(f"tracked {n_coords} coordinates over {steps - 1} SGD steps")
 print(f"update norm {report.update_norm:.4f}")
 
 # Column-wise least squares over the whole path.
-fits = fit_ou_ls_columns(report.trajectory.values, dt=1.0)
+fits = fit_ou_ls_columns(report.path, dt=1.0)
 slopes = fits.a
 in_band = np.mean((slopes > 0.0) & (slopes < 1.0))
 print(f"slope a in (0,1) for {in_band:.0%} of coordinates")
@@ -42,15 +42,15 @@ print(f"slope range [{slopes.min():.4f}, {slopes.max():.4f}]")
 
 # The later the window, the more settled the path: refit on the back half.
 half = steps // 2
-late = fit_ou_ls_columns(report.trajectory.values[half:], dt=1.0)
+late = fit_ou_ls_columns(report.path[half:], dt=1.0)
 late_slopes = late.a
 late_band = np.mean((late_slopes > 0.0) & (late_slopes < 1.0))
 print(f"back-half window: a in (0,1) for {late_band:.0%} of coordinates")
 
 # Sketch one coordinate's path in text: sampled every few steps,
 # scaled to a 40-column strip.
-coord = int(np.argmax(np.abs(report.trajectory.values[-1] - report.trajectory.values[0])))
-path = report.trajectory.values[::4, coord]
+coord = int(np.argmax(np.abs(report.path[-1] - report.path[0])))
+path = report.path[::4, coord]
 lo, hi = path.min(), path.max()
 print(f"\ncoordinate {coord} (largest total move), every 4th step:")
 for i, v in enumerate(path):

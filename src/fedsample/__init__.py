@@ -37,8 +37,6 @@ from .errors import ConfigError, NumericError, ParseError
 from .models import (
     LocalTrainReport,
     ModelSpec,
-    ParamVector,
-    TrackedTrajectories,
     evaluate,
     init_params,
     local_train,
@@ -72,13 +70,11 @@ __all__ = [
     "NumericError",
     "OUFit",
     "OUParams",
-    "ParamVector",
     "ParseError",
     "PolicyConfig",
     "RoundConfig",
     "RoundReport",
     "ServerState",
-    "TrackedTrajectories",
     "Trajectory",
     "UpdateMessage",
     "aggregate",

@@ -88,13 +88,17 @@ def _stream_run(
     model = build_model(settings, dataset)
     round_config = build_round_config(settings, seed=seed)
     ledger = CommLedger()
+    try:
+        rounds = iter_rounds(model, round_config, dataset, settings.rounds, ledger)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
     label = settings.policy.label
     last = None
     status = "ok"
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(METRICS_HEADER + "\n")
         try:
-            for report in iter_rounds(model, round_config, dataset, settings.rounds, ledger):
+            for report in rounds:
                 fh.write(format_metrics_row(report, label, seed) + "\n")
                 last = report
         except NumericError as err:
@@ -316,17 +320,17 @@ def cmd_ou_demo(args) -> int:
         seed=demo_train_seed(seed),
         track=track,
     )
-    traj = report.trajectory
-    fits = fit_ou_ls_columns(traj.values, dt=1.0)
+    path = report.path
+    fits = fit_ou_ls_columns(path, dt=1.0)
 
     with open(os.path.join(args.out, "trajectories.csv"), "w", encoding="utf-8") as fh:
         fh.write("coord,step,value\n")
-        for j, coord in enumerate(traj.indices):
-            col = traj.values[:, j]
+        for j, coord in enumerate(report.tracked):
+            col = path[:, j]
             for step in range(col.size):
                 fh.write(f"{int(coord)},{step},{col[step]!r}\n")
 
-    diffs = np.diff(traj.values, axis=0).ravel()
+    diffs = np.diff(path, axis=0).ravel()
     counts, edges = np.histogram(diffs, bins=50)
     with open(os.path.join(args.out, "increments.csv"), "w", encoding="utf-8") as fh:
         fh.write("bin_left,bin_right,count\n")
@@ -335,7 +339,7 @@ def cmd_ou_demo(args) -> int:
 
     flags = np.where(fits.non_reverting, "non_reverting",
                      np.where(fits.degenerate, "degenerate", "ok"))
-    columns = [traj.indices, fits.a, fits.b, fits.resid_sd, fits.lam, fits.mu, fits.sigma, flags]
+    columns = [report.tracked, fits.a, fits.b, fits.resid_sd, fits.lam, fits.mu, fits.sigma, flags]
     with open(os.path.join(args.out, "fits.csv"), "w", encoding="utf-8") as fh:
         fh.write("coord,a,b,resid_sd,lam,mu,sigma,flag\n")
         for coord, *values, flag in zip(*(c.tolist() for c in columns)):
@@ -344,7 +348,7 @@ def cmd_ou_demo(args) -> int:
     n_degenerate = int(np.count_nonzero(fits.degenerate))
     n_non_reverting = int(np.count_nonzero(fits.non_reverting))
 
-    n_coords = traj.n_tracked
+    n_coords = report.tracked.size
     fraction = n_ok / n_coords
     summary = {
         "n_coordinates": n_coords,

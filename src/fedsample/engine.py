@@ -36,7 +36,6 @@ from .errors import NumericError
 from .models import (
     LocalTrainReport,
     ModelSpec,
-    ParamVector,
     evaluate,
     init_params,
     local_train,
@@ -104,7 +103,7 @@ class ServerState:
     the decoding estimator. history[-1] is always the current model;
     ou_estimate caches the round's decoded NACK estimate."""
 
-    global_params: ParamVector
+    global_params: np.ndarray
     round: int = 0
     history: list[np.ndarray] = field(default_factory=list)
     history_len: int = 20
@@ -112,12 +111,12 @@ class ServerState:
 
     def __post_init__(self) -> None:
         if not self.history:
-            self.history = [self.global_params.data.copy()]
+            self.history = [self.global_params.copy()]
 
-    def advance(self, new_params: ParamVector) -> None:
+    def advance(self, new_params: np.ndarray) -> None:
         self.global_params = new_params
         self.round += 1
-        self.history.append(new_params.data.copy())
+        self.history.append(new_params.copy())
         if len(self.history) > self.history_len:
             del self.history[: len(self.history) - self.history_len]
         self.ou_estimate = None
@@ -248,11 +247,11 @@ def server_estimate(
     if mode not in NACK_MODES:
         raise ValueError(f"mode must be one of {NACK_MODES}")
     if msg.ack:
-        if msg.params.shape != state.global_params.data.shape:
+        if msg.params.shape != state.global_params.shape:
             raise ValueError("payload dimension does not match the global model")
         return msg.params, False
 
-    theta = state.global_params.data
+    theta = state.global_params
     if mode == "carry_forward":
         return theta, False
 
@@ -285,13 +284,14 @@ def aggregate(estimates: list[tuple[np.ndarray, int]]) -> np.ndarray:
 
 
 def _band_stats(report: LocalTrainReport, what: str) -> float:
-    traj = report.trajectory
-    if traj is None or traj.values.shape[0] < 3:
+    path = report.path
+    if path is None or path.shape[0] < 3:
         raise ValueError(
             "band policies need at least 2 local steps per round "
             "(epochs * ceil(n_i / batch_size) >= 2)"
         )
-    return band_fraction(traj.final_values, _ou_fit(traj.values, traj.dt, what))
+    # One row per SGD step: the fit's time unit is one step.
+    return band_fraction(path[-1], _ou_fit(path, 1.0, what))
 
 
 def run_round(
@@ -353,7 +353,7 @@ def run_round(
             rng = derive_rng(config.seed, "decide", t, k)
         send = local_decide(policy, stats[k], threshold, rng)
         rep = reports[k]
-        payload = rep.params_after.data if send else None
+        payload = rep.params_after if send else None
         msg = UpdateMessage(client_id=k, n_samples=rep.n_samples, params=payload)
         uplink += message_bytes(msg, n_params)
         messages.append(msg)
@@ -367,12 +367,11 @@ def run_round(
         ou_fallback = ou_fallback or fell_back
         estimates.append((est, msg.n_samples))
 
-    new_data = aggregate(estimates)
-    if not np.isfinite(new_data).all():
+    new_params = aggregate(estimates)
+    if not np.isfinite(new_params).all():
         raise NumericError(
             f"aggregated model non-finite at round {t} (policy {policy.label})"
         )
-    new_params = state.global_params.with_data(new_data)
     state.advance(new_params)
 
     test_acc, test_loss = evaluate(model, new_params, *dataset.test_set)
@@ -422,15 +421,16 @@ def iter_rounds(
     ledger: CommLedger,
     state: ServerState | None = None,
 ):
-    """Yield one RoundReport per round; state/ledger mutate as it goes."""
+    """An iterator with one RoundReport per round; state/ledger mutate as it
+    goes. An inconsistent experiment raises ValueError at the call, before
+    any round runs."""
     _validate_experiment(model, config, dataset, rounds)
     if state is None:
         state = ServerState(
             global_params=init_params(model, config.seed),
             history_len=config.history_len,
         )
-    for _ in range(rounds):
-        yield run_round(state, model, config, dataset, ledger)
+    return (run_round(state, model, config, dataset, ledger) for _ in range(rounds))
 
 
 def run_experiment(

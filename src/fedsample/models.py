@@ -16,7 +16,7 @@ and can record the per-step path of a subset of coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,74 +75,36 @@ class ModelSpec:
             ]
         return [("theta", (self.input_dim,))]
 
-
-@dataclass(frozen=True)
-class ParamVector:
-    """Flat float64 parameter vector with named layer segmentation."""
-
-    data: np.ndarray
-    shape_meta: tuple[tuple[str, tuple[int, ...]], ...]
-
-    def __post_init__(self) -> None:
-        data = np.asarray(self.data, dtype=np.float64)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "shape_meta", tuple((n, tuple(s)) for n, s in self.shape_meta))
-        expected = sum(int(np.prod(s)) for _, s in self.shape_meta)
-        if data.ndim != 1 or data.size != expected:
-            raise ValueError(f"expected flat vector of {expected} elements, got shape {data.shape}")
-
-    @property
-    def size(self) -> int:
-        return int(self.data.size)
-
-    def views(self) -> dict[str, np.ndarray]:
-        """Per-layer reshaped views into the flat data (no copies)."""
+    def layer_views(self, theta: np.ndarray) -> dict[str, np.ndarray]:
+        """Per-layer reshaped views into a flat parameter vector (no copies)."""
+        if theta.shape != (self.param_count,):
+            raise ValueError(
+                f"expected flat vector of {self.param_count} elements, got shape {theta.shape}"
+            )
         out: dict[str, np.ndarray] = {}
         offset = 0
-        for name, shape in self.shape_meta:
-            n = int(np.prod(shape))
-            out[name] = self.data[offset : offset + n].reshape(shape)
+        for name, shape in self.layer_shapes:
+            n = math.prod(shape)
+            out[name] = theta[offset : offset + n].reshape(shape)
             offset += n
         return out
-
-    def with_data(self, data: np.ndarray) -> "ParamVector":
-        return ParamVector(data=data, shape_meta=self.shape_meta)
-
-
-@dataclass(frozen=True)
-class TrackedTrajectories:
-    """Per-step paths of a coordinate subset: values[t, j] is coordinate
-    indices[j] after t SGD steps (row 0 is the starting point)."""
-
-    indices: np.ndarray
-    values: np.ndarray
-    dt: float = 1.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "indices", np.asarray(self.indices, dtype=np.int64))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        if self.values.ndim != 2 or self.values.shape[1] != self.indices.size:
-            raise ValueError("values must be (steps+1, n_tracked)")
-
-    @property
-    def n_tracked(self) -> int:
-        return int(self.indices.size)
-
-    @property
-    def final_values(self) -> np.ndarray:
-        return self.values[-1, :]
 
 
 @dataclass(frozen=True)
 class LocalTrainReport:
-    params_after: ParamVector
+    """One client's local training. With tracking on, ``tracked`` holds the
+    recorded coordinate ids and ``path[t, j]`` is coordinate ``tracked[j]``
+    after t SGD steps (row 0 is the starting point)."""
+
+    params_after: np.ndarray
     update_norm: float
     n_samples: int
     steps_taken: int
-    trajectory: TrackedTrajectories | None = None
+    tracked: np.ndarray | None = None
+    path: np.ndarray | None = None
 
 
-def init_params(spec: ModelSpec, seed: int) -> ParamVector:
+def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
     """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per layer."""
     rng = derive_rng(seed, "init")
     chunks: list[np.ndarray] = []
@@ -152,8 +114,8 @@ def init_params(spec: ModelSpec, seed: int) -> ParamVector:
               "theta": spec.input_dim}
     for name, shape in spec.layer_shapes:
         bound = 1.0 / math.sqrt(fan_in[name])
-        chunks.append(rng.uniform(-bound, bound, size=int(np.prod(shape))))
-    return ParamVector(np.concatenate(chunks), tuple(spec.layer_shapes))
+        chunks.append(rng.uniform(-bound, bound, size=math.prod(shape)))
+    return np.concatenate(chunks)
 
 
 def _check_batch(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,24 +147,24 @@ def _ce_loss(probs: np.ndarray, y: np.ndarray) -> float:
 
 def loss_and_grad(
     spec: ModelSpec,
-    params: ParamVector,
+    params: np.ndarray,
     batch: tuple[np.ndarray, np.ndarray],
-) -> tuple[float, ParamVector]:
+) -> tuple[float, np.ndarray]:
     """Mean loss over the batch and its exact gradient.
 
     Softmax cross-entropy for the classifiers; 0.5 * ||theta||^2 for the
     diagnostic model (the batch is required but does not enter the value).
     """
-    if not np.isfinite(params.data).all():
+    if not np.isfinite(params).all():
         raise NumericError("non-finite parameters")
     x, y = _check_batch(spec, *batch)
-    v = params.views()
+    v = spec.layer_views(params)
 
     if spec.kind == "quadratic-diagnostic":
         # May overflow to inf on a diverging path; reported as-is.
         with np.errstate(over="ignore"):
-            loss = 0.5 * float(params.data @ params.data)
-        return loss, params.with_data(params.data.copy())
+            loss = 0.5 * float(params @ params)
+        return loss, params.copy()
 
     n = x.shape[0]
     if spec.kind == "logistic":
@@ -212,8 +174,7 @@ def loss_and_grad(
         d = probs
         d[np.arange(n), y] -= 1.0
         d /= n
-        grad = np.concatenate([(x.T @ d).ravel(), d.sum(axis=0)])
-        return loss, params.with_data(grad)
+        return loss, np.concatenate([(x.T @ d).ravel(), d.sum(axis=0)])
 
     # mlp1: tanh hidden layer, softmax output
     h = np.tanh(x @ v["W1"] + v["b1"])
@@ -224,15 +185,14 @@ def loss_and_grad(
     d2[np.arange(n), y] -= 1.0
     d2 /= n
     dh = (d2 @ v["W2"].T) * (1.0 - h * h)
-    grad = np.concatenate(
+    return loss, np.concatenate(
         [(x.T @ dh).ravel(), dh.sum(axis=0), (h.T @ d2).ravel(), d2.sum(axis=0)]
     )
-    return loss, params.with_data(grad)
 
 
 def evaluate(
     spec: ModelSpec,
-    params: ParamVector,
+    params: np.ndarray,
     features: np.ndarray,
     labels: np.ndarray,
 ) -> tuple[float, float]:
@@ -241,14 +201,14 @@ def evaluate(
     The diagnostic model has no prediction task; its accuracy is NaN and
     its loss is the data-free quadratic.
     """
-    if not np.isfinite(params.data).all():
+    if not np.isfinite(params).all():
         raise NumericError("non-finite parameters")
     x, y = _check_batch(spec, features, labels)
+    v = spec.layer_views(params)
     if spec.kind == "quadratic-diagnostic":
         with np.errstate(over="ignore"):
-            return math.nan, 0.5 * float(params.data @ params.data)
+            return math.nan, 0.5 * float(params @ params)
 
-    v = params.views()
     if spec.kind == "logistic":
         logits = x @ v["W"] + v["b"]
     else:
@@ -279,7 +239,7 @@ def _resolve_track(track: None | str | int, n_params: int, seed: int) -> np.ndar
 
 def local_train(
     spec: ModelSpec,
-    start: ParamVector,
+    start: np.ndarray,
     data: tuple[np.ndarray, np.ndarray],
     epochs: int,
     batch_size: int,
@@ -309,10 +269,9 @@ def local_train(
     path: np.ndarray | None = None
     if tracked is not None:
         path = np.empty((steps_total + 1, tracked.size), dtype=np.float64)
-        path[0, :] = start.data[tracked]
+        path[0, :] = start[tracked]
 
-    theta = start.data.copy()
-    current = start.with_data(theta)
+    theta = start.copy()
     step = 0
     # Overflow on a diverging run is reported as NumericError at the next
     # finiteness boundary, not as a warning mid-update.
@@ -321,25 +280,23 @@ def local_train(
             order = derive_rng(seed, "shuffle", epoch).permutation(n)
             for lo in range(0, n, batch_size):
                 sel = order[lo : lo + batch_size]
-                _, grad = loss_and_grad(spec, current, (x[sel], y[sel]))
-                theta -= eta * grad.data
+                _, grad = loss_and_grad(spec, theta, (x[sel], y[sel]))
+                theta -= eta * grad
                 step += 1
                 if path is not None:
                     path[step, :] = theta[tracked]
         # May overflow to inf from finite parameters; the engine rejects a
         # non-finite decision statistic.
-        update_norm = float(np.linalg.norm(theta - start.data))
+        update_norm = float(np.linalg.norm(theta - start))
 
     if not np.isfinite(theta).all():
         raise NumericError("parameters diverged during local training")
 
-    trajectory = None
-    if tracked is not None:
-        trajectory = TrackedTrajectories(indices=tracked, values=path)
     return LocalTrainReport(
-        params_after=current,
+        params_after=theta,
         update_norm=update_norm,
         n_samples=n,
         steps_taken=step,
-        trajectory=trajectory,
+        tracked=tracked,
+        path=path,
     )

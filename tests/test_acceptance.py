@@ -24,7 +24,7 @@ from fedsample.engine import (
     iter_rounds,
     run_experiment,
 )
-from fedsample.models import ModelSpec, ParamVector, init_params
+from fedsample.models import ModelSpec, init_params
 from fedsample.ou import OUParams, Trajectory, fit_ou_ls, simulate_ou
 from fedsample.policies import (
     PolicyConfig,
@@ -87,10 +87,7 @@ def test_gate_2_gradient_oracle(capsys):
     for kind_idx, spec in enumerate(specs):
         for i in range(100):
             rng = np.random.default_rng((kind_idx, i))
-            params = ParamVector(
-                rng.standard_normal(spec.param_count) * 0.5,
-                tuple(spec.layer_shapes),
-            )
+            params = rng.standard_normal(spec.param_count) * 0.5
             x = rng.standard_normal((3, 6))
             y = rng.integers(0, 4, size=3)
             worst = max(worst, fd_check(spec, params, (x, y)))
@@ -126,7 +123,7 @@ def test_gate_3_fedavg_bitwise(capsys):
     ledger = CommLedger()
     identical = 0
     for t, _ in enumerate(iter_rounds(model, cfg, ds, rounds, ledger, state=state)):
-        identical += np.array_equal(state.global_params.data, ref[t])
+        identical += np.array_equal(state.global_params, ref[t])
     elapsed = time.time() - t0
     ok = identical == rounds and elapsed < 60.0
     verdict(

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import random
 
 import pytest
 
@@ -162,7 +163,7 @@ def test_seed_override_changes_rows(tmp_path):
     assert all(r[-1] == "9" for r in rows_b[1:])
 
 
-def test_bad_config_exits_2(tmp_path):
+def test_bad_config_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, {"momentum": 0.9})
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
     cfg2 = write_config(tmp_path, {"K": 5}, name="mismatch.json")
@@ -175,6 +176,16 @@ def test_bad_config_exits_2(tmp_path):
     # The output directory exists by then, so the failure is recorded there.
     manifest = json.loads((tmp_path / "o3" / "manifest.json").read_text())
     assert manifest["status"].startswith("error: dataset")
+    # Valid on its own, rejected by the engine before round 0: a band
+    # policy whose clients take a single local step.
+    one_step = {"policy": {"kind": "ou", "r": 0.5}, "E": 1, "B": 10,
+                "dataset": {**BASE_CONFIG["dataset"], "samples_per_client": 10}}
+    cfg4 = write_config(tmp_path, one_step, name="one_step.json")
+    capsys.readouterr()
+    assert main(["run", "--config", cfg4, "--out", str(tmp_path / "o4"), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("config error: band policies")
+    manifest = json.loads((tmp_path / "o4" / "manifest.json").read_text())
+    assert manifest["status"].startswith("error: band policies")
 
 
 @pytest.mark.parametrize(
@@ -208,6 +219,59 @@ def test_numeric_blowup_truncates_and_exits_3(tmp_path, overrides, min_completed
     assert min_completed <= len(rows) - 2 < overrides["rounds"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "truncated"
+
+
+# Values that reach every outcome: E=0 or B=12 leave band policies fewer
+# than 2 local steps (a config error), and eta=1e300 diverges (truncation).
+EXIT_GRID = {
+    "model": [{"kind": "logistic"}, {"kind": "mlp1", "hidden_dim": 3},
+              {"kind": "quadratic-diagnostic"}],
+    "eta": [0.0, 0.1, 5.0, 1e300],
+    "E": [0, 1, 3],
+    "B": [1, 4, 12],
+    "policy": [{"kind": "full"}, {"kind": "random", "q": 0.5},
+               {"kind": "ft", "gamma": 0.5}, {"kind": "at"},
+               {"kind": "ou", "r": 0.5}, {"kind": "aou"}],
+    "nack_estimate_mode": ["carry_forward", "ou_decode"],
+}
+
+
+def run_outcome(cfg, out):
+    """(exit code, manifest status, metrics.csv bytes or None) of one run."""
+    code = main(["run", "--config", cfg, "--out", str(out), "--quiet"])
+    status = json.loads((out / "manifest.json").read_text())["status"]
+    csv_path = out / "metrics.csv"
+    return code, status, csv_path.read_bytes() if csv_path.exists() else None
+
+
+def test_run_exit_contract_over_seeded_grid(tmp_path):
+    """Every cell of a seeded sample of the grid ends in exactly one of the
+    documented outcomes, never in an exception, and reruns byte for byte."""
+    rng = random.Random(4)
+    rounds = 4
+    outcomes = set()
+    for i in range(48):
+        overrides = {key: rng.choice(values) for key, values in EXIT_GRID.items()}
+        overrides["rounds"] = rounds
+        cfg = write_config(tmp_path, overrides, name=f"cell{i}.json")
+        try:
+            first = run_outcome(cfg, tmp_path / f"cell{i}a")
+            again = run_outcome(cfg, tmp_path / f"cell{i}b")
+        except Exception as exc:  # noqa: BLE001 - any escape breaks the contract
+            pytest.fail(f"{overrides}: {exc!r}")
+        assert first == again, overrides
+        code, status, data = first
+        rows = None if data is None else list(csv.reader(data.decode().splitlines()))
+        if code == 0:
+            assert status == "ok" and len(rows) == rounds + 1, overrides
+        elif code == 2:
+            assert status.startswith("error: "), overrides
+        elif code == 3:
+            assert status == "truncated" and rows[-1][0] == "TRUNCATED", overrides
+        else:
+            pytest.fail(f"{overrides}: exit {code}")
+        outcomes.add(code)
+    assert outcomes == {0, 2, 3}
 
 
 # --------------------------------------------------------------------- sweep

@@ -24,7 +24,7 @@ from fedsample.engine import (
     server_estimate,
 )
 from fedsample.errors import NumericError
-from fedsample.models import ModelSpec, ParamVector, init_params, loss_and_grad
+from fedsample.models import ModelSpec, init_params, loss_and_grad
 from fedsample.policies import PolicyConfig
 from fedsample.seeding import derive_rng
 
@@ -98,8 +98,7 @@ def test_aggregate_rejects_bad_input():
 # ------------------------------------------------------------ server_estimate
 
 def make_state(p=4, history=None):
-    params = ParamVector(np.arange(1.0, p + 1.0), (("theta", (p,)),))
-    state = ServerState(global_params=params)
+    state = ServerState(global_params=np.arange(1.0, p + 1.0))
     if history is not None:
         state.history = [np.asarray(h, dtype=np.float64) for h in history]
     return state
@@ -118,7 +117,7 @@ def test_estimate_ack_passes_payload_through():
 def test_estimate_nack_carry_forward_is_global_exactly():
     state = make_state()
     est, fell = server_estimate(UpdateMessage(0, 5), state, "carry_forward")
-    assert np.array_equal(est, state.global_params.data)
+    assert np.array_equal(est, state.global_params)
     assert not fell
 
 
@@ -126,7 +125,7 @@ def test_estimate_ou_decode_short_history_falls_back():
     state = make_state()  # history length 1
     est, fell = server_estimate(UpdateMessage(0, 5), state, "ou_decode")
     assert fell
-    assert np.array_equal(est, state.global_params.data)
+    assert np.array_equal(est, state.global_params)
 
 
 def test_estimate_ou_decode_contracts_geometric_history():
@@ -135,7 +134,7 @@ def test_estimate_ou_decode_contracts_geometric_history():
     base = np.array([1.0, -2.0, 0.5, 3.0])
     history = [base * 0.9**t for t in range(6)]
     state = make_state(history=history)
-    state.global_params = state.global_params.with_data(history[-1].copy())
+    state.global_params = history[-1].copy()
     est, fell = server_estimate(UpdateMessage(0, 5), state, "ou_decode")
     assert not fell
     np.testing.assert_allclose(est, history[-1] * 0.9, rtol=1e-9)
@@ -150,7 +149,7 @@ def test_estimate_ou_decode_tiny_slope_lands_on_mean():
         vals.append(a * vals[-1] + b)
     history = [np.array([v, v]) for v in vals]
     state = make_state(p=2, history=history)
-    state.global_params = state.global_params.with_data(history[-1].copy())
+    state.global_params = history[-1].copy()
     est, _ = server_estimate(UpdateMessage(0, 3), state, "ou_decode")
     np.testing.assert_allclose(est, b / (1.0 - a), rtol=1e-6)
 
@@ -160,7 +159,7 @@ def test_estimate_ou_decode_overflowing_fit_is_numeric_error():
     # of the run, not a bad argument.
     history = [np.array([(-1.0) ** t * 1e300, 1.0 + t]) for t in range(5)]
     state = make_state(p=2, history=history)
-    state.global_params = state.global_params.with_data(history[-1].copy())
+    state.global_params = history[-1].copy()
     with pytest.raises(NumericError, match="OU fit"):
         server_estimate(UpdateMessage(0, 3), state, "ou_decode")
 
@@ -182,8 +181,7 @@ def reference_fedavg(model, dataset, n_clients, fraction, epochs, batch, eta,
     """Textbook federated averaging written straight from its pseudo-code:
     own selection, shuffling, SGD stepping, and anchored weighted mean.
     Shares only the gradient/init primitives and the seeding contract."""
-    theta = init_params(model, seed).data.copy()
-    meta = tuple(model.layer_shapes)
+    theta = init_params(model, seed)
     per_round = []
     for t in range(rounds):
         m = max(int(math.floor(fraction * n_clients)), 1)
@@ -200,10 +198,8 @@ def reference_fedavg(model, dataset, n_clients, fraction, epochs, batch, eta,
                 order = derive_rng(ts, "shuffle", e).permutation(x.shape[0])
                 for lo in range(0, x.shape[0], batch):
                     sel = order[lo : lo + batch]
-                    _, g = loss_and_grad(
-                        model, ParamVector(w, meta), (x[sel], y[sel])
-                    )
-                    w = w - eta * g.data
+                    _, g = loss_and_grad(model, w, (x[sel], y[sel]))
+                    w = w - eta * g
             locals_.append((w, x.shape[0]))
         total = sum(n for _, n in locals_)
         anchor = locals_[0][0]
@@ -229,7 +225,7 @@ def test_full_policy_matches_reference_bitwise():
     ledger = CommLedger()
     state = ServerState(global_params=init_params(MODEL, cfg.seed))
     for t, _ in enumerate(iter_rounds(MODEL, cfg, ds, 5, ledger, state=state)):
-        assert np.array_equal(state.global_params.data, ref[t]), f"round {t}"
+        assert np.array_equal(state.global_params, ref[t]), f"round {t}"
 
 
 # ----------------------------------------------------------------- run rounds
@@ -253,11 +249,11 @@ def test_ft_infinite_gamma_freezes_model():
     from fedsample.engine import iter_rounds
 
     state = ServerState(global_params=init_params(MODEL, cfg.seed))
-    start = state.global_params.data.copy()
+    start = state.global_params.copy()
     for rep in iter_rounds(MODEL, cfg, ds, 4, ledger, state=state):
         assert len(rep.senders) == 0
         assert rep.uplink_bytes == len(rep.selected) * 8
-    assert np.array_equal(state.global_params.data, start)
+    assert np.array_equal(state.global_params, start)
 
 
 def test_ledger_conservation_and_closed_form():
@@ -352,7 +348,7 @@ def test_history_ring_buffer_is_bounded():
     state = ServerState(global_params=init_params(MODEL, cfg.seed), history_len=3)
     for _ in iter_rounds(MODEL, cfg, ds, 6, ledger, state=state):
         assert len(state.history) <= 3
-    assert np.array_equal(state.history[-1], state.global_params.data)
+    assert np.array_equal(state.history[-1], state.global_params)
 
 
 def test_experiment_is_deterministic_to_the_byte():
@@ -428,46 +424,63 @@ def test_metrics_row_format():
     assert ",nan," in row2
 
 
-# ------------------------------------------------------- ou_decode contracts
+# ---------------------------------- output fingerprints, ou_decode contracts
 
 MLP = ModelSpec("mlp1", input_dim=6, n_classes=4, hidden_dim=4)
 
 
-def ou_decode_rounds(policy, rounds=20):
-    """Yield (state, report) per round of a short mlp1 ou_decode run in
-    which some clients stay silent once the history is long enough."""
+def short_rounds(policy, model=MLP, mode="ou_decode", rounds=20):
+    """Yield (state, report) per round of a short run in which some clients
+    stay silent once the history is long enough."""
     from fedsample.engine import iter_rounds
 
     ds = small_dataset()
     cfg = config(policy, client_fraction=0.5, epochs=3, batch_size=2,
-                 nack_estimate_mode="ou_decode")
-    state = ServerState(global_params=init_params(MLP, cfg.seed), history_len=cfg.history_len)
-    for report in iter_rounds(MLP, cfg, ds, rounds, CommLedger(), state=state):
+                 nack_estimate_mode=mode)
+    state = ServerState(global_params=init_params(model, cfg.seed), history_len=cfg.history_len)
+    for report in iter_rounds(model, cfg, ds, rounds, CommLedger(), state=state):
         yield state, report
 
 
 # sha256 of the final parameter bytes and of every round's (senders,
-# uplink_bytes), recorded with the per-coordinate OU implementation. A
-# changed decision or a last-bit change that survives aggregation shows up
-# here, unlike in the 6-digit CSVs; test_ou pins the OU layer's own bits.
-OU_DECODE_FINGERPRINT = {
-    "aou": "b53ccefa73207ffd0512f9219f27cda257194563fb00ca1c7c00dd4203f4b484",
-    "ou_r0.3": "b5407389ab2140ff92519d6506356198cd80bfdf2c35a3b3576833f5f1ac2abe",
+# uplink_bytes). The ou_decode digests were recorded with the per-coordinate
+# OU implementation, the carry_forward ones with the models layer that
+# wrapped parameters in a class. A changed decision or a last-bit change
+# that survives aggregation shows up here, unlike in the 6-digit CSVs;
+# test_ou pins the OU layer's own bits.
+OUTPUT_FINGERPRINT = {
+    "aou": (MLP, PolicyConfig("aou"), "ou_decode",
+            "b53ccefa73207ffd0512f9219f27cda257194563fb00ca1c7c00dd4203f4b484"),
+    "ou_r0.3": (MLP, PolicyConfig("ou", r=0.3), "ou_decode",
+                "b5407389ab2140ff92519d6506356198cd80bfdf2c35a3b3576833f5f1ac2abe"),
+    "ft_g0.5-mlp1-carry_forward": (
+        MLP, PolicyConfig("ft", gamma=0.5), "carry_forward",
+        "097fb05a50d087653a2ef5840e039608eb47484eecd2032023078e670cebf881"),
+    "at-mlp1-carry_forward": (
+        MLP, PolicyConfig("at"), "carry_forward",
+        "8aad4ec55f635c3c9ea6c585d3534680dc74423da54ab0fc4cca53f58d7c383a"),
+    "ft_g0.5-logistic-carry_forward": (
+        MODEL, PolicyConfig("ft", gamma=0.5), "carry_forward",
+        "2da482bc135a2fbeb7acc88779e8a8af447da2c9facd9e7b945aa91c34c779f5"),
+    "at-logistic-carry_forward": (
+        MODEL, PolicyConfig("at"), "carry_forward",
+        "2669bc2bfcc99555ed0077b0e16f593850a3025d8f02ab5f30711a98120f1130"),
 }
 
 
-@pytest.mark.parametrize("policy", [PolicyConfig("aou"), PolicyConfig("ou", r=0.3)],
-                         ids=["aou", "ou_r0.3"])
-def test_ou_decode_output_fingerprint_bitwise(policy):
+@pytest.mark.parametrize("case", list(OUTPUT_FINGERPRINT))
+def test_ou_decode_output_fingerprint_bitwise(case):
+    model, policy, mode, expected = OUTPUT_FINGERPRINT[case]
     reports = []
-    for state, report in ou_decode_rounds(policy):
+    for state, report in short_rounds(policy, model, mode):
         reports.append(report)
-    final = state.global_params.data
+    final = state.global_params
     rounds = [(r.senders, r.uplink_bytes) for r in reports]
-    # Silent clients in decoded rounds, so the estimate reaches the model.
+    # Silent clients once the history is long enough, so the NACK estimate
+    # reaches the model.
     assert any(len(r.senders) < len(r.selected) for r in reports[2:])
     digest = hashlib.sha256(final.tobytes() + repr(rounds).encode()).hexdigest()
-    assert digest == OU_DECODE_FINGERPRINT[policy.label]
+    assert digest == expected
 
 
 def test_ou_decode_estimates_once_per_round(monkeypatch):
@@ -482,7 +495,7 @@ def test_ou_decode_estimates_once_per_round(monkeypatch):
 
     monkeypatch.setattr(engine, "decode", counted)
     per_round = []
-    for _, report in ou_decode_rounds(PolicyConfig("aou")):
+    for _, report in short_rounds(PolicyConfig("aou")):
         per_round.append((len(calls), len(report.selected) - len(report.senders)))
         calls.clear()
     # Rounds 0-1 lack history; from then on every round with a silent

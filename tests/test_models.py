@@ -10,7 +10,6 @@ from fedsample.errors import NumericError
 from fedsample.models import (
     LocalTrainReport,
     ModelSpec,
-    ParamVector,
     evaluate,
     init_params,
     local_train,
@@ -39,7 +38,7 @@ def test_mlp_param_count():
 
 
 def test_zero_params_logistic_loss_is_log_classes():
-    params = ParamVector(np.zeros(LOGISTIC.param_count), tuple(LOGISTIC.layer_shapes))
+    params = np.zeros(LOGISTIC.param_count)
     loss, _ = loss_and_grad(LOGISTIC, params, random_batch(LOGISTIC, 8, seed=0))
     assert loss == pytest.approx(math.log(4), rel=1e-12)
 
@@ -47,8 +46,8 @@ def test_zero_params_logistic_loss_is_log_classes():
 def test_quadratic_grad_is_params():
     params = init_params(QUAD, seed=3)
     loss, grad = loss_and_grad(QUAD, params, random_batch(QUAD, 4, seed=0))
-    assert np.array_equal(grad.data, params.data)
-    assert loss == pytest.approx(0.5 * float(params.data @ params.data))
+    assert np.array_equal(grad, params)
+    assert loss == pytest.approx(0.5 * float(params @ params))
 
 
 @pytest.mark.parametrize("spec", [LOGISTIC, MLP, QUAD], ids=lambda s: s.kind)
@@ -68,7 +67,7 @@ def test_loss_and_grad_rejects_bad_inputs():
         loss_and_grad(LOGISTIC, params, (x[:0], y[:0]))
     with pytest.raises(ValueError):
         loss_and_grad(LOGISTIC, params, (x, np.full(8, 99)))
-    bad = params.with_data(np.full(params.size, np.nan))
+    bad = np.full(params.size, np.nan)
     with pytest.raises(NumericError):
         loss_and_grad(LOGISTIC, bad, (x, y))
 
@@ -80,7 +79,7 @@ def test_evaluate_perfectly_separated_data():
     spec = ModelSpec("logistic", input_dim=3, n_classes=3)
     w = np.zeros((3, 3))
     np.fill_diagonal(w, 10.0)
-    params = ParamVector(np.concatenate([w.ravel(), np.zeros(3)]), tuple(spec.layer_shapes))
+    params = np.concatenate([w.ravel(), np.zeros(3)])
     x = np.eye(3)
     y = np.arange(3)
     acc, loss = evaluate(spec, params, x, y)
@@ -92,7 +91,7 @@ def test_evaluate_quadratic_has_nan_accuracy():
     params = init_params(QUAD, seed=1)
     acc, loss = evaluate(QUAD, params, *random_batch(QUAD, 5, seed=2))
     assert math.isnan(acc)
-    assert loss == pytest.approx(0.5 * float(params.data @ params.data))
+    assert loss == pytest.approx(0.5 * float(params @ params))
 
 
 # --------------------------------------------------------------- local_train
@@ -101,7 +100,7 @@ def test_zero_eta_keeps_params():
     data = random_batch(LOGISTIC, 12, seed=5)
     start = init_params(LOGISTIC, seed=5)
     rep = local_train(LOGISTIC, start, data, epochs=2, batch_size=4, eta=0.0, seed=9)
-    assert np.array_equal(rep.params_after.data, start.data)
+    assert np.array_equal(rep.params_after, start)
     assert rep.update_norm == 0.0
     assert rep.steps_taken == 2 * 3
 
@@ -110,7 +109,7 @@ def test_zero_epochs_is_noop():
     data = random_batch(LOGISTIC, 12, seed=5)
     start = init_params(LOGISTIC, seed=5)
     rep = local_train(LOGISTIC, start, data, epochs=0, batch_size=4, eta=0.5, seed=9)
-    assert np.array_equal(rep.params_after.data, start.data)
+    assert np.array_equal(rep.params_after, start)
     assert rep.steps_taken == 0
 
 
@@ -119,7 +118,7 @@ def test_quadratic_full_batch_step_is_exact_contraction():
     data = random_batch(QUAD, 6, seed=1)
     start = init_params(QUAD, seed=1)
     rep = local_train(QUAD, start, data, epochs=1, batch_size=6, eta=0.5, seed=0)
-    assert np.array_equal(rep.params_after.data, 0.5 * start.data)
+    assert np.array_equal(rep.params_after, 0.5 * start)
     assert rep.steps_taken == 1
 
 
@@ -129,7 +128,7 @@ def test_quadratic_loss_strictly_decreases():
     rep = local_train(
         QUAD, start, data, epochs=3, batch_size=2, eta=0.3, seed=0, track="all"
     )
-    losses = 0.5 * (rep.trajectory.values**2).sum(axis=1)
+    losses = 0.5 * (rep.path**2).sum(axis=1)
     assert all(b < a for a, b in zip(losses, losses[1:]))
 
 
@@ -146,7 +145,7 @@ def test_update_norm_matches_recomputation():
     data = random_batch(MLP, 9, seed=4)
     start = init_params(MLP, seed=4)
     rep = local_train(MLP, start, data, epochs=2, batch_size=3, eta=0.2, seed=11)
-    assert rep.update_norm == float(np.linalg.norm(rep.params_after.data - start.data))
+    assert rep.update_norm == float(np.linalg.norm(rep.params_after - start))
     assert rep.update_norm > 0.0
 
 
@@ -155,21 +154,21 @@ def test_training_is_bitwise_deterministic():
     start = init_params(MLP, seed=4)
     a = local_train(MLP, start, data, epochs=2, batch_size=3, eta=0.2, seed=11, track="all")
     b = local_train(MLP, start, data, epochs=2, batch_size=3, eta=0.2, seed=11, track="all")
-    assert np.array_equal(a.params_after.data, b.params_after.data)
+    assert np.array_equal(a.params_after, b.params_after)
     assert a.update_norm == b.update_norm
-    assert np.array_equal(a.trajectory.values, b.trajectory.values)
+    assert np.array_equal(a.path, b.path)
     c = local_train(MLP, start, data, epochs=2, batch_size=3, eta=0.2, seed=12)
-    assert not np.array_equal(a.params_after.data, c.params_after.data)
+    assert not np.array_equal(a.params_after, c.params_after)
 
 
 def test_trajectory_shape_and_endpoints():
     data = random_batch(LOGISTIC, 10, seed=3)
     start = init_params(LOGISTIC, seed=3)
     rep = local_train(LOGISTIC, start, data, epochs=2, batch_size=4, eta=0.1, seed=7, track="all")
-    traj = rep.trajectory
-    assert traj.values.shape == (rep.steps_taken + 1, start.size)
-    assert np.array_equal(traj.values[0], start.data)
-    assert np.array_equal(traj.final_values, rep.params_after.data)
+    assert np.array_equal(rep.tracked, np.arange(start.size))
+    assert rep.path.shape == (rep.steps_taken + 1, start.size)
+    assert np.array_equal(rep.path[0], start)
+    assert np.array_equal(rep.path[-1], rep.params_after)
 
 
 def test_tracking_subsample_is_sorted_unique_and_stable():
@@ -177,13 +176,13 @@ def test_tracking_subsample_is_sorted_unique_and_stable():
     start = init_params(MLP, seed=4)
     a = local_train(MLP, start, data, epochs=1, batch_size=3, eta=0.1, seed=5, track=6)
     b = local_train(MLP, start, data, epochs=1, batch_size=3, eta=0.1, seed=5, track=6)
-    idx = a.trajectory.indices
+    idx = a.tracked
     assert idx.size == 6
     assert np.array_equal(idx, np.unique(idx))
-    assert np.array_equal(idx, b.trajectory.indices)
+    assert np.array_equal(idx, b.tracked)
     # Tracked slices agree with a full recording of the same run.
     full = local_train(MLP, start, data, epochs=1, batch_size=3, eta=0.1, seed=5, track="all")
-    assert np.array_equal(a.trajectory.values, full.trajectory.values[:, idx])
+    assert np.array_equal(a.path, full.path[:, idx])
 
 
 def test_local_train_rejects_bad_arguments():
@@ -214,9 +213,10 @@ def test_init_is_deterministic_and_bounded():
     spec = ModelSpec("mlp1", input_dim=16, n_classes=5, hidden_dim=8)
     a = init_params(spec, seed=21)
     b = init_params(spec, seed=21)
-    assert np.array_equal(a.data, b.data)
-    assert not np.array_equal(a.data, init_params(spec, seed=22).data)
-    views = a.views()
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, init_params(spec, seed=22))
+    views = spec.layer_views(a)
+    assert all(np.shares_memory(v, a) for v in views.values())
     assert np.abs(views["W1"]).max() <= 1.0 / math.sqrt(16)
     assert np.abs(views["W2"]).max() <= 1.0 / math.sqrt(8)
 
@@ -229,4 +229,6 @@ def test_model_spec_validation():
     with pytest.raises(ValueError):
         ModelSpec("mlp1", input_dim=4, n_classes=3, hidden_dim=0)
     with pytest.raises(ValueError):
-        ParamVector(np.zeros(5), (("W", (2, 3)),))
+        LOGISTIC.layer_views(np.zeros(5))
+    with pytest.raises(ValueError):
+        LOGISTIC.layer_views(np.zeros((1, LOGISTIC.param_count)))
