@@ -5,7 +5,8 @@ The pieces, bottom up:
 * ``ou``: scalar mean-reverting process simulation, AR(1) least-squares
   estimation, conditional-mean decoding, stationary-band statistics.
 * ``models``: small differentiable models with exact gradients and a
-  deterministic local SGD trainer that can record per-step trajectories.
+  deterministic local SGD trainer that steps a round's equal-size clients
+  in lockstep and can record per-step trajectories.
 * ``data``: synthetic non-iid federated datasets and CSV persistence.
 * ``policies``: the client participation rules (full, random drop, fixed
   and adaptive norm thresholds, band-fraction rules).
@@ -41,6 +42,7 @@ from .models import (
     init_params,
     local_train,
     loss_and_grad,
+    train_clients,
 )
 from .ou import (
     OUFit,
@@ -95,6 +97,7 @@ __all__ = [
     "local_decide",
     "local_train",
     "loss_and_grad",
+    "train_clients",
     "message_bytes",
     "run_experiment",
     "run_round",

@@ -38,7 +38,8 @@ from .models import (
     ModelSpec,
     evaluate,
     init_params,
-    local_train,
+    local_train,  # noqa: F401 - engine.local_train stays resolvable (bench/tracer.py wraps it)
+    train_clients,
 )
 from .ou import OUFit, band_fraction, decode, fit_ou_ls_columns
 from .policies import (
@@ -310,20 +311,25 @@ def run_round(
     uplink = 0
 
     track = config.track if policy.needs_band_fraction else None
+    ids = [int(k) for k in selected]
+    trained = train_clients(
+        model,
+        state.global_params,
+        [dataset.clients[k] for k in ids],
+        [client_train_seed(config.seed, t, k) for k in ids],
+        epochs=config.epochs,
+        batch_size=config.batch_size,
+        eta=config.eta,
+        track=track,
+    )
     reports: dict[int, LocalTrainReport] = {}
     stats: dict[int, float] = {}  # each client's decision statistic
-    for k in selected:
-        k = int(k)
-        rep = local_train(
-            model,
-            state.global_params,
-            dataset.clients[k],
-            epochs=config.epochs,
-            batch_size=config.batch_size,
-            eta=config.eta,
-            seed=client_train_seed(config.seed, t, k),
-            track=track,
-        )
+    # The first failure in client-id order wins, and a client's training
+    # failure comes before its decision statistic's: what training and
+    # checking one client after another would raise.
+    for k, rep in zip(ids, trained):
+        if isinstance(rep, NumericError):
+            raise rep
         reports[k] = rep
         if policy.needs_band_fraction:
             stats[k] = _band_stats(rep, f"client {k} at round {t} (policy {policy.label})")

@@ -9,12 +9,24 @@ Three model kinds, all operating on a flat parameter vector:
   factor (1 - eta) per step, which makes it a known-answer probe for the
   trajectory-fitting machinery.
 
-``local_train`` runs E epochs of mini-batch SGD with per-epoch reshuffling
-and can record the per-step path of a subset of coordinates.
+``loss_and_grad`` takes one flat parameter vector with one ``(n, dim)``
+batch, or a ``(G, P)`` stack of vectors with a ``(G, n, dim)`` stack of
+batches; each row of a stacked call equals its own single call bit for
+bit, because numpy's stacked matmul runs one gemm per slice and every
+other operation is elementwise or reduces within a row.
+
+``train_clients`` runs E epochs of mini-batch SGD with per-epoch
+reshuffling for each of several clients that start from one model, and can
+record the per-step path of a subset of coordinates. Clients of equal size
+share a step schedule, so each such group trains in lockstep: one stacked
+``loss_and_grad`` call per step for a chunk of the group, chunks being as
+wide as ``_LOCKSTEP_ELEMENTS`` allows. A lone client steps as a plain
+vector. ``local_train`` is the one-client case.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +42,16 @@ _AUTO_TRACK_LIMIT = 100_000
 _AUTO_TRACK_SUBSAMPLE = 4096
 
 MODEL_KINDS = ("logistic", "mlp1", "quadratic-diagnostic")
+
+# Lockstep training steps at most this many parameters at once (512 KiB of
+# float64 per stacked array, at least one client): wider stacks of large
+# models fall out of a core's cache and train slower than narrower ones, and
+# the stacked working set stays bounded however many clients share a size.
+_LOCKSTEP_ELEMENTS = 1 << 16
+# Each chunk gathers its clients' shuffled batches into a buffer of at most
+# this many features (8 MiB), a block of whole batches at a time, so large
+# clients are not copied whole.
+_GATHER_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -77,17 +99,32 @@ class ModelSpec:
 
     def layer_views(self, theta: np.ndarray) -> dict[str, np.ndarray]:
         """Per-layer reshaped views into a flat parameter vector (no copies)."""
-        if theta.shape != (self.param_count,):
+        return self._views(theta, ndim=1)
+
+    def stack_views(self, thetas: np.ndarray) -> dict[str, np.ndarray]:
+        """Per-layer views into a ``(G, param_count)`` stack of parameter
+        vectors; each view has a leading axis of G (no copies)."""
+        return self._views(thetas, ndim=2)
+
+    def _views(self, theta: np.ndarray, ndim: int) -> dict[str, np.ndarray]:
+        if theta.ndim != ndim or theta.shape[-1] != self.param_count:
             raise ValueError(
-                f"expected flat vector of {self.param_count} elements, got shape {theta.shape}"
+                f"expected {'a flat vector' if ndim == 1 else 'a stack of vectors'} of "
+                f"{self.param_count} elements, got shape {theta.shape}"
             )
-        out: dict[str, np.ndarray] = {}
-        offset = 0
+        lead = theta.shape[:-1]
+        return {
+            name: theta[..., lo:hi].reshape(lead + shape) for name, lo, hi, shape in self._layout
+        }
+
+    @functools.cached_property
+    def _layout(self) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
+        """(name, start, stop, shape) of each layer in the flat vector."""
+        out, offset = [], 0
         for name, shape in self.layer_shapes:
-            n = math.prod(shape)
-            out[name] = theta[offset : offset + n].reshape(shape)
-            offset += n
-        return out
+            out.append((name, offset, offset + math.prod(shape), shape))
+            offset += math.prod(shape)
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -118,76 +155,97 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def _check_batch(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _check_batch(
+    spec: ModelSpec, x: np.ndarray, y: np.ndarray, lead: tuple[int, ...] = ()
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate one ``(n, dim)`` batch, or with ``lead == (G,)`` a stack of
+    G of them; returns float64 features and labels."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
-    if x.ndim != 2 or x.shape[0] == 0:
+    if x.ndim != len(lead) + 2 or x.shape[: len(lead)] != lead or x.shape[-2] == 0:
         raise ValueError("batch features must be a non-empty (n, dim) matrix")
-    if x.shape[1] != spec.input_dim:
-        raise ValueError(f"feature dim {x.shape[1]} does not match model input_dim {spec.input_dim}")
-    if y.shape != (x.shape[0],):
+    if x.shape[-1] != spec.input_dim:
+        raise ValueError(f"feature dim {x.shape[-1]} does not match model input_dim {spec.input_dim}")
+    if y.shape != x.shape[:-1]:
         raise ValueError("labels must be one class index per row")
     if spec.kind != "quadratic-diagnostic":
-        y = y.astype(np.int64)
-        if y.size and (y.min() < 0 or y.max() >= spec.n_classes):
+        y = y.astype(np.int64, copy=False)
+        # One reduction checks both ends: a negative label reads as a huge
+        # unsigned value.
+        if y.size and y.view(np.uint64).max() >= spec.n_classes:
             raise ValueError("label outside [0, n_classes)")
     return x, y
 
 
+# The helpers below call ufunc reductions directly: ``a.max()``, ``a.sum()``
+# and ``a.mean()`` reduce the same way but add Python-level overhead, which
+# shows at the batch sizes local SGD uses.
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
-def _ce_loss(probs: np.ndarray, y: np.ndarray) -> float:
-    picked = probs[np.arange(y.size), y]
-    return float(-np.log(np.maximum(picked, 1e-300)).mean())
+def _ce_loss(probs: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean cross-entropy over the last batch axis (one value per batch), and
+    the flat index of each sample's true-class entry in ``probs`` (a fresh,
+    C-contiguous softmax output)."""
+    at = np.arange(y.size) * probs.shape[-1] + y.ravel()
+    picked = probs.reshape(-1)[at].reshape(y.shape)
+    # The mean as ``np.mean`` computes it: the sum, then one division.
+    return -np.add.reduce(np.log(np.maximum(picked, 1e-300)), axis=-1) / y.shape[-1], at
 
 
 def loss_and_grad(
     spec: ModelSpec,
     params: np.ndarray,
     batch: tuple[np.ndarray, np.ndarray],
-) -> tuple[float, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean loss over the batch and its exact gradient.
 
     Softmax cross-entropy for the classifiers; 0.5 * ||theta||^2 for the
     diagnostic model (the batch is required but does not enter the value).
+    A ``(P,)`` vector with an ``(n, dim)`` batch gives a float loss and a
+    ``(P,)`` gradient; a ``(G, P)`` stack with a ``(G, n, dim)`` batch
+    stack gives ``(G,)`` losses and ``(G, P)`` gradients, row g being the
+    single call on ``params[g]`` and ``batch[.][g]``, bit for bit.
     """
     if not np.isfinite(params).all():
         raise NumericError("non-finite parameters")
-    x, y = _check_batch(spec, *batch)
-    v = spec.layer_views(params)
+    # Every operation below works on either rank (see the module docstring).
+    v = (spec.stack_views if params.ndim == 2 else spec.layer_views)(params)
+    lead = params.shape[:-1]
+    x, y = _check_batch(spec, *batch, lead=lead)
 
     if spec.kind == "quadratic-diagnostic":
-        # May overflow to inf on a diverging path; reported as-is.
+        # May overflow to inf on a diverging path; reported as-is. A dot per
+        # row: one vectorised sum of squares would round differently.
         with np.errstate(over="ignore"):
-            loss = 0.5 * float(params @ params)
+            if lead:
+                loss = np.array([0.5 * float(p @ p) for p in params])
+            else:
+                loss = 0.5 * float(params @ params)
         return loss, params.copy()
 
-    n = x.shape[0]
+    n = x.shape[-2]
     if spec.kind == "logistic":
-        logits = x @ v["W"] + v["b"]
-        probs = _softmax(logits)
-        loss = _ce_loss(probs, y)
-        d = probs
-        d[np.arange(n), y] -= 1.0
+        d = _softmax(x @ v["W"] + v["b"][..., None, :])
+        loss, at = _ce_loss(d, y)
+        d.reshape(-1)[at] -= 1.0
         d /= n
-        return loss, np.concatenate([(x.T @ d).ravel(), d.sum(axis=0)])
-
-    # mlp1: tanh hidden layer, softmax output
-    h = np.tanh(x @ v["W1"] + v["b1"])
-    logits = h @ v["W2"] + v["b2"]
-    probs = _softmax(logits)
-    loss = _ce_loss(probs, y)
-    d2 = probs
-    d2[np.arange(n), y] -= 1.0
-    d2 /= n
-    dh = (d2 @ v["W2"].T) * (1.0 - h * h)
-    return loss, np.concatenate(
-        [(x.T @ dh).ravel(), dh.sum(axis=0), (h.T @ d2).ravel(), d2.sum(axis=0)]
-    )
+        parts = [x.mT @ d, np.add.reduce(d, axis=-2)]
+    else:
+        # mlp1: tanh hidden layer, softmax output
+        h = np.tanh(x @ v["W1"] + v["b1"][..., None, :])
+        d2 = _softmax(h @ v["W2"] + v["b2"][..., None, :])
+        loss, at = _ce_loss(d2, y)
+        d2.reshape(-1)[at] -= 1.0
+        d2 /= n
+        dh = (d2 @ v["W2"].mT) * (1.0 - h * h)
+        parts = [x.mT @ dh, np.add.reduce(dh, axis=-2), h.mT @ d2, np.add.reduce(d2, axis=-2)]
+    grad = np.concatenate([part.reshape(lead + (-1,)) for part in parts], axis=-1)
+    return (loss if lead else float(loss)), grad
 
 
 def evaluate(
@@ -215,7 +273,7 @@ def evaluate(
         logits = np.tanh(x @ v["W1"] + v["b1"]) @ v["W2"] + v["b2"]
     probs = _softmax(logits)
     acc = float((probs.argmax(axis=1) == y).mean())
-    return acc, _ce_loss(probs, y)
+    return acc, float(_ce_loss(probs, y)[0])
 
 
 def _resolve_track(track: None | str | int, n_params: int, seed: int) -> np.ndarray | None:
@@ -247,13 +305,38 @@ def local_train(
     seed: int,
     track: None | str | int = None,
 ) -> LocalTrainReport:
-    """E epochs of mini-batch SGD from ``start`` over one client's data.
+    """E epochs of mini-batch SGD from ``start`` over one client's data:
+    ``train_clients`` with one client. Raises NumericError if the
+    parameters go non-finite."""
+    (report,) = train_clients(spec, start, [data], [seed], epochs, batch_size, eta, track)
+    if isinstance(report, NumericError):
+        raise report
+    return report
 
-    Each epoch visits a fresh permutation of the samples in batches of
-    ``batch_size``; a short final batch is kept and its gradient averaged
-    over its actual size. Deterministic given ``seed``: the permutation for
-    epoch e comes from a stream derived from (seed, "shuffle", e), so
-    concurrent clients cannot perturb each other.
+
+def train_clients(
+    spec: ModelSpec,
+    start: np.ndarray,
+    clients: list[tuple[np.ndarray, np.ndarray]],
+    seeds: list[int],
+    epochs: int,
+    batch_size: int,
+    eta: float,
+    track: None | str | int = None,
+) -> list[LocalTrainReport | NumericError]:
+    """E epochs of mini-batch SGD from ``start`` for each client.
+
+    Each epoch visits a fresh permutation of a client's samples in batches
+    of ``batch_size``; a short final batch is kept and its gradient averaged
+    over its actual size. Deterministic given the client's seed: the
+    permutation for epoch e comes from a stream derived from
+    (seed, "shuffle", e), so clients cannot perturb each other.
+
+    Entry i is client i's report, or the NumericError its training raised:
+    "non-finite parameters" at the step that would start from them, or
+    "parameters diverged" if only the last step overflowed. A diverging
+    client leaves its group and the others carry on, so the caller decides
+    which failure comes first.
     """
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
@@ -261,42 +344,129 @@ def local_train(
         raise ValueError("batch_size must be >= 1")
     if eta < 0.0 or not math.isfinite(eta):
         raise ValueError("eta must be finite and >= 0")
-    x, y = _check_batch(spec, *data)
-    n = x.shape[0]
+    if len(seeds) != len(clients):
+        raise ValueError("train_clients needs one seed per client")
+    batches = [_check_batch(spec, *data) for data in clients]
+    # The client size fixes the step schedule: each group steps in lockstep,
+    # in chunks that keep a (G, P) stack within _LOCKSTEP_ELEMENTS.
+    groups: dict[int, list[int]] = {}
+    for i, (x, _) in enumerate(batches):
+        groups.setdefault(x.shape[0], []).append(i)
+    width = max(1, _LOCKSTEP_ELEMENTS // start.size)
+    out: list[LocalTrainReport | NumericError | None] = [None] * len(clients)
+    for members in groups.values():
+        for lo in range(0, len(members), width):
+            chunk = members[lo : lo + width]
+            results = _train_group(
+                spec, start, [batches[i] for i in chunk], [seeds[i] for i in chunk],
+                epochs, batch_size, eta, track,
+            )
+            for i, result in zip(chunk, results):
+                out[i] = result
+    return out
 
+
+def _train_group(
+    spec: ModelSpec,
+    start: np.ndarray,
+    batches: list[tuple[np.ndarray, np.ndarray]],
+    seeds: list[int],
+    epochs: int,
+    batch_size: int,
+    eta: float,
+    track: None | str | int,
+) -> list[LocalTrainReport | NumericError]:
+    """Lockstep SGD of equal-size clients on a (G, P) parameter stack."""
+    n = batches[0][0].shape[0]
     steps_total = epochs * math.ceil(n / batch_size)
-    tracked = _resolve_track(track, start.size, seed)
-    path: np.ndarray | None = None
-    if tracked is not None:
-        path = np.empty((steps_total + 1, tracked.size), dtype=np.float64)
-        path[0, :] = start[tracked]
+    tracked = [_resolve_track(track, start.size, seed) for seed in seeds]
+    theta = np.tile(start, (len(seeds), 1))
+    live = np.arange(len(seeds))  # group position of each row of theta
+    # A lone client steps as a plain vector: a one-slice stack would pay the
+    # stacked matmul's overhead for nothing. `th` views the rows that step.
+    rows = 0 if live.size == 1 else slice(None)
+    th = theta[rows]
 
-    theta = start.copy()
-    step = 0
+    def flat_tracked(live: np.ndarray) -> np.ndarray:
+        """Each live row's tracked coordinates as flat indices into theta."""
+        at = np.stack([tracked[g] for g in live.tolist()])
+        at += start.size * np.arange(live.size)[:, None]
+        return at
+
+    at = paths = None
+    if tracked[0] is not None:
+        at = flat_tracked(live)
+        paths = np.empty((len(seeds), steps_total + 1, at.shape[1]), dtype=np.float64)
+        paths[:, 0] = theta.take(at)
+    # Every live client's next `block` rows in epoch order, gathered at once:
+    # whole batches, at most _GATHER_ELEMENTS features for the chunk (or one
+    # batch each). A step's batch stack is a slice of this buffer.
+    fit = _GATHER_ELEMENTS // (len(seeds) * spec.input_dim * batch_size)
+    block = max(1, fit) * batch_size
+    xs = np.empty((len(seeds), min(block, n), spec.input_dim), dtype=np.float64)
+    ys = np.empty((len(seeds), min(block, n)), dtype=np.result_type(*(y for _, y in batches)))
+    results: dict[int, LocalTrainReport | NumericError] = {}  # by group position
+    step = 0  # lockstep steps taken
     # Overflow on a diverging run is reported as NumericError at the next
     # finiteness boundary, not as a warning mid-update.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs):
-            order = derive_rng(seed, "shuffle", epoch).permutation(n)
+            orders = [derive_rng(seeds[g], "shuffle", epoch).permutation(n) for g in live.tolist()]
             for lo in range(0, n, batch_size):
-                sel = order[lo : lo + batch_size]
-                _, grad = loss_and_grad(spec, theta, (x[sel], y[sel]))
-                theta -= eta * grad
+                if lo % block == 0:
+                    for j, g in enumerate(live.tolist()):
+                        sel = orders[j][lo : lo + block]
+                        np.take(batches[g][0], sel, axis=0, out=xs[j, : sel.size])
+                        ys[j, : sel.size] = batches[g][1][sel]
+                if live.size > 1 and not np.isfinite(theta).all():
+                    # The rows that went non-finite fail here, as each would
+                    # alone at its next gradient call; the rest step on.
+                    keep = np.isfinite(theta).all(axis=1)
+                    exc = NumericError("non-finite parameters")
+                    results.update(dict.fromkeys(live[~keep].tolist(), exc))
+                    live, theta, xs, ys = (a[keep] for a in (live, theta, xs, ys))
+                    orders = [order for order, k in zip(orders, keep) if k]
+                    if not live.size:
+                        break
+                    rows = 0 if live.size == 1 else slice(None)
+                    th = theta[rows]
+                    if paths is not None:
+                        paths, at = paths[keep], flat_tracked(live)
+                # The batch's offset in the buffer and its size (the last
+                # batch of an epoch may be short).
+                b, k = lo % block, min(batch_size, n - lo)
+                batch = (xs[rows, b : b + k], ys[rows, b : b + k])
+                try:
+                    _, grad = loss_and_grad(spec, th, batch)
+                except NumericError as exc:
+                    # Only a lone row gets here non-finite: the call's own
+                    # check fails it, as for one client trained alone.
+                    results[int(live[0])] = exc
+                    live, theta = live[:0], theta[:0]
+                    break
+                grad *= eta
+                th -= grad
                 step += 1
-                if path is not None:
-                    path[step, :] = theta[tracked]
+                if paths is not None:
+                    theta.take(at, out=paths[:, step], mode="clip")
+            if not live.size:
+                break
         # May overflow to inf from finite parameters; the engine rejects a
-        # non-finite decision statistic.
-        update_norm = float(np.linalg.norm(theta - start))
+        # non-finite decision statistic. A norm per row: norm(axis=1) would
+        # round differently.
+        norms = [float(np.linalg.norm(row - start)) for row in theta]
 
-    if not np.isfinite(theta).all():
-        raise NumericError("parameters diverged during local training")
-
-    return LocalTrainReport(
-        params_after=theta,
-        update_norm=update_norm,
-        n_samples=n,
-        steps_taken=step,
-        tracked=tracked,
-        path=path,
-    )
+    finite = np.isfinite(theta).all(axis=1)
+    for j, g in enumerate(live.tolist()):
+        if not finite[j]:
+            results[g] = NumericError("parameters diverged during local training")
+            continue
+        results[g] = LocalTrainReport(
+            params_after=theta[j],
+            update_norm=norms[j],
+            n_samples=n,
+            steps_taken=steps_total,
+            tracked=tracked[g],
+            path=None if paths is None else paths[j],
+        )
+    return [results[g] for g in range(len(seeds))]

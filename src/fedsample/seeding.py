@@ -8,6 +8,7 @@ e.g. ``derive_rng(seed, "train", round_idx, client_id)``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -17,7 +18,14 @@ def _part_to_int(part: int | str) -> int:
     """Map a stream-name part to a stable non-negative integer."""
     if isinstance(part, (int, np.integer)):
         return int(part) & 0xFFFFFFFFFFFFFFFF
-    digest = hashlib.sha256(part.encode("utf-8")).digest()
+    return _label_to_int(part)
+
+
+@functools.lru_cache(maxsize=256)
+def _label_to_int(label: str) -> int:
+    # Labels come from a small fixed vocabulary ("shuffle", "train", ...),
+    # each hashed once per process instead of once per stream.
+    digest = hashlib.sha256(label.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
 
 

@@ -188,28 +188,42 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert manifest["status"].startswith("error: band policies")
 
 
+# Each blowup's last metrics.csv row and the sha256 of the whole file: the
+# TRUNCATED marker carries the text of the NumericError the failing round
+# raised, which names the lowest-id failing client and the kind of failure.
 @pytest.mark.parametrize(
-    "overrides, min_completed",
+    "overrides, min_completed, last_row, csv_sha256",
     [
         # The parameters themselves overflow in round 1.
         ({"model": {"kind": "quadratic-diagnostic"}, "eta": 1e18, "E": 3,
-          "rounds": 10}, 1),
+          "rounds": 10}, 1,
+         "TRUNCATED,parameters diverged during local training,,,,,,,,,",
+         "2389b769dd38a23f49b769da5e62bdead9dbef7468da9c2eb9604231de244f9d"),
         # Finite parameters whose update norm overflows in round 0, the
         # input of the adaptive threshold.
         ({"model": {"kind": "quadratic-diagnostic"}, "K": 4, "C": 1, "E": 40,
-          "B": 1, "eta": 5.0, "policy": {"kind": "at"}, "rounds": 30}, 0),
+          "B": 1, "eta": 5.0, "policy": {"kind": "at"}, "rounds": 30}, 0,
+         "TRUNCATED,update norm of client 0 non-finite at round 0 (policy at),,,,,,,,,",
+         "108e5ad2e9e61fe0491e5ad524b3f669e469d7a6456b5a56ad9e8cb318672142"),
         # The same run under band policies: finite trajectories whose AR(1)
         # fit overflows, on the clients and in the server's decode fit.
         ({"model": {"kind": "quadratic-diagnostic"}, "K": 4, "C": 1, "E": 40,
-          "B": 1, "eta": 5.0, "policy": {"kind": "ou", "r": 0.5}, "rounds": 30}, 0),
+          "B": 1, "eta": 5.0, "policy": {"kind": "ou", "r": 0.5}, "rounds": 30}, 0,
+         "TRUNCATED,OU fit of client 0 at round 0 (policy ou_r0.5) non-finite: "
+         "lam and mu must be finite,,,,,,,,,",
+         "29f29d8358319c8f75b802363120bb9b2dbed452fa138e4d3e3d211dd31c63c3"),
         ({"model": {"kind": "quadratic-diagnostic"}, "K": 4, "C": 1, "E": 40,
           "B": 1, "eta": 5.0, "policy": {"kind": "aou"},
-          "nack_estimate_mode": "ou_decode", "rounds": 30}, 0),
+          "nack_estimate_mode": "ou_decode", "rounds": 30}, 0,
+         "TRUNCATED,OU fit of client 0 at round 0 (policy aou) non-finite: "
+         "lam and mu must be finite,,,,,,,,,",
+         "3304e2a84afbb0e1e5e01b8e08d05838cc81b4f74e3e78b80dc89567124aabcd"),
     ],
     ids=["params_overflow", "update_norm_overflow", "band_fit_overflow_ou",
          "band_fit_overflow_aou_ou_decode"],
 )
-def test_numeric_blowup_truncates_and_exits_3(tmp_path, overrides, min_completed):
+def test_numeric_blowup_truncates_and_exits_3(tmp_path, overrides, min_completed,
+                                              last_row, csv_sha256):
     cfg = write_config(tmp_path, overrides)
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 3
@@ -219,6 +233,9 @@ def test_numeric_blowup_truncates_and_exits_3(tmp_path, overrides, min_completed
     assert min_completed <= len(rows) - 2 < overrides["rounds"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "truncated"
+    data = (out / "metrics.csv").read_bytes()
+    assert data.decode().splitlines()[-1] == last_row
+    assert hashlib.sha256(data).hexdigest() == csv_sha256
 
 
 # Values that reach every outcome: E=0 or B=12 leave band policies fewer
@@ -244,12 +261,18 @@ def run_outcome(cfg, out):
     return code, status, csv_path.read_bytes() if csv_path.exists() else None
 
 
+# sha256 over every grid cell's (exit code, manifest status, sha256 of
+# metrics.csv or None), recorded with clients trained one at a time.
+EXIT_GRID_DIGEST = "83354feae5ccbf7b23bdb8f84c62ce1f913680abbd44868c03921b1b82290e95"
+
+
 def test_run_exit_contract_over_seeded_grid(tmp_path):
     """Every cell of a seeded sample of the grid ends in exactly one of the
     documented outcomes, never in an exception, and reruns byte for byte."""
     rng = random.Random(4)
     rounds = 4
     outcomes = set()
+    pinned = []
     for i in range(48):
         overrides = {key: rng.choice(values) for key, values in EXIT_GRID.items()}
         overrides["rounds"] = rounds
@@ -261,6 +284,7 @@ def test_run_exit_contract_over_seeded_grid(tmp_path):
             pytest.fail(f"{overrides}: {exc!r}")
         assert first == again, overrides
         code, status, data = first
+        pinned.append((code, status, None if data is None else hashlib.sha256(data).hexdigest()))
         rows = None if data is None else list(csv.reader(data.decode().splitlines()))
         if code == 0:
             assert status == "ok" and len(rows) == rounds + 1, overrides
@@ -272,6 +296,7 @@ def test_run_exit_contract_over_seeded_grid(tmp_path):
             pytest.fail(f"{overrides}: exit {code}")
         outcomes.add(code)
     assert outcomes == {0, 2, 3}
+    assert hashlib.sha256(repr(pinned).encode()).hexdigest() == EXIT_GRID_DIGEST
 
 
 # --------------------------------------------------------------------- sweep
@@ -389,6 +414,19 @@ def test_sweep_output_fingerprint(tmp_path):
         "--policies", "full,ft:0.25,at,aou", "--seeds", "0,1", "--quiet",
     ]) == 0
     assert sweep_fingerprint(out) == SWEEP_FINGERPRINT
+
+
+def test_sweep_reruns_byte_identical(tmp_path):
+    cfg = write_config(tmp_path, {**FINGERPRINT_CONFIG, "rounds": 4})
+    outs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--policies", "full,ft:0.25,aou", "--seeds", "0,3", "--quiet"]) == 0
+        files = ["summary.csv"] + [f"runs/{f}" for f in sorted(os.listdir(out / "runs"))]
+        outs.append({f: (out / f).read_bytes() for f in files})
+    assert len(outs[0]) == 1 + 3 * 2
+    assert outs[0] == outs[1]
 
 
 def test_sweep_bad_policy_tokens_exit_2(tmp_path):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from fedsample.data import synth_blobs
+from fedsample.data import FederatedDataset, synth_blobs
 from fedsample.engine import (
     METRICS_HEADER,
     CommLedger,
@@ -26,7 +26,7 @@ from fedsample.engine import (
 from fedsample.errors import NumericError
 from fedsample.models import ModelSpec, init_params, loss_and_grad
 from fedsample.policies import PolicyConfig
-from fedsample.seeding import derive_rng
+from fedsample.seeding import derive_rng, seed_sequence
 
 MODEL = ModelSpec("logistic", input_dim=6, n_classes=4)
 
@@ -66,6 +66,13 @@ def test_select_is_deterministic_and_round_varying():
 
 
 # ------------------------------------------------------------ byte accounting
+
+def test_stream_labels_hash_to_stable_words():
+    # A label part enters the seed as the first 8 sha256 bytes, little-endian.
+    word = int.from_bytes(hashlib.sha256(b"shuffle").digest()[:8], "little")
+    for _ in range(2):
+        assert seed_sequence(3, "shuffle", 1).entropy == [3, word, 1]
+
 
 def test_message_bytes_closed_forms():
     ack = UpdateMessage(client_id=0, n_samples=5, params=np.zeros(101770))
@@ -384,6 +391,33 @@ def test_divergent_run_raises_numeric_error():
     cfg = config(PolicyConfig("full"), eta=1e18, epochs=3)
     with pytest.raises(NumericError):
         run_experiment(quad, cfg, ds, rounds=8)
+
+
+def two_client_quadratic(sizes):
+    """Quadratic-diagnostic clients of the given sizes: the model ignores
+    the data, so a client's path depends only on its number of steps."""
+    clients = tuple((np.zeros((n, 2)), np.zeros(n, dtype=np.int64)) for n in sizes)
+    return FederatedDataset(clients=clients, test_set=clients[0], n_classes=1, dim=2)
+
+
+@pytest.mark.parametrize(
+    "sizes, policy, message",
+    [
+        # 300 steps leave client 0 finite with an overflowing update norm;
+        # client 1 overflows its parameters within its 600 steps.
+        ((300, 600), PolicyConfig("at"), "update norm of client 0 non-finite"),
+        ((300, 600), PolicyConfig("ou", r=0.5), "OU fit of client 0 at round 0"),
+        # Client 0's training error outranks client 1's norm and band errors.
+        ((600, 300), PolicyConfig("at"), "^non-finite parameters$"),
+        ((600, 300), PolicyConfig("ou", r=0.5), "^non-finite parameters$"),
+    ],
+)
+def test_round_raises_the_lowest_id_clients_first_failure(sizes, policy, message):
+    quad = ModelSpec("quadratic-diagnostic", input_dim=2)
+    cfg = config(policy, n_clients=2, client_fraction=1.0, epochs=1, batch_size=1,
+                 eta=5.0)
+    with pytest.raises(NumericError, match=message):
+        run_experiment(quad, cfg, two_client_quadratic(sizes), rounds=1)
 
 
 def test_config_validation():

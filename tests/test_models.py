@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from helpers import fd_check
 
+from fedsample import models
 from fedsample.errors import NumericError
 from fedsample.models import (
     LocalTrainReport,
@@ -14,6 +15,7 @@ from fedsample.models import (
     init_params,
     local_train,
     loss_and_grad,
+    train_clients,
 )
 from fedsample.seeding import derive_rng
 
@@ -70,6 +72,79 @@ def test_loss_and_grad_rejects_bad_inputs():
     bad = np.full(params.size, np.nan)
     with pytest.raises(NumericError):
         loss_and_grad(LOGISTIC, bad, (x, y))
+
+
+def reference_loss_and_grad(spec: ModelSpec, params: np.ndarray, batch):
+    """One (n, dim) batch at a time, written with 2-D arrays only: the
+    formulas the stacked kernel must reproduce bit for bit."""
+    x, y = batch
+    if spec.kind == "quadratic-diagnostic":
+        return 0.5 * float(params @ params), params.copy()
+    v = spec.layer_views(params)
+    n = x.shape[0]
+
+    def softmax(logits):
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    def ce_loss(probs):
+        return float(-np.log(np.maximum(probs[np.arange(n), y], 1e-300)).mean())
+
+    if spec.kind == "logistic":
+        d = softmax(x @ v["W"] + v["b"])
+        loss = ce_loss(d)
+        d[np.arange(n), y] -= 1.0
+        d /= n
+        return loss, np.concatenate([(x.T @ d).ravel(), d.sum(axis=0)])
+    h = np.tanh(x @ v["W1"] + v["b1"])
+    d2 = softmax(h @ v["W2"] + v["b2"])
+    loss = ce_loss(d2)
+    d2[np.arange(n), y] -= 1.0
+    d2 /= n
+    dh = (d2 @ v["W2"].T) * (1.0 - h * h)
+    return loss, np.concatenate(
+        [(x.T @ dh).ravel(), dh.sum(axis=0), (h.T @ d2).ravel(), d2.sum(axis=0)]
+    )
+
+
+@pytest.mark.parametrize("spec", [LOGISTIC, MLP, QUAD], ids=lambda s: s.kind)
+@pytest.mark.parametrize("g", [1, 2, 7])
+@pytest.mark.parametrize("n", [1, 3, 10])
+def test_stacked_rows_equal_single_calls_bitwise(spec, g, n):
+    # Holds only because numpy's stacked matmul runs one gemm per slice and
+    # every other step is elementwise or reduces within one row.
+    params = np.stack([init_params(spec, seed=s) for s in range(g)])
+    batches = [random_batch(spec, n, seed=10 + s) for s in range(g)]
+    x = np.stack([b[0] for b in batches])
+    y = np.stack([b[1] for b in batches])
+    losses, grads = loss_and_grad(spec, params, (x, y))
+    assert losses.shape == (g,) and grads.shape == (g, spec.param_count)
+    for row in range(g):
+        loss, grad = loss_and_grad(spec, params[row], batches[row])
+        ref_loss, ref_grad = reference_loss_and_grad(spec, params[row], batches[row])
+        assert isinstance(loss, float)
+        assert np.float64(losses[row]).tobytes() == np.float64(loss).tobytes() \
+            == np.float64(ref_loss).tobytes()
+        assert grads[row].tobytes() == grad.tobytes() == ref_grad.tobytes()
+
+
+def test_stacked_loss_and_grad_rejects_mismatched_stacks():
+    params = np.stack([init_params(LOGISTIC, seed=s) for s in range(3)])
+    x, y = random_batch(LOGISTIC, 4, seed=0)
+    xs, ys = np.stack([x] * 3), np.stack([y] * 3)
+    with pytest.raises(ValueError):
+        loss_and_grad(LOGISTIC, params, (x, y))             # one batch for a stack
+    with pytest.raises(ValueError):
+        loss_and_grad(LOGISTIC, params, (xs[:2], ys[:2]))   # too few batches
+    with pytest.raises(ValueError):
+        loss_and_grad(LOGISTIC, params, (xs, ys[:, :3]))    # labels per row
+    with pytest.raises(ValueError):
+        loss_and_grad(LOGISTIC, params[0], (xs, ys))        # a stack for one vector
+    with pytest.raises(ValueError):
+        loss_and_grad(LOGISTIC, params[None], (xs[None], ys[None]))
+    params[1, 0] = np.inf
+    with pytest.raises(NumericError):
+        loss_and_grad(LOGISTIC, params, (xs, ys))
 
 
 # ------------------------------------------------------------------ evaluate
@@ -205,6 +280,141 @@ def test_divergence_raises_numeric_error():
     start = init_params(QUAD, seed=0)
     with pytest.raises(NumericError):
         local_train(QUAD, start, data, epochs=400, batch_size=4, eta=1e12, seed=0)
+
+
+def reference_local_train(spec, start, data, epochs, batch_size, eta, seed):
+    """One client's SGD loop, one step at a time on one vector: the final
+    parameters and the path of every coordinate."""
+    x, y = data
+    theta = start.copy()
+    path = [theta.copy()]
+    for epoch in range(epochs):
+        order = derive_rng(seed, "shuffle", epoch).permutation(y.size)
+        for lo in range(0, y.size, batch_size):
+            sel = order[lo : lo + batch_size]
+            _, grad = reference_loss_and_grad(spec, theta, (x[sel], y[sel]))
+            theta -= eta * grad
+            path.append(theta.copy())
+    return theta, np.array(path)
+
+
+def count_gradient_calls(monkeypatch) -> list:
+    """Count the trainer's calls of the module-global loss_and_grad."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return loss_and_grad(*args)
+
+    monkeypatch.setattr(models, "loss_and_grad", counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec", [LOGISTIC, MLP, QUAD], ids=lambda s: s.kind)
+@pytest.mark.parametrize("sizes", [(9, 9, 9), (9, 4, 9, 7, 4, 1)], ids=["equal", "unequal"])
+@pytest.mark.parametrize("track", [None, "all", 3], ids=["none", "all", "int"])
+@pytest.mark.parametrize("width, gather", [(None, None), (2, None), (None, 1)],
+                         ids=["one-stack", "chunks-of-2", "one-batch-blocks"])
+def test_train_clients_equals_one_client_at_a_time(monkeypatch, spec, sizes, track, width,
+                                                   gather):
+    # Batches of 4: 9 samples end in a short batch of 1, 7 in one of 3.
+    if width is not None:
+        monkeypatch.setattr(models, "_LOCKSTEP_ELEMENTS", width * spec.param_count)
+    if gather is not None:  # gather each client's rows one batch at a time
+        monkeypatch.setattr(models, "_GATHER_ELEMENTS", gather)
+    start = init_params(spec, seed=1)
+    clients = [random_batch(spec, n, seed=20 + i) for i, n in enumerate(sizes)]
+    seeds = [100 + i for i in range(len(sizes))]
+    calls = count_gradient_calls(monkeypatch)
+    reports = train_clients(spec, start, clients, seeds, 2, 4, 0.3, track)
+    # One gradient call per lockstep step of each chunk of equal-size clients.
+    chunks = {n: math.ceil(sizes.count(n) / (width or len(sizes))) for n in sizes}
+    assert len(calls) == sum(k * 2 * math.ceil(n / 4) for n, k in chunks.items())
+    monkeypatch.undo()
+    for data, seed, rep in zip(clients, seeds, reports):
+        one = local_train(spec, start, data, 2, 4, 0.3, seed, track)
+        theta, path = reference_local_train(spec, start, data, 2, 4, 0.3, seed)
+        assert rep.params_after.tobytes() == one.params_after.tobytes() == theta.tobytes()
+        assert rep.update_norm == one.update_norm == float(np.linalg.norm(theta - start))
+        assert rep.steps_taken == one.steps_taken == len(path) - 1
+        assert rep.n_samples == one.n_samples == data[1].size
+        if track is None:
+            assert rep.tracked is None and rep.path is None and one.path is None
+        else:
+            assert np.array_equal(rep.tracked, one.tracked)
+            assert rep.path.tobytes() == one.path.tobytes() == path[:, rep.tracked].tobytes()
+    if track == 3:
+        # Every client draws its coordinates from its own seed.
+        assert len({rep.tracked.tobytes() for rep in reports}) > 1
+
+
+@pytest.mark.parametrize("epochs, message", [
+    (2, "^non-finite parameters$"),                           # fails mid-run
+    (1, "^parameters diverged during local training$"),       # at its last step
+])
+def test_train_clients_isolates_a_diverging_client(epochs, message):
+    # Client 1's huge features overflow its first update; the other clients
+    # of its group train on as if alone.
+    start = init_params(LOGISTIC, seed=2)
+    clients = [random_batch(LOGISTIC, 6, seed=40 + i) for i in range(4)]
+    clients[1] = (clients[1][0] * 1e300, clients[1][1])
+    seeds = [7, 8, 9, 10]
+    reports = train_clients(LOGISTIC, start, clients, seeds, epochs, 6, 1e10)
+    assert isinstance(reports[1], NumericError)
+    assert str(reports[1]) == message.strip("^$")
+    with pytest.raises(NumericError, match=message):
+        local_train(LOGISTIC, start, clients[1], epochs, 6, 1e10, seeds[1])
+    for i in (0, 2, 3):
+        one = local_train(LOGISTIC, start, clients[i], epochs, 6, 1e10, seeds[i])
+        assert reports[i].params_after.tobytes() == one.params_after.tobytes()
+        assert reports[i].update_norm == one.update_norm
+
+
+@pytest.mark.parametrize("scales, calls", [
+    # Client 0 leaves the group after one step; client 1, then alone, fails
+    # at its third step's own gradient call.
+    ((1e300, 1e200), 3),
+    # A client that trains on keeps the group stepping to the end.
+    ((1e300, 1.0, 1e200), 9),
+])
+def test_train_clients_makes_one_gradient_call_per_step(monkeypatch, scales, calls):
+    start = init_params(LOGISTIC, seed=2)
+    x, y = random_batch(LOGISTIC, 6, seed=41)
+    clients = [(x * scale, y) for scale in scales]
+    counted = count_gradient_calls(monkeypatch)
+    reports = train_clients(LOGISTIC, start, clients, [8] * len(scales), 3, 2, 1e10)
+    assert len(counted) == calls
+    monkeypatch.undo()
+    for data, rep in zip(clients, reports):
+        try:
+            one = local_train(LOGISTIC, start, data, 3, 2, 1e10, 8)
+        except NumericError as exc:
+            assert isinstance(rep, NumericError) and str(rep) == str(exc)
+        else:
+            assert rep.params_after.tobytes() == one.params_after.tobytes()
+    assert [type(rep) for rep in reports].count(NumericError) == 2
+
+
+@pytest.mark.parametrize("track", [None, "all"], ids=["none", "all"])
+def test_train_clients_whole_group_diverges(track):
+    # Every row of a group leaves it at the same step, as each would alone.
+    start = init_params(QUAD, seed=4)
+    clients = [random_batch(QUAD, 5, seed=50 + i) for i in range(3)]
+    reports = train_clients(QUAD, start, clients, [1, 2, 3], 400, 2, 1e100, track)
+    for data, seed, rep in zip(clients, [1, 2, 3], reports):
+        with pytest.raises(NumericError) as alone:
+            local_train(QUAD, start, data, 400, 2, 1e100, seed, track)
+        assert isinstance(rep, NumericError) and str(rep) == str(alone.value)
+
+
+def test_train_clients_rejects_bad_arguments():
+    data = random_batch(LOGISTIC, 10, seed=3)
+    start = init_params(LOGISTIC, seed=3)
+    with pytest.raises(ValueError, match="one seed per client"):
+        train_clients(LOGISTIC, start, [data, data], [0], 1, 4, 0.1)
+    with pytest.raises(ValueError):
+        train_clients(LOGISTIC, start, [data, (data[0][:, :2], data[1])], [0, 1], 1, 4, 0.1)
+    assert train_clients(LOGISTIC, start, [], [], 1, 4, 0.1) == []
 
 
 # ---------------------------------------------------------------- init & spec
