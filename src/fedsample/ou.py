@@ -11,20 +11,16 @@ has an exact one-step transition over a sampling period ``dt``:
     eps_t ~ N(0, sigma^2 * (1 - a^2) / (2 * lam)).
 
 ``simulate_ou`` draws sample paths from this transition.
-``fit_ou_ls_columns`` inverts it for every column of a (T, k) array:
-ordinary least squares of theta_{t+1} on theta_t yields (a, b, resid_sd),
-from which
-
-    lam   = -ln(a) / dt,
-    mu    = b / (1 - a),
-    sigma = resid_sd * sqrt(-2 * ln(a) / (dt * (1 - a^2))).
-
-It returns one ``OUFit`` of arrays over the columns, which ``decode``
-(conditional-mean estimates) and ``band_fraction`` (the share of columns
-outside their one-stationary-sd band) take whole. ``fit_ou_ls`` (column 0
-of a one-column fit) and ``OUParams`` (one process) are the scalar view of
-the same code. ``math.log``/``math.exp`` run element by element: numpy's
-vectorised log and exp can differ from them in the last bit.
+``fit_ou_ls_columns`` returns one ``OUFit`` of arrays over the columns of a
+(T, k) array: the least squares of theta_{t+1} on theta_t, (a, b, resid_sd),
+and its flags. That is all ``band_fraction`` (the share of columns outside
+their one-stationary-sd band) needs: sigma / sqrt(2 * lam) is resid_sd /
+sqrt(1 - a^2) for any dt. The process, lam = -ln(a) / dt, mu = b / (1 - a)
+and sigma = resid_sd * sqrt(-2 * ln(a) / (dt * (1 - a^2))), is derived on
+first use, for ``decode`` (conditional-mean estimates) and the scalar view
+(``fit[j]``, ``fit_ou_ls``, ``OUParams``). Only there do ``math.log`` and
+``math.exp`` run, element by element: numpy's vectorised log and exp can
+differ from them in the last bit.
 """
 
 from __future__ import annotations
@@ -32,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,31 +46,16 @@ def _elementwise(fn, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
 
 
-class _Processes:
-    """The checks and stationary law OUParams (one process) and OUFit
-    (arrays over columns) share."""
-
-    def __post_init__(self) -> None:
-        # Unflagged processes must be populated; flagged ones may hold NaN.
-        if not np.all(self.flagged | (np.isfinite(self.lam) & np.isfinite(self.mu))):
-            raise ValueError("lam and mu must be finite")
-        if not np.all(self.flagged | (np.isfinite(self.sigma) & (self.sigma >= 0.0))):
-            raise ValueError("sigma must be finite and >= 0")
-
-    @property
-    def flagged(self):
-        return self.degenerate | self.non_reverting
-
-    def stationary_sd(self):
-        """Standard deviation of the stationary law N(mu, sigma^2 / (2 lam));
-        NaN where the process is flagged or lam <= 0."""
-        live = ~np.asarray(self.flagged) & (self.lam > 0.0)
-        sd = np.where(live, self.sigma / np.sqrt(np.where(live, 2.0 * self.lam, 1.0)), np.nan)
-        return sd if sd.ndim else float(sd)
+def _check_process(flagged, lam, mu, sigma) -> None:
+    """Unflagged processes must be populated; flagged ones may hold NaN."""
+    if not np.all(flagged | (np.isfinite(lam) & np.isfinite(mu))):
+        raise ValueError("lam and mu must be finite")
+    if not np.all(flagged | (np.isfinite(sigma) & (sigma >= 0.0))):
+        raise ValueError("sigma must be finite and >= 0")
 
 
 @dataclass(frozen=True)
-class OUParams(_Processes):
+class OUParams:
     """Process parameters (rate, long-run mean, volatility) plus fit flags.
 
     ``degenerate`` marks fits with no usable slope (constant predictor, or
@@ -87,34 +69,46 @@ class OUParams(_Processes):
     degenerate: bool = False
     non_reverting: bool = False
 
+    flagged = property(lambda self: self.degenerate or self.non_reverting)
+
+    def __post_init__(self) -> None:
+        _check_process(self.flagged, self.lam, self.mu, self.sigma)
+
+    def stationary_sd(self) -> float:
+        """Standard deviation of the stationary law N(mu, sigma^2 / (2 lam));
+        NaN where the process is flagged or lam <= 0."""
+        if self.flagged or not self.lam > 0.0:
+            return math.nan
+        return self.sigma / math.sqrt(2.0 * self.lam)
+
 
 @dataclass(frozen=True, eq=False)
-class OUFit(_Processes):
-    """Least-squares OU fits of k columns, each field but ``n_points`` an
-    array over the columns: the AR(1) regression theta_{t+1} = a * theta_t
-    + b + eps_t over ``n_points`` pairs, and the process (lam, mu, sigma)
-    it implies, flagged as in OUParams. ``fit[j]`` (and iteration) gives
-    column j as ``fit_ou_ls`` does: (OUParams, the column with scalar fields).
+class OUFit:
+    """Least-squares OU fits of k columns, each field but ``n_points`` and
+    ``dt`` an array over the columns: the AR(1) regression theta_{t+1} =
+    a * theta_t + b + eps_t over ``n_points`` pairs ``dt`` apart, flagged as
+    in OUParams, and the process it implies (slopes <= 0 clamped) derived on
+    first use. ``fit[j]`` (and iteration) gives column j as ``fit_ou_ls``
+    does: (OUParams, the column with scalar fields).
     """
 
     a: np.ndarray
     b: np.ndarray
     resid_sd: np.ndarray
     n_points: int
-    lam: np.ndarray
-    mu: np.ndarray
-    sigma: np.ndarray
+    dt: float
     degenerate: np.ndarray
     non_reverting: np.ndarray
 
+    flagged = property(lambda self: self.degenerate | self.non_reverting)
+
     def __len__(self) -> int:
-        return int(np.size(self.lam))
+        return int(np.size(self.a))
 
     def columns(self, index) -> OUFit:
         """The fit of the columns ``index`` selects (an int gives scalar fields)."""
         return OUFit(
-            self.a[index], self.b[index], self.resid_sd[index], self.n_points,
-            self.lam[index], self.mu[index], self.sigma[index],
+            self.a[index], self.b[index], self.resid_sd[index], self.n_points, self.dt,
             self.degenerate[index], self.non_reverting[index],
         )
 
@@ -122,6 +116,31 @@ class OUFit(_Processes):
         col = self.columns(j)
         flags = bool(col.degenerate), bool(col.non_reverting)
         return OUParams(float(col.lam), float(col.mu), float(col.sigma), *flags), col
+
+    def stationary_sd(self) -> np.ndarray:
+        """Each column's stationary sd, resid_sd / sqrt(1 - a^2); NaN where
+        the column is flagged."""
+        a = np.where(self.flagged, 0.0, self.a)
+        return np.where(self.flagged, np.nan, self.resid_sd / np.sqrt(1.0 - a * a))
+
+    @cached_property
+    def mu(self) -> np.ndarray:
+        a_eff = np.where(self.a <= 0.0, _SLOPE_FLOOR, self.a)
+        with np.errstate(all="ignore"):
+            return np.where(np.isnan(self.a) | (self.a == 1.0), np.nan, self.b / (1.0 - a_eff))
+
+    @cached_property
+    def _lam_sigma(self) -> tuple[np.ndarray, np.ndarray]:
+        a_eff = np.where(self.a <= 0.0, _SLOPE_FLOOR, self.a)
+        rated = ~(self.non_reverting | np.isnan(self.a))
+        with np.errstate(all="ignore"):
+            log_a = _elementwise(math.log, np.where(rated, a_eff, np.nan))
+            lam = np.where(rated, -log_a / self.dt, np.nan)
+            sigma = self.resid_sd * np.sqrt(-2.0 * log_a / (self.dt * (1.0 - a_eff * a_eff)))
+        return lam, sigma
+
+    lam = property(lambda self: self._lam_sigma[0])
+    sigma = property(lambda self: self._lam_sigma[1])
 
 
 @dataclass(frozen=True)
@@ -145,13 +164,7 @@ class Trajectory:
         return int(self.values.size)
 
 
-def simulate_ou(
-    params: OUParams,
-    theta0: float,
-    dt: float,
-    steps: int,
-    seed: int,
-) -> Trajectory:
+def simulate_ou(params: OUParams, theta0: float, dt: float, steps: int, seed: int) -> Trajectory:
     """Draw one exact-discretization sample path of length ``steps + 1``.
 
     Deterministic given ``seed``. Requires ``params.lam > 0`` unless
@@ -195,46 +208,24 @@ def _ar1_ols(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, in
     Residual sd uses the regression dof denominator (n_points - 2), with an
     exact-fit convention of zero when n_points == 2.
     """
-    x = values[:-1, :]
-    y = values[1:, :]
+    x, y = values[:-1], values[1:]
     n = x.shape[0]
-    mx = x.mean(axis=0)
-    my = y.mean(axis=0)
+    mx = np.add.reduce(x, axis=0) / n
+    my = np.add.reduce(y, axis=0) / n
     dx = x - mx
     dy = y - my
-    sxx = (dx * dx).sum(axis=0)
-    sxy = (dx * dy).sum(axis=0)
+    sxx = np.add.reduce(dx * dx, axis=0)
+    sxy = np.add.reduce(dx * dy, axis=0)
 
     degenerate = sxx == 0.0
-    safe_sxx = np.where(degenerate, 1.0, sxx)
-    a = np.where(degenerate, np.nan, sxy / safe_sxx)
+    a = np.where(degenerate, np.nan, sxy / sxx)
     b = np.where(degenerate, np.nan, my - a * mx)
 
     resid = y - (a * x + b)
-    ssr = (resid * resid).sum(axis=0)
-    if n > 2:
-        resid_sd = np.sqrt(ssr / (n - 2))
-    else:
-        resid_sd = np.zeros_like(ssr)
+    ssr = np.add.reduce(resid * resid, axis=0)
+    resid_sd = np.sqrt(ssr / (n - 2)) if n > 2 else np.zeros_like(ssr)
     resid_sd = np.where(degenerate, np.nan, resid_sd)
     return a, b, resid_sd, n, degenerate
-
-
-def _invert_ar1(
-    a: np.ndarray, b: np.ndarray, resid_sd: np.ndarray, dt: float, degenerate: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """Column-wise (lam, mu, sigma, degenerate, non_reverting) from the
-    regression; slopes >= 1 are non-reverting, slopes <= 0 are clamped and
-    flagged degenerate."""
-    non_reverting = a >= 1.0  # False where a is NaN (degenerate)
-    live = ~(degenerate | non_reverting)
-    clamped = live & (a <= 0.0)
-    a_eff = np.where(clamped, _SLOPE_FLOOR, a)
-    log_a = _elementwise(math.log, np.where(live, a_eff, np.nan))
-    lam = np.where(live, -log_a / dt, np.nan)
-    mu = np.where(degenerate | (a == 1.0), np.nan, b / (1.0 - a_eff))
-    sigma = resid_sd * np.sqrt(-2.0 * log_a / (dt * (1.0 - a_eff * a_eff)))
-    return lam, mu, sigma, degenerate | clamped, non_reverting
 
 
 def fit_ou_ls_columns(values: np.ndarray, dt: float) -> OUFit:
@@ -255,7 +246,15 @@ def fit_ou_ls_columns(values: np.ndarray, dt: float) -> OUFit:
 
     with np.errstate(all="ignore"):
         a, b, resid_sd, n, degenerate = _ar1_ols(values)
-        return OUFit(a, b, resid_sd, n, *_invert_ar1(a, b, resid_sd, dt, degenerate))
+        # Slopes >= 1 are non-reverting, slopes <= 0 (clamped) degenerate.
+        fit = OUFit(a, b, resid_sd, n, dt, degenerate | (a <= 0.0), a >= 1.0)
+        # An unflagged slope is NaN (so is mu) or in (0, 1), where -2 ln(a) <
+        # 1490: where mu and this bound of sigma are finite, so are lam and
+        # sigma, known without a log. Elsewhere they are derived and checked.
+        sigma_bound = resid_sd * np.sqrt(1490.0 / (dt * (1.0 - a * a)))
+        if not np.all(fit.flagged | (np.isfinite(fit.mu) & np.isfinite(sigma_bound))):
+            _check_process(fit.flagged, fit.lam, fit.mu, fit.sigma)
+    return fit
 
 
 def fit_ou_ls(traj: Trajectory) -> tuple[OUParams, OUFit]:
@@ -265,8 +264,6 @@ def fit_ou_ls(traj: Trajectory) -> tuple[OUParams, OUFit]:
     Raises ValueError for trajectories shorter than 3 points. A constant
     path yields a degenerate fit (no usable regression slope).
     """
-    if len(traj) < 3:
-        raise ValueError("need at least 3 observations to fit")
     return fit_ou_ls_columns(traj.values[:, None], traj.dt)[0]
 
 

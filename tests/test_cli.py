@@ -487,6 +487,34 @@ def test_ou_demo_too_few_steps_rejected(tmp_path):
     assert main(["ou-demo", "--config", cfg, "--out", str(tmp_path / "d"), "--quiet"]) == 2
 
 
+# sha256 over fits.csv, trajectories.csv, increments.csv and summary.json,
+# in that order. eta 0 gives degenerate and non-reverting fits, eta 2.5
+# clamped slopes (degenerate with derived lam/mu/sigma).
+OU_DEMO_BYTES = {
+    ("logistic", 0.0): "ef0149a52ffb5aa58159139ccecafef29175ddbad681a5a6226d9c855dc5eefa",
+    ("logistic", 0.3): "9cc0f14a6a322654825e0fdfbd25a5ac319d8053b7d286f64fc23eb9b957feeb",
+    ("logistic", 2.5): "d0a7f4f43ef6335dec45ccc8724b8396af1b453d67197a0e1906b9955b8962f8",
+    ("mlp1", 0.0): "9d8e6da9271529e3b15be19f3da481dae79fb10d1581c1fc1fb6ae0c977e9812",
+    ("mlp1", 0.3): "67d032176af12301c05b3f2b10de35533f696675c066387644e7a61e5b15ea6b",
+    ("mlp1", 2.5): "304972486cfa73b6d0013be64cac29662fd769c4007c6b3ad6e66a71f61e85df",
+    ("quadratic-diagnostic", 0.0): "3e407b04fdafc8de68c6aab21a382913b5cfd5a19bb952b892318b085d7a1738",
+    ("quadratic-diagnostic", 0.3): "a2bbd621538b96fc391068027a24bbeb23e71e5458a759bf6a2d9727f208df6c",
+    ("quadratic-diagnostic", 2.5): "8fadc49fb8a5fa3248fe3a500f5bc0602b9a0c416825b904be373074911b713c",
+}
+
+
+@pytest.mark.parametrize("kind,eta", list(OU_DEMO_BYTES))
+def test_ou_demo_output_bytes_are_pinned(tmp_path, kind, eta):
+    model = {"kind": kind, "hidden_dim": 4} if kind == "mlp1" else {"kind": kind}
+    cfg = write_config(tmp_path, {"model": model, "eta": eta})
+    out = tmp_path / "demo"
+    assert main(["ou-demo", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    digest = hashlib.sha256()
+    for name in ("fits.csv", "trajectories.csv", "increments.csv", "summary.json"):
+        digest.update((out / name).read_bytes())
+    assert digest.hexdigest() == OU_DEMO_BYTES[kind, eta]
+
+
 def test_ou_demo_trajectory_file_shape(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -537,3 +537,32 @@ def test_ou_decode_estimates_once_per_round(monkeypatch):
     assert max(nacks for _, nacks in per_round[2:]) >= 2
     assert [n for n, _ in per_round[:2]] == [0, 0]
     assert all(n == int(nacks > 0) for n, nacks in per_round[2:])
+
+
+def test_band_rounds_map_no_log(monkeypatch):
+    # The band is closed-form in the regression: the per-element math.log
+    # map runs only where a rate is asked for, which is the server's decode.
+    import fedsample.ou as ou
+
+    maps = []
+    elementwise = ou._elementwise
+
+    def counted(fn, x):
+        maps.append(fn)
+        return elementwise(fn, x)
+
+    monkeypatch.setattr(ou, "_elementwise", counted)
+    for _ in short_rounds(PolicyConfig("aou"), mode="carry_forward", rounds=5):
+        pass
+    assert maps == []
+
+    per_round = []
+    for _, report in short_rounds(PolicyConfig("aou"), rounds=5):
+        per_round.append((maps.count(math.log), maps.count(math.exp),
+                          len(report.selected) - len(report.senders)))
+        maps.clear()
+    # One log map (the decoded columns' rate) and one exp map (the decode)
+    # in each round that decodes, none in the others.
+    assert any(nacks for _, _, nacks in per_round[2:])
+    assert all((logs, exps) == (int(nacks > 0),) * 2 for logs, exps, nacks in per_round[2:])
+    assert [(logs, exps) for logs, exps, _ in per_round[:2]] == [(0, 0), (0, 0)]

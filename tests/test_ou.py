@@ -2,8 +2,10 @@
 
 import hashlib
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,8 +75,11 @@ def test_noisy_path_equals_explicit_recurrence_bitwise():
 
 def test_import_does_not_load_scipy():
     code = "import sys, fedsample; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert out.stdout.strip() == "[]"
 
@@ -158,6 +163,22 @@ def test_fit_expanding_path_is_non_reverting():
     assert fit.a == pytest.approx(2.0)
     assert params.non_reverting and not params.degenerate
     assert math.isnan(params.lam) and math.isnan(params.sigma)
+
+
+def test_fit_checks_lam_and_sigma_where_the_log_free_bound_fails():
+    # At dt = 1e-306 the fit's log-free bound of sigma overflows, yet lam
+    # and sigma are finite: the fit stands. Below, each overflows in turn
+    # and the fit fails with the message OUParams gives.
+    path = simulate_ou(OUParams(1.0, 0.5, 0.2), 0.0, 0.1, 50, seed=3).values[:, None]
+    fit = fit_ou_ls_columns(path, dt=1e-306)
+    assert not fit.flagged.any()
+    assert np.isfinite(fit.lam).all() and np.isfinite(fit.sigma).all()
+    assert fit.lam[0] == -math.log(fit.a[0]) / 1e-306
+    halving = np.array([1.0, 0.5, 0.25, 0.125, 0.0625])[:, None]
+    with pytest.raises(ValueError, match=r"^sigma must be finite and >= 0$"):
+        fit_ou_ls_columns(halving, dt=5e-309)
+    with pytest.raises(ValueError, match=r"^lam and mu must be finite$"):
+        fit_ou_ls_columns(halving, dt=1e-309)
 
 
 def test_fit_requires_three_points():
@@ -259,50 +280,79 @@ def test_decode_rejects_unpopulated_params():
 
 # -------------------------------------------------------------- band_fraction
 
-def fit_of(params):
-    """A fit whose columns are the given processes, with no regression
-    behind them."""
-    nan = np.full(len(params), np.nan)
-    return OUFit(
-        a=nan, b=nan, resid_sd=nan, n_points=0,
-        lam=np.array([p.lam for p in params]),
-        mu=np.array([p.mu for p in params]),
-        sigma=np.array([p.sigma for p in params]),
-        degenerate=np.array([p.degenerate for p in params], dtype=bool),
-        non_reverting=np.array([p.non_reverting for p in params], dtype=bool),
-    )
+def fit_of(rows):
+    """A fit of the given (a, b, resid_sd) regressions, flagged as
+    fit_ou_ls_columns flags them."""
+    a, b, resid_sd = np.array(rows, dtype=np.float64).reshape(-1, 3).T
+    return OUFit(a, b, resid_sd, n_points=0, dt=1.0,
+                 degenerate=np.isnan(a) | (a <= 0.0), non_reverting=a >= 1.0)
 
 
 def test_band_all_at_mean_is_zero():
-    fits = [OUParams(1.0, 0.5, 0.2) for _ in range(5)]
-    assert band_fraction(np.full(5, 0.5), fit_of(fits)) == 0.0
+    fit = fit_of([(0.5, 0.25, 0.2)] * 5)  # mu = 0.5
+    assert band_fraction(np.full(5, 0.5), fit) == 0.0
 
 
 def test_band_all_far_outside_is_one():
-    fits = [OUParams(1.0, 0.0, 0.2) for _ in range(5)]
-    sd = fits[0].stationary_sd()
-    assert band_fraction(np.full(5, 10.0 * sd), fit_of(fits)) == 1.0
+    fit = fit_of([(0.5, 0.0, 0.2)] * 5)
+    sd = fit.stationary_sd()[0]
+    assert band_fraction(np.full(5, 10.0 * sd), fit) == 1.0
 
 
 def test_band_counts_fractionally():
-    p = OUParams(2.0, 0.0, 0.2)
-    sd = p.stationary_sd()
+    fit = fit_of([(0.8, 0.0, 0.2)] * 4)
+    sd = fit.stationary_sd()[0]
     finals = np.array([0.0, 0.5 * sd, -0.9 * sd, 5.0 * sd])
-    assert band_fraction(finals, fit_of([p] * 4)) == 0.25
+    assert band_fraction(finals, fit) == 0.25
 
 
 def test_band_boundary_is_inside():
     # Strict inequalities: sitting exactly on the band edge does not count.
-    p = OUParams(2.0, 0.0, 0.2)
-    assert band_fraction(np.array([p.stationary_sd()]), fit_of([p])) == 0.0
+    fit = fit_of([(0.8, 0.0, 0.2)])
+    assert band_fraction(fit.stationary_sd(), fit) == 0.0
 
 
 def test_band_flag_conventions():
-    deg = OUParams(math.nan, math.nan, math.nan, degenerate=True)
-    nr = OUParams(math.nan, 0.0, math.nan, non_reverting=True)
-    live = OUParams(1.0, 0.0, 0.2)
+    deg = (math.nan, math.nan, math.nan)
+    nr = (1.5, 0.0, 0.1)
+    live = (0.5, 0.0, 0.2)
     finals = np.array([100.0, 0.0, 0.0])
     assert band_fraction(finals, fit_of([deg, nr, live])) == pytest.approx(1.0 / 3.0)
+
+
+@pytest.mark.parametrize("dt", [0.5, 1.0, 2.0])
+def test_closed_form_band_decides_as_the_rate_form(dt):
+    # The band half-width resid_sd / sqrt(1 - a^2) is sigma / sqrt(2 lam)
+    # in closed form; on a seeded grid every inside/outside call must be
+    # the one the rate form makes. Slopes in (-0.5, 1.1) give clamped and
+    # non-reverting fits, columns 0-4 are constant, 5-9 alternate.
+    rng = np.random.default_rng(int(4 * dt))
+    k = 1500
+    slopes = rng.uniform(-0.5, 1.1, k)
+    values = np.empty((12, k))
+    values[0] = rng.standard_normal(k)
+    for t in range(1, 12):
+        values[t] = slopes * values[t - 1] + 0.2 + 0.1 * rng.standard_normal(k)
+    values[:, :5] = -1.5
+    values[:, 5:10] = np.where(np.arange(12) % 2, 1.0, -1.0)[:, None]
+    fit = fit_ou_ls_columns(values, dt=dt)
+    assert fit.degenerate[:10].all() and fit.non_reverting.any()
+    assert (~fit.flagged).sum() > k // 2
+
+    live = ~fit.flagged & (fit.lam > 0.0)
+    sd = np.full(k, np.nan)
+    sd[live] = fit.sigma[live] / np.sqrt(2.0 * fit.lam[live])
+    np.testing.assert_allclose(fit.stationary_sd()[live], sd[live], rtol=1e-9, atol=0.0)
+
+    def reference(finals):
+        off = (finals > fit.mu + sd) | (finals < fit.mu - sd)
+        return np.count_nonzero(fit.non_reverting | (~fit.degenerate & off)) / k
+
+    candidates = [values[-1], fit.mu + 0.999 * sd, fit.mu - 1.001 * sd]
+    candidates += [fit.mu + rng.uniform(-2.0, 2.0, k) * np.nan_to_num(sd) for _ in range(20)]
+    for finals in candidates:
+        finals = np.nan_to_num(finals)
+        assert band_fraction(finals, fit) == reference(finals)
 
 
 def test_band_rejects_empty_and_mismatched():
