@@ -15,18 +15,29 @@ batches; each row of a stacked call equals its own single call bit for
 bit, because numpy's stacked matmul runs one gemm per slice and every
 other operation is elementwise or reduces within a row.
 
+Given a ``scratch`` dict, ``loss_and_grad`` writes the gradient, the
+hidden layer, its gradient and the logits into one flat float64 buffer
+held in the dict, through C-contiguous views cached per batch shape (a
+short final batch, a stack that shrinks, a lone vector); the buffer is
+replaced only when a call needs more room. A call then allocates only
+the finiteness mask of the parameters and arrays of one value per
+sample. Every ``out=`` target keeps C-contiguous 2-D slices, so the
+kernels and their bits are those of fresh arrays.
+
 ``train_clients`` runs E epochs of mini-batch SGD with per-epoch
 reshuffling for each of several clients that start from one model, and can
 record the per-step path of a subset of coordinates. Clients of equal size
 share a step schedule, so each such group trains in lockstep: one stacked
 ``loss_and_grad`` call per step for a chunk of the group, chunks being as
-wide as ``_LOCKSTEP_ELEMENTS`` allows. A lone client steps as a plain
-vector. ``local_train`` is the one-client case.
+wide as ``_LOCKSTEP_ELEMENTS`` allows, with one scratch per chunk. A lone
+client steps as a plain vector, its batches indexed straight from its
+data. ``local_train`` is the one-client case.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -44,9 +55,12 @@ _AUTO_TRACK_SUBSAMPLE = 4096
 MODEL_KINDS = ("logistic", "mlp1", "quadratic-diagnostic")
 
 # Lockstep training steps at most this many parameters at once (512 KiB of
-# float64 per stacked array, at least one client): wider stacks of large
-# models fall out of a core's cache and train slower than narrower ones, and
-# the stacked working set stays bounded however many clients share a size.
+# float64 per stacked array, at least one client), which bounds the stacked
+# working set however many clients share a size. A sweep of widths 1-128 on
+# mlp1 20-H-10 (CHANGES.md) found the cost per client-step flat from 16 to
+# 96 rows of 1002 parameters and lowest near 4-8 rows of 9310, 4 of 18610
+# and 1 of 62010, where 2 rows already cost a third more: this cap steps 65,
+# 7, 3 and 1 of them.
 _LOCKSTEP_ELEMENTS = 1 << 16
 # Each chunk gathers its clients' shuffled batches into a buffer of at most
 # this many features (8 MiB), a block of whole batches at a time, so large
@@ -182,14 +196,17 @@ def _check_batch(
 # shows at the batch sizes local SGD uses.
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.add.reduce(e, axis=-1, keepdims=True)
+    """Softmax over the last axis, in place: every caller passes logits that
+    nothing else reads."""
+    logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= np.add.reduce(logits, axis=-1, keepdims=True)
+    return logits
 
 
 def _ce_loss(probs: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean cross-entropy over the last batch axis (one value per batch), and
-    the flat index of each sample's true-class entry in ``probs`` (a fresh,
+    the flat index of each sample's true-class entry in ``probs`` (a
     C-contiguous softmax output)."""
     at = np.arange(y.size) * probs.shape[-1] + y.ravel()
     picked = probs.reshape(-1)[at].reshape(y.shape)
@@ -197,10 +214,53 @@ def _ce_loss(probs: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return -np.add.reduce(np.log(np.maximum(picked, 1e-300)), axis=-1) / y.shape[-1], at
 
 
+def _workspace(spec: ModelSpec, scratch: dict, rows: tuple[int, ...]) -> tuple:
+    """The buffers of one ``loss_and_grad`` call on batches of ``rows``
+    (``lead + (n,)``): the gradient, its layer views, the hidden layer, its
+    gradient and the logits, as C-contiguous views into the flat float64
+    buffer ``scratch["flat"]``. The views are cached in ``scratch`` under
+    ``rows``; a call that needs more room replaces the buffer and drops
+    them."""
+    ws = scratch.get(rows)
+    if ws is None:
+        lead = rows[:-1]
+        shapes = [lead + (spec.param_count,), rows + (spec.hidden_dim,),
+                  rows + (spec.hidden_dim,), rows + (spec.n_classes,)]
+        ends = list(itertools.accumulate(math.prod(shape) for shape in shapes))
+        if "flat" not in scratch or scratch["flat"].size < ends[-1]:
+            scratch.clear()
+            scratch["flat"] = np.empty(ends[-1])
+        flat = scratch["flat"]
+        grad, h, dh, z = (flat[lo:hi].reshape(shape)
+                          for lo, hi, shape in zip([0] + ends, ends, shapes))
+        views = spec.stack_views if lead else spec.layer_views
+        ws = scratch[rows] = (grad, views(grad), h, dh, z)
+    return ws
+
+
+def _forward(
+    spec: ModelSpec, v: dict[str, np.ndarray], x: np.ndarray,
+    h: np.ndarray | None = None, z: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """A classifier's output-layer input (``x``, or mlp1's tanh hidden
+    layer, written into ``h``) and the softmax of its logits, written into
+    ``z``; a buffer left None is allocated."""
+    a, w, b = x, "W", "b"
+    if spec.kind == "mlp1":
+        a = np.matmul(x, v["W1"], out=h)
+        a += v["b1"][..., None, :]
+        np.tanh(a, out=a)
+        w, b = "W2", "b2"
+    z = np.matmul(a, v[w], out=z)
+    z += v[b][..., None, :]
+    return a, _softmax(z)
+
+
 def loss_and_grad(
     spec: ModelSpec,
     params: np.ndarray,
     batch: tuple[np.ndarray, np.ndarray],
+    scratch: dict | None = None,
 ) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean loss over the batch and its exact gradient.
 
@@ -210,13 +270,18 @@ def loss_and_grad(
     ``(P,)`` gradient; a ``(G, P)`` stack with a ``(G, n, dim)`` batch
     stack gives ``(G,)`` losses and ``(G, P)`` gradients, row g being the
     single call on ``params[g]`` and ``batch[.][g]``, bit for bit.
+
+    ``scratch``, a dict kept between calls, holds the call's buffers (see
+    the module docstring): the gradient returned is overwritten by the next
+    call given the same dict. Without one the call allocates fresh ones.
     """
     if not np.isfinite(params).all():
         raise NumericError("non-finite parameters")
     # Every operation below works on either rank (see the module docstring).
-    v = (spec.stack_views if params.ndim == 2 else spec.layer_views)(params)
     lead = params.shape[:-1]
+    v = (spec.stack_views if lead else spec.layer_views)(params)
     x, y = _check_batch(spec, *batch, lead=lead)
+    grad, g, h, dh, z = _workspace(spec, {} if scratch is None else scratch, x.shape[:-1])
 
     if spec.kind == "quadratic-diagnostic":
         # May overflow to inf on a diverging path; reported as-is. A dot per
@@ -226,25 +291,27 @@ def loss_and_grad(
                 loss = np.array([0.5 * float(p @ p) for p in params])
             else:
                 loss = 0.5 * float(params @ params)
-        return loss, params.copy()
+        np.copyto(grad, params)
+        return loss, grad
 
-    n = x.shape[-2]
-    if spec.kind == "logistic":
-        d = _softmax(x @ v["W"] + v["b"][..., None, :])
-        loss, at = _ce_loss(d, y)
-        d.reshape(-1)[at] -= 1.0
-        d /= n
-        parts = [x.mT @ d, np.add.reduce(d, axis=-2)]
-    else:
-        # mlp1: tanh hidden layer, softmax output
-        h = np.tanh(x @ v["W1"] + v["b1"][..., None, :])
-        d2 = _softmax(h @ v["W2"] + v["b2"][..., None, :])
-        loss, at = _ce_loss(d2, y)
-        d2.reshape(-1)[at] -= 1.0
-        d2 /= n
-        dh = (d2 @ v["W2"].mT) * (1.0 - h * h)
-        parts = [x.mT @ dh, np.add.reduce(dh, axis=-2), h.mT @ d2, np.add.reduce(d2, axis=-2)]
-    grad = np.concatenate([part.reshape(lead + (-1,)) for part in parts], axis=-1)
+    # Each part of the gradient is written into its layer's view of `grad`.
+    # Every 2-D slice of an `out=` target is C-contiguous, so numpy runs the
+    # same gemm per slice as for a fresh output.
+    a, d = _forward(spec, v, x, h, z)
+    loss, at = _ce_loss(d, y)
+    d.reshape(-1)[at] -= 1.0
+    d /= x.shape[-2]
+    w, b = ("W", "b") if spec.kind == "logistic" else ("W2", "b2")
+    np.matmul(a.mT, d, out=g[w])
+    np.add.reduce(d, axis=-2, out=g[b])
+    if spec.kind == "mlp1":
+        # dh = (d @ W2^T) * (1 - h*h); the spent hidden layer takes 1 - h*h.
+        np.matmul(d, v["W2"].mT, out=dh)
+        np.multiply(h, h, out=h)
+        np.subtract(1.0, h, out=h)
+        dh *= h
+        np.matmul(x.mT, dh, out=g["W1"])
+        np.add.reduce(dh, axis=-2, out=g["b1"])
     return (loss if lead else float(loss)), grad
 
 
@@ -267,11 +334,7 @@ def evaluate(
         with np.errstate(over="ignore"):
             return math.nan, 0.5 * float(params @ params)
 
-    if spec.kind == "logistic":
-        logits = x @ v["W"] + v["b"]
-    else:
-        logits = np.tanh(x @ v["W1"] + v["b1"]) @ v["W2"] + v["b2"]
-    probs = _softmax(logits)
+    _, probs = _forward(spec, v, x)
     acc = float((probs.argmax(axis=1) == y).mean())
     return acc, float(_ce_loss(probs, y)[0])
 
@@ -357,13 +420,74 @@ def train_clients(
     for members in groups.values():
         for lo in range(0, len(members), width):
             chunk = members[lo : lo + width]
-            results = _train_group(
+            train = _train_one if len(chunk) == 1 else _train_group
+            results = train(
                 spec, start, [batches[i] for i in chunk], [seeds[i] for i in chunk],
                 epochs, batch_size, eta, track,
             )
             for i, result in zip(chunk, results):
                 out[i] = result
     return out
+
+
+def _report(
+    theta: np.ndarray, start: np.ndarray, n: int, steps: int, tracked: np.ndarray | None,
+    path: np.ndarray | None, diff: np.ndarray | None = None,
+) -> LocalTrainReport | NumericError:
+    """One client's outcome; ``diff``, if given, takes its update."""
+    if not np.isfinite(theta).all():
+        return NumericError("parameters diverged during local training")
+    # May overflow to inf from finite parameters; the engine rejects a
+    # non-finite decision statistic. sqrt(d @ d) is np.linalg.norm(d) for a
+    # vector, bit for bit.
+    d = np.subtract(theta, start, out=diff)
+    return LocalTrainReport(theta, math.sqrt(d @ d), n, steps, tracked, path)
+
+
+def _train_one(
+    spec: ModelSpec,
+    start: np.ndarray,
+    batches: list[tuple[np.ndarray, np.ndarray]],
+    seeds: list[int],
+    epochs: int,
+    batch_size: int,
+    eta: float,
+    track: None | str | int,
+) -> list[LocalTrainReport | NumericError]:
+    """SGD of a lone client on a plain vector, with no stack, index arrays
+    or gather buffer: each step's batch is a slice of the epoch's next
+    ``block`` rows, gathered as in ``_train_group``."""
+    ((x, y),), (seed,) = batches, seeds
+    n = y.size
+    steps_total = epochs * math.ceil(n / batch_size)
+    block = max(1, _GATHER_ELEMENTS // (spec.input_dim * batch_size)) * batch_size
+    tracked = _resolve_track(track, start.size, seed)
+    path = None
+    if tracked is not None:
+        path = np.empty((steps_total + 1, tracked.size), dtype=np.float64)
+        path[0] = start[tracked]
+    theta = start.copy()
+    scratch: dict = {}
+    step = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            order = derive_rng(seed, "shuffle", epoch).permutation(n)
+            for lo in range(0, n, batch_size):
+                if lo % block == 0:
+                    sel = order[lo : lo + block]
+                    xb, yb = x[sel], y[sel]
+                b = lo % block
+                batch = (xb[b : b + batch_size], yb[b : b + batch_size])
+                try:
+                    _, grad = loss_and_grad(spec, theta, batch, scratch)
+                except NumericError as exc:
+                    return [exc]
+                grad *= eta
+                theta -= grad
+                step += 1
+                if path is not None:
+                    theta.take(tracked, out=path[step], mode="clip")
+        return [_report(theta, start, n, steps_total, tracked, path)]
 
 
 def _train_group(
@@ -382,10 +506,6 @@ def _train_group(
     tracked = [_resolve_track(track, start.size, seed) for seed in seeds]
     theta = np.tile(start, (len(seeds), 1))
     live = np.arange(len(seeds))  # group position of each row of theta
-    # A lone client steps as a plain vector: a one-slice stack would pay the
-    # stacked matmul's overhead for nothing. `th` views the rows that step.
-    rows = 0 if live.size == 1 else slice(None)
-    th = theta[rows]
 
     def flat_tracked(live: np.ndarray) -> np.ndarray:
         """Each live row's tracked coordinates as flat indices into theta."""
@@ -405,6 +525,7 @@ def _train_group(
     block = max(1, fit) * batch_size
     xs = np.empty((len(seeds), min(block, n), spec.input_dim), dtype=np.float64)
     ys = np.empty((len(seeds), min(block, n)), dtype=np.result_type(*(y for _, y in batches)))
+    scratch: dict = {}  # sized by the first step, the widest
     results: dict[int, LocalTrainReport | NumericError] = {}  # by group position
     step = 0  # lockstep steps taken
     # Overflow on a diverging run is reported as NumericError at the next
@@ -428,45 +549,29 @@ def _train_group(
                     orders = [order for order, k in zip(orders, keep) if k]
                     if not live.size:
                         break
-                    rows = 0 if live.size == 1 else slice(None)
-                    th = theta[rows]
                     if paths is not None:
                         paths, at = paths[keep], flat_tracked(live)
                 # The batch's offset in the buffer and its size (the last
                 # batch of an epoch may be short).
                 b, k = lo % block, min(batch_size, n - lo)
-                batch = (xs[rows, b : b + k], ys[rows, b : b + k])
+                batch = (xs[:, b : b + k], ys[:, b : b + k])
                 try:
-                    _, grad = loss_and_grad(spec, th, batch)
+                    _, grad = loss_and_grad(spec, theta, batch, scratch)
                 except NumericError as exc:
-                    # Only a lone row gets here non-finite: the call's own
-                    # check fails it, as for one client trained alone.
+                    # Only a row left alone gets here non-finite: the call's
+                    # own check fails it, as for one client trained alone.
                     results[int(live[0])] = exc
                     live, theta = live[:0], theta[:0]
                     break
                 grad *= eta
-                th -= grad
+                theta -= grad
                 step += 1
                 if paths is not None:
                     theta.take(at, out=paths[:, step], mode="clip")
             if not live.size:
                 break
-        # May overflow to inf from finite parameters; the engine rejects a
-        # non-finite decision statistic. A norm per row: norm(axis=1) would
-        # round differently.
-        norms = [float(np.linalg.norm(row - start)) for row in theta]
-
-    finite = np.isfinite(theta).all(axis=1)
-    for j, g in enumerate(live.tolist()):
-        if not finite[j]:
-            results[g] = NumericError("parameters diverged during local training")
-            continue
-        results[g] = LocalTrainReport(
-            params_after=theta[j],
-            update_norm=norms[j],
-            n_samples=n,
-            steps_taken=steps_total,
-            tracked=tracked[g],
-            path=None if paths is None else paths[j],
-        )
+        diff = np.empty_like(start)
+        for j, g in enumerate(live.tolist()):
+            path = None if paths is None else paths[j]
+            results[g] = _report(theta[j], start, n, steps_total, tracked[g], path, diff)
     return [results[g] for g in range(len(seeds))]

@@ -147,6 +147,56 @@ def test_stacked_loss_and_grad_rejects_mismatched_stacks():
         loss_and_grad(LOGISTIC, params, (xs, ys))
 
 
+def stacked_call(spec: ModelSpec, g: int | None, n: int, seed: int):
+    """Parameters and a batch for one call: a plain vector with g None, else
+    a stack of g."""
+    rows = 1 if g is None else g
+    params = np.stack([init_params(spec, seed=seed + s) for s in range(rows)])
+    batches = [random_batch(spec, n, seed=seed + 50 + s) for s in range(rows)]
+    x, y = np.stack([b[0] for b in batches]), np.stack([b[1] for b in batches])
+    return (params[0], (x[0], y[0])) if g is None else (params, (x, y))
+
+
+@pytest.mark.parametrize("spec", [LOGISTIC, MLP, QUAD], ids=lambda s: s.kind)
+def test_scratch_gives_the_fresh_result_bitwise(spec):
+    # One scratch serves a chunk's calls: a full and a short final batch, a
+    # stack that shrinks from G to G-3 and a lone vector, all in the buffers
+    # the first, widest call sized; then a wider call that outgrows them.
+    scratch = {}
+    calls = [(7, 4), (7, 3), (4, 4), (4, 1), (None, 4), (None, 1), (7, 4)]
+    first = None
+    for i, (g, n) in enumerate(calls + [(9, 5), (7, 4)]):
+        params, batch = stacked_call(spec, g, n, seed=i)
+        loss, grad = loss_and_grad(spec, params, batch, scratch)
+        ref_loss, ref_grad = loss_and_grad(spec, params, batch)
+        assert np.asarray(loss).tobytes() == np.asarray(ref_loss).tobytes()
+        assert grad.shape == ref_grad.shape and grad.tobytes() == ref_grad.tobytes()
+        assert not np.shares_memory(grad, ref_grad)
+        if i < len(calls):
+            # Every call returns the same gradient buffer, which the next
+            # call given the scratch overwrites.
+            first = grad if first is None else first
+            assert np.shares_memory(grad, first)
+    assert not np.shares_memory(grad, first)  # regrown for the wider call
+
+
+@pytest.mark.parametrize("spec", [LOGISTIC, MLP], ids=lambda s: s.kind)
+@pytest.mark.parametrize("g", [None, 3], ids=["vector", "stack"])
+def test_inputs_are_never_written(spec, g):
+    params, (x, y) = stacked_call(spec, g, 6, seed=3)
+    # Features as a strided view of a wider array, so no copy is made.
+    wide = np.repeat(x, 2, axis=-1)
+    x = wide[..., ::2]
+    assert not x.flags.c_contiguous and np.shares_memory(x, wide)
+    before = [a.tobytes() for a in (params, wide, y)]
+    loss_and_grad(spec, params, (x, y))
+    loss_and_grad(spec, params, (x, y), {})
+    for row in range(1 if g is None else g):
+        p, xr, yr = (params, x, y) if g is None else (params[row], x[row], y[row])
+        evaluate(spec, p, xr, yr)
+    assert [a.tobytes() for a in (params, wide, y)] == before
+
+
 # ------------------------------------------------------------------ evaluate
 
 def test_evaluate_perfectly_separated_data():
