@@ -30,8 +30,8 @@ record the per-step path of a subset of coordinates. Clients of equal size
 share a step schedule, so each such group trains in lockstep: one stacked
 ``loss_and_grad`` call per step for a chunk of the group, chunks being as
 wide as ``_LOCKSTEP_ELEMENTS`` allows, with one scratch per chunk. A lone
-client steps as a plain vector, its batches indexed straight from its
-data. ``local_train`` is the one-client case.
+client steps as a plain vector, with no stack, index arrays or gather
+buffer. ``local_train`` is the one-client case.
 """
 
 from __future__ import annotations
@@ -56,11 +56,10 @@ MODEL_KINDS = ("logistic", "mlp1", "quadratic-diagnostic")
 
 # Lockstep training steps at most this many parameters at once (512 KiB of
 # float64 per stacked array, at least one client), which bounds the stacked
-# working set however many clients share a size. A sweep of widths 1-128 on
-# mlp1 20-H-10 (CHANGES.md) found the cost per client-step flat from 16 to
-# 96 rows of 1002 parameters and lowest near 4-8 rows of 9310, 4 of 18610
-# and 1 of 62010, where 2 rows already cost a third more: this cap steps 65,
-# 7, 3 and 1 of them.
+# working set however many clients share a size. In three sweeps of widths
+# 1-128 on mlp1 20-H-10 (CHANGES.md) the cost per client-step was near its
+# lowest from ~20 rows of 1002 parameters up, at 4-8 rows of 9310, at 2-4 of
+# 18610 and at one client of 62010: this cap steps 65, 7, 3 and 1 of them.
 _LOCKSTEP_ELEMENTS = 1 << 16
 # Each chunk gathers its clients' shuffled batches into a buffer of at most
 # this many features (8 MiB), a block of whole batches at a time, so large
@@ -215,12 +214,10 @@ def _ce_loss(probs: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _workspace(spec: ModelSpec, scratch: dict, rows: tuple[int, ...]) -> tuple:
-    """The buffers of one ``loss_and_grad`` call on batches of ``rows``
-    (``lead + (n,)``): the gradient, its layer views, the hidden layer, its
-    gradient and the logits, as C-contiguous views into the flat float64
-    buffer ``scratch["flat"]``. The views are cached in ``scratch`` under
-    ``rows``; a call that needs more room replaces the buffer and drops
-    them."""
+    """The gradient, its layer views, the hidden layer, its gradient and the
+    logits of a call on batches of ``rows`` (``lead + (n,)``): views into
+    ``scratch["flat"]``, cached under ``rows``. A call that needs more room
+    replaces the buffer and drops the cached views."""
     ws = scratch.get(rows)
     if ws is None:
         lead = rows[:-1]
@@ -271,15 +268,16 @@ def loss_and_grad(
     stack gives ``(G,)`` losses and ``(G, P)`` gradients, row g being the
     single call on ``params[g]`` and ``batch[.][g]``, bit for bit.
 
-    ``scratch``, a dict kept between calls, holds the call's buffers (see
-    the module docstring): the gradient returned is overwritten by the next
-    call given the same dict. Without one the call allocates fresh ones.
+    ``scratch``, a dict kept between calls on one model, holds the call's
+    buffers (see the module docstring): the gradient returned is overwritten
+    by the next call given the same dict. Without one the call allocates
+    fresh ones.
     """
     if not np.isfinite(params).all():
         raise NumericError("non-finite parameters")
     # Every operation below works on either rank (see the module docstring).
+    v = (spec.stack_views if params.ndim == 2 else spec.layer_views)(params)
     lead = params.shape[:-1]
-    v = (spec.stack_views if lead else spec.layer_views)(params)
     x, y = _check_batch(spec, *batch, lead=lead)
     grad, g, h, dh, z = _workspace(spec, {} if scratch is None else scratch, x.shape[:-1])
 
