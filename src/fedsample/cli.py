@@ -11,14 +11,19 @@ Subcommands:
   trajectory tracking; writes per-coordinate trajectories, an increment
   histogram, and the per-coordinate AR(1)/process fits.
 
-Exit codes: 0 success, 2 configuration problem, 3 numeric failure
-mid-run (partial CSV keeps a TRUNCATED marker row). Commands write only
-inside their output directory.
+Exit codes: 0 success; 2 configuration problem, whether in the config
+itself, the dataset or model it builds, or the sweep grid; 3 numeric
+failure (run's partial CSV keeps a TRUNCATED marker row). A sweep exits 0
+when only some of its cells failed: each cell's status is in summary.csv.
+Once the config has loaded, every command writes ``manifest.json`` on
+every exit, with status ``ok``, ``truncated``, ``N cell(s) failed`` or
+``error: <message>``. Commands write only inside their output directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -29,17 +34,10 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .config import (
-    RunSettings,
-    build_dataset,
-    build_model,
-    build_round_config,
-    load_config,
-)
-from .engine import METRICS_HEADER, CommLedger, format_metrics_row, iter_rounds
+from .config import RunSettings, build_experiment, load_config
+from .engine import METRICS_HEADER, CommLedger, _ou_fit, format_metrics_row, iter_rounds
 from .errors import ConfigError, NumericError
 from .models import init_params, local_train
-from .ou import fit_ou_ls_columns
 from .policies import POLICY_KINDS, POLICY_PARAMS, PolicyConfig
 from .seeding import seed_sequence
 
@@ -61,11 +59,37 @@ def _run_id(config_path: str, seed: int) -> str:
     return digest.hexdigest()[:12]
 
 
-def _write_manifest(out_dir: str, fields: dict) -> None:
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(fields, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+@contextlib.contextmanager
+def _command(args, outputs: list[str]):
+    """Load the config, then record the command in ``manifest.json``.
+
+    Yields (settings, seed, manifest). The output directory is created
+    once the config has loaded, and the manifest is written on every exit
+    from then on: with the status the command sets in it, or ``error:
+    <message>`` when the command raises.
+    """
+    settings = load_config(args.config)
+    seed = settings.seed if args.seed_override is None else args.seed_override
+    os.makedirs(args.out, exist_ok=True)
+    manifest = {
+        "run_id": _run_id(args.config, seed),
+        "command": args.command,
+        "config_path": os.path.abspath(args.config),
+        "seed": seed,
+        "started_at": _now(),
+        "status": "error",
+        "outputs": outputs,
+    }
+    try:
+        yield settings, seed, manifest
+    except Exception as err:
+        manifest["status"] = f"error: {err}"
+        raise
+    finally:
+        manifest["finished_at"] = _now()
+        with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 def _truncation_row(err: Exception) -> str:
@@ -83,10 +107,7 @@ def _stream_run(
     the summary fields. The CSV keeps whatever completed, with a marker
     row appended on a numeric abort.
     """
-    if dataset is None:
-        dataset = build_dataset_for_seed(settings, seed)
-    model = build_model(settings, dataset)
-    round_config = build_round_config(settings, seed=seed)
+    dataset, model, round_config = build_experiment(settings, seed, dataset)
     ledger = CommLedger()
     try:
         rounds = iter_rounds(model, round_config, dataset, settings.rounds, ledger)
@@ -117,42 +138,10 @@ def _stream_run(
     return status, stats
 
 
-def build_dataset_for_seed(settings: RunSettings, seed: int):
-    """Dataset for one sweep cell: an explicit dataset seed pins the data
-    across cells; otherwise the cell seed drives it so that per-seed
-    comparisons across policies stay paired."""
-    ds = settings.dataset
-    if ds["kind"] == "synth_blobs" and "seed" not in ds:
-        settings = dataclasses.replace(settings, dataset={**ds, "seed": seed})
-    return build_dataset(settings)
-
-
 def cmd_run(args) -> int:
-    settings = load_config(args.config)
-    seed = settings.seed if args.seed_override is None else args.seed_override
-    os.makedirs(args.out, exist_ok=True)
-    started = _now()
-    csv_path = os.path.join(args.out, "metrics.csv")
-    status = "error"
-    try:
-        status, stats = _stream_run(settings, seed, csv_path)
-    except ConfigError as err:
-        status = f"error: {err}"
-        raise
-    finally:
-        _write_manifest(
-            args.out,
-            {
-                "run_id": _run_id(args.config, seed),
-                "command": "run",
-                "config_path": os.path.abspath(args.config),
-                "seed": seed,
-                "started_at": started,
-                "finished_at": _now(),
-                "status": status,
-                "outputs": ["metrics.csv"],
-            },
-        )
+    with _command(args, ["metrics.csv"]) as (settings, seed, manifest):
+        status, stats = _stream_run(settings, seed, os.path.join(args.out, "metrics.csv"))
+        manifest["status"] = status
     if not args.quiet:
         acc = stats["final_acc"]
         acc_txt = "n/a" if acc is None or (isinstance(acc, float) and math.isnan(acc)) else f"{acc:.4f}"
@@ -218,68 +207,53 @@ def _summary_row(stats: dict) -> str:
 
 
 def cmd_sweep(args) -> int:
-    settings = load_config(args.config)
-    base_seed = settings.seed if args.seed_override is None else args.seed_override
+    with _command(args, ["summary.csv", "runs/"]) as (settings, base_seed, manifest):
+        policies: list[PolicyConfig] = []
+        if args.gammas:
+            policies.extend(
+                PolicyConfig("ft", gamma=g) for g in _parse_float_list(args.gammas, "--gammas")
+            )
+        if args.policies:
+            policies.extend(
+                _parse_policy_token(tok) for tok in args.policies.split(",") if tok.strip()
+            )
+        if not policies:
+            raise ConfigError("sweep: empty grid; pass --gammas and/or --policies")
+        seeds = _parse_int_list(args.seeds, "--seeds") if args.seeds else [base_seed]
 
-    policies: list[PolicyConfig] = []
-    if args.gammas:
-        policies.extend(
-            PolicyConfig("ft", gamma=g) for g in _parse_float_list(args.gammas, "--gammas")
-        )
-    if args.policies:
-        policies.extend(
-            _parse_policy_token(tok) for tok in args.policies.split(",") if tok.strip()
-        )
-    if not policies:
-        raise ConfigError("sweep: empty grid; pass --gammas and/or --policies")
-    seeds = _parse_int_list(args.seeds, "--seeds") if args.seeds else [base_seed]
+        labels = [p.label for p in policies]
+        if len(set(labels)) != len(labels) or len(set(seeds)) != len(seeds):
+            raise ConfigError("sweep: duplicate grid cells")
+        manifest.update(seeds=seeds, grid=labels)
 
-    labels = [p.label for p in policies]
-    if len(set(labels)) != len(labels) or len(set(seeds)) != len(seeds):
-        raise ConfigError("sweep: duplicate grid cells")
+        # Shared by every cell of a seed; a dataset or model error ends the
+        # sweep here, before any cell runs.
+        datasets = {seed: build_experiment(settings, seed)[0] for seed in seeds}
+        runs_dir = os.path.join(args.out, "runs")
+        os.makedirs(runs_dir, exist_ok=True)
+        cells = [(policy, seed) for policy in policies for seed in seeds]
+        results: list[dict] = []
+        for policy, seed in cells:
+            cell_settings = dataclasses.replace(settings, policy=policy)
+            csv_path = os.path.join(runs_dir, f"{policy.label}_s{seed}.csv")
+            try:
+                _, stats = _stream_run(cell_settings, seed, csv_path, dataset=datasets[seed])
+            except ConfigError as err:
+                stats = {
+                    "policy": policy.label, "seed": seed, "rounds_completed": 0,
+                    "final_acc": None, "final_loss": None, "total_uplink_bytes": 0,
+                    "total_downlink_bytes": 0, "status": f"error: {err}".replace(",", ";"),
+                }
+            results.append(stats)
 
-    runs_dir = os.path.join(args.out, "runs")
-    os.makedirs(runs_dir, exist_ok=True)
-    started = _now()
+        summary_path = os.path.join(args.out, "summary.csv")
+        with open(summary_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(SUMMARY_HEADER + "\n")
+            for stats in results:
+                fh.write(_summary_row(stats) + "\n")
 
-    datasets = {seed: build_dataset_for_seed(settings, seed) for seed in seeds}
-    cells = [(policy, seed) for policy in policies for seed in seeds]
-    results: list[dict] = []
-    for policy, seed in cells:
-        cell_settings = dataclasses.replace(settings, policy=policy)
-        csv_path = os.path.join(runs_dir, f"{policy.label}_s{seed}.csv")
-        try:
-            _, stats = _stream_run(cell_settings, seed, csv_path, dataset=datasets[seed])
-        except (ConfigError, ValueError) as err:
-            stats = {
-                "policy": policy.label, "seed": seed, "rounds_completed": 0,
-                "final_acc": None, "final_loss": None, "total_uplink_bytes": 0,
-                "total_downlink_bytes": 0, "status": f"error: {err}".replace(",", ";"),
-            }
-        results.append(stats)
-
-    summary_path = os.path.join(args.out, "summary.csv")
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(SUMMARY_HEADER + "\n")
-        for stats in results:
-            fh.write(_summary_row(stats) + "\n")
-
-    n_failed = sum(1 for r in results if r["status"] != "ok")
-    _write_manifest(
-        args.out,
-        {
-            "run_id": _run_id(args.config, base_seed),
-            "command": "sweep",
-            "config_path": os.path.abspath(args.config),
-            "seed": base_seed,
-            "seeds": seeds,
-            "grid": [p.label for p in policies],
-            "started_at": started,
-            "finished_at": _now(),
-            "status": "ok" if n_failed == 0 else f"{n_failed} cell(s) failed",
-            "outputs": ["summary.csv", "runs/"],
-        },
-    )
+        n_failed = sum(1 for r in results if r["status"] != "ok")
+        manifest["status"] = "ok" if n_failed == 0 else f"{n_failed} cell(s) failed"
     if not args.quiet:
         print(
             f"sweep: {len(cells)} cells ({len(policies)} policies x {len(seeds)} seeds), "
@@ -294,87 +268,70 @@ def demo_train_seed(seed: int) -> int:
 
 
 def cmd_ou_demo(args) -> int:
-    settings = load_config(args.config)
-    seed = settings.seed if args.seed_override is None else args.seed_override
-    dataset = build_dataset_for_seed(settings, seed)
-    model = build_model(settings, dataset)
+    outputs = ["trajectories.csv", "increments.csv", "fits.csv", "summary.json"]
+    with _command(args, outputs) as (settings, seed, manifest):
+        dataset, model, _ = build_experiment(settings, seed)
+        pooled_x = np.vstack([x for x, _ in dataset.clients])
+        pooled_y = np.concatenate([y for _, y in dataset.clients])
+        steps = settings.epochs * math.ceil(pooled_x.shape[0] / settings.batch_size)
+        if steps < 2:
+            raise ConfigError("ou-demo: needs at least 2 SGD steps (raise E or lower B)")
 
-    pooled_x = np.vstack([x for x, _ in dataset.clients])
-    pooled_y = np.concatenate([y for _, y in dataset.clients])
-    steps = settings.epochs * math.ceil(pooled_x.shape[0] / settings.batch_size)
-    if steps < 2:
-        raise ConfigError(
-            "ou-demo: needs at least 2 SGD steps (raise E or lower B)"
+        track = settings.track if settings.track is not None else "auto"
+        report = local_train(
+            model,
+            init_params(model, seed),
+            (pooled_x, pooled_y),
+            epochs=settings.epochs,
+            batch_size=settings.batch_size,
+            eta=settings.eta,
+            seed=demo_train_seed(seed),
+            track=track,
         )
+        path = report.path
+        fits = _ou_fit(path, 1.0, "the pooled training path")
 
-    os.makedirs(args.out, exist_ok=True)
-    started = _now()
-    track = settings.track if settings.track is not None else "auto"
-    report = local_train(
-        model,
-        init_params(model, seed),
-        (pooled_x, pooled_y),
-        epochs=settings.epochs,
-        batch_size=settings.batch_size,
-        eta=settings.eta,
-        seed=demo_train_seed(seed),
-        track=track,
-    )
-    path = report.path
-    fits = fit_ou_ls_columns(path, dt=1.0)
+        with open(os.path.join(args.out, "trajectories.csv"), "w", encoding="utf-8") as fh:
+            fh.write("coord,step,value\n")
+            for j, coord in enumerate(report.tracked):
+                col = path[:, j]
+                for step in range(col.size):
+                    fh.write(f"{int(coord)},{step},{col[step]!r}\n")
 
-    with open(os.path.join(args.out, "trajectories.csv"), "w", encoding="utf-8") as fh:
-        fh.write("coord,step,value\n")
-        for j, coord in enumerate(report.tracked):
-            col = path[:, j]
-            for step in range(col.size):
-                fh.write(f"{int(coord)},{step},{col[step]!r}\n")
+        diffs = np.diff(path, axis=0).ravel()
+        counts, edges = np.histogram(diffs, bins=50)
+        with open(os.path.join(args.out, "increments.csv"), "w", encoding="utf-8") as fh:
+            fh.write("bin_left,bin_right,count\n")
+            for i, c in enumerate(counts):
+                fh.write(f"{edges[i]!r},{edges[i + 1]!r},{int(c)}\n")
 
-    diffs = np.diff(path, axis=0).ravel()
-    counts, edges = np.histogram(diffs, bins=50)
-    with open(os.path.join(args.out, "increments.csv"), "w", encoding="utf-8") as fh:
-        fh.write("bin_left,bin_right,count\n")
-        for i, c in enumerate(counts):
-            fh.write(f"{edges[i]!r},{edges[i + 1]!r},{int(c)}\n")
+        flags = np.where(fits.non_reverting, "non_reverting",
+                         np.where(fits.degenerate, "degenerate", "ok"))
+        columns = [report.tracked, fits.a, fits.b, fits.resid_sd, fits.lam, fits.mu,
+                   fits.sigma, flags]
+        with open(os.path.join(args.out, "fits.csv"), "w", encoding="utf-8") as fh:
+            fh.write("coord,a,b,resid_sd,lam,mu,sigma,flag\n")
+            for coord, *values, flag in zip(*(c.tolist() for c in columns)):
+                fh.write(",".join([str(coord)] + [format(v, ".12g") for v in values]
+                                  + [flag]) + "\n")
+        n_ok = int(np.count_nonzero((fits.a > 0.0) & (fits.a < 1.0)))  # NaN slopes compare False
+        n_degenerate = int(np.count_nonzero(fits.degenerate))
+        n_non_reverting = int(np.count_nonzero(fits.non_reverting))
 
-    flags = np.where(fits.non_reverting, "non_reverting",
-                     np.where(fits.degenerate, "degenerate", "ok"))
-    columns = [report.tracked, fits.a, fits.b, fits.resid_sd, fits.lam, fits.mu, fits.sigma, flags]
-    with open(os.path.join(args.out, "fits.csv"), "w", encoding="utf-8") as fh:
-        fh.write("coord,a,b,resid_sd,lam,mu,sigma,flag\n")
-        for coord, *values, flag in zip(*(c.tolist() for c in columns)):
-            fh.write(",".join([str(coord)] + [format(v, ".12g") for v in values] + [flag]) + "\n")
-    n_ok = int(np.count_nonzero((fits.a > 0.0) & (fits.a < 1.0)))  # NaN slopes compare False
-    n_degenerate = int(np.count_nonzero(fits.degenerate))
-    n_non_reverting = int(np.count_nonzero(fits.non_reverting))
-
-    n_coords = report.tracked.size
-    fraction = n_ok / n_coords
-    summary = {
-        "n_coordinates": n_coords,
-        "steps": report.steps_taken,
-        "eta": settings.eta,
-        "fraction_a_in_unit_interval": fraction,
-        "degenerate": n_degenerate,
-        "non_reverting": n_non_reverting,
-    }
-    with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    _write_manifest(
-        args.out,
-        {
-            "run_id": _run_id(args.config, seed),
-            "command": "ou-demo",
-            "config_path": os.path.abspath(args.config),
-            "seed": seed,
-            "started_at": started,
-            "finished_at": _now(),
-            "status": "ok",
-            "outputs": ["trajectories.csv", "increments.csv", "fits.csv", "summary.json"],
-        },
-    )
+        n_coords = report.tracked.size
+        fraction = n_ok / n_coords
+        summary = {
+            "n_coordinates": n_coords,
+            "steps": report.steps_taken,
+            "eta": settings.eta,
+            "fraction_a_in_unit_interval": fraction,
+            "degenerate": n_degenerate,
+            "non_reverting": n_non_reverting,
+        }
+        with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        manifest["status"] = "ok"
     if not args.quiet:
         print(
             f"ou-demo: {n_coords} coordinates over {report.steps_taken} steps; "

@@ -201,54 +201,58 @@ def load_config(path: str) -> RunSettings:
     return parse_config(doc)
 
 
-def build_dataset(settings: RunSettings) -> FederatedDataset:
-    ds = settings.dataset
-    if ds["kind"] == "synth_blobs":
-        return synth_blobs(
-            n_classes=ds["n_classes"],
-            dim=ds["dim"],
-            n_clients=settings.n_clients,
-            samples_per_client=ds["samples_per_client"],
-            shards_per_client=ds["shards_per_client"],
-            seed=ds.get("seed", settings.seed),
-        )
-    schema = CSVSchema(n_classes=ds["n_classes"], dim=ds.get("dim"))
-    try:
-        data = load_csv(ds["path"], schema)
-    except OSError as err:
-        raise ConfigError(f"dataset: cannot read {ds['path']}: {err}") from None
-    if data.n_clients != settings.n_clients:
+def build_experiment(
+    settings: RunSettings, seed: int, dataset: FederatedDataset | None = None
+) -> tuple[FederatedDataset, ModelSpec, RoundConfig]:
+    """The dataset, model and round config of one run at ``seed``.
+
+    An explicit ``dataset.seed`` pins synthetic data across seeds; without
+    one, ``seed`` drives it too, so that per-seed comparisons across
+    policies stay paired. A given ``dataset`` is used as it is. Whatever
+    the data or the model rejects is a ConfigError prefixed ``dataset:`` or
+    ``model:``.
+    """
+    ds, m = settings.dataset, settings.model
+    if dataset is None:
+        try:
+            if ds["kind"] == "csv":
+                schema = CSVSchema(n_classes=ds["n_classes"], dim=ds.get("dim"))
+                dataset = load_csv(ds["path"], schema)
+            else:
+                dataset = synth_blobs(
+                    n_classes=ds["n_classes"],
+                    dim=ds["dim"],
+                    n_clients=settings.n_clients,
+                    samples_per_client=ds["samples_per_client"],
+                    shards_per_client=ds["shards_per_client"],
+                    seed=ds.get("seed", seed),
+                )
+        except (ValueError, OSError) as err:
+            raise ConfigError(f"dataset: {err}") from None
+    if dataset.n_clients != settings.n_clients:
         raise ConfigError(
-            f"dataset: file has {data.n_clients} clients but K = {settings.n_clients}"
+            f"dataset: file has {dataset.n_clients} clients but K = {settings.n_clients}"
         )
-    return data
 
-
-def build_model(settings: RunSettings, dataset: FederatedDataset) -> ModelSpec:
-    m = settings.model
-    if m["kind"] == "quadratic-diagnostic":
-        return ModelSpec("quadratic-diagnostic", input_dim=dataset.dim)
-    kwargs = {"input_dim": dataset.dim, "n_classes": dataset.n_classes}
+    kwargs = {"input_dim": dataset.dim}
+    if m["kind"] != "quadratic-diagnostic":
+        kwargs["n_classes"] = dataset.n_classes
     if m["kind"] == "mlp1":
         kwargs["hidden_dim"] = m["hidden_dim"]
     try:
-        return ModelSpec(m["kind"], **kwargs)
+        model = ModelSpec(m["kind"], **kwargs)
     except ValueError as err:
         raise ConfigError(f"model: {err}") from None
 
-
-def build_round_config(settings: RunSettings, seed: int | None = None) -> RoundConfig:
-    try:
-        return RoundConfig(
-            n_clients=settings.n_clients,
-            client_fraction=settings.client_fraction,
-            epochs=settings.epochs,
-            batch_size=settings.batch_size,
-            eta=settings.eta,
-            policy=settings.policy,
-            nack_estimate_mode=settings.nack_estimate_mode,
-            seed=settings.seed if seed is None else seed,
-            track=settings.track,
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    round_config = RoundConfig(
+        n_clients=settings.n_clients,
+        client_fraction=settings.client_fraction,
+        epochs=settings.epochs,
+        batch_size=settings.batch_size,
+        eta=settings.eta,
+        policy=settings.policy,
+        nack_estimate_mode=settings.nack_estimate_mode,
+        seed=seed,
+        track=settings.track,
+    )
+    return dataset, model, round_config

@@ -364,8 +364,6 @@ def run_round(
         uplink += message_bytes(msg, n_params)
         messages.append(msg)
 
-    # Fixed aggregation order regardless of arrival order.
-    messages.sort(key=lambda m: m.client_id)
     estimates: list[tuple[np.ndarray, int]] = []
     ou_fallback = False
     for msg in messages:

@@ -526,3 +526,94 @@ def test_ou_demo_trajectory_file_shape(tmp_path):
     # 5 coords x (4 steps + 1) points
     assert rows[0] == ["coord", "step", "value"]
     assert len(rows) == 1 + 5 * 5
+
+
+# ------------------------------------------------------------- every command
+
+COMMANDS = {
+    "run": [],
+    "sweep": ["--policies", "full"],
+    "ou-demo": [],
+}
+
+CSV_HEADER = "client_id,label,f_0,f_1\n"
+CSV_ROWS = "0,0,1.0,2.0\n0,1,0.5,0.25\n"
+
+# Each builds a config the parser accepts and the data rejects.
+DATASET_ERRORS = {
+    "shards_over_classes": {"dataset": {**BASE_CONFIG["dataset"], "shards_per_client": 4}},
+    "csv_non_numeric_feature": CSV_HEADER + CSV_ROWS + "0,2,1.0,x\n",
+    "csv_label_out_of_range": CSV_HEADER + CSV_ROWS + "0,3,1.0,2.0\n",
+    "csv_empty": "",
+}
+
+
+def csv_config(tmp_path, text, n_classes=3):
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8")
+    dataset = {"kind": "csv", "path": str(path), "n_classes": n_classes}
+    return write_config(tmp_path, {"dataset": dataset, "K": 1})
+
+
+def command_outcome(command, cfg, out, capsys):
+    """(exit code, stderr, manifest status) of one command."""
+    capsys.readouterr()
+    code = main([command, "--config", cfg, "--out", str(out), "--quiet", *COMMANDS[command]])
+    status = json.loads((out / "manifest.json").read_text())["status"]
+    return code, capsys.readouterr().err, status
+
+
+@pytest.mark.parametrize("error", list(DATASET_ERRORS))
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_dataset_errors_exit_2_with_manifest(tmp_path, capsys, command, error):
+    case = DATASET_ERRORS[error]
+    cfg = csv_config(tmp_path, case) if isinstance(case, str) else write_config(tmp_path, case)
+    code, err, status = command_outcome(command, cfg, tmp_path / "out", capsys)
+    assert code == 2
+    assert err.startswith("config error: dataset")
+    assert status.startswith("error: dataset")
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_model_errors_exit_2_with_manifest(tmp_path, capsys, command):
+    # A one-class CSV loads, but a classifier needs two classes.
+    cfg = csv_config(tmp_path, CSV_HEADER + "0,0,1.0,2.0\n0,0,0.5,0.25\n", n_classes=1)
+    out = tmp_path / "out"
+    code, err, status = command_outcome(command, cfg, out, capsys)
+    assert code == 2
+    assert err.startswith("config error: model: logistic needs n_classes >= 2")
+    assert status.startswith("error: model")
+    # The sweep stops before any cell runs.
+    assert not (out / "runs").exists() and not (out / "summary.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        # The parameters themselves overflow.
+        ({"model": {"kind": "quadratic-diagnostic"}, "eta": 1e18, "E": 3},
+         "non-finite parameters"),
+        # Finite parameters whose AR(1) fit overflows.
+        ({"eta": 1e300, "E": 3},
+         "OU fit of the pooled training path non-finite: lam and mu must be finite"),
+    ],
+    ids=["params_overflow", "fit_overflow"],
+)
+def test_ou_demo_numeric_failure_exits_3_with_manifest(tmp_path, capsys, overrides, message):
+    cfg = write_config(tmp_path, overrides)
+    out = tmp_path / "demo"
+    code, err, status = command_outcome("ou-demo", cfg, out, capsys)
+    assert (code, err, status) == (3, f"numeric error: {message}\n", f"error: {message}")
+    assert sorted(os.listdir(out)) == ["manifest.json"]
+
+
+def test_failed_sweep_manifest_records_the_error(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "sweep"
+    capsys.readouterr()
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: sweep: empty grid; pass --gammas and/or --policies\n"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "sweep"
+    assert manifest["status"] == "error: sweep: empty grid; pass --gammas and/or --policies"
