@@ -69,7 +69,7 @@ def _command(args, outputs: list[str]):
     <message>`` when the command raises.
     """
     settings = load_config(args.config)
-    seed = settings.seed if args.seed_override is None else args.seed_override
+    seed = settings.round.seed if args.seed_override is None else args.seed_override
     os.makedirs(args.out, exist_ok=True)
     manifest = {
         "run_id": _run_id(args.config, seed),
@@ -113,7 +113,7 @@ def _stream_run(
         rounds = iter_rounds(model, round_config, dataset, settings.rounds, ledger)
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    label = settings.policy.label
+    label = round_config.policy.label
     last = None
     status = "ok"
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
@@ -146,7 +146,7 @@ def cmd_run(args) -> int:
         acc = stats["final_acc"]
         acc_txt = "n/a" if acc is None or (isinstance(acc, float) and math.isnan(acc)) else f"{acc:.4f}"
         print(
-            f"run {settings.policy.label} seed={seed}: "
+            f"run {settings.round.policy.label} seed={seed}: "
             f"{stats['rounds_completed']}/{settings.rounds} rounds, "
             f"final_acc={acc_txt}, uplink={stats['total_uplink_bytes']} B"
             + (" [TRUNCATED]" if status == "truncated" else "")
@@ -234,7 +234,9 @@ def cmd_sweep(args) -> int:
         cells = [(policy, seed) for policy in policies for seed in seeds]
         results: list[dict] = []
         for policy, seed in cells:
-            cell_settings = dataclasses.replace(settings, policy=policy)
+            cell_settings = dataclasses.replace(
+                settings, round=dataclasses.replace(settings.round, policy=policy)
+            )
             csv_path = os.path.join(runs_dir, f"{policy.label}_s{seed}.csv")
             try:
                 _, stats = _stream_run(cell_settings, seed, csv_path, dataset=datasets[seed])
@@ -270,23 +272,22 @@ def demo_train_seed(seed: int) -> int:
 def cmd_ou_demo(args) -> int:
     outputs = ["trajectories.csv", "increments.csv", "fits.csv", "summary.json"]
     with _command(args, outputs) as (settings, seed, manifest):
-        dataset, model, _ = build_experiment(settings, seed)
+        dataset, model, config = build_experiment(settings, seed)
         pooled_x = np.vstack([x for x, _ in dataset.clients])
         pooled_y = np.concatenate([y for _, y in dataset.clients])
-        steps = settings.epochs * math.ceil(pooled_x.shape[0] / settings.batch_size)
+        steps = config.epochs * math.ceil(pooled_x.shape[0] / config.batch_size)
         if steps < 2:
             raise ConfigError("ou-demo: needs at least 2 SGD steps (raise E or lower B)")
 
-        track = settings.track if settings.track is not None else "auto"
         report = local_train(
             model,
             init_params(model, seed),
             (pooled_x, pooled_y),
-            epochs=settings.epochs,
-            batch_size=settings.batch_size,
-            eta=settings.eta,
+            epochs=config.epochs,
+            batch_size=config.batch_size,
+            eta=config.eta,
             seed=demo_train_seed(seed),
-            track=track,
+            track="auto" if config.track is None else config.track,
         )
         path = report.path
         fits = _ou_fit(path, 1.0, "the pooled training path")
@@ -323,7 +324,7 @@ def cmd_ou_demo(args) -> int:
         summary = {
             "n_coordinates": n_coords,
             "steps": report.steps_taken,
-            "eta": settings.eta,
+            "eta": config.eta,
             "fraction_a_in_unit_interval": fraction,
             "degenerate": n_degenerate,
             "non_reverting": n_non_reverting,

@@ -18,16 +18,22 @@ A run config is one JSON object:
 ``{"kind": "csv", "path": ..., "n_classes": ...}``; the file's client
 count must then equal K. The model's input dimension and class count come
 from the dataset. Unknown keys anywhere are rejected.
+
+``parse_config`` checks what JSON input needs: unknown and missing keys,
+and integer, number and finiteness types. The round knobs (K, C, E, B,
+eta, policy, nack_estimate_mode, seed, track_coordinates) become the
+engine's ``RoundConfig``, which checks their ranges; its ValueError, like
+``PolicyConfig``'s, surfaces as a ConfigError naming the key.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from dataclasses import dataclass
 
 from .data import CSVSchema, FederatedDataset, load_csv, synth_blobs
-from .engine import NACK_MODES, RoundConfig
+from .engine import RoundConfig
 from .errors import ConfigError
 from .models import MODEL_KINDS, ModelSpec
 from .policies import POLICY_PARAMS, PolicyConfig
@@ -45,22 +51,16 @@ _MODEL_KEYS = {"kind", "hidden_dim"}
 _POLICY_KEYS = {"kind", *POLICY_PARAMS.values()}
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunSettings:
-    """A validated config, not yet materialized into arrays."""
+    """A validated config, not yet materialized into arrays: the dataset
+    and model sections as parsed, the horizon, and the round knobs at the
+    config's seed."""
 
     dataset: dict
     model: dict
-    n_clients: int
-    client_fraction: float
-    epochs: int
-    batch_size: int
-    eta: float
     rounds: int
-    policy: PolicyConfig
-    nack_estimate_mode: str
-    seed: int
-    track: None | str | int
+    round: RoundConfig
 
 
 def _require(obj: dict, key: str, where: str):
@@ -146,43 +146,22 @@ def parse_config(doc: dict) -> RunSettings:
     elif "hidden_dim" in model:
         raise ConfigError(f"model.hidden_dim: not a {m_kind} parameter")
 
-    n_clients = _as_int(_require(doc, "K", "config"), "K", 1)
-    fraction = _as_number(_require(doc, "C", "config"), "C")
-    if not 0.0 < fraction <= 1.0:
-        raise ConfigError("C: must lie in (0, 1]")
-    epochs = _as_int(_require(doc, "E", "config"), "E", 0)
-    batch = _as_int(_require(doc, "B", "config"), "B", 1)
-    eta = _as_number(_require(doc, "eta", "config"), "eta")
-    if eta < 0:
-        raise ConfigError("eta: must be >= 0")
     rounds = _as_int(_require(doc, "rounds", "config"), "rounds", 1)
-    policy = _parse_policy(_require(doc, "policy", "config"))
-
-    mode = doc.get("nack_estimate_mode", "carry_forward")
-    if mode not in NACK_MODES:
-        raise ConfigError(
-            f"nack_estimate_mode: must be one of {', '.join(NACK_MODES)}"
+    try:
+        round_config = RoundConfig(
+            n_clients=_as_int(_require(doc, "K", "config"), "K"),
+            client_fraction=_as_number(_require(doc, "C", "config"), "C"),
+            epochs=_as_int(_require(doc, "E", "config"), "E"),
+            batch_size=_as_int(_require(doc, "B", "config"), "B"),
+            eta=_as_number(_require(doc, "eta", "config"), "eta"),
+            policy=_parse_policy(_require(doc, "policy", "config")),
+            nack_estimate_mode=doc.get("nack_estimate_mode", "carry_forward"),
+            seed=_as_int(doc.get("seed", 0), "seed"),
+            track=doc.get("track_coordinates", "auto"),
         )
-    seed = _as_int(doc.get("seed", 0), "seed")
-
-    track = doc.get("track_coordinates", "auto")
-    if track is not None and track not in ("auto", "all"):
-        track = _as_int(track, "track_coordinates", 1)
-
-    return RunSettings(
-        dataset=dataset,
-        model=model,
-        n_clients=n_clients,
-        client_fraction=fraction,
-        epochs=epochs,
-        batch_size=batch,
-        eta=eta,
-        rounds=rounds,
-        policy=policy,
-        nack_estimate_mode=mode,
-        seed=seed,
-        track=track,
-    )
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
+    return RunSettings(dataset=dataset, model=model, rounds=rounds, round=round_config)
 
 
 def load_config(path: str) -> RunSettings:
@@ -222,16 +201,16 @@ def build_experiment(
                 dataset = synth_blobs(
                     n_classes=ds["n_classes"],
                     dim=ds["dim"],
-                    n_clients=settings.n_clients,
+                    n_clients=settings.round.n_clients,
                     samples_per_client=ds["samples_per_client"],
                     shards_per_client=ds["shards_per_client"],
                     seed=ds.get("seed", seed),
                 )
         except (ValueError, OSError) as err:
             raise ConfigError(f"dataset: {err}") from None
-    if dataset.n_clients != settings.n_clients:
+    if dataset.n_clients != settings.round.n_clients:
         raise ConfigError(
-            f"dataset: file has {dataset.n_clients} clients but K = {settings.n_clients}"
+            f"dataset: file has {dataset.n_clients} clients but K = {settings.round.n_clients}"
         )
 
     kwargs = {"input_dim": dataset.dim}
@@ -244,15 +223,4 @@ def build_experiment(
     except ValueError as err:
         raise ConfigError(f"model: {err}") from None
 
-    round_config = RoundConfig(
-        n_clients=settings.n_clients,
-        client_fraction=settings.client_fraction,
-        epochs=settings.epochs,
-        batch_size=settings.batch_size,
-        eta=settings.eta,
-        policy=settings.policy,
-        nack_estimate_mode=settings.nack_estimate_mode,
-        seed=seed,
-        track=settings.track,
-    )
-    return dataset, model, round_config
+    return dataset, model, dataclasses.replace(settings.round, seed=seed)

@@ -17,6 +17,7 @@ appearance in the file.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -162,6 +163,7 @@ def load_csv(path: str, schema: CSVSchema) -> FederatedDataset:
     groups: dict[str, list[tuple[int, list[float]]]] = {}
     order: list[str] = []
     dim: int | None = schema.dim
+    parse_error = functools.partial(ParseError, path=path)
 
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -169,39 +171,39 @@ def load_csv(path: str, schema: CSVSchema) -> FederatedDataset:
         if header is None:
             raise ValueError(f"{path}: empty file")
         if len(header) < 3 or header[:2] != ["client_id", "label"]:
-            raise ParseError("header must be client_id,label,f_0,...", line=1)
+            raise parse_error("header must be client_id,label,f_0,...", line=1)
         file_dim = len(header) - 2
         expected_features = [f"f_{j}" for j in range(file_dim)]
         if header[2:] != expected_features:
-            raise ParseError("feature columns must be f_0..f_{d-1} in order", line=1)
+            raise parse_error("feature columns must be f_0..f_{d-1} in order", line=1)
         if dim is None:
             dim = file_dim
         elif dim != file_dim:
-            raise ParseError(f"expected {dim} feature columns, found {file_dim}", line=1)
+            raise parse_error(f"expected {dim} feature columns, found {file_dim}", line=1)
 
         n_rows = 0
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != 2 + dim:
-                raise ParseError(f"expected {2 + dim} fields, got {len(row)}", line=lineno)
+                raise parse_error(f"expected {2 + dim} fields, got {len(row)}", line=lineno)
             cid = row[0].strip()
             if not cid:
-                raise ParseError("empty client_id", line=lineno)
+                raise parse_error("empty client_id", line=lineno)
             try:
                 label = int(row[1])
             except ValueError:
-                raise ParseError(f"label {row[1]!r} is not an integer", line=lineno) from None
+                raise parse_error(f"label {row[1]!r} is not an integer", line=lineno) from None
             if not 0 <= label < schema.n_classes:
-                raise ParseError(
+                raise parse_error(
                     f"label {label} outside [0, {schema.n_classes})", line=lineno
                 )
             try:
                 feats = [float(tok) for tok in row[2:]]
             except ValueError:
-                raise ParseError("non-numeric feature value", line=lineno) from None
+                raise parse_error("non-numeric feature value", line=lineno) from None
             if not all(math.isfinite(v) for v in feats):
-                raise ParseError("non-finite feature value", line=lineno)
+                raise parse_error("non-finite feature value", line=lineno)
             if cid not in groups:
                 groups[cid] = []
                 order.append(cid)

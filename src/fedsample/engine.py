@@ -36,6 +36,7 @@ from .errors import NumericError
 from .models import (
     LocalTrainReport,
     ModelSpec,
+    _check_sgd_knobs,
     evaluate,
     init_params,
     local_train,  # noqa: F401 - engine.local_train stays resolvable (bench/tracer.py wraps it)
@@ -62,9 +63,25 @@ METRICS_HEADER = (
 )
 
 
+def _round_size(n_clients: int, fraction: float) -> int:
+    """m = max(floor(C*K), 1), once K and C are checked."""
+    if n_clients < 1:
+        raise ValueError("K (n_clients) must be >= 1")
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError("C (client_fraction) must lie in (0, 1]")
+    return max(int(math.floor(fraction * n_clients)), 1)
+
+
+def _check_nack_mode(mode: str) -> None:
+    if mode not in NACK_MODES:
+        raise ValueError(f"nack_estimate_mode must be one of {', '.join(NACK_MODES)}")
+
+
 @dataclass(frozen=True)
 class RoundConfig:
-    """Protocol knobs shared by every round of an experiment."""
+    """Protocol knobs shared by every round of an experiment: the one place
+    their ranges are checked. A message names the config key, so that a
+    config's ConfigError does too."""
 
     n_clients: int
     client_fraction: float
@@ -78,24 +95,15 @@ class RoundConfig:
     history_len: int = 20
 
     def __post_init__(self) -> None:
-        if self.n_clients < 1:
-            raise ValueError("n_clients must be >= 1")
-        if not 0.0 < self.client_fraction <= 1.0:
-            raise ValueError("client_fraction must lie in (0, 1]")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.eta < 0.0 or not math.isfinite(self.eta):
-            raise ValueError("eta must be finite and >= 0")
-        if self.nack_estimate_mode not in NACK_MODES:
-            raise ValueError(f"nack_estimate_mode must be one of {NACK_MODES}")
+        _round_size(self.n_clients, self.client_fraction)  # checks K and C
+        _check_sgd_knobs(self.epochs, self.batch_size, self.eta, self.track)
+        _check_nack_mode(self.nack_estimate_mode)
         if self.history_len < 3:
             raise ValueError("history_len must be >= 3")
 
     @property
     def clients_per_round(self) -> int:
-        return max(int(math.floor(self.client_fraction * self.n_clients)), 1)
+        return _round_size(self.n_clients, self.client_fraction)
 
 
 @dataclass
@@ -194,11 +202,7 @@ def select_clients(
 ) -> np.ndarray:
     """The round's participant set: uniform without replacement, ascending
     ids, deterministic per (seed, round)."""
-    if n_clients < 1:
-        raise ValueError("n_clients must be >= 1")
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must lie in (0, 1]")
-    m = max(int(math.floor(fraction * n_clients)), 1)
+    m = _round_size(n_clients, fraction)
     rng = derive_rng(seed, "select", round_idx)
     return np.sort(rng.choice(n_clients, size=m, replace=False)).astype(np.int64)
 
@@ -245,8 +249,7 @@ def server_estimate(
     mutate it. A history shorter than 3 rounds forces carry_forward; the
     returned flag reports that fallback.
     """
-    if mode not in NACK_MODES:
-        raise ValueError(f"mode must be one of {NACK_MODES}")
+    _check_nack_mode(mode)
     if msg.ack:
         if msg.params.shape != state.global_params.shape:
             raise ValueError("payload dimension does not match the global model")
@@ -286,7 +289,7 @@ def aggregate(estimates: list[tuple[np.ndarray, int]]) -> np.ndarray:
 
 def _band_stats(report: LocalTrainReport, what: str) -> float:
     path = report.path
-    if path is None or path.shape[0] < 3:
+    if path.shape[0] < 3:
         raise ValueError(
             "band policies need at least 2 local steps per round "
             "(epochs * ceil(n_i / batch_size) >= 2)"
@@ -407,6 +410,11 @@ def _validate_experiment(
     if model.input_dim != dataset.dim:
         raise ValueError("model input_dim does not match dataset dim")
     if config.policy.needs_band_fraction:
+        if config.track is None:
+            raise ValueError(
+                "band policies need tracked coordinates; "
+                "track_coordinates must not be null"
+            )
         min_n = int(dataset.client_sizes().min())
         steps = config.epochs * math.ceil(min_n / config.batch_size)
         if steps < 2:

@@ -13,12 +13,15 @@ class ConfigError(Exception):
 
 
 class ParseError(ValueError):
-    """Malformed input file; message carries the offending line number."""
+    """Malformed input file; message carries the file's path and the
+    offending line number."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, path: str | None = None):
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
 
 

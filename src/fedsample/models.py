@@ -337,23 +337,34 @@ def evaluate(
     return acc, float(_ce_loss(probs, y)[0])
 
 
+def _check_sgd_knobs(epochs: int, batch_size: int, eta: float, track: None | str | int) -> None:
+    """The ranges of local SGD's knobs, for ``train_clients`` and the
+    engine's ``RoundConfig`` alike; messages name the config key."""
+    if epochs < 0:
+        raise ValueError("E (epochs) must be >= 0")
+    if batch_size < 1:
+        raise ValueError("B (batch_size) must be >= 1")
+    if eta < 0.0 or not math.isfinite(eta):
+        raise ValueError("eta must be finite and >= 0")
+    if track not in (None, "auto", "all") and (
+        isinstance(track, bool) or not isinstance(track, (int, np.integer)) or track < 1
+    ):
+        raise ValueError(
+            f'track_coordinates (track) must be null, "auto", "all" or an integer >= 1, '
+            f"got {track!r}"
+        )
+
+
 def _resolve_track(track: None | str | int, n_params: int, seed: int) -> np.ndarray | None:
+    """The coordinate ids a track spec that ``_check_sgd_knobs`` accepted
+    records."""
     if track is None:
         return None
-    if track == "all":
+    if track == "all" or (track == "auto" and n_params < _AUTO_TRACK_LIMIT):
         return np.arange(n_params, dtype=np.int64)
-    if track == "auto":
-        if n_params < _AUTO_TRACK_LIMIT:
-            return np.arange(n_params, dtype=np.int64)
-        track = _AUTO_TRACK_SUBSAMPLE
-    if isinstance(track, (int, np.integer)) and not isinstance(track, bool):
-        k = int(track)
-        if k < 1:
-            raise ValueError("tracked coordinate count must be >= 1")
-        k = min(k, n_params)
-        idx = derive_rng(seed, "track").choice(n_params, size=k, replace=False)
-        return np.sort(idx).astype(np.int64)
-    raise ValueError(f"unsupported track spec {track!r}")
+    k = _AUTO_TRACK_SUBSAMPLE if track == "auto" else int(track)
+    idx = derive_rng(seed, "track").choice(n_params, size=min(k, n_params), replace=False)
+    return np.sort(idx).astype(np.int64)
 
 
 def local_train(
@@ -399,12 +410,7 @@ def train_clients(
     client leaves its group and the others carry on, so the caller decides
     which failure comes first.
     """
-    if epochs < 0:
-        raise ValueError("epochs must be >= 0")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    if eta < 0.0 or not math.isfinite(eta):
-        raise ValueError("eta must be finite and >= 0")
+    _check_sgd_knobs(epochs, batch_size, eta, track)
     if len(seeds) != len(clients):
         raise ValueError("train_clients needs one seed per client")
     batches = [_check_batch(spec, *data) for data in clients]

@@ -54,10 +54,10 @@ def read_csv(path):
 
 def test_parse_minimal_config():
     settings = parse_config(json.loads(json.dumps(BASE_CONFIG)))
-    assert settings.n_clients == 8
-    assert settings.policy.kind == "full"
-    assert settings.nack_estimate_mode == "carry_forward"
-    assert settings.track == "auto"
+    assert settings.round.n_clients == 8
+    assert settings.round.policy.kind == "full"
+    assert settings.round.nack_estimate_mode == "carry_forward"
+    assert settings.round.track == "auto"
 
 
 def test_unknown_keys_rejected():
@@ -85,6 +85,11 @@ def test_config_field_errors_name_the_field():
         ({"nack_estimate_mode": "drop"}, "nack_estimate_mode"),
         ({"model": {"kind": "mlp1"}}, "model"),
         ({"K": None}, "K"),
+        ({"E": -1}, "E"),
+        ({"K": 0}, "K"),
+        ({"track_coordinates": 0}, "track_coordinates"),
+        ({"track_coordinates": "some"}, "track_coordinates"),
+        ({"track_coordinates": True}, "track_coordinates"),
     ]
     for patch, field in cases:
         doc = json.loads(json.dumps(BASE_CONFIG))
@@ -572,6 +577,8 @@ def test_dataset_errors_exit_2_with_manifest(tmp_path, capsys, command, error):
     assert code == 2
     assert err.startswith("config error: dataset")
     assert status.startswith("error: dataset")
+    if isinstance(case, str):
+        assert err.startswith(f"config error: dataset: {tmp_path / 'data.csv'}: ")
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))
@@ -585,6 +592,38 @@ def test_model_errors_exit_2_with_manifest(tmp_path, capsys, command):
     assert status.startswith("error: model")
     # The sweep stops before any cell runs.
     assert not (out / "runs").exists() and not (out / "summary.csv").exists()
+
+
+NULL_TRACK_ERROR = "band policies need tracked coordinates; track_coordinates must not be null"
+
+
+def null_track_config(tmp_path):
+    """A band policy with tracking off. write_config drops None overrides,
+    so the null is written here."""
+    path = tmp_path / "null_track.json"
+    doc = {**BASE_CONFIG, "policy": {"kind": "ou", "r": 0.5}, "track_coordinates": None}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_run_rejects_band_policy_without_tracking(tmp_path, capsys):
+    code, err, status = command_outcome("run", null_track_config(tmp_path), tmp_path / "out",
+                                        capsys)
+    assert (code, err, status) == (2, f"config error: {NULL_TRACK_ERROR}\n",
+                                   f"error: {NULL_TRACK_ERROR}")
+
+
+def test_sweep_rejects_band_policy_without_tracking_per_cell(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    capsys.readouterr()
+    code = main(["sweep", "--config", null_track_config(tmp_path), "--out", str(out),
+                 "--policies", "full,aou", "--quiet"])
+    assert (code, capsys.readouterr().err) == (0, "")
+    rows = read_csv(out / "summary.csv")
+    assert [(r[0], r[-1]) for r in rows[1:]] == [
+        ("full", "ok"), ("aou", f"error: {NULL_TRACK_ERROR}".replace(",", ";")),
+    ]
+    assert json.loads((out / "manifest.json").read_text())["status"] == "1 cell(s) failed"
 
 
 @pytest.mark.parametrize(

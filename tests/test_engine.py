@@ -381,6 +381,8 @@ def test_experiment_validation_errors():
         # 1 epoch x 1 full batch = 1 step: too short for a band fit
         run_experiment(MODEL, config(PolicyConfig("ou", r=0.5), epochs=1,
                                      batch_size=12), ds, 1)
+    with pytest.raises(ValueError, match="track_coordinates must not be null"):
+        run_experiment(MODEL, config(PolicyConfig("aou"), track=None), ds, 1)
 
 
 def test_divergent_run_raises_numeric_error():
