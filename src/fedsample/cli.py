@@ -34,7 +34,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .config import RunSettings, build_experiment, load_config
+from .config import build_experiment, load_config
 from .engine import METRICS_HEADER, CommLedger, _ou_fit, format_metrics_row, iter_rounds
 from .errors import ConfigError, NumericError
 from .models import init_params, local_train
@@ -98,34 +98,9 @@ def _truncation_row(err: Exception) -> str:
     return ",".join([TRUNCATION_MARKER, reason] + [""] * (n_fields - 2))
 
 
-def _stream_run(
-    settings: RunSettings, seed: int, csv_path: str, dataset=None
-) -> tuple[str, dict]:
-    """Run one experiment, streaming rows to csv_path.
-
-    Returns (status, stats). status is "ok" or "truncated"; stats carries
-    the summary fields. The CSV keeps whatever completed, with a marker
-    row appended on a numeric abort.
-    """
-    dataset, model, round_config = build_experiment(settings, seed, dataset)
-    ledger = CommLedger()
-    try:
-        rounds = iter_rounds(model, round_config, dataset, settings.rounds, ledger)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-    label = round_config.policy.label
-    last = None
-    status = "ok"
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(METRICS_HEADER + "\n")
-        try:
-            for report in rounds:
-                fh.write(format_metrics_row(report, label, seed) + "\n")
-                last = report
-        except NumericError as err:
-            fh.write(_truncation_row(err) + "\n")
-            status = "truncated"
-    stats = {
+def _run_stats(label: str, seed: int, ledger: CommLedger, last, status: str) -> dict:
+    """One run's summary fields, as summary.csv and run's stdout read them."""
+    return {
         "policy": label,
         "seed": seed,
         "rounds_completed": ledger.rounds,
@@ -135,13 +110,40 @@ def _stream_run(
         "total_downlink_bytes": ledger.total_downlink,
         "status": status,
     }
-    return status, stats
+
+
+def _stream_run(experiment: tuple, rounds: int, seed: int, csv_path: str) -> dict:
+    """Run a built (dataset, model, round_config), streaming rows to csv_path.
+
+    Returns the run's stats, with status "ok" or "truncated". The CSV keeps
+    whatever completed, with a marker row appended on a numeric abort.
+    """
+    dataset, model, round_config = experiment
+    ledger = CommLedger()
+    try:
+        reports = iter_rounds(model, round_config, dataset, rounds, ledger)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
+    label = round_config.policy.label
+    last = None
+    status = "ok"
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(METRICS_HEADER + "\n")
+        try:
+            for report in reports:
+                fh.write(format_metrics_row(report, label, seed) + "\n")
+                last = report
+        except NumericError as err:
+            fh.write(_truncation_row(err) + "\n")
+            status = "truncated"
+    return _run_stats(label, seed, ledger, last, status)
 
 
 def cmd_run(args) -> int:
     with _command(args, ["metrics.csv"]) as (settings, seed, manifest):
-        status, stats = _stream_run(settings, seed, os.path.join(args.out, "metrics.csv"))
-        manifest["status"] = status
+        csv_path = os.path.join(args.out, "metrics.csv")
+        stats = _stream_run(build_experiment(settings, seed), settings.rounds, seed, csv_path)
+        manifest["status"] = status = stats["status"]
     if not args.quiet:
         acc = stats["final_acc"]
         acc_txt = "n/a" if acc is None or (isinstance(acc, float) and math.isnan(acc)) else f"{acc:.4f}"
@@ -220,32 +222,30 @@ def cmd_sweep(args) -> int:
         if not policies:
             raise ConfigError("sweep: empty grid; pass --gammas and/or --policies")
         seeds = _parse_int_list(args.seeds, "--seeds") if args.seeds else [base_seed]
+        if not seeds:
+            raise ConfigError(f"sweep: empty seed list {args.seeds!r}; name seeds or omit --seeds")
 
         labels = [p.label for p in policies]
         if len(set(labels)) != len(labels) or len(set(seeds)) != len(seeds):
             raise ConfigError("sweep: duplicate grid cells")
         manifest.update(seeds=seeds, grid=labels)
 
-        # Shared by every cell of a seed; a dataset or model error ends the
-        # sweep here, before any cell runs.
-        datasets = {seed: build_experiment(settings, seed)[0] for seed in seeds}
+        # Each seed's dataset, model and round config, shared by its cells; a
+        # dataset or model error ends the sweep here, before any cell runs.
+        built = {seed: build_experiment(settings, seed) for seed in seeds}
         runs_dir = os.path.join(args.out, "runs")
         os.makedirs(runs_dir, exist_ok=True)
         cells = [(policy, seed) for policy in policies for seed in seeds]
         results: list[dict] = []
         for policy, seed in cells:
-            cell_settings = dataclasses.replace(
-                settings, round=dataclasses.replace(settings.round, policy=policy)
-            )
+            dataset, model, round_config = built[seed]
+            cell = (dataset, model, dataclasses.replace(round_config, policy=policy))
             csv_path = os.path.join(runs_dir, f"{policy.label}_s{seed}.csv")
             try:
-                _, stats = _stream_run(cell_settings, seed, csv_path, dataset=datasets[seed])
+                stats = _stream_run(cell, settings.rounds, seed, csv_path)
             except ConfigError as err:
-                stats = {
-                    "policy": policy.label, "seed": seed, "rounds_completed": 0,
-                    "final_acc": None, "final_loss": None, "total_uplink_bytes": 0,
-                    "total_downlink_bytes": 0, "status": f"error: {err}".replace(",", ";"),
-                }
+                status = f"error: {err}".replace(",", ";")
+                stats = _run_stats(policy.label, seed, CommLedger(), None, status)
             results.append(stats)
 
         summary_path = os.path.join(args.out, "summary.csv")

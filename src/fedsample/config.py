@@ -114,7 +114,7 @@ def parse_config(doc: dict) -> RunSettings:
     if not isinstance(dataset, dict):
         raise ConfigError("dataset: expected an object")
     ds_kind = _require(dataset, "kind", "dataset")
-    if ds_kind not in _DATASET_KEYS:
+    if not isinstance(ds_kind, str) or ds_kind not in _DATASET_KEYS:
         raise ConfigError(f"dataset.kind: unknown kind {ds_kind!r}")
     _check_keys(dataset, _DATASET_KEYS[ds_kind], "dataset")
     if ds_kind == "synth_blobs":
@@ -181,33 +181,31 @@ def load_config(path: str) -> RunSettings:
 
 
 def build_experiment(
-    settings: RunSettings, seed: int, dataset: FederatedDataset | None = None
+    settings: RunSettings, seed: int
 ) -> tuple[FederatedDataset, ModelSpec, RoundConfig]:
     """The dataset, model and round config of one run at ``seed``.
 
     An explicit ``dataset.seed`` pins synthetic data across seeds; without
     one, ``seed`` drives it too, so that per-seed comparisons across
-    policies stay paired. A given ``dataset`` is used as it is. Whatever
-    the data or the model rejects is a ConfigError prefixed ``dataset:`` or
-    ``model:``.
+    policies stay paired. Whatever the data or the model rejects is a
+    ConfigError prefixed ``dataset:`` or ``model:``.
     """
     ds, m = settings.dataset, settings.model
-    if dataset is None:
-        try:
-            if ds["kind"] == "csv":
-                schema = CSVSchema(n_classes=ds["n_classes"], dim=ds.get("dim"))
-                dataset = load_csv(ds["path"], schema)
-            else:
-                dataset = synth_blobs(
-                    n_classes=ds["n_classes"],
-                    dim=ds["dim"],
-                    n_clients=settings.round.n_clients,
-                    samples_per_client=ds["samples_per_client"],
-                    shards_per_client=ds["shards_per_client"],
-                    seed=ds.get("seed", seed),
-                )
-        except (ValueError, OSError) as err:
-            raise ConfigError(f"dataset: {err}") from None
+    try:
+        if ds["kind"] == "csv":
+            schema = CSVSchema(n_classes=ds["n_classes"], dim=ds.get("dim"))
+            dataset = load_csv(ds["path"], schema)
+        else:
+            dataset = synth_blobs(
+                n_classes=ds["n_classes"],
+                dim=ds["dim"],
+                n_clients=settings.round.n_clients,
+                samples_per_client=ds["samples_per_client"],
+                shards_per_client=ds["shards_per_client"],
+                seed=ds.get("seed", seed),
+            )
+    except (ValueError, OSError) as err:
+        raise ConfigError(f"dataset: {err}") from None
     if dataset.n_clients != settings.round.n_clients:
         raise ConfigError(
             f"dataset: file has {dataset.n_clients} clients but K = {settings.round.n_clients}"

@@ -309,12 +309,11 @@ def run_round(
     policy = config.policy
     t = state.round
     n_params = state.global_params.size
-    selected = select_clients(config.n_clients, config.client_fraction, t, config.seed)
-    downlink = broadcast_bytes(n_params, selected.size)
+    ids = select_clients(config.n_clients, config.client_fraction, t, config.seed).tolist()
+    downlink = broadcast_bytes(n_params, len(ids))
     uplink = 0
 
     track = config.track if policy.needs_band_fraction else None
-    ids = [int(k) for k in selected]
     trained = train_clients(
         model,
         state.global_params,
@@ -325,54 +324,41 @@ def run_round(
         eta=config.eta,
         track=track,
     )
-    reports: dict[int, LocalTrainReport] = {}
-    stats: dict[int, float] = {}  # each client's decision statistic
+    stats: list[float] = []  # each client's decision statistic, in id order
     # The first failure in client-id order wins, and a client's training
     # failure comes before its decision statistic's: what training and
     # checking one client after another would raise.
     for k, rep in zip(ids, trained):
         if isinstance(rep, NumericError):
             raise rep
-        reports[k] = rep
         if policy.needs_band_fraction:
-            stats[k] = _band_stats(rep, f"client {k} at round {t} (policy {policy.label})")
+            stats.append(_band_stats(rep, f"client {k} at round {t} (policy {policy.label})"))
         else:
             if policy.kind in NORM_POLICIES and not math.isfinite(rep.update_norm):
                 raise NumericError(
                     f"update norm of client {k} non-finite at round {t} (policy {policy.label})"
                 )
-            stats[k] = rep.update_norm
+            stats.append(rep.update_norm)
 
-    threshold: float | None = None
+    threshold = policy.fixed_threshold
     if policy.adaptive:
-        scalars = np.array([stats[int(k)] for k in selected])
-        uplink += SCALAR_BYTES * selected.size
-        threshold = compute_adaptive_threshold(scalars)
-        downlink += SCALAR_BYTES * selected.size
-    elif policy.kind == "ft":
-        threshold = policy.gamma
-    elif policy.kind == "ou":
-        threshold = policy.r
-
-    messages: list[UpdateMessage] = []
-    for k in selected:
-        k = int(k)
-        rng = None
-        if policy.kind == "random":
-            rng = derive_rng(config.seed, "decide", t, k)
-        send = local_decide(policy, stats[k], threshold, rng)
-        rep = reports[k]
-        payload = rep.params_after if send else None
-        msg = UpdateMessage(client_id=k, n_samples=rep.n_samples, params=payload)
-        uplink += message_bytes(msg, n_params)
-        messages.append(msg)
+        uplink += SCALAR_BYTES * len(ids)
+        threshold = compute_adaptive_threshold(np.array(stats))
+        downlink += SCALAR_BYTES * len(ids)
 
     estimates: list[tuple[np.ndarray, int]] = []
+    senders: list[int] = []
     ou_fallback = False
-    for msg in messages:
+    for k, rep, stat in zip(ids, trained, stats):
+        rng = derive_rng(config.seed, "decide", t, k) if policy.kind == "random" else None
+        send = local_decide(policy, stat, threshold, rng)
+        msg = UpdateMessage(k, rep.n_samples, rep.params_after if send else None)
+        uplink += message_bytes(msg, n_params)
         est, fell_back = server_estimate(msg, state, config.nack_estimate_mode)
         ou_fallback = ou_fallback or fell_back
-        estimates.append((est, msg.n_samples))
+        estimates.append((est, rep.n_samples))
+        if send:
+            senders.append(k)
 
     new_params = aggregate(estimates)
     if not np.isfinite(new_params).all():
@@ -382,12 +368,11 @@ def run_round(
     state.advance(new_params)
 
     test_acc, test_loss = evaluate(model, new_params, *dataset.test_set)
-    senders = tuple(m.client_id for m in messages if m.ack)
-    ledger.append(selected.size, len(senders), uplink, downlink)
+    ledger.append(len(ids), len(senders), uplink, downlink)
     return RoundReport(
         round_idx=t,
-        selected=tuple(int(k) for k in selected),
-        senders=senders,
+        selected=tuple(ids),
+        senders=tuple(senders),
         threshold=threshold,
         uplink_bytes=uplink,
         cum_uplink_bytes=ledger.total_uplink,

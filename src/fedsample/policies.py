@@ -12,6 +12,9 @@ their update:
   their fitted stationary band strictly exceeds a fixed r.
 * ``aou``: the adaptive-threshold rule applied to those band fractions.
 
+``PolicyConfig.fixed_threshold`` holds ft's gamma and ou's r: the round's
+reported threshold and ``local_decide``'s cutoff.
+
 Thresholds use strict inequalities, so an all-equal adaptive round (sd 0,
 threshold = the common value) has zero senders. A threshold may come out
 negative when the sd exceeds the mean; norms are nonnegative, so that
@@ -74,6 +77,11 @@ class PolicyConfig:
         return self.kind in BAND_POLICIES
 
     @property
+    def fixed_threshold(self) -> float | None:
+        """The fixed cutoff: gamma under ft, r under ou, None otherwise."""
+        return {"ft": self.gamma, "ou": self.r}.get(self.kind)
+
+    @property
     def label(self) -> str:
         """Compact run label used in ledger CSVs, e.g. ft_g0.5: the kind, then
         the parameter's initial and value."""
@@ -114,8 +122,7 @@ def local_decide(
     if value is None:
         stat = "band_fraction" if policy.needs_band_fraction else "update_norm"
         raise ValueError(f"{policy.kind} policy needs {stat}")
-    cutoff = policy.r if policy.needs_band_fraction else policy.gamma
-
+    cutoff = policy.fixed_threshold
     if policy.adaptive:
         if broadcast_threshold is None:
             raise ValueError(f"{policy.kind} policy needs the broadcast threshold")

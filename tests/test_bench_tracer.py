@@ -68,6 +68,27 @@ print(json.dumps({
 }))
 """
 
+SWEEP_SCRIPT = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import fedsample, fedsample.cli, tracer
+
+t = tracer.Tracer()
+tracer.install(t, fedsample, cli=fedsample.cli)
+code = fedsample.cli.main(["sweep", "--config", sys.argv[3], "--out", sys.argv[4],
+                           "--policies", "full,ft:0.5", "--seeds", "0,1", "--quiet"])
+calls = {name: entry[0] for name, entry in t.summary()["spans"].items()}
+print(json.dumps({"code": code, "calls": calls}))
+"""
+
+SWEEP_CONFIG = {
+    "dataset": {"kind": "synth_blobs", "n_classes": 3, "dim": 5,
+                "samples_per_client": 12, "shards_per_client": 2},
+    "model": {"kind": "logistic"},
+    "K": 8, "C": 0.5, "E": 1, "B": 4, "eta": 0.1, "rounds": 3,
+    "policy": {"kind": "full"}, "seed": 0,
+}
+
 
 def test_tracer_wraps_the_ou_decode_path():
     out = subprocess.run(
@@ -91,3 +112,22 @@ def test_tracer_wraps_the_ou_decode_path():
     assert div["outcomes"] == ["LocalTrainReport", "NumericError"]
     assert div["error"] == "non-finite parameters"
     assert div["grad_calls"] == div["steps"] == 2 * 3
+
+
+def test_tracer_cli_probe_spans_a_sweep(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(SWEEP_CONFIG), encoding="utf-8")
+    out = subprocess.run(
+        [sys.executable, "-c", SWEEP_SCRIPT, str(ROOT / "bench"), str(ROOT / "src"),
+         str(cfg), str(tmp_path / "sweep")],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    got = json.loads(out.stdout)
+    assert got["code"] == 0
+    calls = got["calls"]
+    # 2 policies x 2 seeds: one span per cell, one dataset per seed, one
+    # config load for the whole sweep.
+    assert calls["cli.cell"] == 4
+    assert calls["data.synth_blobs"] == 2
+    assert calls["config.load_config"] == 1
+    assert calls["cli.cmd_sweep"] == 1

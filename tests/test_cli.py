@@ -90,6 +90,8 @@ def test_config_field_errors_name_the_field():
         ({"track_coordinates": 0}, "track_coordinates"),
         ({"track_coordinates": "some"}, "track_coordinates"),
         ({"track_coordinates": True}, "track_coordinates"),
+        ({"dataset": {"kind": ["csv"], "path": "d.csv", "n_classes": 2}}, "dataset.kind"),
+        ({"dataset": {"kind": {"csv": 1}, "path": "d.csv", "n_classes": 2}}, "dataset.kind"),
     ]
     for patch, field in cases:
         doc = json.loads(json.dumps(BASE_CONFIG))
@@ -351,6 +353,15 @@ def test_sweep_policy_tokens_and_inclusion(tmp_path):
 def test_sweep_empty_grid_rejected(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"), "--quiet"]) == 2
+    # A --seeds list that names no seed is empty too, not the config's seed.
+    for i, seeds in enumerate([",", " "]):
+        out = tmp_path / f"seeds{i}"
+        code = main(["sweep", "--config", cfg, "--out", str(out), "--policies", "full",
+                     "--seeds", seeds, "--quiet"])
+        assert code == 2
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["status"].startswith("error: sweep:")
+        assert not (out / "summary.csv").exists()
 
 
 def test_sweep_continues_past_failed_cell(tmp_path):

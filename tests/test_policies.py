@@ -124,12 +124,18 @@ def test_policy_config_validation():
 
 
 def test_policy_labels():
-    assert PolicyConfig("full").label == "full"
-    assert PolicyConfig("random", q=0.3).label == "random_q0.3"
-    assert PolicyConfig("ft", gamma=0.5).label == "ft_g0.5"
-    assert PolicyConfig("at").label == "at"
-    assert PolicyConfig("ou", r=0.1).label == "ou_r0.1"
-    assert PolicyConfig("aou").label == "aou"
+    # label, and the fixed cutoff a round reports as its threshold
+    cases = [
+        (PolicyConfig("full"), "full", None),
+        (PolicyConfig("random", q=0.3), "random_q0.3", None),
+        (PolicyConfig("ft", gamma=0.5), "ft_g0.5", 0.5),
+        (PolicyConfig("at"), "at", None),
+        (PolicyConfig("ou", r=0.1), "ou_r0.1", 0.1),
+        (PolicyConfig("aou"), "aou", None),
+    ]
+    for policy, label, threshold in cases:
+        assert policy.label == label
+        assert policy.fixed_threshold == threshold
 
 
 # -------------------------------------------------------------- properties
