@@ -169,18 +169,12 @@ def _parse_policy_token(token: str) -> PolicyConfig:
         raise ConfigError(f"policy grid: {err}") from None
 
 
-def _parse_float_list(raw: str, where: str) -> list[float]:
+def _parse_list(raw: str, kind: type, where: str) -> list:
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip()]
+        return [kind(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
-        raise ConfigError(f"{where}: expected comma-separated numbers, got {raw!r}") from None
-
-
-def _parse_int_list(raw: str, where: str) -> list[int]:
-    try:
-        return [int(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError(f"{where}: expected comma-separated integers, got {raw!r}") from None
+        what = "integers" if kind is int else "numbers"
+        raise ConfigError(f"{where}: expected comma-separated {what}, got {raw!r}") from None
 
 
 def _summary_row(stats: dict) -> str:
@@ -213,7 +207,7 @@ def cmd_sweep(args) -> int:
         policies: list[PolicyConfig] = []
         if args.gammas:
             policies.extend(
-                PolicyConfig("ft", gamma=g) for g in _parse_float_list(args.gammas, "--gammas")
+                PolicyConfig("ft", gamma=g) for g in _parse_list(args.gammas, float, "--gammas")
             )
         if args.policies:
             policies.extend(
@@ -221,7 +215,7 @@ def cmd_sweep(args) -> int:
             )
         if not policies:
             raise ConfigError("sweep: empty grid; pass --gammas and/or --policies")
-        seeds = _parse_int_list(args.seeds, "--seeds") if args.seeds else [base_seed]
+        seeds = _parse_list(args.seeds, int, "--seeds") if args.seeds else [base_seed]
         if not seeds:
             raise ConfigError(f"sweep: empty seed list {args.seeds!r}; name seeds or omit --seeds")
 

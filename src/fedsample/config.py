@@ -33,7 +33,7 @@ import json
 import math
 
 from .data import CSVSchema, FederatedDataset, load_csv, synth_blobs
-from .engine import RoundConfig
+from .engine import RoundConfig, _check_client_count
 from .errors import ConfigError
 from .models import MODEL_KINDS, ModelSpec
 from .policies import POLICY_PARAMS, PolicyConfig
@@ -171,10 +171,14 @@ def load_config(path: str) -> RunSettings:
             text = fh.read()
     except OSError as err:
         raise ConfigError(f"{path}: {err.strerror or err}") from None
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text: byte {err.start}: {err.reason}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: line {err.lineno}: {err.msg}") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return parse_config(doc)
@@ -204,12 +208,9 @@ def build_experiment(
                 shards_per_client=ds["shards_per_client"],
                 seed=ds.get("seed", seed),
             )
+        _check_client_count(settings.round.n_clients, dataset)
     except (ValueError, OSError) as err:
         raise ConfigError(f"dataset: {err}") from None
-    if dataset.n_clients != settings.round.n_clients:
-        raise ConfigError(
-            f"dataset: file has {dataset.n_clients} clients but K = {settings.round.n_clients}"
-        )
 
     kwargs = {"input_dim": dataset.dim}
     if m["kind"] != "quadratic-diagnostic":

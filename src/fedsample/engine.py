@@ -101,10 +101,6 @@ class RoundConfig:
         if self.history_len < 3:
             raise ValueError("history_len must be >= 3")
 
-    @property
-    def clients_per_round(self) -> int:
-        return _round_size(self.n_clients, self.client_fraction)
-
 
 @dataclass
 class ServerState:
@@ -164,37 +160,20 @@ class RoundReport:
 
 @dataclass
 class CommLedger:
-    """Per-round communication records with non-decreasing cumulative sums."""
+    """Running communication totals of a run. Each round's own counts live
+    in its RoundReport; the ledger keeps only the round count and the
+    uplink and downlink byte sums."""
 
-    selected: list[int] = field(default_factory=list)
-    senders: list[int] = field(default_factory=list)
-    uplink_bytes: list[int] = field(default_factory=list)
-    downlink_bytes: list[int] = field(default_factory=list)
-    total_uplink: int = field(default=0, init=False)  # running sum of uplink_bytes
+    rounds: int = field(default=0, init=False)
+    total_uplink: int = field(default=0, init=False)
+    total_downlink: int = field(default=0, init=False)
 
     def append(self, selected: int, senders: int, uplink: int, downlink: int) -> None:
         if not 0 <= senders <= selected:
             raise ValueError("senders must lie in [0, selected]")
-        self.selected.append(selected)
-        self.senders.append(senders)
-        self.uplink_bytes.append(uplink)
-        self.downlink_bytes.append(downlink)
+        self.rounds += 1
         self.total_uplink += uplink
-
-    @property
-    def rounds(self) -> int:
-        return len(self.uplink_bytes)
-
-    @property
-    def total_downlink(self) -> int:
-        return sum(self.downlink_bytes)
-
-    def cum_uplink(self) -> list[int]:
-        out, acc = [], 0
-        for u in self.uplink_bytes:
-            acc += u
-            out.append(acc)
-        return out
+        self.total_downlink += downlink
 
 
 def select_clients(
@@ -383,15 +362,20 @@ def run_round(
     )
 
 
+def _check_client_count(n_clients: int, dataset: FederatedDataset) -> None:
+    """K must equal the dataset's client count."""
+    if dataset.n_clients != n_clients:
+        raise ValueError(
+            f"K (n_clients) = {n_clients} but the dataset has {dataset.n_clients} clients"
+        )
+
+
 def _validate_experiment(
     model: ModelSpec, config: RoundConfig, dataset: FederatedDataset, rounds: int
 ) -> None:
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    if dataset.n_clients != config.n_clients:
-        raise ValueError(
-            f"config expects {config.n_clients} clients, dataset has {dataset.n_clients}"
-        )
+    _check_client_count(config.n_clients, dataset)
     if model.input_dim != dataset.dim:
         raise ValueError("model input_dim does not match dataset dim")
     if config.policy.needs_band_fraction:

@@ -86,16 +86,7 @@ class ModelSpec:
 
     @property
     def param_count(self) -> int:
-        if self.kind == "logistic":
-            return self.input_dim * self.n_classes + self.n_classes
-        if self.kind == "mlp1":
-            return (
-                self.input_dim * self.hidden_dim
-                + self.hidden_dim
-                + self.hidden_dim * self.n_classes
-                + self.n_classes
-            )
-        return self.input_dim
+        return self._layout[-1][2]
 
     @property
     def layer_shapes(self) -> list[tuple[str, tuple[int, ...]]]:

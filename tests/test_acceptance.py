@@ -150,18 +150,20 @@ def test_gate_4_ledger_exactness(capsys):
     reports, ledger = run_experiment(model, cfg, ds, 5)
 
     senders = [len(r.senders) for r in reports]
+    uplink = [r.uplink_bytes for r in reports]
     hand_senders = [3, 2, 1, 1, 0]
     hand_uplink = [204, 144, 84, 84, 24]  # s*68 + (3-s)*8
     formula = [s * 68 + (3 - s) * 8 for s in senders]
     ok = (
         senders == hand_senders
-        and ledger.uplink_bytes == hand_uplink
-        and ledger.uplink_bytes == formula
-        and all(d == 180 for d in ledger.downlink_bytes)  # 3 * 4P
+        and uplink == hand_uplink
+        and uplink == formula
+        and all(r.downlink_bytes == 180 for r in reports)  # 3 * 4P
+        and ledger.total_uplink == sum(hand_uplink)
     )
     verdict(
         capsys, 4, ok,
-        f"scripted ft run senders={senders} uplink={ledger.uplink_bytes} "
+        f"scripted ft run senders={senders} uplink={uplink} "
         f"== hand computation {hand_uplink}",
     )
 

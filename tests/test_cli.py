@@ -6,12 +6,17 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from fedsample.cli import main
 from fedsample.config import load_config, parse_config
 from fedsample.errors import ConfigError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BASE_CONFIG = {
     "dataset": {
@@ -193,6 +198,27 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: band policies")
     manifest = json.loads((tmp_path / "o4" / "manifest.json").read_text())
     assert manifest["status"].startswith("error: band policies")
+
+
+UNREADABLE_CONFIGS = {
+    "not_utf8": b'{"K": 5, "policy": "\xe9"}',
+    "nested_too_deeply": b"[" * 100000 + b"]" * 100000,
+}
+
+
+@pytest.mark.parametrize("case", list(UNREADABLE_CONFIGS))
+def test_unreadable_config_exits_2_without_traceback(tmp_path, case):
+    cfg = tmp_path / f"{case}.json"
+    cfg.write_bytes(UNREADABLE_CONFIGS[case])
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "fedsample.cli", "run", "--config", str(cfg),
+         "--out", str(tmp_path / "out"), "--quiet"],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith(f"config error: {cfg}: ")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
 
 # Each blowup's last metrics.csv row and the sha256 of the whole file: the
@@ -382,6 +408,12 @@ def test_sweep_continues_past_failed_cell(tmp_path):
     assert code == 0
     rows = read_csv(out / "summary.csv")
     assert rows[1][8] == "truncated"
+    # The summary's totals cover exactly the rounds before the truncation.
+    completed = read_csv(out / "runs" / "full_s0.csv")[1:-1]
+    assert completed and completed[-1][0] == str(len(completed) - 1)
+    assert rows[1][2] == str(len(completed))
+    assert rows[1][5] == completed[-1][6]
+    assert int(rows[1][6]) == sum(int(r[7]) for r in completed)
 
 
 FINGERPRINT_CONFIG = {
@@ -603,6 +635,21 @@ def test_model_errors_exit_2_with_manifest(tmp_path, capsys, command):
     assert status.startswith("error: model")
     # The sweep stops before any cell runs.
     assert not (out / "runs").exists() and not (out / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_client_count_mismatch_exits_2_with_manifest(tmp_path, capsys, command):
+    # A 2-client CSV under K = 3.
+    path = tmp_path / "data.csv"
+    path.write_text(CSV_HEADER + "0,0,1.0,2.0\n1,1,0.5,0.25\n", encoding="utf-8")
+    dataset = {"kind": "csv", "path": str(path), "n_classes": 3}
+    cfg = write_config(tmp_path, {"dataset": dataset, "K": 3})
+    out = tmp_path / "out"
+    code, err, status = command_outcome(command, cfg, out, capsys)
+    assert code == 2
+    assert err.startswith("config error: dataset:")
+    assert status.startswith("error: dataset:")
+    assert not (out / "runs").exists()
 
 
 NULL_TRACK_ERROR = "band policies need tracked coordinates; track_coordinates must not be null"

@@ -2,6 +2,7 @@
 byte accounting, and end-to-end agreement with a reference FedAvg."""
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -269,12 +270,12 @@ def test_ledger_conservation_and_closed_form():
     for policy in (PolicyConfig("ft", gamma=0.2), PolicyConfig("at"),
                    PolicyConfig("random", q=0.5)):
         reports, ledger = run_experiment(MODEL, config(policy), ds, rounds=4)
-        assert ledger.rounds == 4
-        cum = ledger.cum_uplink()
+        assert ledger.rounds == len(reports) == 4
+        cum = list(itertools.accumulate(rep.uplink_bytes for rep in reports))
+        assert cum == [rep.cum_uplink_bytes for rep in reports]
         assert all(b >= a for a, b in zip(cum, cum[1:]))
-        for rep, sel, snd in zip(reports, ledger.selected, ledger.senders):
+        for rep in reports:
             m, s = len(rep.selected), len(rep.senders)
-            assert (m, s) == (sel, snd)
             expected = s * (4 * p + 8) + (m - s) * 8
             if policy.adaptive:
                 expected += 4 * m
@@ -282,6 +283,18 @@ def test_ledger_conservation_and_closed_form():
             expected_down = 4 * p * m + (4 * m if policy.adaptive else 0)
             assert rep.downlink_bytes == expected_down
         assert reports[-1].cum_uplink_bytes == ledger.total_uplink
+        assert ledger.total_downlink == sum(rep.downlink_bytes for rep in reports)
+
+
+def test_comm_ledger_keeps_running_totals():
+    ledger = CommLedger()
+    ledger.append(3, 2, 144, 180)
+    ledger.append(3, 0, 24, 180)
+    assert (ledger.rounds, ledger.total_uplink, ledger.total_downlink) == (2, 168, 360)
+    for selected, senders in ((3, 4), (3, -1)):
+        with pytest.raises(ValueError, match="senders must lie"):
+            ledger.append(selected, senders, 8, 8)
+    assert (ledger.rounds, ledger.total_uplink, ledger.total_downlink) == (2, 168, 360)
 
 
 def test_ft_sender_sets_nest_across_gammas():
@@ -320,8 +333,8 @@ def test_at_threshold_and_senders_match_recomputation():
 def test_random_policy_sends_at_roughly_one_minus_q():
     ds = small_dataset(n_clients=40)
     cfg = config(PolicyConfig("random", q=0.25), n_clients=40, client_fraction=1.0)
-    reports, ledger = run_experiment(MODEL, cfg, ds, rounds=10)
-    rate = sum(ledger.senders) / sum(ledger.selected)
+    reports, _ = run_experiment(MODEL, cfg, ds, rounds=10)
+    rate = sum(len(r.senders) for r in reports) / sum(len(r.selected) for r in reports)
     assert rate == pytest.approx(0.75, abs=0.08)
     for rep in reports:
         assert rep.threshold is None
@@ -433,7 +446,7 @@ def test_config_validation():
         config(PolicyConfig("full"), nack_estimate_mode="skip")
     with pytest.raises(ValueError):
         config(PolicyConfig("full"), history_len=2)
-    assert config(PolicyConfig("full"), n_clients=10, client_fraction=0.25).clients_per_round == 2
+    assert len(select_clients(10, 0.25, 0, 0)) == 2
 
 
 # -------------------------------------------------------------------- metrics
