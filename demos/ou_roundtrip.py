@@ -21,7 +21,7 @@ for lam in (0.5, 1.0, 2.0):
     for sigma in (0.1, 0.5):
         true = OUParams(lam=lam, mu=0.5, sigma=sigma)
         traj = simulate_ou(true, theta0=0.0, dt=0.1, steps=100_000, seed=42)
-        est, fit = fit_ou_ls(traj)
+        est, fit = fit_ou_ls(traj, 0.1)
         print(
             f"  {lam:4.1f} /0.50/{sigma:4.2f}  ->  "
             f"{est.lam:6.3f} /{est.mu:5.3f}/{est.sigma:5.3f}"
@@ -31,8 +31,8 @@ for lam in (0.5, 1.0, 2.0):
 # A noiseless path collapses to exact geometric decay: the fit is exact.
 clean = simulate_ou(OUParams(lam=np.log(2), mu=0.0, sigma=0.0),
                     theta0=1.0, dt=1.0, steps=6, seed=0)
-est, fit = fit_ou_ls(clean)
-print(f"\nnoiseless half-life path {np.round(clean.values, 4)}")
+est, fit = fit_ou_ls(clean, 1.0)
+print(f"\nnoiseless half-life path {np.round(clean, 4)}")
 print(f"  recovered lam={est.lam:.6f} (ln 2 = {np.log(2):.6f}), resid={fit.resid_sd}")
 
 # ------------------------------------------------------------------- decode

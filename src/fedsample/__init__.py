@@ -15,7 +15,7 @@ The pieces, bottom up:
 * ``cli``: run / sweep / ou-demo commands over JSON configs.
 """
 
-from .data import CSVSchema, FederatedDataset, export_csv, load_csv, synth_blobs
+from .data import FederatedDataset, export_csv, load_csv, synth_blobs
 from .engine import (
     METRICS_HEADER,
     CommLedger,
@@ -47,7 +47,6 @@ from .models import (
 from .ou import (
     OUFit,
     OUParams,
-    Trajectory,
     band_fraction,
     decode,
     fit_ou_ls,
@@ -62,7 +61,6 @@ from .policies import (
 from .seeding import derive_rng, seed_sequence
 
 __all__ = [
-    "CSVSchema",
     "CommLedger",
     "ConfigError",
     "FederatedDataset",
@@ -77,7 +75,6 @@ __all__ = [
     "RoundConfig",
     "RoundReport",
     "ServerState",
-    "Trajectory",
     "UpdateMessage",
     "aggregate",
     "band_fraction",

@@ -12,10 +12,11 @@ Subcommands:
   histogram, and the per-coordinate AR(1)/process fits.
 
 Exit codes: 0 success; 2 configuration problem, whether in the config
-itself, the dataset or model it builds, or the sweep grid; 3 numeric
-failure (run's partial CSV keeps a TRUNCATED marker row). A sweep exits 0
-when only some of its cells failed: each cell's status is in summary.csv.
-Once the config has loaded, every command writes ``manifest.json`` on
+itself, the dataset or model it builds, the sweep grid, or an output
+directory that cannot be created; 3 numeric failure (run's partial CSV
+keeps a TRUNCATED marker row). A sweep exits 0 when only some of its cells
+failed: each cell's status is in summary.csv. Once the config has loaded
+and the output directory exists, every command writes ``manifest.json`` on
 every exit, with status ``ok``, ``truncated``, ``N cell(s) failed`` or
 ``error: <message>``. Commands write only inside their output directory.
 """
@@ -59,18 +60,26 @@ def _run_id(config_path: str, seed: int) -> str:
     return digest.hexdigest()[:12]
 
 
+def _make_dir(path: str, where: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"{where}: cannot create directory {path!r}: {err.strerror}") from None
+
+
 @contextlib.contextmanager
 def _command(args, outputs: list[str]):
     """Load the config, then record the command in ``manifest.json``.
 
     Yields (settings, seed, manifest). The output directory is created
-    once the config has loaded, and the manifest is written on every exit
-    from then on: with the status the command sets in it, or ``error:
-    <message>`` when the command raises.
+    once the config has loaded (a ConfigError naming ``--out`` if it
+    cannot be), and the manifest is written on every exit from then on:
+    with the status the command sets in it, or ``error: <message>`` when
+    the command raises.
     """
     settings = load_config(args.config)
     seed = settings.round.seed if args.seed_override is None else args.seed_override
-    os.makedirs(args.out, exist_ok=True)
+    _make_dir(args.out, "--out")
     manifest = {
         "run_id": _run_id(args.config, seed),
         "command": args.command,
@@ -206,9 +215,8 @@ def cmd_sweep(args) -> int:
     with _command(args, ["summary.csv", "runs/"]) as (settings, base_seed, manifest):
         policies: list[PolicyConfig] = []
         if args.gammas:
-            policies.extend(
-                PolicyConfig("ft", gamma=g) for g in _parse_list(args.gammas, float, "--gammas")
-            )
+            gammas = _parse_list(args.gammas, float, "--gammas")
+            policies.extend(_parse_policy_token(f"ft:{g!r}") for g in gammas)
         if args.policies:
             policies.extend(
                 _parse_policy_token(tok) for tok in args.policies.split(",") if tok.strip()
@@ -228,7 +236,7 @@ def cmd_sweep(args) -> int:
         # dataset or model error ends the sweep here, before any cell runs.
         built = {seed: build_experiment(settings, seed) for seed in seeds}
         runs_dir = os.path.join(args.out, "runs")
-        os.makedirs(runs_dir, exist_ok=True)
+        _make_dir(runs_dir, "sweep")
         cells = [(policy, seed) for policy in policies for seed in seeds]
         results: list[dict] = []
         for policy, seed in cells:

@@ -32,7 +32,7 @@ import dataclasses
 import json
 import math
 
-from .data import CSVSchema, FederatedDataset, load_csv, synth_blobs
+from .data import FederatedDataset, load_csv, synth_blobs
 from .engine import RoundConfig, _check_client_count
 from .errors import ConfigError
 from .models import MODEL_KINDS, ModelSpec
@@ -197,8 +197,7 @@ def build_experiment(
     ds, m = settings.dataset, settings.model
     try:
         if ds["kind"] == "csv":
-            schema = CSVSchema(n_classes=ds["n_classes"], dim=ds.get("dim"))
-            dataset = load_csv(ds["path"], schema)
+            dataset = load_csv(ds["path"], ds["n_classes"], ds.get("dim"))
         else:
             dataset = synth_blobs(
                 n_classes=ds["n_classes"],

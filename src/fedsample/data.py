@@ -30,21 +30,6 @@ TEST_CLIENT_ID = "test"
 
 
 @dataclass(frozen=True)
-class CSVSchema:
-    """Expectations applied while loading: class count and, optionally,
-    a required feature dimension (inferred from the header when None)."""
-
-    n_classes: int
-    dim: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.n_classes < 1:
-            raise ValueError("n_classes must be >= 1")
-        if self.dim is not None and self.dim < 1:
-            raise ValueError("dim must be >= 1")
-
-
-@dataclass(frozen=True)
 class FederatedDataset:
     """Per-client labelled samples plus a shared held-out test set."""
 
@@ -153,16 +138,20 @@ def export_csv(ds: FederatedDataset, path: str) -> None:
             writer.writerow([TEST_CLIENT_ID, int(ty[i])] + [repr(float(v)) for v in tx[i]])
 
 
-def load_csv(path: str, schema: CSVSchema) -> FederatedDataset:
-    """Load a dataset from the documented CSV format.
+def load_csv(path: str, n_classes: int, dim: int | None = None) -> FederatedDataset:
+    """Load a dataset of ``n_classes`` classes from the documented CSV format.
 
-    Clients are grouped by client_id in order of first appearance; rows
-    with client_id ``test`` become the held-out set. A file without test
-    rows falls back to the pooled client samples as its test set.
+    ``dim``, when given, is the required feature count; otherwise the header
+    sets it. Clients are grouped by client_id in order of first appearance;
+    rows with client_id ``test`` become the held-out set. A file without
+    test rows falls back to the pooled client samples as its test set.
     """
+    if n_classes < 1:
+        raise ValueError("n_classes must be >= 1")
+    if dim is not None and dim < 1:
+        raise ValueError("dim must be >= 1")
     groups: dict[str, list[tuple[int, list[float]]]] = {}
     order: list[str] = []
-    dim: int | None = schema.dim
     parse_error = functools.partial(ParseError, path=path)
 
     with open(path, encoding="utf-8", newline="") as fh:
@@ -194,10 +183,8 @@ def load_csv(path: str, schema: CSVSchema) -> FederatedDataset:
                 label = int(row[1])
             except ValueError:
                 raise parse_error(f"label {row[1]!r} is not an integer", line=lineno) from None
-            if not 0 <= label < schema.n_classes:
-                raise parse_error(
-                    f"label {label} outside [0, {schema.n_classes})", line=lineno
-                )
+            if not 0 <= label < n_classes:
+                raise parse_error(f"label {label} outside [0, {n_classes})", line=lineno)
             try:
                 feats = [float(tok) for tok in row[2:]]
             except ValueError:
@@ -229,6 +216,4 @@ def load_csv(path: str, schema: CSVSchema) -> FederatedDataset:
             np.concatenate([y for _, y in clients]),
         )
 
-    return FederatedDataset(
-        clients=clients, test_set=test_set, n_classes=schema.n_classes, dim=dim
-    )
+    return FederatedDataset(clients=clients, test_set=test_set, n_classes=n_classes, dim=dim)

@@ -378,6 +378,10 @@ def _validate_experiment(
     _check_client_count(config.n_clients, dataset)
     if model.input_dim != dataset.dim:
         raise ValueError("model input_dim does not match dataset dim")
+    if model.kind != "quadratic-diagnostic" and model.n_classes < dataset.n_classes:
+        raise ValueError(
+            f"model n_classes = {model.n_classes} but the dataset has {dataset.n_classes} classes"
+        )
     if config.policy.needs_band_fraction:
         if config.track is None:
             raise ValueError(

@@ -10,7 +10,8 @@ has an exact one-step transition over a sampling period ``dt``:
     a = exp(-lam * dt),
     eps_t ~ N(0, sigma^2 * (1 - a^2) / (2 * lam)).
 
-``simulate_ou`` draws sample paths from this transition.
+``simulate_ou`` draws a sample path from this transition as a float64
+array; ``fit_ou_ls(values, dt)`` fits one such path, and
 ``fit_ou_ls_columns`` returns one ``OUFit`` of arrays over the columns of a
 (T, k) array: the least squares of theta_{t+1} on theta_t, (a, b, resid_sd),
 and its flags. That is all ``band_fraction`` (the share of columns outside
@@ -143,32 +144,14 @@ class OUFit:
     sigma = property(lambda self: self._lam_sigma[1])
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Evenly sampled scalar path: values at t = 0, dt, 2*dt, ..."""
+def simulate_ou(params: OUParams, theta0: float, dt: float, steps: int, seed: int) -> np.ndarray:
+    """Draw one exact-discretization sample path: ``steps + 1`` float64
+    values at t = 0, dt, 2*dt, ...
 
-    values: np.ndarray
-    dt: float
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 1 or values.size < 1:
-            raise ValueError("trajectory needs at least one value")
-        if not np.isfinite(values).all():
-            raise ValueError("trajectory values must be finite")
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError("dt must be positive and finite")
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-
-def simulate_ou(params: OUParams, theta0: float, dt: float, steps: int, seed: int) -> Trajectory:
-    """Draw one exact-discretization sample path of length ``steps + 1``.
-
-    Deterministic given ``seed``. Requires ``params.lam > 0`` unless
-    ``params.sigma == 0`` (the noiseless recursion is defined for any rate).
+    Deterministic given ``seed`` (the noise is ``derive_rng(seed,
+    "ou_path")``). Requires ``params.lam > 0`` unless ``params.sigma == 0``
+    (the noiseless recursion is defined for any rate); raises ValueError
+    when the path overflows.
     """
     if not all(math.isfinite(v) for v in (params.lam, params.mu, params.sigma, theta0, dt)):
         raise ValueError("simulate_ou requires finite parameters")
@@ -182,7 +165,7 @@ def simulate_ou(params: OUParams, theta0: float, dt: float, steps: int, seed: in
     a = math.exp(-params.lam * dt)
     if params.sigma > 0.0:
         noise_sd = params.sigma * math.sqrt((1.0 - a * a) / (2.0 * params.lam))
-        z = derive_path_rng(seed).standard_normal(steps)
+        z = derive_rng(seed, "ou_path").standard_normal(steps)
         drive = (1.0 - a) * params.mu + noise_sd * z
     else:
         drive = np.full(steps, (1.0 - a) * params.mu)
@@ -192,12 +175,9 @@ def simulate_ou(params: OUParams, theta0: float, dt: float, steps: int, seed: in
         drive.tolist(), lambda theta, d: a * theta + d, initial=float(theta0)
     )
     values = np.fromiter(path, dtype=np.float64, count=steps + 1)
-    return Trajectory(values=values, dt=dt)
-
-
-def derive_path_rng(seed: int) -> np.random.Generator:
-    """RNG stream used by simulate_ou; exposed so tests can replay noise."""
-    return derive_rng(seed, "ou_path")
+    if not np.isfinite(values).all():
+        raise ValueError("trajectory values must be finite")
+    return values
 
 
 def _ar1_ols(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
@@ -257,14 +237,18 @@ def fit_ou_ls_columns(values: np.ndarray, dt: float) -> OUFit:
     return fit
 
 
-def fit_ou_ls(traj: Trajectory) -> tuple[OUParams, OUFit]:
-    """Least-squares fit of a single trajectory; see module docstring.
+def fit_ou_ls(values: np.ndarray, dt: float) -> tuple[OUParams, OUFit]:
+    """Least-squares fit of one evenly sampled path; see module docstring.
 
     Column 0 of the one-column fit: (OUParams, the fit with scalar fields).
-    Raises ValueError for trajectories shorter than 3 points. A constant
-    path yields a degenerate fit (no usable regression slope).
+    Raises ValueError for a path that is not 1-D, as ``fit_ou_ls_columns``
+    does for one shorter than 3 points. A constant path yields a degenerate
+    fit (no usable regression slope).
     """
-    return fit_ou_ls_columns(traj.values[:, None], traj.dt)[0]
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1:
+        raise ValueError("expected a 1-D trajectory")
+    return fit_ou_ls_columns(values[:, None], dt)[0]
 
 
 def decode(theta_ref, params: OUParams | OUFit, elapsed: float):

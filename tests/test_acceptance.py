@@ -25,7 +25,7 @@ from fedsample.engine import (
     run_experiment,
 )
 from fedsample.models import ModelSpec, init_params
-from fedsample.ou import OUParams, Trajectory, fit_ou_ls, simulate_ou
+from fedsample.ou import OUParams, fit_ou_ls, simulate_ou
 from fedsample.policies import (
     PolicyConfig,
     compute_adaptive_threshold,
@@ -55,7 +55,7 @@ def test_gate_1_ou_roundtrip(capsys):
                     OUParams(lam=lam, mu=mu, sigma=sigma),
                     theta0=0.0, dt=dt, steps=steps, seed=seed,
                 )
-                est, _ = fit_ou_ls(traj)
+                est, _ = fit_ou_ls(traj, dt)
                 ok = (
                     not est.flagged
                     and abs(est.lam - lam) <= 0.10 * lam

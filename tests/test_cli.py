@@ -97,6 +97,12 @@ def test_config_field_errors_name_the_field():
         ({"track_coordinates": True}, "track_coordinates"),
         ({"dataset": {"kind": ["csv"], "path": "d.csv", "n_classes": 2}}, "dataset.kind"),
         ({"dataset": {"kind": {"csv": 1}, "path": "d.csv", "n_classes": 2}}, "dataset.kind"),
+        # Python's json reads NaN and Infinity.
+        (json.loads('{"eta": NaN}'), "eta: must be finite"),
+        (json.loads('{"C": Infinity}'), "C: must be finite"),
+        ({"dataset": {**BASE_CONFIG["dataset"], "seed": 1.5}}, "dataset.seed"),
+        ({"model": {"kind": "cnn"}}, "model.kind"),
+        ({"model": {"kind": "logistic", "hidden_dim": 8}}, "model.hidden_dim"),
     ]
     for patch, field in cases:
         doc = json.loads(json.dumps(BASE_CONFIG))
@@ -477,12 +483,24 @@ def test_sweep_reruns_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_sweep_bad_policy_tokens_exit_2(tmp_path):
+def test_sweep_bad_policy_tokens_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path)
     for token in ("ft", "full:1", "warp:1", "ft:x"):
         out = tmp_path / token.replace(":", "_")
         assert main(["sweep", "--config", cfg, "--out", str(out),
                      "--policies", token, "--quiet"]) == 2
+    # --gammas goes through the same token parser as --policies.
+    for i, (grid, message) in enumerate([
+        ("--gammas=-1", "policy grid: gamma must be >= 0"),
+        ("--gammas=nan", "policy grid: gamma must be >= 0"),
+        ("--gammas=x", "--gammas: expected comma-separated numbers"),
+        ("--policies=ft:0.5,ft:0.50", "sweep: duplicate grid cells"),
+    ]):
+        capsys.readouterr()
+        code = main(["sweep", "--config", cfg, "--out", str(tmp_path / f"grid{i}"), grid,
+                     "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith(f"config error: {message}"), (grid, err)
 
 
 # ------------------------------------------------------------------- ou-demo
@@ -650,6 +668,34 @@ def test_client_count_mismatch_exits_2_with_manifest(tmp_path, capsys, command):
     assert err.startswith("config error: dataset:")
     assert status.startswith("error: dataset:")
     assert not (out / "runs").exists()
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_out_that_is_a_file_exits_2_without_manifest(tmp_path, capsys, command):
+    # No directory, so no manifest: one config error line names --out.
+    out = tmp_path / "taken"
+    out.write_text("a file\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main([command, "--config", write_config(tmp_path), "--out", str(out), "--quiet",
+                 *COMMANDS[command]])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"config error: --out: cannot create directory {str(out)!r}: ")
+    assert err.count("\n") == 1
+    assert out.read_text(encoding="utf-8") == "a file\n"
+
+
+def test_sweep_runs_path_that_is_a_file_exits_2_with_manifest(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    out.mkdir()
+    (out / "runs").write_text("", encoding="utf-8")
+    code, err, status = command_outcome("sweep", write_config(tmp_path), out, capsys)
+    assert code == 2
+    runs = str(out / "runs")
+    assert err.startswith(f"config error: sweep: cannot create directory {runs!r}: ")
+    assert err.count("\n") == 1
+    assert status.startswith(f"error: sweep: cannot create directory {runs!r}: ")
+    assert not (out / "summary.csv").exists()
 
 
 NULL_TRACK_ERROR = "band policies need tracked coordinates; track_coordinates must not be null"

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fedsample.data import (
-    CSVSchema,
     FederatedDataset,
     export_csv,
     load_csv,
@@ -97,7 +96,7 @@ def test_export_load_roundtrip_exact(tmp_path):
     ds = synth_blobs(3, 5, 6, 8, 2, seed=9)
     path = tmp_path / "ds.csv"
     export_csv(ds, str(path))
-    back = load_csv(str(path), CSVSchema(n_classes=3))
+    back = load_csv(str(path), n_classes=3)
     assert back.n_clients == ds.n_clients
     assert back.dim == ds.dim
     for (xa, ya), (xb, yb) in zip(ds.clients, back.clients):
@@ -116,7 +115,7 @@ def test_load_groups_by_first_appearance(tmp_path):
         "b,0,2.5\n",
         encoding="utf-8",
     )
-    ds = load_csv(str(path), CSVSchema(n_classes=2))
+    ds = load_csv(str(path), n_classes=2)
     assert ds.n_clients == 2
     # client "b" first: two samples; then "a" with one
     assert ds.clients[0][0].shape == (2, 1)
@@ -137,7 +136,7 @@ def test_load_errors_carry_line_numbers(tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError, match=fragment) as err:
-            load_csv(str(path), CSVSchema(n_classes=2))
+            load_csv(str(path), n_classes=2)
         assert "line 2" in str(err.value)
 
 
@@ -145,28 +144,28 @@ def test_load_rejects_bad_header_and_empty(tmp_path):
     path = tmp_path / "h.csv"
     path.write_text("who,label,f_0\na,0,0.5\n", encoding="utf-8")
     with pytest.raises(ParseError, match="line 1"):
-        load_csv(str(path), CSVSchema(n_classes=2))
+        load_csv(str(path), n_classes=2)
 
     path.write_text("", encoding="utf-8")
     with pytest.raises(ValueError, match="empty"):
-        load_csv(str(path), CSVSchema(n_classes=2))
+        load_csv(str(path), n_classes=2)
 
     path.write_text("client_id,label,f_0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="no data rows"):
-        load_csv(str(path), CSVSchema(n_classes=2))
+        load_csv(str(path), n_classes=2)
 
     path.write_text("client_id,label,f_0\ntest,0,0.5\n", encoding="utf-8")
     with pytest.raises(ValueError, match="no client rows"):
-        load_csv(str(path), CSVSchema(n_classes=2))
+        load_csv(str(path), n_classes=2)
 
 
 def test_load_respects_schema_dim(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("client_id,label,f_0,f_1\na,0,0.5,1.0\n", encoding="utf-8")
-    ds = load_csv(str(path), CSVSchema(n_classes=1, dim=2))
+    ds = load_csv(str(path), n_classes=1, dim=2)
     assert ds.dim == 2
     with pytest.raises(ParseError, match="expected 3 feature columns"):
-        load_csv(str(path), CSVSchema(n_classes=1, dim=3))
+        load_csv(str(path), n_classes=1, dim=3)
 
 
 def test_two_row_file_two_clients(tmp_path):
@@ -174,7 +173,7 @@ def test_two_row_file_two_clients(tmp_path):
     path.write_text(
         "client_id,label,f_0,f_1\nu1,0,0.1,0.2\nu2,1,0.3,0.4\n", encoding="utf-8"
     )
-    ds = load_csv(str(path), CSVSchema(n_classes=2))
+    ds = load_csv(str(path), n_classes=2)
     assert ds.n_clients == 2
     assert all(x.shape[0] == 1 for x, _ in ds.clients)
 
@@ -194,5 +193,8 @@ def test_dataset_validation():
         FederatedDataset(
             clients=((x, np.array([0, 5])),), test_set=(x, y), n_classes=2, dim=3
         )
-    with pytest.raises(ValueError):
-        CSVSchema(n_classes=0)
+    # load_csv checks its ints before it opens the (missing) file
+    with pytest.raises(ValueError, match="n_classes must be >= 1"):
+        load_csv("missing.csv", n_classes=0)
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        load_csv("missing.csv", n_classes=2, dim=0)

@@ -19,6 +19,7 @@ from fedsample.engine import (
     broadcast_bytes,
     client_train_seed,
     format_metrics_row,
+    iter_rounds,
     message_bytes,
     run_experiment,
     select_clients,
@@ -396,6 +397,11 @@ def test_experiment_validation_errors():
                                      batch_size=12), ds, 1)
     with pytest.raises(ValueError, match="track_coordinates must not be null"):
         run_experiment(MODEL, config(PolicyConfig("aou"), track=None), ds, 1)
+    # A classifier with fewer classes than the data fails at the call, not
+    # at round 0's label check.
+    with pytest.raises(ValueError, match="model n_classes = 2 but the dataset has 4 classes"):
+        iter_rounds(ModelSpec("logistic", input_dim=MODEL.input_dim, n_classes=2),
+                    config(PolicyConfig("full")), ds, 1, CommLedger())
 
 
 def test_divergent_run_raises_numeric_error():

@@ -398,26 +398,37 @@ def test_train_clients_equals_one_client_at_a_time(monkeypatch, spec, sizes, tra
         assert len({rep.tracked.tobytes() for rep in reports}) > 1
 
 
-@pytest.mark.parametrize("epochs, message", [
-    (2, "^non-finite parameters$"),                           # fails mid-run
-    (1, "^parameters diverged during local training$"),       # at its last step
+@pytest.mark.parametrize("epochs, message, track", [
+    pytest.param(epochs, message, track,
+                 id=f"{epochs}-{message}" + ("" if track is None else f"-track={track}"))
+    for epochs, message in [
+        (2, "^non-finite parameters$"),                       # fails mid-run
+        (1, "^parameters diverged during local training$"),   # at its last step
+    ]
+    for track in (None, "all", 3)
 ])
-def test_train_clients_isolates_a_diverging_client(epochs, message):
+def test_train_clients_isolates_a_diverging_client(epochs, message, track):
     # Client 1's huge features overflow its first update; the other clients
-    # of its group train on as if alone.
+    # of its group train on as if alone. Mid-run, a tracked group drops the
+    # failed row from its paths and tracked indices too.
     start = init_params(LOGISTIC, seed=2)
     clients = [random_batch(LOGISTIC, 6, seed=40 + i) for i in range(4)]
     clients[1] = (clients[1][0] * 1e300, clients[1][1])
     seeds = [7, 8, 9, 10]
-    reports = train_clients(LOGISTIC, start, clients, seeds, epochs, 6, 1e10)
+    reports = train_clients(LOGISTIC, start, clients, seeds, epochs, 6, 1e10, track)
     assert isinstance(reports[1], NumericError)
     assert str(reports[1]) == message.strip("^$")
     with pytest.raises(NumericError, match=message):
-        local_train(LOGISTIC, start, clients[1], epochs, 6, 1e10, seeds[1])
+        local_train(LOGISTIC, start, clients[1], epochs, 6, 1e10, seeds[1], track)
     for i in (0, 2, 3):
-        one = local_train(LOGISTIC, start, clients[i], epochs, 6, 1e10, seeds[i])
+        one = local_train(LOGISTIC, start, clients[i], epochs, 6, 1e10, seeds[i], track)
         assert reports[i].params_after.tobytes() == one.params_after.tobytes()
         assert reports[i].update_norm == one.update_norm
+        if track is None:
+            assert reports[i].path is None
+        else:
+            assert reports[i].tracked.tobytes() == one.tracked.tobytes()
+            assert reports[i].path.tobytes() == one.path.tobytes()
 
 
 @pytest.mark.parametrize("scales, calls", [

@@ -13,14 +13,13 @@ import pytest
 from fedsample import (
     OUFit,
     OUParams,
-    Trajectory,
     band_fraction,
     decode,
     fit_ou_ls,
     fit_ou_ls_columns,
     simulate_ou,
 )
-from fedsample.ou import derive_path_rng
+from fedsample.seeding import derive_rng
 
 
 # ---------------------------------------------------------------- simulate_ou
@@ -28,12 +27,12 @@ from fedsample.ou import derive_path_rng
 def test_noiseless_decay_matches_closed_form():
     # lam = ln 2 makes the one-step multiplier exactly 0.5.
     t = simulate_ou(OUParams(math.log(2.0), 0.0, 0.0), 1.0, 1.0, 3, seed=0)
-    np.testing.assert_allclose(t.values, [1.0, 0.5, 0.25, 0.125], rtol=1e-12)
+    np.testing.assert_allclose(t, [1.0, 0.5, 0.25, 0.125], rtol=1e-12)
 
 
 def test_start_at_mean_stays_at_mean():
     t = simulate_ou(OUParams(3.7, 2.5, 0.0), 2.5, 0.5, 50, seed=0)
-    np.testing.assert_allclose(t.values, 2.5, rtol=1e-12)
+    np.testing.assert_allclose(t, 2.5, rtol=1e-12)
 
 
 def test_stationary_moments_of_long_path():
@@ -42,7 +41,7 @@ def test_stationary_moments_of_long_path():
     p = OUParams(1.0, 0.5, 0.2)
     for seed in (0, 1, 2):
         t = simulate_ou(p, 0.0, 0.01, 100_000, seed)
-        half = t.values[50_000:]
+        half = t[50_000:]
         # 3 standard errors of the autocorrelated mean: sd * sqrt(2/(lam*T))
         se = 0.2 / math.sqrt(2.0) * math.sqrt(2.0 / (1.0 * 500.0))
         assert abs(half.mean() - 0.5) <= 3.0 * se
@@ -53,7 +52,7 @@ def test_same_seed_same_path_bitwise():
     p = OUParams(0.8, -1.0, 0.3)
     a = simulate_ou(p, 0.2, 0.05, 1000, seed=42)
     b = simulate_ou(p, 0.2, 0.05, 1000, seed=42)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
 
 
 def test_noisy_path_equals_explicit_recurrence_bitwise():
@@ -64,13 +63,13 @@ def test_noisy_path_equals_explicit_recurrence_bitwise():
     ]):
         a = math.exp(-lam * dt)
         noise_sd = sigma * math.sqrt((1.0 - a * a) / (2.0 * lam))
-        z = derive_path_rng(seed).standard_normal(steps)
+        z = derive_rng(seed, "ou_path").standard_normal(steps)
         drive = (1.0 - a) * mu + noise_sd * z
         expected = [theta0]
         for d in drive:
             expected.append(a * expected[-1] + float(d))
         got = simulate_ou(OUParams(lam, mu, sigma), theta0, dt, steps, seed=seed)
-        assert got.values.tobytes() == np.array(expected).tobytes()
+        assert got.tobytes() == np.array(expected).tobytes()
 
 
 def test_import_does_not_load_scipy():
@@ -88,12 +87,12 @@ def test_different_seeds_differ():
     p = OUParams(0.8, -1.0, 0.3)
     a = simulate_ou(p, 0.2, 0.05, 1000, seed=1)
     b = simulate_ou(p, 0.2, 0.05, 1000, seed=2)
-    assert not np.array_equal(a.values, b.values)
+    assert not np.array_equal(a, b)
 
 
 def test_zero_steps_returns_initial_point():
     t = simulate_ou(OUParams(1.0, 0.0, 0.1), 3.0, 1.0, 0, seed=0)
-    assert len(t) == 1 and t.values[0] == 3.0
+    assert len(t) == 1 and t[0] == 3.0
 
 
 def test_simulate_rejects_bad_inputs():
@@ -109,18 +108,20 @@ def test_simulate_rejects_bad_inputs():
     with pytest.raises(ValueError):
         # lam <= 0 leaves the transition noise scale undefined
         simulate_ou(OUParams(-1.0, 0.0, 0.1, non_reverting=True), 0.0, 1.0, 10, seed=0)
+    with pytest.raises(ValueError, match="finite"):
+        # the noiseless recursion at lam = -10 overflows within 1000 steps
+        simulate_ou(OUParams(-10.0, 0.0, 0.0, non_reverting=True), 1.0, 1.0, 1000, seed=0)
 
 
 def test_negative_lam_allowed_when_noiseless():
     t = simulate_ou(OUParams(-math.log(2.0), 0.0, 0.0, non_reverting=True), 1.0, 1.0, 2, seed=0)
-    np.testing.assert_allclose(t.values, [1.0, 2.0, 4.0], rtol=1e-12)
+    np.testing.assert_allclose(t, [1.0, 2.0, 4.0], rtol=1e-12)
 
 
 # ------------------------------------------------------------------ fit_ou_ls
 
 def test_fit_noiseless_geometric_sequence():
-    traj = Trajectory(np.array([1.0, 0.5, 0.25, 0.125, 0.0625]), dt=1.0)
-    params, fit = fit_ou_ls(traj)
+    params, fit = fit_ou_ls(np.array([1.0, 0.5, 0.25, 0.125, 0.0625]), 1.0)
     assert fit.a == pytest.approx(0.5, abs=1e-12)
     assert fit.b == pytest.approx(0.0, abs=1e-12)
     assert fit.resid_sd == pytest.approx(0.0, abs=1e-12)
@@ -132,7 +133,7 @@ def test_fit_noiseless_geometric_sequence():
 
 
 def test_fit_two_pairs_is_exact_with_zero_resid():
-    params, fit = fit_ou_ls(Trajectory(np.array([0.0, 1.0, 1.5]), dt=1.0))
+    params, fit = fit_ou_ls(np.array([0.0, 1.0, 1.5]), 1.0)
     assert fit.n_points == 2
     assert fit.a == pytest.approx(0.5)
     assert fit.b == pytest.approx(1.0)
@@ -141,7 +142,7 @@ def test_fit_two_pairs_is_exact_with_zero_resid():
 
 
 def test_fit_constant_sequence_is_degenerate():
-    params, fit = fit_ou_ls(Trajectory(np.array([2.0, 2.0, 2.0, 2.0]), dt=1.0))
+    params, fit = fit_ou_ls(np.array([2.0, 2.0, 2.0, 2.0]), 1.0)
     assert fit.degenerate
     assert math.isnan(fit.a)
     assert params.degenerate
@@ -151,7 +152,7 @@ def test_fit_constant_sequence_is_degenerate():
 def test_fit_negative_slope_is_degenerate_with_clamped_rate():
     # Alternating path gives a = -1; the rate is taken from a floor of 1e-6
     # so decoding stays NaN-free, and the flag records the failure.
-    params, fit = fit_ou_ls(Trajectory(np.array([1.0, -1.0, 1.0, -1.0, 1.0]), dt=1.0))
+    params, fit = fit_ou_ls(np.array([1.0, -1.0, 1.0, -1.0, 1.0]), 1.0)
     assert fit.a == pytest.approx(-1.0)
     assert params.degenerate and not params.non_reverting
     assert params.lam == pytest.approx(-math.log(1e-6))
@@ -159,7 +160,7 @@ def test_fit_negative_slope_is_degenerate_with_clamped_rate():
 
 
 def test_fit_expanding_path_is_non_reverting():
-    params, fit = fit_ou_ls(Trajectory(np.array([1.0, 2.0, 4.0, 8.0, 16.0]), dt=1.0))
+    params, fit = fit_ou_ls(np.array([1.0, 2.0, 4.0, 8.0, 16.0]), 1.0)
     assert fit.a == pytest.approx(2.0)
     assert params.non_reverting and not params.degenerate
     assert math.isnan(params.lam) and math.isnan(params.sigma)
@@ -169,7 +170,7 @@ def test_fit_checks_lam_and_sigma_where_the_log_free_bound_fails():
     # At dt = 1e-306 the fit's log-free bound of sigma overflows, yet lam
     # and sigma are finite: the fit stands. Below, each overflows in turn
     # and the fit fails with the message OUParams gives.
-    path = simulate_ou(OUParams(1.0, 0.5, 0.2), 0.0, 0.1, 50, seed=3).values[:, None]
+    path = simulate_ou(OUParams(1.0, 0.5, 0.2), 0.0, 0.1, 50, seed=3)[:, None]
     fit = fit_ou_ls_columns(path, dt=1e-306)
     assert not fit.flagged.any()
     assert np.isfinite(fit.lam).all() and np.isfinite(fit.sigma).all()
@@ -183,7 +184,7 @@ def test_fit_checks_lam_and_sigma_where_the_log_free_bound_fails():
 
 def test_fit_requires_three_points():
     with pytest.raises(ValueError):
-        fit_ou_ls(Trajectory(np.array([1.0, 2.0]), dt=1.0))
+        fit_ou_ls(np.array([1.0, 2.0]), 1.0)
 
 
 def test_fit_roundtrip_recovers_parameters():
@@ -193,7 +194,7 @@ def test_fit_roundtrip_recovers_parameters():
     passes = 0
     for seed in range(10):
         t = simulate_ou(p, 0.0, 0.01, 100_000, seed)
-        est, _ = fit_ou_ls(t)
+        est, _ = fit_ou_ls(t, 0.01)
         passes += (
             abs(est.lam - 1.0) <= 0.10
             and abs(est.mu - 0.5) <= 0.02
@@ -205,9 +206,9 @@ def test_fit_roundtrip_recovers_parameters():
 def test_fit_is_affine_equivariant():
     p = OUParams(1.5, 0.0, 0.4)
     t = simulate_ou(p, 1.0, 0.05, 5000, seed=7)
-    base, _ = fit_ou_ls(t)
+    base, _ = fit_ou_ls(t, 0.05)
     for c in (-3.0, 0.25, 10.0):
-        shifted, _ = fit_ou_ls(Trajectory(t.values + c, t.dt))
+        shifted, _ = fit_ou_ls(t + c, 0.05)
         assert shifted.lam == pytest.approx(base.lam, rel=1e-9)
         assert shifted.sigma == pytest.approx(base.sigma, rel=1e-9)
         assert shifted.mu == pytest.approx(base.mu + c, abs=1e-9 * max(1.0, abs(c)))
@@ -216,13 +217,13 @@ def test_fit_is_affine_equivariant():
 def test_columns_fit_matches_scalar_fit():
     p = OUParams(2.0, -0.3, 0.5)
     cols = np.column_stack(
-        [simulate_ou(p, 0.0, 0.1, 200, seed=s).values for s in range(4)]
+        [simulate_ou(p, 0.0, 0.1, 200, seed=s) for s in range(4)]
     )
     results = fit_ou_ls_columns(cols, dt=0.1)
     assert len(results) == 4
     # Agreement up to summation order (2D-axis vs contiguous-1D reductions).
     for j, (params, fit) in enumerate(results):
-        sp, sf = fit_ou_ls(Trajectory(cols[:, j], 0.1))
+        sp, sf = fit_ou_ls(cols[:, j], 0.1)
         assert params.lam == pytest.approx(sp.lam, rel=1e-12)
         assert params.mu == pytest.approx(sp.mu, rel=1e-12, abs=1e-12)
         assert params.sigma == pytest.approx(sp.sigma, rel=1e-12)
@@ -394,13 +395,15 @@ def test_fit_decode_band_bits_are_pinned():
 
 # ---------------------------------------------------------------------- types
 
-def test_trajectory_validation():
+def test_fit_ou_ls_rejects_bad_paths():
     with pytest.raises(ValueError):
-        Trajectory(np.array([]), dt=1.0)
+        fit_ou_ls(np.array([]), 1.0)
     with pytest.raises(ValueError):
-        Trajectory(np.array([1.0, math.inf]), dt=1.0)
+        fit_ou_ls(np.array([1.0, math.inf]), 1.0)
     with pytest.raises(ValueError):
-        Trajectory(np.array([1.0, 2.0]), dt=0.0)
+        fit_ou_ls(np.array([1.0, 2.0]), 0.0)
+    with pytest.raises(ValueError):
+        fit_ou_ls(np.ones((4, 2)), 1.0)
 
 
 def test_ouparams_validation():
