@@ -2,8 +2,9 @@
 
 The pieces, bottom up:
 
-* ``ou``: scalar mean-reverting process simulation, AR(1) least-squares
-  estimation, conditional-mean decoding, stationary-band statistics.
+* ``ou``: mean-reverting process simulation, column-wise AR(1)
+  least-squares estimation, conditional-mean decoding, stationary-band
+  statistics.
 * ``models``: small differentiable models with exact gradients and a
   deterministic local SGD trainer that steps a round's equal-size clients
   in lockstep and can record per-step trajectories.
@@ -46,7 +47,6 @@ from .models import (
 )
 from .ou import (
     OUFit,
-    OUParams,
     band_fraction,
     decode,
     fit_ou_ls,
@@ -69,7 +69,6 @@ __all__ = [
     "ModelSpec",
     "NumericError",
     "OUFit",
-    "OUParams",
     "ParseError",
     "PolicyConfig",
     "RoundConfig",

@@ -13,12 +13,13 @@ Subcommands:
 
 Exit codes: 0 success; 2 configuration problem, whether in the config
 itself, the dataset or model it builds, the sweep grid, or an output
-directory that cannot be created; 3 numeric failure (run's partial CSV
-keeps a TRUNCATED marker row). A sweep exits 0 when only some of its cells
-failed: each cell's status is in summary.csv. Once the config has loaded
-and the output directory exists, every command writes ``manifest.json`` on
-every exit, with status ``ok``, ``truncated``, ``N cell(s) failed`` or
-``error: <message>``. Commands write only inside their output directory.
+directory or file that cannot be opened; 3 numeric failure (run's partial
+CSV keeps a TRUNCATED marker row). A sweep exits 0 when only some of its
+cells failed: each cell's status is in summary.csv. Once the config has
+loaded and the output directory exists, every command writes
+``manifest.json`` on every exit (unless that file cannot be opened), with
+status ``ok``, ``truncated``, ``N cell(s) failed`` or ``error:
+<message>``. Commands write only inside their output directory.
 """
 
 from __future__ import annotations
@@ -67,6 +68,13 @@ def _make_dir(path: str, where: str) -> None:
         raise ConfigError(f"{where}: cannot create directory {path!r}: {err.strerror}") from None
 
 
+def _open_out(path: str):
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as err:
+        raise ConfigError(f"cannot write {path!r}: {err.strerror}") from None
+
+
 @contextlib.contextmanager
 def _command(args, outputs: list[str]):
     """Load the config, then record the command in ``manifest.json``.
@@ -96,7 +104,7 @@ def _command(args, outputs: list[str]):
         raise
     finally:
         manifest["finished_at"] = _now()
-        with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
+        with _open_out(os.path.join(args.out, "manifest.json")) as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -136,7 +144,7 @@ def _stream_run(experiment: tuple, rounds: int, seed: int, csv_path: str) -> dic
     label = round_config.policy.label
     last = None
     status = "ok"
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+    with _open_out(csv_path) as fh:
         fh.write(METRICS_HEADER + "\n")
         try:
             for report in reports:
@@ -251,7 +259,7 @@ def cmd_sweep(args) -> int:
             results.append(stats)
 
         summary_path = os.path.join(args.out, "summary.csv")
-        with open(summary_path, "w", encoding="utf-8", newline="") as fh:
+        with _open_out(summary_path) as fh:
             fh.write(SUMMARY_HEADER + "\n")
             for stats in results:
                 fh.write(_summary_row(stats) + "\n")
@@ -294,7 +302,7 @@ def cmd_ou_demo(args) -> int:
         path = report.path
         fits = _ou_fit(path, 1.0, "the pooled training path")
 
-        with open(os.path.join(args.out, "trajectories.csv"), "w", encoding="utf-8") as fh:
+        with _open_out(os.path.join(args.out, "trajectories.csv")) as fh:
             fh.write("coord,step,value\n")
             for j, coord in enumerate(report.tracked):
                 col = path[:, j]
@@ -303,7 +311,7 @@ def cmd_ou_demo(args) -> int:
 
         diffs = np.diff(path, axis=0).ravel()
         counts, edges = np.histogram(diffs, bins=50)
-        with open(os.path.join(args.out, "increments.csv"), "w", encoding="utf-8") as fh:
+        with _open_out(os.path.join(args.out, "increments.csv")) as fh:
             fh.write("bin_left,bin_right,count\n")
             for i, c in enumerate(counts):
                 fh.write(f"{edges[i]!r},{edges[i + 1]!r},{int(c)}\n")
@@ -312,7 +320,7 @@ def cmd_ou_demo(args) -> int:
                          np.where(fits.degenerate, "degenerate", "ok"))
         columns = [report.tracked, fits.a, fits.b, fits.resid_sd, fits.lam, fits.mu,
                    fits.sigma, flags]
-        with open(os.path.join(args.out, "fits.csv"), "w", encoding="utf-8") as fh:
+        with _open_out(os.path.join(args.out, "fits.csv")) as fh:
             fh.write("coord,a,b,resid_sd,lam,mu,sigma,flag\n")
             for coord, *values, flag in zip(*(c.tolist() for c in columns)):
                 fh.write(",".join([str(coord)] + [format(v, ".12g") for v in values]
@@ -331,7 +339,7 @@ def cmd_ou_demo(args) -> int:
             "degenerate": n_degenerate,
             "non_reverting": n_non_reverting,
         }
-        with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as fh:
+        with _open_out(os.path.join(args.out, "summary.json")) as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
         manifest["status"] = "ok"

@@ -244,7 +244,8 @@ def server_estimate(
         fit = _ou_fit(np.stack(state.history), 1.0, f"the model history at round {state.round}")
         live = ~fit.flagged
         est = theta.copy()
-        est[live] = decode(theta[live], fit.columns(live), 1.0)
+        sub = fit.columns(live)
+        est[live] = decode(theta[live], sub.lam, sub.mu, 1.0)
         state.ou_estimate = est
     return state.ou_estimate, False
 

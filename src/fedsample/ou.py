@@ -10,18 +10,19 @@ has an exact one-step transition over a sampling period ``dt``:
     a = exp(-lam * dt),
     eps_t ~ N(0, sigma^2 * (1 - a^2) / (2 * lam)).
 
-``simulate_ou`` draws a sample path from this transition as a float64
-array; ``fit_ou_ls(values, dt)`` fits one such path, and
-``fit_ou_ls_columns`` returns one ``OUFit`` of arrays over the columns of a
-(T, k) array: the least squares of theta_{t+1} on theta_t, (a, b, resid_sd),
-and its flags. That is all ``band_fraction`` (the share of columns outside
-their one-stationary-sd band) needs: sigma / sqrt(2 * lam) is resid_sd /
+``simulate_ou(lam, mu, sigma, theta0, dt, steps, seed)`` draws a sample
+path from this transition as a float64 array. ``fit_ou_ls_columns`` returns
+one ``OUFit`` of arrays over the columns of a (T, k) array: the least
+squares of theta_{t+1} on theta_t, (a, b, resid_sd), and its flags;
+``fit_ou_ls(values, dt)`` is the one-column fit of a 1-D path, with scalar
+fields. That is all ``band_fraction`` (the share of columns outside their
+one-stationary-sd band) needs: sigma / sqrt(2 * lam) is resid_sd /
 sqrt(1 - a^2) for any dt. The process, lam = -ln(a) / dt, mu = b / (1 - a)
 and sigma = resid_sd * sqrt(-2 * ln(a) / (dt * (1 - a^2))), is derived on
-first use, for ``decode`` (conditional-mean estimates) and the scalar view
-(``fit[j]``, ``fit_ou_ls``, ``OUParams``). Only there do ``math.log`` and
-``math.exp`` run, element by element: numpy's vectorised log and exp can
-differ from them in the last bit.
+first read of ``fit.lam``, ``fit.mu`` or ``fit.sigma``; ``decode(theta_ref,
+lam, mu, elapsed)`` gives conditional-mean estimates from it. Only there do
+``math.log`` and ``math.exp`` run, element by element: numpy's vectorised
+log and exp can differ from them in the last bit.
 """
 
 from __future__ import annotations
@@ -47,50 +48,15 @@ def _elementwise(fn, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
 
 
-def _check_process(flagged, lam, mu, sigma) -> None:
-    """Unflagged processes must be populated; flagged ones may hold NaN."""
-    if not np.all(flagged | (np.isfinite(lam) & np.isfinite(mu))):
-        raise ValueError("lam and mu must be finite")
-    if not np.all(flagged | (np.isfinite(sigma) & (sigma >= 0.0))):
-        raise ValueError("sigma must be finite and >= 0")
-
-
-@dataclass(frozen=True)
-class OUParams:
-    """Process parameters (rate, long-run mean, volatility) plus fit flags.
-
-    ``degenerate`` marks fits with no usable slope (constant predictor, or
-    estimated slope <= 0); ``non_reverting`` marks fits with slope >= 1.
-    Flagged instances may carry NaN in unpopulated fields.
-    """
-
-    lam: float
-    mu: float
-    sigma: float
-    degenerate: bool = False
-    non_reverting: bool = False
-
-    flagged = property(lambda self: self.degenerate or self.non_reverting)
-
-    def __post_init__(self) -> None:
-        _check_process(self.flagged, self.lam, self.mu, self.sigma)
-
-    def stationary_sd(self) -> float:
-        """Standard deviation of the stationary law N(mu, sigma^2 / (2 lam));
-        NaN where the process is flagged or lam <= 0."""
-        if self.flagged or not self.lam > 0.0:
-            return math.nan
-        return self.sigma / math.sqrt(2.0 * self.lam)
-
-
 @dataclass(frozen=True, eq=False)
 class OUFit:
     """Least-squares OU fits of k columns, each field but ``n_points`` and
-    ``dt`` an array over the columns: the AR(1) regression theta_{t+1} =
-    a * theta_t + b + eps_t over ``n_points`` pairs ``dt`` apart, flagged as
-    in OUParams, and the process it implies (slopes <= 0 clamped) derived on
-    first use. ``fit[j]`` (and iteration) gives column j as ``fit_ou_ls``
-    does: (OUParams, the column with scalar fields).
+    ``dt`` an array over the columns (scalars for one): the AR(1) regression
+    theta_{t+1} = a * theta_t + b + eps_t over ``n_points`` pairs ``dt``
+    apart, and the process it implies (slopes <= 0 clamped) derived on first
+    use. ``degenerate`` marks fits with no usable slope (constant predictor
+    or slope <= 0), ``non_reverting`` those with slope >= 1; the process of
+    a flagged column may be NaN.
     """
 
     a: np.ndarray
@@ -112,11 +78,6 @@ class OUFit:
             self.a[index], self.b[index], self.resid_sd[index], self.n_points, self.dt,
             self.degenerate[index], self.non_reverting[index],
         )
-
-    def __getitem__(self, j: int) -> tuple[OUParams, OUFit]:
-        col = self.columns(j)
-        flags = bool(col.degenerate), bool(col.non_reverting)
-        return OUParams(float(col.lam), float(col.mu), float(col.sigma), *flags), col
 
     def stationary_sd(self) -> np.ndarray:
         """Each column's stationary sd, resid_sd / sqrt(1 - a^2); NaN where
@@ -144,31 +105,34 @@ class OUFit:
     sigma = property(lambda self: self._lam_sigma[1])
 
 
-def simulate_ou(params: OUParams, theta0: float, dt: float, steps: int, seed: int) -> np.ndarray:
-    """Draw one exact-discretization sample path: ``steps + 1`` float64
-    values at t = 0, dt, 2*dt, ...
+def simulate_ou(lam: float, mu: float, sigma: float, theta0: float, dt: float, steps: int,
+                seed: int) -> np.ndarray:
+    """Draw one exact-discretization sample path of the process (lam, mu,
+    sigma) from theta0: ``steps + 1`` float64 values at t = 0, dt, 2*dt, ...
 
     Deterministic given ``seed`` (the noise is ``derive_rng(seed,
-    "ou_path")``). Requires ``params.lam > 0`` unless ``params.sigma == 0``
-    (the noiseless recursion is defined for any rate); raises ValueError
-    when the path overflows.
+    "ou_path")``). Requires ``sigma >= 0``, and ``lam > 0`` unless
+    ``sigma == 0`` (the noiseless recursion is defined for any rate); raises
+    ValueError when the path overflows.
     """
-    if not all(math.isfinite(v) for v in (params.lam, params.mu, params.sigma, theta0, dt)):
+    if not all(math.isfinite(v) for v in (lam, mu, sigma, theta0, dt)):
         raise ValueError("simulate_ou requires finite parameters")
+    if sigma < 0.0:
+        raise ValueError("sigma must be >= 0")
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    if params.lam <= 0.0 and params.sigma > 0.0:
+    if lam <= 0.0 and sigma > 0.0:
         raise ValueError("lam <= 0 with sigma > 0: transition noise scale undefined")
 
-    a = math.exp(-params.lam * dt)
-    if params.sigma > 0.0:
-        noise_sd = params.sigma * math.sqrt((1.0 - a * a) / (2.0 * params.lam))
+    a = math.exp(-lam * dt)
+    if sigma > 0.0:
+        noise_sd = sigma * math.sqrt((1.0 - a * a) / (2.0 * lam))
         z = derive_rng(seed, "ou_path").standard_normal(steps)
-        drive = (1.0 - a) * params.mu + noise_sd * z
+        drive = (1.0 - a) * mu + noise_sd * z
     else:
-        drive = np.full(steps, (1.0 - a) * params.mu)
+        drive = np.full(steps, (1.0 - a) * mu)
 
     # theta_{t+1} = a * theta_t + drive_t, in plain float arithmetic.
     path = itertools.accumulate(
@@ -233,34 +197,39 @@ def fit_ou_ls_columns(values: np.ndarray, dt: float) -> OUFit:
         # sigma, known without a log. Elsewhere they are derived and checked.
         sigma_bound = resid_sd * np.sqrt(1490.0 / (dt * (1.0 - a * a)))
         if not np.all(fit.flagged | (np.isfinite(fit.mu) & np.isfinite(sigma_bound))):
-            _check_process(fit.flagged, fit.lam, fit.mu, fit.sigma)
+            if not np.all(fit.flagged | (np.isfinite(fit.lam) & np.isfinite(fit.mu))):
+                raise ValueError("lam and mu must be finite")
+            if not np.all(fit.flagged | (np.isfinite(fit.sigma) & (fit.sigma >= 0.0))):
+                raise ValueError("sigma must be finite and >= 0")
     return fit
 
 
-def fit_ou_ls(values: np.ndarray, dt: float) -> tuple[OUParams, OUFit]:
+def fit_ou_ls(values: np.ndarray, dt: float) -> OUFit:
     """Least-squares fit of one evenly sampled path; see module docstring.
 
-    Column 0 of the one-column fit: (OUParams, the fit with scalar fields).
-    Raises ValueError for a path that is not 1-D, as ``fit_ou_ls_columns``
-    does for one shorter than 3 points. A constant path yields a degenerate
-    fit (no usable regression slope).
+    A one-column ``OUFit`` with scalar fields, bit for bit the path's column
+    in any multi-column ``fit_ou_ls_columns`` fit: the path is fitted as one
+    of two equal columns, since numpy sums a lone column pairwise but
+    several columns row by row. Raises ValueError for a path that is not
+    1-D, as ``fit_ou_ls_columns`` does for one shorter than 3 points. A
+    constant path yields a degenerate fit (no usable regression slope).
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
         raise ValueError("expected a 1-D trajectory")
-    return fit_ou_ls_columns(values[:, None], dt)[0]
+    return fit_ou_ls_columns(np.stack([values, values], axis=1), dt).columns(0)
 
 
-def decode(theta_ref, params: OUParams | OUFit, elapsed: float):
-    """Conditional-mean estimate of the process ``elapsed`` after theta_ref:
+def decode(theta_ref, lam, mu, elapsed: float):
+    """Conditional mean of the process (lam, mu) ``elapsed`` after theta_ref:
 
         exp(-lam * elapsed) * theta_ref + (1 - exp(-lam * elapsed)) * mu
 
-    One OUParams with a float theta_ref gives a float; an OUFit with one
-    theta_ref per column gives an array. Every process must have finite
-    lam and mu.
+    Floats give a float; arrays (one theta_ref, lam and mu per process, as
+    ``fit.columns(live)`` holds them) give an array. Every process must
+    have finite lam and mu.
     """
-    theta, lam, mu = np.asarray(theta_ref, dtype=np.float64), params.lam, params.mu
+    theta = np.asarray(theta_ref, dtype=np.float64)
     if not (np.isfinite(theta).all() and math.isfinite(elapsed)):
         raise ValueError("decode requires finite inputs")
     if elapsed < 0.0:

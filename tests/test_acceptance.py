@@ -25,7 +25,7 @@ from fedsample.engine import (
     run_experiment,
 )
 from fedsample.models import ModelSpec, init_params
-from fedsample.ou import OUParams, fit_ou_ls, simulate_ou
+from fedsample.ou import fit_ou_ls, simulate_ou
 from fedsample.policies import (
     PolicyConfig,
     compute_adaptive_threshold,
@@ -51,18 +51,15 @@ def test_gate_1_ou_roundtrip(capsys):
         for sigma in (0.1, 0.5):
             hits = 0
             for seed in range(10):
-                traj = simulate_ou(
-                    OUParams(lam=lam, mu=mu, sigma=sigma),
-                    theta0=0.0, dt=dt, steps=steps, seed=seed,
-                )
-                est, _ = fit_ou_ls(traj, dt)
+                traj = simulate_ou(lam, mu, sigma, theta0=0.0, dt=dt, steps=steps, seed=seed)
+                est = fit_ou_ls(traj, dt)
                 ok = (
                     not est.flagged
                     and abs(est.lam - lam) <= 0.10 * lam
                     and abs(est.mu - mu) <= 0.05
                     and abs(est.sigma - sigma) <= 0.10 * sigma
                 )
-                hits += ok
+                hits += bool(ok)
             cells.append((lam, sigma, hits))
     elapsed = time.time() - t0
     worst = min(h for _, _, h in cells)

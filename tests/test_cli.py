@@ -698,6 +698,58 @@ def test_sweep_runs_path_that_is_a_file_exits_2_with_manifest(tmp_path, capsys):
     assert not (out / "summary.csv").exists()
 
 
+# What each command writes besides manifest.json.
+OUTPUT_FILES = {
+    "run": ["metrics.csv"],
+    "sweep": ["summary.csv"],
+    "ou-demo": ["trajectories.csv", "increments.csv", "fits.csv", "summary.json"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, name", [(c, name) for c, names in OUTPUT_FILES.items() for name in names]
+)
+def test_output_file_that_cannot_be_opened_exits_2_with_manifest(tmp_path, capsys, command,
+                                                                 name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    code, err, status = command_outcome(command, write_config(tmp_path), out, capsys)
+    path = str(out / name)
+    assert code == 2
+    assert err.startswith(f"config error: cannot write {path!r}: ")
+    assert err.count("\n") == 1
+    assert status.startswith(f"error: cannot write {path!r}: ")
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_manifest_that_cannot_be_opened_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    (out / "manifest.json").mkdir(parents=True)
+    capsys.readouterr()
+    code = main([command, "--config", write_config(tmp_path), "--out", str(out), "--quiet",
+                 *COMMANDS[command]])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"config error: cannot write {str(out / 'manifest.json')!r}: ")
+    assert err.count("\n") == 1
+    assert (out / "manifest.json").is_dir()
+
+
+def test_sweep_cell_csv_that_cannot_be_opened_is_an_error_row(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    (out / "runs" / "full_s0.csv").mkdir(parents=True)
+    capsys.readouterr()
+    code = main(["sweep", "--config", write_config(tmp_path), "--out", str(out),
+                 "--policies", "full,at", "--quiet"])
+    assert (code, capsys.readouterr().err) == (0, "")
+    rows = read_csv(out / "summary.csv")
+    assert [r[0] for r in rows[1:]] == ["full", "at"]
+    path = str(out / "runs" / "full_s0.csv")
+    assert rows[1][-1].startswith(f"error: cannot write {path!r}: ")
+    assert rows[2][-1] == "ok"
+    assert json.loads((out / "manifest.json").read_text())["status"] == "1 cell(s) failed"
+
+
 NULL_TRACK_ERROR = "band policies need tracked coordinates; track_coordinates must not be null"
 
 

@@ -12,7 +12,6 @@ import pytest
 
 from fedsample import (
     OUFit,
-    OUParams,
     band_fraction,
     decode,
     fit_ou_ls,
@@ -26,21 +25,20 @@ from fedsample.seeding import derive_rng
 
 def test_noiseless_decay_matches_closed_form():
     # lam = ln 2 makes the one-step multiplier exactly 0.5.
-    t = simulate_ou(OUParams(math.log(2.0), 0.0, 0.0), 1.0, 1.0, 3, seed=0)
+    t = simulate_ou(math.log(2.0), 0.0, 0.0, 1.0, 1.0, 3, seed=0)
     np.testing.assert_allclose(t, [1.0, 0.5, 0.25, 0.125], rtol=1e-12)
 
 
 def test_start_at_mean_stays_at_mean():
-    t = simulate_ou(OUParams(3.7, 2.5, 0.0), 2.5, 0.5, 50, seed=0)
+    t = simulate_ou(3.7, 2.5, 0.0, 2.5, 0.5, 50, seed=0)
     np.testing.assert_allclose(t, 2.5, rtol=1e-12)
 
 
 def test_stationary_moments_of_long_path():
     # N(mu, sigma^2 / (2 lam)) is the stationary law; the second half of a
     # long path should match it. Seeds frozen from a reference run.
-    p = OUParams(1.0, 0.5, 0.2)
     for seed in (0, 1, 2):
-        t = simulate_ou(p, 0.0, 0.01, 100_000, seed)
+        t = simulate_ou(1.0, 0.5, 0.2, 0.0, 0.01, 100_000, seed)
         half = t[50_000:]
         # 3 standard errors of the autocorrelated mean: sd * sqrt(2/(lam*T))
         se = 0.2 / math.sqrt(2.0) * math.sqrt(2.0 / (1.0 * 500.0))
@@ -49,9 +47,8 @@ def test_stationary_moments_of_long_path():
 
 
 def test_same_seed_same_path_bitwise():
-    p = OUParams(0.8, -1.0, 0.3)
-    a = simulate_ou(p, 0.2, 0.05, 1000, seed=42)
-    b = simulate_ou(p, 0.2, 0.05, 1000, seed=42)
+    a = simulate_ou(0.8, -1.0, 0.3, 0.2, 0.05, 1000, seed=42)
+    b = simulate_ou(0.8, -1.0, 0.3, 0.2, 0.05, 1000, seed=42)
     assert np.array_equal(a, b)
 
 
@@ -68,7 +65,7 @@ def test_noisy_path_equals_explicit_recurrence_bitwise():
         expected = [theta0]
         for d in drive:
             expected.append(a * expected[-1] + float(d))
-        got = simulate_ou(OUParams(lam, mu, sigma), theta0, dt, steps, seed=seed)
+        got = simulate_ou(lam, mu, sigma, theta0, dt, steps, seed=seed)
         assert got.tobytes() == np.array(expected).tobytes()
 
 
@@ -84,93 +81,98 @@ def test_import_does_not_load_scipy():
 
 
 def test_different_seeds_differ():
-    p = OUParams(0.8, -1.0, 0.3)
-    a = simulate_ou(p, 0.2, 0.05, 1000, seed=1)
-    b = simulate_ou(p, 0.2, 0.05, 1000, seed=2)
+    a = simulate_ou(0.8, -1.0, 0.3, 0.2, 0.05, 1000, seed=1)
+    b = simulate_ou(0.8, -1.0, 0.3, 0.2, 0.05, 1000, seed=2)
     assert not np.array_equal(a, b)
 
 
 def test_zero_steps_returns_initial_point():
-    t = simulate_ou(OUParams(1.0, 0.0, 0.1), 3.0, 1.0, 0, seed=0)
+    t = simulate_ou(1.0, 0.0, 0.1, 3.0, 1.0, 0, seed=0)
     assert len(t) == 1 and t[0] == 3.0
 
 
 def test_simulate_rejects_bad_inputs():
-    p = OUParams(1.0, 0.0, 0.1)
+    p = (1.0, 0.0, 0.1)
     with pytest.raises(ValueError):
-        simulate_ou(p, 0.0, 0.0, 10, seed=0)
+        simulate_ou(*p, 0.0, 0.0, 10, seed=0)
     with pytest.raises(ValueError):
-        simulate_ou(p, 0.0, -1.0, 10, seed=0)
+        simulate_ou(*p, 0.0, -1.0, 10, seed=0)
     with pytest.raises(ValueError):
-        simulate_ou(p, 0.0, 1.0, -1, seed=0)
+        simulate_ou(*p, 0.0, 1.0, -1, seed=0)
     with pytest.raises(ValueError):
-        simulate_ou(p, math.nan, 1.0, 10, seed=0)
+        simulate_ou(*p, math.nan, 1.0, 10, seed=0)
+    with pytest.raises(ValueError, match="finite"):
+        simulate_ou(math.nan, 0.0, 0.1, 0.0, 1.0, 10, seed=0)
+    with pytest.raises(ValueError, match="finite"):
+        simulate_ou(1.0, math.nan, 0.1, 0.0, 1.0, 10, seed=0)
+    with pytest.raises(ValueError, match=r"^sigma must be >= 0$"):
+        # a negative sigma would otherwise give a noiseless path
+        simulate_ou(1.0, 0.0, -0.1, 0.0, 1.0, 10, seed=0)
     with pytest.raises(ValueError):
         # lam <= 0 leaves the transition noise scale undefined
-        simulate_ou(OUParams(-1.0, 0.0, 0.1, non_reverting=True), 0.0, 1.0, 10, seed=0)
+        simulate_ou(-1.0, 0.0, 0.1, 0.0, 1.0, 10, seed=0)
     with pytest.raises(ValueError, match="finite"):
         # the noiseless recursion at lam = -10 overflows within 1000 steps
-        simulate_ou(OUParams(-10.0, 0.0, 0.0, non_reverting=True), 1.0, 1.0, 1000, seed=0)
+        simulate_ou(-10.0, 0.0, 0.0, 1.0, 1.0, 1000, seed=0)
 
 
 def test_negative_lam_allowed_when_noiseless():
-    t = simulate_ou(OUParams(-math.log(2.0), 0.0, 0.0, non_reverting=True), 1.0, 1.0, 2, seed=0)
+    t = simulate_ou(-math.log(2.0), 0.0, 0.0, 1.0, 1.0, 2, seed=0)
     np.testing.assert_allclose(t, [1.0, 2.0, 4.0], rtol=1e-12)
 
 
 # ------------------------------------------------------------------ fit_ou_ls
 
 def test_fit_noiseless_geometric_sequence():
-    params, fit = fit_ou_ls(np.array([1.0, 0.5, 0.25, 0.125, 0.0625]), 1.0)
+    fit = fit_ou_ls(np.array([1.0, 0.5, 0.25, 0.125, 0.0625]), 1.0)
     assert fit.a == pytest.approx(0.5, abs=1e-12)
     assert fit.b == pytest.approx(0.0, abs=1e-12)
     assert fit.resid_sd == pytest.approx(0.0, abs=1e-12)
     assert fit.n_points == 4
-    assert params.lam == pytest.approx(math.log(2.0), rel=1e-12)
-    assert params.mu == pytest.approx(0.0, abs=1e-12)
-    assert params.sigma == pytest.approx(0.0, abs=1e-12)
-    assert not params.flagged
+    assert fit.lam == pytest.approx(math.log(2.0), rel=1e-12)
+    assert fit.mu == pytest.approx(0.0, abs=1e-12)
+    assert fit.sigma == pytest.approx(0.0, abs=1e-12)
+    assert not fit.flagged
 
 
 def test_fit_two_pairs_is_exact_with_zero_resid():
-    params, fit = fit_ou_ls(np.array([0.0, 1.0, 1.5]), 1.0)
+    fit = fit_ou_ls(np.array([0.0, 1.0, 1.5]), 1.0)
     assert fit.n_points == 2
     assert fit.a == pytest.approx(0.5)
     assert fit.b == pytest.approx(1.0)
     assert fit.resid_sd == 0.0
-    assert params.mu == pytest.approx(2.0)
+    assert fit.mu == pytest.approx(2.0)
 
 
 def test_fit_constant_sequence_is_degenerate():
-    params, fit = fit_ou_ls(np.array([2.0, 2.0, 2.0, 2.0]), 1.0)
+    fit = fit_ou_ls(np.array([2.0, 2.0, 2.0, 2.0]), 1.0)
     assert fit.degenerate
     assert math.isnan(fit.a)
-    assert params.degenerate
-    assert math.isnan(params.lam) and math.isnan(params.mu) and math.isnan(params.sigma)
+    assert math.isnan(fit.lam) and math.isnan(fit.mu) and math.isnan(fit.sigma)
 
 
 def test_fit_negative_slope_is_degenerate_with_clamped_rate():
     # Alternating path gives a = -1; the rate is taken from a floor of 1e-6
     # so decoding stays NaN-free, and the flag records the failure.
-    params, fit = fit_ou_ls(np.array([1.0, -1.0, 1.0, -1.0, 1.0]), 1.0)
+    fit = fit_ou_ls(np.array([1.0, -1.0, 1.0, -1.0, 1.0]), 1.0)
     assert fit.a == pytest.approx(-1.0)
-    assert params.degenerate and not params.non_reverting
-    assert params.lam == pytest.approx(-math.log(1e-6))
-    assert math.isfinite(params.mu)
+    assert fit.degenerate and not fit.non_reverting
+    assert fit.lam == pytest.approx(-math.log(1e-6))
+    assert math.isfinite(fit.mu)
 
 
 def test_fit_expanding_path_is_non_reverting():
-    params, fit = fit_ou_ls(np.array([1.0, 2.0, 4.0, 8.0, 16.0]), 1.0)
+    fit = fit_ou_ls(np.array([1.0, 2.0, 4.0, 8.0, 16.0]), 1.0)
     assert fit.a == pytest.approx(2.0)
-    assert params.non_reverting and not params.degenerate
-    assert math.isnan(params.lam) and math.isnan(params.sigma)
+    assert fit.non_reverting and not fit.degenerate
+    assert math.isnan(fit.lam) and math.isnan(fit.sigma)
 
 
 def test_fit_checks_lam_and_sigma_where_the_log_free_bound_fails():
     # At dt = 1e-306 the fit's log-free bound of sigma overflows, yet lam
     # and sigma are finite: the fit stands. Below, each overflows in turn
-    # and the fit fails with the message OUParams gives.
-    path = simulate_ou(OUParams(1.0, 0.5, 0.2), 0.0, 0.1, 50, seed=3)[:, None]
+    # and the fit fails with its own message.
+    path = simulate_ou(1.0, 0.5, 0.2, 0.0, 0.1, 50, seed=3)[:, None]
     fit = fit_ou_ls_columns(path, dt=1e-306)
     assert not fit.flagged.any()
     assert np.isfinite(fit.lam).all() and np.isfinite(fit.sigma).all()
@@ -190,11 +192,10 @@ def test_fit_requires_three_points():
 def test_fit_roundtrip_recovers_parameters():
     # Frozen reference run: all 10 seeds recover within tolerance at this
     # sampling rate; the contract only demands 9.
-    p = OUParams(1.0, 0.5, 0.2)
     passes = 0
     for seed in range(10):
-        t = simulate_ou(p, 0.0, 0.01, 100_000, seed)
-        est, _ = fit_ou_ls(t, 0.01)
+        t = simulate_ou(1.0, 0.5, 0.2, 0.0, 0.01, 100_000, seed)
+        est = fit_ou_ls(t, 0.01)
         passes += (
             abs(est.lam - 1.0) <= 0.10
             and abs(est.mu - 0.5) <= 0.02
@@ -204,30 +205,32 @@ def test_fit_roundtrip_recovers_parameters():
 
 
 def test_fit_is_affine_equivariant():
-    p = OUParams(1.5, 0.0, 0.4)
-    t = simulate_ou(p, 1.0, 0.05, 5000, seed=7)
-    base, _ = fit_ou_ls(t, 0.05)
+    t = simulate_ou(1.5, 0.0, 0.4, 1.0, 0.05, 5000, seed=7)
+    base = fit_ou_ls(t, 0.05)
     for c in (-3.0, 0.25, 10.0):
-        shifted, _ = fit_ou_ls(t + c, 0.05)
+        shifted = fit_ou_ls(t + c, 0.05)
         assert shifted.lam == pytest.approx(base.lam, rel=1e-9)
         assert shifted.sigma == pytest.approx(base.sigma, rel=1e-9)
         assert shifted.mu == pytest.approx(base.mu + c, abs=1e-9 * max(1.0, abs(c)))
 
 
 def test_columns_fit_matches_scalar_fit():
-    p = OUParams(2.0, -0.3, 0.5)
+    # One path fitted alone, and decoded from floats, gives the very bits of
+    # its column in the array fit and the array decode.
     cols = np.column_stack(
-        [simulate_ou(p, 0.0, 0.1, 200, seed=s) for s in range(4)]
+        [simulate_ou(2.0, -0.3, 0.5, 0.0, 0.1, 200, seed=s) for s in range(4)]
     )
     results = fit_ou_ls_columns(cols, dt=0.1)
-    assert len(results) == 4
-    # Agreement up to summation order (2D-axis vs contiguous-1D reductions).
-    for j, (params, fit) in enumerate(results):
-        sp, sf = fit_ou_ls(cols[:, j], 0.1)
-        assert params.lam == pytest.approx(sp.lam, rel=1e-12)
-        assert params.mu == pytest.approx(sp.mu, rel=1e-12, abs=1e-12)
-        assert params.sigma == pytest.approx(sp.sigma, rel=1e-12)
-        assert fit.a == pytest.approx(sf.a, rel=1e-12)
+    assert len(results) == 4 and not results.flagged.any()
+    est = decode(cols[-1], results.lam, results.mu, 1.0)
+    for j in range(4):
+        fit = fit_ou_ls(cols[:, j], 0.1)
+        for name in ("a", "b", "resid_sd", "lam", "mu", "sigma"):
+            got, want = getattr(fit, name), getattr(results, name)[j]
+            assert np.float64(got).tobytes() == want.tobytes(), name
+        scalar = decode(float(cols[-1, j]), float(fit.lam), float(fit.mu), 1.0)
+        assert isinstance(scalar, float)
+        assert np.float64(scalar).tobytes() == est[j].tobytes()
 
 
 def test_columns_fit_rejects_bad_shapes():
@@ -252,31 +255,33 @@ def test_columns_fit_rejects_non_finite_input_and_statistics():
 # --------------------------------------------------------------------- decode
 
 def test_decode_zero_elapsed_returns_reference():
-    assert decode(1.7, OUParams(1.0, 0.0, 0.1), 0.0) == 1.7
+    assert decode(1.7, 1.0, 0.0, 0.0) == 1.7
 
 
 def test_decode_long_horizon_approaches_mean():
-    assert decode(1.0, OUParams(1.0, 0.25, 0.1), 1e6) == pytest.approx(0.25)
+    assert decode(1.0, 1.0, 0.25, 1e6) == pytest.approx(0.25)
 
 
 def test_decode_half_life():
-    assert decode(1.0, OUParams(math.log(2.0), 0.0, 0.1), 1.0) == pytest.approx(0.5)
+    assert decode(1.0, math.log(2.0), 0.0, 1.0) == pytest.approx(0.5)
 
 
 def test_decode_is_monotone_toward_mean():
-    p = OUParams(0.7, 0.2, 0.1)
-    gaps = [abs(decode(3.0, p, t) - p.mu) for t in (0.0, 0.5, 1.0, 2.0, 5.0)]
+    gaps = [abs(decode(3.0, 0.7, 0.2, t) - 0.2) for t in (0.0, 0.5, 1.0, 2.0, 5.0)]
     assert all(g2 <= g1 for g1, g2 in zip(gaps, gaps[1:]))
 
 
 def test_decode_rejects_unpopulated_params():
-    nr = OUParams(math.nan, 0.0, math.nan, non_reverting=True)
+    # A non-reverting fit leaves lam NaN.
+    nr = fit_ou_ls(np.array([1.0, 2.0, 4.0, 8.0, 16.0]), 1.0)
     with pytest.raises(ValueError):
-        decode(1.0, nr, 1.0)
+        decode(1.0, nr.lam, nr.mu, 1.0)
     with pytest.raises(ValueError):
-        decode(math.nan, OUParams(1.0, 0.0, 0.1), 1.0)
+        decode(1.0, 1.0, math.nan, 1.0)
     with pytest.raises(ValueError):
-        decode(1.0, OUParams(1.0, 0.0, 0.1), -1.0)
+        decode(math.nan, 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        decode(1.0, 1.0, 0.0, -1.0)
 
 
 # -------------------------------------------------------------- band_fraction
@@ -367,7 +372,8 @@ def test_band_rejects_empty_and_mismatched():
 
 def test_fit_decode_band_bits_are_pinned():
     # sha256 recorded with the per-coordinate scalar implementation (one
-    # OUParams per column, a Python loop in decode and band_fraction). The
+    # parameter object per column, a Python loop in decode and
+    # band_fraction). The
     # array code must reproduce every bit: numpy's vectorised log and exp
     # would not. Columns 0-4 are constant (degenerate); slopes in
     # (-0.5, 1.1) give clamped and non-reverting fits too.
@@ -382,7 +388,8 @@ def test_fit_decode_band_bits_are_pinned():
 
     fit = fit_ou_ls_columns(values, dt=0.5)
     live = ~fit.flagged
-    est = decode(values[-1][live], fit.columns(live), 1.0)
+    sub = fit.columns(live)
+    est = decode(values[-1][live], sub.lam, sub.mu, 1.0)
     band = band_fraction(values[-1], fit)
     assert (int(fit.degenerate.sum()), int(fit.non_reverting.sum()), est.size) == (679, 124, 1197)
     fields = np.stack([fit.a, fit.b, fit.resid_sd, fit.lam, fit.mu, fit.sigma])
@@ -404,17 +411,3 @@ def test_fit_ou_ls_rejects_bad_paths():
         fit_ou_ls(np.array([1.0, 2.0]), 0.0)
     with pytest.raises(ValueError):
         fit_ou_ls(np.ones((4, 2)), 1.0)
-
-
-def test_ouparams_validation():
-    with pytest.raises(ValueError):
-        OUParams(math.nan, 0.0, 0.1)
-    with pytest.raises(ValueError):
-        OUParams(1.0, 0.0, -0.1)
-    # Flagged instances may carry NaN without complaint.
-    OUParams(math.nan, math.nan, math.nan, degenerate=True)
-
-
-def test_stationary_sd():
-    assert OUParams(2.0, 0.0, 0.2).stationary_sd() == pytest.approx(0.1)
-    assert math.isnan(OUParams(math.nan, 0.0, math.nan, non_reverting=True).stationary_sd())
