@@ -154,7 +154,7 @@ def load_csv(path: str, n_classes: int, dim: int | None = None) -> FederatedData
     order: list[str] = []
     parse_error = functools.partial(ParseError, path=path)
 
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -408,14 +408,17 @@ def iter_rounds(
     state: ServerState | None = None,
 ):
     """An iterator with one RoundReport per round; state/ledger mutate as it
-    goes. An inconsistent experiment raises ValueError at the call, before
-    any round runs."""
+    goes. An inconsistent experiment (a passed state's parameter shape
+    included) raises ValueError at the call, before any round runs."""
     _validate_experiment(model, config, dataset, rounds)
     if state is None:
         state = ServerState(
             global_params=init_params(model, config.seed),
             history_len=config.history_len,
         )
+    elif np.shape(state.global_params) != (model.param_count,):
+        raise ValueError(f"state.global_params must be a ({model.param_count},) vector, "
+                         f"got shape {np.shape(state.global_params)}")
     return (run_round(state, model, config, dataset, ledger) for _ in range(rounds))
 
 

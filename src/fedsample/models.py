@@ -29,9 +29,9 @@ reshuffling for each of several clients that start from one model, and can
 record the per-step path of a subset of coordinates. Clients of equal size
 share a step schedule, so each such group trains in lockstep: one stacked
 ``loss_and_grad`` call per step for a chunk of the group, chunks being as
-wide as ``_LOCKSTEP_ELEMENTS`` allows, with one scratch per chunk. A lone
-client steps as a plain vector, with no stack, index arrays or gather
-buffer. ``local_train`` is the one-client case.
+wide as ``_LOCKSTEP_ELEMENTS`` allows. A lone client's chunk steps row 0
+of its stack as a plain vector, so it makes the one-vector calls.
+``local_train`` is the one-client case.
 """
 
 from __future__ import annotations
@@ -412,24 +412,27 @@ def train_clients(
         groups.setdefault(x.shape[0], []).append(i)
     width = max(1, _LOCKSTEP_ELEMENTS // start.size)
     out: list[LocalTrainReport | NumericError | None] = [None] * len(clients)
-    for members in groups.values():
-        for lo in range(0, len(members), width):
-            chunk = members[lo : lo + width]
-            train = _train_one if len(chunk) == 1 else _train_group
-            results = train(
-                spec, start, [batches[i] for i in chunk], [seeds[i] for i in chunk],
-                epochs, batch_size, eta, track,
-            )
-            for i, result in zip(chunk, results):
-                out[i] = result
+    scratch: dict = {}  # every chunk's workspace, grown by the widest step
+    # Overflow on a diverging run is reported as NumericError at the next
+    # finiteness boundary, not as a warning mid-update.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for members in groups.values():
+            for lo in range(0, len(members), width):
+                chunk = members[lo : lo + width]
+                results = _train_chunk(
+                    spec, start, [batches[i] for i in chunk], [seeds[i] for i in chunk],
+                    epochs, batch_size, eta, track, scratch,
+                )
+                for i, result in zip(chunk, results):
+                    out[i] = result
     return out
 
 
 def _report(
     theta: np.ndarray, start: np.ndarray, n: int, steps: int, tracked: np.ndarray | None,
-    path: np.ndarray | None, diff: np.ndarray | None = None,
+    path: np.ndarray | None, diff: np.ndarray,
 ) -> LocalTrainReport | NumericError:
-    """One client's outcome; ``diff``, if given, takes its update."""
+    """One client's outcome; ``diff`` takes its update."""
     if not np.isfinite(theta).all():
         return NumericError("parameters diverged during local training")
     # May overflow to inf from finite parameters; the engine rejects a
@@ -439,7 +442,7 @@ def _report(
     return LocalTrainReport(theta, math.sqrt(d @ d), n, steps, tracked, path)
 
 
-def _train_one(
+def _train_chunk(
     spec: ModelSpec,
     start: np.ndarray,
     batches: list[tuple[np.ndarray, np.ndarray]],
@@ -448,58 +451,19 @@ def _train_one(
     batch_size: int,
     eta: float,
     track: None | str | int,
+    scratch: dict,
 ) -> list[LocalTrainReport | NumericError]:
-    """SGD of a lone client on a plain vector, with no stack, index arrays
-    or gather buffer: each step's batch is a slice of the epoch's next
-    ``block`` rows, gathered as in ``_train_group``."""
-    ((x, y),), (seed,) = batches, seeds
-    n = y.size
-    steps_total = epochs * math.ceil(n / batch_size)
-    block = max(1, _GATHER_ELEMENTS // (spec.input_dim * batch_size)) * batch_size
-    tracked = _resolve_track(track, start.size, seed)
-    path = None
-    if tracked is not None:
-        path = np.empty((steps_total + 1, tracked.size), dtype=np.float64)
-        path[0] = start[tracked]
-    theta = start.copy()
-    scratch: dict = {}
-    step = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(epochs):
-            order = derive_rng(seed, "shuffle", epoch).permutation(n)
-            for lo in range(0, n, batch_size):
-                if lo % block == 0:
-                    sel = order[lo : lo + block]
-                    xb, yb = x[sel], y[sel]
-                b = lo % block
-                batch = (xb[b : b + batch_size], yb[b : b + batch_size])
-                try:
-                    _, grad = loss_and_grad(spec, theta, batch, scratch)
-                except NumericError as exc:
-                    return [exc]
-                grad *= eta
-                theta -= grad
-                step += 1
-                if path is not None:
-                    theta.take(tracked, out=path[step], mode="clip")
-        return [_report(theta, start, n, steps_total, tracked, path)]
+    """Lockstep SGD of equal-size clients on a (G, P) parameter stack.
 
-
-def _train_group(
-    spec: ModelSpec,
-    start: np.ndarray,
-    batches: list[tuple[np.ndarray, np.ndarray]],
-    seeds: list[int],
-    epochs: int,
-    batch_size: int,
-    eta: float,
-    track: None | str | int,
-) -> list[LocalTrainReport | NumericError]:
-    """Lockstep SGD of equal-size clients on a (G, P) parameter stack."""
+    A lone client steps row 0 as a plain (P,) vector with (n, dim)
+    batches, so each of its gradient calls is the one-vector call; a stack
+    that shrinks to one row steps on as a one-row stack."""
     n = batches[0][0].shape[0]
     steps_total = epochs * math.ceil(n / batch_size)
+    lane = 0 if len(seeds) == 1 else slice(None)  # the rows each step reads
     tracked = [_resolve_track(track, start.size, seed) for seed in seeds]
     theta = np.tile(start, (len(seeds), 1))
+    params = theta[lane]
     live = np.arange(len(seeds))  # group position of each row of theta
 
     def flat_tracked(live: np.ndarray) -> np.ndarray:
@@ -520,53 +484,50 @@ def _train_group(
     block = max(1, fit) * batch_size
     xs = np.empty((len(seeds), min(block, n), spec.input_dim), dtype=np.float64)
     ys = np.empty((len(seeds), min(block, n)), dtype=np.result_type(*(y for _, y in batches)))
-    scratch: dict = {}  # sized by the first step, the widest
+    # Each step's epoch offset and its batch's bounds in the buffer (the
+    # last batch of an epoch may be short).
+    cuts = [(lo, lo % block, lo % block + min(batch_size, n - lo))
+            for lo in range(0, n, batch_size)]
     results: dict[int, LocalTrainReport | NumericError] = {}  # by group position
     step = 0  # lockstep steps taken
-    # Overflow on a diverging run is reported as NumericError at the next
-    # finiteness boundary, not as a warning mid-update.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(epochs):
-            orders = [derive_rng(seeds[g], "shuffle", epoch).permutation(n) for g in live.tolist()]
-            for lo in range(0, n, batch_size):
-                if lo % block == 0:
-                    for j, g in enumerate(live.tolist()):
-                        sel = orders[j][lo : lo + block]
-                        np.take(batches[g][0], sel, axis=0, out=xs[j, : sel.size])
-                        ys[j, : sel.size] = batches[g][1][sel]
-                if live.size > 1 and not np.isfinite(theta).all():
-                    # The rows that went non-finite fail here, as each would
-                    # alone at its next gradient call; the rest step on.
-                    keep = np.isfinite(theta).all(axis=1)
-                    exc = NumericError("non-finite parameters")
-                    results.update(dict.fromkeys(live[~keep].tolist(), exc))
-                    live, theta, xs, ys = (a[keep] for a in (live, theta, xs, ys))
-                    orders = [order for order, k in zip(orders, keep) if k]
-                    if not live.size:
-                        break
-                    if paths is not None:
-                        paths, at = paths[keep], flat_tracked(live)
-                # The batch's offset in the buffer and its size (the last
-                # batch of an epoch may be short).
-                b, k = lo % block, min(batch_size, n - lo)
-                batch = (xs[:, b : b + k], ys[:, b : b + k])
-                try:
-                    _, grad = loss_and_grad(spec, theta, batch, scratch)
-                except NumericError as exc:
-                    # Only a row left alone gets here non-finite: the call's
-                    # own check fails it, as for one client trained alone.
-                    results[int(live[0])] = exc
-                    live, theta = live[:0], theta[:0]
+    for epoch in range(epochs):
+        orders = [derive_rng(seeds[g], "shuffle", epoch).permutation(n) for g in live.tolist()]
+        for lo, b, e in cuts:
+            if b == 0:
+                for j, g in enumerate(live.tolist()):
+                    sel = orders[j][lo : lo + block]
+                    batches[g][0].take(sel, axis=0, out=xs[j, : sel.size], mode="clip")
+                    ys[j, : sel.size] = batches[g][1][sel]
+            if live.size > 1 and not np.isfinite(theta).all():
+                # The rows that went non-finite fail here, as each would
+                # alone at its next gradient call; the rest step on.
+                keep = np.isfinite(theta).all(axis=1)
+                exc = NumericError("non-finite parameters")
+                results.update(dict.fromkeys(live[~keep].tolist(), exc))
+                live, theta, xs, ys = (a[keep] for a in (live, theta, xs, ys))
+                params = theta[lane]
+                orders = [order for order, k in zip(orders, keep) if k]
+                if not live.size:
                     break
-                grad *= eta
-                theta -= grad
-                step += 1
                 if paths is not None:
-                    theta.take(at, out=paths[:, step], mode="clip")
-            if not live.size:
+                    paths, at = paths[keep], flat_tracked(live)
+            try:
+                _, grad = loss_and_grad(spec, params, (xs[lane, b:e], ys[lane, b:e]), scratch)
+            except NumericError as exc:
+                # Only a row left alone gets here non-finite: the call's own
+                # check fails it, as for one client trained alone.
+                results[int(live[0])] = exc
+                live = live[:0]
                 break
-        diff = np.empty_like(start)
-        for j, g in enumerate(live.tolist()):
-            path = None if paths is None else paths[j]
-            results[g] = _report(theta[j], start, n, steps_total, tracked[g], path, diff)
+            grad *= eta
+            params -= grad
+            step += 1
+            if paths is not None:
+                theta.take(at, out=paths[:, step], mode="clip")
+        if not live.size:
+            break
+    diff = np.empty_like(start)
+    for j, g in enumerate(live.tolist()):
+        path = None if paths is None else paths[j]
+        results[g] = _report(theta[j], start, n, steps_total, tracked[g], path, diff)
     return [results[g] for g in range(len(seeds))]

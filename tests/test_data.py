@@ -106,6 +106,18 @@ def test_export_load_roundtrip_exact(tmp_path):
     assert np.array_equal(ds.test_set[1], back.test_set[1])
 
 
+def test_load_csv_accepts_a_byte_order_mark(tmp_path):
+    # Spreadsheet tools write UTF-8 CSVs that start with a byte-order mark.
+    ds = synth_blobs(3, 5, 6, 8, 2, seed=9)
+    plain, bom = tmp_path / "ds.csv", tmp_path / "bom.csv"
+    export_csv(ds, str(plain))
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    a, b = load_csv(str(plain), n_classes=3), load_csv(str(bom), n_classes=3)
+    assert (a.n_clients, a.dim) == (b.n_clients, b.dim)
+    for (xa, ya), (xb, yb) in zip(a.clients + (a.test_set,), b.clients + (b.test_set,)):
+        assert xa.tobytes() == xb.tobytes() and ya.tobytes() == yb.tobytes()
+
+
 def test_load_groups_by_first_appearance(tmp_path):
     path = tmp_path / "two.csv"
     path.write_text(

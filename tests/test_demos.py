@@ -1,8 +1,9 @@
-"""Smoke test of the example scripts under demos/.
+"""Smoke test of the example scripts under demos/ and of README's Library
+example.
 
 Each script runs in a fresh interpreter against this checkout's package,
-and its stdout must match byte for byte, so a change in any number a demo
-prints moves its digest.
+and a demo's stdout must match byte for byte, so a change in any number a
+demo prints moves its digest.
 """
 
 import hashlib
@@ -37,3 +38,15 @@ def test_demo_stdout_is_pinned(script):
     )
     assert done.returncode == 0, done.stderr.decode()
     assert hashlib.sha256(done.stdout).hexdigest() == DEMO_STDOUT[script]
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, timeout=120, check=False,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    acc, uplink = done.stdout.decode().split()
+    assert 0.0 <= float(acc) <= 1.0 and int(uplink) > 0

@@ -404,6 +404,16 @@ def test_experiment_validation_errors():
                     config(PolicyConfig("full")), ds, 1, CommLedger())
 
 
+@pytest.mark.parametrize("shape", [(4, 7), (27,), (28, 1)])
+def test_iter_rounds_rejects_a_state_of_another_shape(shape):
+    # MODEL has 28 parameters: a state that does not hold one such vector
+    # fails at the call, not in round 0.
+    state = ServerState(global_params=np.zeros(shape))
+    with pytest.raises(ValueError, match=r"must be a \(28,\) vector, got shape"):
+        iter_rounds(MODEL, config(PolicyConfig("full")), small_dataset(), 1, CommLedger(),
+                    state=state)
+
+
 def test_divergent_run_raises_numeric_error():
     # Softmax models saturate instead of diverging; the quadratic loss has
     # grad = theta, so a large step factor blows up geometrically.

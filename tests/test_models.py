@@ -456,6 +456,48 @@ def test_train_clients_makes_one_gradient_call_per_step(monkeypatch, scales, cal
     assert [type(rep) for rep in reports].count(NumericError) == 2
 
 
+def record_param_shapes(monkeypatch) -> list:
+    """The parameter shape of each of the trainer's calls of the
+    module-global loss_and_grad."""
+    shapes = []
+
+    def recorded(spec, params, batch, scratch=None):
+        shapes.append(params.shape)
+        return loss_and_grad(spec, params, batch, scratch)
+
+    monkeypatch.setattr(models, "loss_and_grad", recorded)
+    return shapes
+
+
+@pytest.mark.parametrize("spec", [LOGISTIC, MLP, QUAD], ids=lambda s: s.kind)
+@pytest.mark.parametrize("track", [None, "all"], ids=["none", "all"])
+def test_lone_clients_step_a_vector_and_groups_a_stack(monkeypatch, spec, track):
+    # Sizes 9, 5 and 9 in batches of 4, 2 epochs: the pair steps 6 times as a
+    # (2, P) stack, the lone client 4 times as a (P,) vector.
+    shapes = record_param_shapes(monkeypatch)
+    start = init_params(spec, seed=1)
+    p = spec.param_count
+    clients = [random_batch(spec, n, seed=60 + i) for i, n in enumerate((9, 5, 9))]
+    train_clients(spec, start, clients, [1, 2, 3], 2, 4, 0.1, track)
+    assert shapes == [(2, p)] * 6 + [(p,)] * 4
+    # Chunks of one client each: every call is the one-vector call.
+    shapes.clear()
+    monkeypatch.setattr(models, "_LOCKSTEP_ELEMENTS", p)
+    train_clients(spec, start, clients, [1, 2, 3], 2, 4, 0.1, track)
+    assert shapes == [(p,)] * 16
+
+
+def test_a_group_left_with_one_row_steps_as_a_stack(monkeypatch):
+    # Client 0 leaves the pair after its first step; client 1 steps on as a
+    # one-row stack.
+    shapes = record_param_shapes(monkeypatch)
+    start = init_params(LOGISTIC, seed=2)
+    x, y = random_batch(LOGISTIC, 6, seed=41)
+    reports = train_clients(LOGISTIC, start, [(x * 1e300, y), (x, y)], [8, 8], 3, 2, 1e10)
+    assert isinstance(reports[0], NumericError) and not isinstance(reports[1], NumericError)
+    assert shapes == [(2, LOGISTIC.param_count)] + [(1, LOGISTIC.param_count)] * 8
+
+
 @pytest.mark.parametrize("track", [None, "all"], ids=["none", "all"])
 def test_train_clients_whole_group_diverges(track):
     # Every row of a group leaves it at the same step, as each would alone.
