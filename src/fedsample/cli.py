@@ -115,25 +115,13 @@ def _truncation_row(err: Exception) -> str:
     return ",".join([TRUNCATION_MARKER, reason] + [""] * (n_fields - 2))
 
 
-def _run_stats(label: str, seed: int, ledger: CommLedger, last, status: str) -> dict:
-    """One run's summary fields, as summary.csv and run's stdout read them."""
-    return {
-        "policy": label,
-        "seed": seed,
-        "rounds_completed": ledger.rounds,
-        "final_acc": None if last is None else last.test_acc,
-        "final_loss": None if last is None else last.test_loss,
-        "total_uplink_bytes": ledger.total_uplink,
-        "total_downlink_bytes": ledger.total_downlink,
-        "status": status,
-    }
-
-
-def _stream_run(experiment: tuple, rounds: int, seed: int, csv_path: str) -> dict:
+def _stream_run(experiment: tuple, rounds: int, seed: int, csv_path: str) -> tuple:
     """Run a built (dataset, model, round_config), streaming rows to csv_path.
 
-    Returns the run's stats, with status "ok" or "truncated". The CSV keeps
-    whatever completed, with a marker row appended on a numeric abort.
+    Returns ``(ledger, last, status)``: the run's ``CommLedger``, its last
+    ``RoundReport`` (None if no round completed) and ``"ok"`` or
+    ``"truncated"``. The CSV keeps whatever completed, with a marker row
+    appended on a numeric abort.
     """
     dataset, model, round_config = experiment
     ledger = CommLedger()
@@ -153,21 +141,21 @@ def _stream_run(experiment: tuple, rounds: int, seed: int, csv_path: str) -> dic
         except NumericError as err:
             fh.write(_truncation_row(err) + "\n")
             status = "truncated"
-    return _run_stats(label, seed, ledger, last, status)
+    return ledger, last, status
 
 
 def cmd_run(args) -> int:
     with _command(args, ["metrics.csv"]) as (settings, seed, manifest):
         csv_path = os.path.join(args.out, "metrics.csv")
-        stats = _stream_run(build_experiment(settings, seed), settings.rounds, seed, csv_path)
-        manifest["status"] = status = stats["status"]
+        experiment = build_experiment(settings, seed)
+        ledger, last, status = _stream_run(experiment, settings.rounds, seed, csv_path)
+        manifest["status"] = status
     if not args.quiet:
-        acc = stats["final_acc"]
-        acc_txt = "n/a" if acc is None or (isinstance(acc, float) and math.isnan(acc)) else f"{acc:.4f}"
+        acc_txt = "n/a" if last is None or math.isnan(last.test_acc) else f"{last.test_acc:.4f}"
         print(
             f"run {settings.round.policy.label} seed={seed}: "
-            f"{stats['rounds_completed']}/{settings.rounds} rounds, "
-            f"final_acc={acc_txt}, uplink={stats['total_uplink_bytes']} B"
+            f"{ledger.rounds}/{settings.rounds} rounds, "
+            f"final_acc={acc_txt}, uplink={ledger.total_uplink} B"
             + (" [TRUNCATED]" if status == "truncated" else "")
         )
     return 0 if status == "ok" else 3
@@ -194,27 +182,27 @@ def _parse_list(raw: str, kind: type, where: str) -> list:
         raise ConfigError(f"{where}: expected comma-separated {what}, got {raw!r}") from None
 
 
-def _summary_row(stats: dict) -> str:
-    acc = stats["final_acc"]
-    loss = stats["final_loss"]
-    uplink = stats["total_uplink_bytes"]
-    if stats["status"] == "ok" and acc is not None:
+def _summary_row(label: str, seed: int, ledger: CommLedger, last, status: str) -> str:
+    """One summary.csv row; status "ok" means every round (at least 1) ran, so ``last`` is set."""
+    if status == "ok":
+        acc = last.test_acc
         acc_txt = format(acc, ".6g")
-        loss_txt = format(loss, ".6g")
+        loss_txt = format(last.test_loss, ".6g")
+        uplink = ledger.total_uplink
         apb = format(acc / uplink, ".6g") if uplink > 0 and not math.isnan(acc) else "nan"
     else:
         acc_txt = loss_txt = apb = ""
     return ",".join(
         [
-            stats["policy"],
-            str(stats["seed"]),
-            str(stats["rounds_completed"]),
+            label,
+            str(seed),
+            str(ledger.rounds),
             acc_txt,
             loss_txt,
-            str(uplink),
-            str(stats["total_downlink_bytes"]),
+            str(ledger.total_uplink),
+            str(ledger.total_downlink),
             apb,
-            stats["status"],
+            status,
         ]
     )
 
@@ -246,25 +234,20 @@ def cmd_sweep(args) -> int:
         runs_dir = os.path.join(args.out, "runs")
         _make_dir(runs_dir, "sweep")
         cells = [(policy, seed) for policy in policies for seed in seeds]
-        results: list[dict] = []
-        for policy, seed in cells:
-            dataset, model, round_config = built[seed]
-            cell = (dataset, model, dataclasses.replace(round_config, policy=policy))
-            csv_path = os.path.join(runs_dir, f"{policy.label}_s{seed}.csv")
-            try:
-                stats = _stream_run(cell, settings.rounds, seed, csv_path)
-            except ConfigError as err:
-                status = f"error: {err}".replace(",", ";")
-                stats = _run_stats(policy.label, seed, CommLedger(), None, status)
-            results.append(stats)
-
         summary_path = os.path.join(args.out, "summary.csv")
+        n_failed = 0
         with _open_out(summary_path) as fh:
             fh.write(SUMMARY_HEADER + "\n")
-            for stats in results:
-                fh.write(_summary_row(stats) + "\n")
-
-        n_failed = sum(1 for r in results if r["status"] != "ok")
+            for policy, seed in cells:
+                dataset, model, round_config = built[seed]
+                cell = (dataset, model, dataclasses.replace(round_config, policy=policy))
+                csv_path = os.path.join(runs_dir, f"{policy.label}_s{seed}.csv")
+                try:
+                    ledger, last, status = _stream_run(cell, settings.rounds, seed, csv_path)
+                except ConfigError as err:
+                    ledger, last, status = CommLedger(), None, f"error: {err}".replace(",", ";")
+                n_failed += status != "ok"
+                fh.write(_summary_row(policy.label, seed, ledger, last, status) + "\n")
         manifest["status"] = "ok" if n_failed == 0 else f"{n_failed} cell(s) failed"
     if not args.quiet:
         print(
@@ -280,6 +263,8 @@ def demo_train_seed(seed: int) -> int:
 
 
 def cmd_ou_demo(args) -> int:
+    """Central SGD with every-step tracking; the path and histogram values are
+    written as shortest round-trip decimals (``repr`` of a Python float)."""
     outputs = ["trajectories.csv", "increments.csv", "fits.csv", "summary.json"]
     with _command(args, outputs) as (settings, seed, manifest):
         dataset, model, config = build_experiment(settings, seed)
@@ -301,43 +286,38 @@ def cmd_ou_demo(args) -> int:
         )
         path = report.path
         fits = _ou_fit(path, 1.0, "the pooled training path")
+        tracked = report.tracked.tolist()
 
         with _open_out(os.path.join(args.out, "trajectories.csv")) as fh:
             fh.write("coord,step,value\n")
-            for j, coord in enumerate(report.tracked):
-                col = path[:, j]
-                for step in range(col.size):
-                    fh.write(f"{int(coord)},{step},{col[step]!r}\n")
+            for coord, values in zip(tracked, path.T.tolist()):
+                for step, value in enumerate(values):
+                    fh.write(f"{coord},{step},{value!r}\n")
 
-        diffs = np.diff(path, axis=0).ravel()
-        counts, edges = np.histogram(diffs, bins=50)
+        counts, edges = np.histogram(np.diff(path, axis=0).ravel(), bins=50)
         with _open_out(os.path.join(args.out, "increments.csv")) as fh:
             fh.write("bin_left,bin_right,count\n")
-            for i, c in enumerate(counts):
-                fh.write(f"{edges[i]!r},{edges[i + 1]!r},{int(c)}\n")
+            for left, right, count in zip(edges[:-1].tolist(), edges[1:].tolist(),
+                                          counts.tolist()):
+                fh.write(f"{left!r},{right!r},{count}\n")
 
         flags = np.where(fits.non_reverting, "non_reverting",
                          np.where(fits.degenerate, "degenerate", "ok"))
-        columns = [report.tracked, fits.a, fits.b, fits.resid_sd, fits.lam, fits.mu,
-                   fits.sigma, flags]
+        columns = [fits.a, fits.b, fits.resid_sd, fits.lam, fits.mu, fits.sigma, flags]
         with _open_out(os.path.join(args.out, "fits.csv")) as fh:
             fh.write("coord,a,b,resid_sd,lam,mu,sigma,flag\n")
-            for coord, *values, flag in zip(*(c.tolist() for c in columns)):
+            for coord, *values, flag in zip(tracked, *(c.tolist() for c in columns)):
                 fh.write(",".join([str(coord)] + [format(v, ".12g") for v in values]
                                   + [flag]) + "\n")
-        n_ok = int(np.count_nonzero((fits.a > 0.0) & (fits.a < 1.0)))  # NaN slopes compare False
-        n_degenerate = int(np.count_nonzero(fits.degenerate))
-        n_non_reverting = int(np.count_nonzero(fits.non_reverting))
 
-        n_coords = report.tracked.size
-        fraction = n_ok / n_coords
+        in_unit = (fits.a > 0.0) & (fits.a < 1.0)  # NaN slopes compare False
         summary = {
-            "n_coordinates": n_coords,
+            "n_coordinates": len(tracked),
             "steps": report.steps_taken,
             "eta": config.eta,
-            "fraction_a_in_unit_interval": fraction,
-            "degenerate": n_degenerate,
-            "non_reverting": n_non_reverting,
+            "fraction_a_in_unit_interval": int(np.count_nonzero(in_unit)) / len(tracked),
+            "degenerate": int(np.count_nonzero(fits.degenerate)),
+            "non_reverting": int(np.count_nonzero(fits.non_reverting)),
         }
         with _open_out(os.path.join(args.out, "summary.json")) as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
@@ -345,9 +325,9 @@ def cmd_ou_demo(args) -> int:
         manifest["status"] = "ok"
     if not args.quiet:
         print(
-            f"ou-demo: {n_coords} coordinates over {report.steps_taken} steps; "
-            f"fraction with a in (0,1): {fraction:.4f} "
-            f"(degenerate {n_degenerate}, non_reverting {n_non_reverting})"
+            "ou-demo: {n_coordinates} coordinates over {steps} steps; "
+            "fraction with a in (0,1): {fraction_a_in_unit_interval:.4f} "
+            "(degenerate {degenerate}, non_reverting {non_reverting})".format(**summary)
         )
     return 0
 

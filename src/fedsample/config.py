@@ -165,9 +165,9 @@ def parse_config(doc: dict) -> RunSettings:
 
 
 def load_config(path: str) -> RunSettings:
-    """Read and validate a JSON config file."""
+    """Read and validate a JSON config file (UTF-8, with or without a BOM)."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as err:
         raise ConfigError(f"{path}: {err.strerror or err}") from None

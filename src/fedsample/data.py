@@ -151,7 +151,6 @@ def load_csv(path: str, n_classes: int, dim: int | None = None) -> FederatedData
     if dim is not None and dim < 1:
         raise ValueError("dim must be >= 1")
     groups: dict[str, list[tuple[int, list[float]]]] = {}
-    order: list[str] = []
     parse_error = functools.partial(ParseError, path=path)
 
     with open(path, encoding="utf-8-sig", newline="") as fh:
@@ -170,7 +169,6 @@ def load_csv(path: str, n_classes: int, dim: int | None = None) -> FederatedData
         elif dim != file_dim:
             raise parse_error(f"expected {dim} feature columns, found {file_dim}", line=1)
 
-        n_rows = 0
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -191,13 +189,9 @@ def load_csv(path: str, n_classes: int, dim: int | None = None) -> FederatedData
                 raise parse_error("non-numeric feature value", line=lineno) from None
             if not all(math.isfinite(v) for v in feats):
                 raise parse_error("non-finite feature value", line=lineno)
-            if cid not in groups:
-                groups[cid] = []
-                order.append(cid)
-            groups[cid].append((label, feats))
-            n_rows += 1
+            groups.setdefault(cid, []).append((label, feats))
 
-    if n_rows == 0:
+    if not groups:
         raise ValueError(f"{path}: no data rows")
 
     def to_arrays(rows: list[tuple[int, list[float]]]) -> tuple[np.ndarray, np.ndarray]:
@@ -205,7 +199,7 @@ def load_csv(path: str, n_classes: int, dim: int | None = None) -> FederatedData
         y = np.array([label for label, _ in rows], dtype=np.int64)
         return x, y
 
-    clients = tuple(to_arrays(groups[cid]) for cid in order if cid != TEST_CLIENT_ID)
+    clients = tuple(to_arrays(rows) for cid, rows in groups.items() if cid != TEST_CLIENT_ID)
     if not clients:
         raise ValueError(f"{path}: no client rows")
     if TEST_CLIENT_ID in groups:

@@ -227,6 +227,19 @@ def test_unreadable_config_exits_2_without_traceback(tmp_path, case):
     assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
 
+def test_config_with_a_byte_order_mark_runs(tmp_path):
+    plain = Path(write_config(tmp_path))
+    bom = tmp_path / "bom.json"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    outs = {cfg: tmp_path / f"out_{cfg.stem}" for cfg in (plain, bom)}
+    for cfg, out in outs.items():
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert (outs[bom] / "metrics.csv").read_bytes() == (outs[plain] / "metrics.csv").read_bytes()
+    # run_id hashes the raw config bytes, the mark included.
+    run_ids = {json.loads((out / "manifest.json").read_text())["run_id"] for out in outs.values()}
+    assert len(run_ids) == 2
+
+
 # Each blowup's last metrics.csv row and the sha256 of the whole file: the
 # TRUNCATED marker carries the text of the NumericError the failing round
 # raised, which names the lowest-id failing client and the kind of failure.
@@ -557,15 +570,60 @@ def test_ou_demo_too_few_steps_rejected(tmp_path):
 # in that order. eta 0 gives degenerate and non-reverting fits, eta 2.5
 # clamped slopes (degenerate with derived lam/mu/sigma).
 OU_DEMO_BYTES = {
-    ("logistic", 0.0): "ef0149a52ffb5aa58159139ccecafef29175ddbad681a5a6226d9c855dc5eefa",
-    ("logistic", 0.3): "9cc0f14a6a322654825e0fdfbd25a5ac319d8053b7d286f64fc23eb9b957feeb",
-    ("logistic", 2.5): "d0a7f4f43ef6335dec45ccc8724b8396af1b453d67197a0e1906b9955b8962f8",
-    ("mlp1", 0.0): "9d8e6da9271529e3b15be19f3da481dae79fb10d1581c1fc1fb6ae0c977e9812",
-    ("mlp1", 0.3): "67d032176af12301c05b3f2b10de35533f696675c066387644e7a61e5b15ea6b",
-    ("mlp1", 2.5): "304972486cfa73b6d0013be64cac29662fd769c4007c6b3ad6e66a71f61e85df",
-    ("quadratic-diagnostic", 0.0): "3e407b04fdafc8de68c6aab21a382913b5cfd5a19bb952b892318b085d7a1738",
-    ("quadratic-diagnostic", 0.3): "a2bbd621538b96fc391068027a24bbeb23e71e5458a759bf6a2d9727f208df6c",
-    ("quadratic-diagnostic", 2.5): "8fadc49fb8a5fa3248fe3a500f5bc0602b9a0c416825b904be373074911b713c",
+    ("logistic", 0.0): {
+        "fits.csv": "3d7e5768ec45f2d8dc32ad9c6986bb543aee553d54fc9ee41a07dd9c214d12c1",
+        "trajectories.csv": "452abd88b51b547764015b88e90a06e91f97cff7654d20cfb5271712c50c8803",
+        "increments.csv": "e0f3eb41db85fded1eb2863f6cf25f40e3b2c510c1d9855ea877a5b4b1221f00",
+        "summary.json": "330fbcdf9a869bd98a9772003001f7cd54690747cfed8d8b77d23728f292650c",
+    },
+    ("logistic", 0.3): {
+        "fits.csv": "b9dd2af353cdabbabcad20bd1a88ffc4d8f26d38df9dcdb34847899b9fb06f76",
+        "trajectories.csv": "23d048fb7ddfa5dde667acbc8b72c6cfbadad94acad62bdbc6171f30700f822e",
+        "increments.csv": "9d1083e6e856d1c1405be82b6356394f0b7fc110127496bd3b7d12ee497a5a03",
+        "summary.json": "bc1955b3aec9fe932bc24933fbd46fff8fa5de296da3916de9d86f3b4f0c4808",
+    },
+    ("logistic", 2.5): {
+        "fits.csv": "378ffef938d359ae889f7d77de6aaa24aca8d2d13121f3fda3b8d6e03b2195a6",
+        "trajectories.csv": "13c3ba9545dcf4a90e8ada8d8eb0be924f5d190f1bdff8c8120fc9530ac1bff7",
+        "increments.csv": "2282c75c1e34af13adce4138c35431831fbd6735c24e939319699b1b6d0346fd",
+        "summary.json": "a7199828384bfe030e823f894649da443db6e1b4b8c2a8349713285c5191192c",
+    },
+    ("mlp1", 0.0): {
+        "fits.csv": "17e6b7eef145d62e7208c92a8746e6e923d158e918ac207ce04f58ae25ba70e3",
+        "trajectories.csv": "e33ef5a3e5f521bbe3f732a9f68e850133f0e4a0002f3cd6ffbbb35d61784010",
+        "increments.csv": "96d8e1fc49f05a654deae0f767c61c8729ae260e2bafb953ccf371e895b23905",
+        "summary.json": "7d50ef8dc1a907967fc9a716a444e19822862f38a4573f4ca5cee2c5acbfc4c8",
+    },
+    ("mlp1", 0.3): {
+        "fits.csv": "6ae2abb6b424600ca08c6e766faf06ba9be258f4beb3387290e8d871e42393e9",
+        "trajectories.csv": "824839a851114eddcbff8776d940030a8130f47a874f0bdab396a4b120df7f9a",
+        "increments.csv": "10683a31e34e90b5811b6c39bef6c01425d7eb2a681a8986d8506881f7998524",
+        "summary.json": "c009df865d42af73a3279105400afb6f0c1ea073dd5a00be95e398543b37e9f5",
+    },
+    ("mlp1", 2.5): {
+        "fits.csv": "960ce05dd5793ad59876a90879f9f12955b924d54b17a68c840101834f27e4f8",
+        "trajectories.csv": "9f00d7806677a80e0736cb233f217e5dbb64e9b7723b5dbfb591ff0913f51972",
+        "increments.csv": "b61109c127a7d2f4e2f183840657ba78e415dff91caf7dd288ee5ce48e552434",
+        "summary.json": "4d953c22fa42b564976a184c37df1c404bdda439cdbc76d973ca4cad60eb4965",
+    },
+    ("quadratic-diagnostic", 0.0): {
+        "fits.csv": "46aad4a536ed1069dd16ef02bc978307446b9901f6e35cb7f82602ca25da1646",
+        "trajectories.csv": "d0121b3fc054e671a35cb586ca8b69f0e3c042f7fb139b7ba47d810cc5f0dc55",
+        "increments.csv": "5450110fb06e6fb9f300779d2a12007ddeac6b2b5112fe7912683f46bcc4af12",
+        "summary.json": "95d765aaa06a894a6ec4d9847019540b9eae579f95b69d5cdbe843f8c36af657",
+    },
+    ("quadratic-diagnostic", 0.3): {
+        "fits.csv": "9a1cf7944b44f57b9543c3a7e1fc4c7698dbe74b176b26f445b6c28012d543de",
+        "trajectories.csv": "612eece51a64777041963e57080ea9a2b24e1b8a6957f8df50d587e495ac555a",
+        "increments.csv": "d59c257a838babf8b6f4480ca1aecf908e1ea993202a3ceff1a7404b48509a11",
+        "summary.json": "48521b44503e0002c1e55f10ddaeab7bf082608ef3fee02daa3c22970e67f770",
+    },
+    ("quadratic-diagnostic", 2.5): {
+        "fits.csv": "a5dfc9495f0eb28ecfbd2b35c98bdc2affd21e5bb743985b87f563e0b0c8621e",
+        "trajectories.csv": "5ffeb4042e7db83ad90e5de5876fc854c1eca234d061b65e7d32127756d6d6aa",
+        "increments.csv": "268afe06c8a9c9d4cc0268ed92c30b1377339c17e80fdf8d6de48d0a1a1223f1",
+        "summary.json": "ec27fe788ab425db63d3a4437538456d6dba7098894d8c6e9b2bd8ffa9dae4a0",
+    },
 }
 
 
@@ -575,10 +633,9 @@ def test_ou_demo_output_bytes_are_pinned(tmp_path, kind, eta):
     cfg = write_config(tmp_path, {"model": model, "eta": eta})
     out = tmp_path / "demo"
     assert main(["ou-demo", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-    digest = hashlib.sha256()
-    for name in ("fits.csv", "trajectories.csv", "increments.csv", "summary.json"):
-        digest.update((out / name).read_bytes())
-    assert digest.hexdigest() == OU_DEMO_BYTES[kind, eta]
+    pinned = OU_DEMO_BYTES[kind, eta]
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in pinned}
+    assert digests == pinned
 
 
 def test_ou_demo_trajectory_file_shape(tmp_path):
@@ -592,6 +649,46 @@ def test_ou_demo_trajectory_file_shape(tmp_path):
     # 5 coords x (4 steps + 1) points
     assert rows[0] == ["coord", "step", "value"]
     assert len(rows) == 1 + 5 * 5
+
+
+# Columns that hold text, and the float columns written as shortest
+# round-trip decimals.
+TEXT_COLUMNS = {"policy", "status", "flag"}
+EXACT_COLUMNS = {"trajectories.csv": {"value"}, "increments.csv": {"bin_left", "bin_right"}}
+
+NUMERIC_CSV_CASES = {
+    "run_ft": (["run"], {"policy": {"kind": "ft", "gamma": 0.5}}, 0),
+    "run_truncated": (["run"], {"model": {"kind": "quadratic-diagnostic"}, "eta": 1e18,
+                                "E": 3, "rounds": 10}, 3),
+    "sweep": (["sweep", "--policies", "full,at,aou,random:0.5,ou:0.5,ft:0.3",
+               "--seeds", "0,1"], {}, 0),
+    "ou_demo_logistic": (["ou-demo"], {"eta": 0.3}, 0),
+    "ou_demo_mlp1": (["ou-demo"], {"model": {"kind": "mlp1", "hidden_dim": 4}}, 0),
+    "ou_demo_quadratic": (["ou-demo"], {"model": {"kind": "quadratic-diagnostic"},
+                                        "eta": 0.0}, 0),
+}
+
+
+@pytest.mark.parametrize("case", list(NUMERIC_CSV_CASES))
+def test_every_numeric_csv_field_parses_as_a_float(tmp_path, case):
+    argv, overrides, code = NUMERIC_CSV_CASES[case]
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, overrides)
+    assert main([argv[0], "--config", cfg, "--out", str(out), "--quiet", *argv[1:]]) == code
+    paths = sorted(out.rglob("*.csv"))
+    assert paths
+    for path in paths:
+        header, *rows = read_csv(path)
+        assert rows, path.name
+        for row in rows:
+            if row[0] == "TRUNCATED":
+                continue
+            for name, field in zip(header, row, strict=True):
+                if name in TEXT_COLUMNS or (name == "threshold" and field == ""):
+                    continue
+                value = float(field)
+                if name in EXACT_COLUMNS.get(path.name, ()):
+                    assert repr(value) == field, (path.name, name, field)
 
 
 # ------------------------------------------------------------- every command
