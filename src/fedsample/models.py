@@ -26,7 +26,9 @@ kernels and their bits are those of fresh arrays.
 
 ``train_clients`` runs E epochs of mini-batch SGD with per-epoch
 reshuffling for each of several clients that start from one model, and can
-record the per-step path of a subset of coordinates. Clients of equal size
+record the per-step path of some or all coordinates: a path of every
+coordinate is recorded as a copy of each client's parameters per step, a
+subset through a flat index gather. Clients of equal size
 share a step schedule, so each such group trains in lockstep: one stacked
 ``loss_and_grad`` call per step for a chunk of the group, chunks being as
 wide as ``_LOCKSTEP_ELEMENTS`` allows. A lone client's chunk steps row 0
@@ -457,7 +459,9 @@ def _train_chunk(
 
     A lone client steps row 0 as a plain (P,) vector with (n, dim)
     batches, so each of its gradient calls is the one-vector call; a stack
-    that shrinks to one row steps on as a one-row stack."""
+    that shrinks to one row steps on as a one-row stack. When the clients
+    track every coordinate, each step's path row is a copy of the stack;
+    a subset is gathered from it through flat indices."""
     n = batches[0][0].shape[0]
     steps_total = epochs * math.ceil(n / batch_size)
     lane = 0 if len(seeds) == 1 else slice(None)  # the rows each step reads
@@ -472,11 +476,14 @@ def _train_chunk(
         at += start.size * np.arange(live.size)[:, None]
         return at
 
-    at = paths = None
+    at = paths = None  # `at` stays None when every coordinate is tracked
     if tracked[0] is not None:
-        at = flat_tracked(live)
-        paths = np.empty((len(seeds), steps_total + 1, at.shape[1]), dtype=np.float64)
-        paths[:, 0] = theta.take(at)
+        paths = np.empty((len(seeds), steps_total + 1, tracked[0].size), dtype=np.float64)
+        if tracked[0].size < start.size:
+            at = flat_tracked(live)
+            paths[:, 0] = theta.take(at)
+        else:
+            paths[:, 0] = theta
     # Every live client's next `block` rows in epoch order, gathered at once:
     # whole batches, at most _GATHER_ELEMENTS features for the chunk (or one
     # batch each). A step's batch stack is a slice of this buffer.
@@ -510,7 +517,9 @@ def _train_chunk(
                 if not live.size:
                     break
                 if paths is not None:
-                    paths, at = paths[keep], flat_tracked(live)
+                    paths = paths[keep]
+                if at is not None:
+                    at = flat_tracked(live)
             try:
                 _, grad = loss_and_grad(spec, params, (xs[lane, b:e], ys[lane, b:e]), scratch)
             except NumericError as exc:
@@ -522,8 +531,10 @@ def _train_chunk(
             grad *= eta
             params -= grad
             step += 1
-            if paths is not None:
+            if at is not None:
                 theta.take(at, out=paths[:, step], mode="clip")
+            elif paths is not None:
+                paths[:, step] = theta
         if not live.size:
             break
     diff = np.empty_like(start)

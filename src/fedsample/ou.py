@@ -67,7 +67,9 @@ class OUFit:
     degenerate: np.ndarray
     non_reverting: np.ndarray
 
-    flagged = property(lambda self: self.degenerate | self.non_reverting)
+    @cached_property
+    def flagged(self) -> np.ndarray:
+        return self.degenerate | self.non_reverting
 
     def __len__(self) -> int:
         return int(np.size(self.a))
@@ -151,24 +153,39 @@ def _ar1_ols(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, in
     degenerate) where degenerate marks zero-variance predictor columns.
     Residual sd uses the regression dof denominator (n_points - 2), with an
     exact-fit convention of zero when n_points == 2.
+
+    numpy sums a lone column pairwise but several columns row by row, so a
+    lone column is fitted as one of two equal columns: a column's bits do
+    not depend on how many columns are fitted with it.
     """
+    if values.shape[1] == 1:
+        a, b, resid_sd, n, degenerate = _ar1_ols(np.repeat(values, 2, axis=1))
+        return a[:1], b[:1], resid_sd[:1], n, degenerate[:1]
     x, y = values[:-1], values[1:]
     n = x.shape[0]
     mx = np.add.reduce(x, axis=0) / n
     my = np.add.reduce(y, axis=0) / n
+    # Two (T-1, k) buffers serve every product and the residual below.
     dx = x - mx
     dy = y - my
-    sxx = np.add.reduce(dx * dx, axis=0)
-    sxy = np.add.reduce(dx * dy, axis=0)
+    dy *= dx
+    sxy = np.add.reduce(dy, axis=0)
+    sxx = np.add.reduce(np.multiply(dx, dx, out=dy), axis=0)
 
     degenerate = sxx == 0.0
-    a = np.where(degenerate, np.nan, sxy / sxx)
-    b = np.where(degenerate, np.nan, my - a * mx)
+    a = sxy / sxx
+    if degenerate.any():
+        # sxx may underflow to 0 where sxy does not: a must not read +-inf.
+        a[degenerate] = np.nan
+    b = my - a * mx  # NaN where a is
 
-    resid = y - (a * x + b)
-    ssr = np.add.reduce(resid * resid, axis=0)
-    resid_sd = np.sqrt(ssr / (n - 2)) if n > 2 else np.zeros_like(ssr)
-    resid_sd = np.where(degenerate, np.nan, resid_sd)
+    resid = np.multiply(x, a, out=dx)
+    resid += b
+    np.subtract(y, resid, out=resid)
+    resid *= resid
+    ssr = np.add.reduce(resid, axis=0)
+    # NaN where a is; the exact-fit zero (n == 2) keeps the degenerate NaN.
+    resid_sd = np.sqrt(ssr / (n - 2)) if n > 2 else np.where(degenerate, np.nan, 0.0)
     return a, b, resid_sd, n, degenerate
 
 
@@ -208,16 +225,15 @@ def fit_ou_ls(values: np.ndarray, dt: float) -> OUFit:
     """Least-squares fit of one evenly sampled path; see module docstring.
 
     A one-column ``OUFit`` with scalar fields, bit for bit the path's column
-    in any multi-column ``fit_ou_ls_columns`` fit: the path is fitted as one
-    of two equal columns, since numpy sums a lone column pairwise but
-    several columns row by row. Raises ValueError for a path that is not
-    1-D, as ``fit_ou_ls_columns`` does for one shorter than 3 points. A
-    constant path yields a degenerate fit (no usable regression slope).
+    in any multi-column ``fit_ou_ls_columns`` fit. Raises ValueError for a
+    path that is not 1-D, as ``fit_ou_ls_columns`` does for one shorter than
+    3 points. A constant path yields a degenerate fit (no usable regression
+    slope).
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
         raise ValueError("expected a 1-D trajectory")
-    return fit_ou_ls_columns(np.stack([values, values], axis=1), dt).columns(0)
+    return fit_ou_ls_columns(values[:, None], dt).columns(0)
 
 
 def decode(theta_ref, lam, mu, elapsed: float):
@@ -255,7 +271,10 @@ def band_fraction(finals: np.ndarray, fit: OUFit) -> float:
     if len(fit) != finals.size:
         raise ValueError("finals and fits must have equal length")
 
-    band = fit.stationary_sd()
-    off_band = (finals > fit.mu + band) | (finals < fit.mu - band)
-    outside = fit.non_reverting | (~fit.degenerate & off_band)
+    # A flagged column's band may be NaN or inf (slopes >= 1); its test is
+    # discarded below, so it is computed on every column without a mask.
+    with np.errstate(all="ignore"):
+        band = fit.resid_sd / np.sqrt(1.0 - fit.a * fit.a)
+        off_band = (finals > fit.mu + band) | (finals < fit.mu - band)
+    outside = fit.non_reverting | (~fit.flagged & off_band)
     return int(np.count_nonzero(outside)) / finals.size

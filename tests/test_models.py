@@ -362,7 +362,7 @@ def count_gradient_calls(monkeypatch) -> list:
 
 @pytest.mark.parametrize("spec", [LOGISTIC, MLP, QUAD], ids=lambda s: s.kind)
 @pytest.mark.parametrize("sizes", [(9, 9, 9), (9, 4, 9, 7, 4, 1)], ids=["equal", "unequal"])
-@pytest.mark.parametrize("track", [None, "all", 3], ids=["none", "all", "int"])
+@pytest.mark.parametrize("track", [None, "all", 3, 10**6], ids=["none", "all", "int", "int-all"])
 @pytest.mark.parametrize("width, gather", [(None, None), (2, None), (None, 1)],
                          ids=["one-stack", "chunks-of-2", "one-batch-blocks"])
 def test_train_clients_equals_one_client_at_a_time(monkeypatch, spec, sizes, track, width,
@@ -405,7 +405,7 @@ def test_train_clients_equals_one_client_at_a_time(monkeypatch, spec, sizes, tra
         (2, "^non-finite parameters$"),                       # fails mid-run
         (1, "^parameters diverged during local training$"),   # at its last step
     ]
-    for track in (None, "all", 3)
+    for track in (None, "all", 3, 10**6)
 ])
 def test_train_clients_isolates_a_diverging_client(epochs, message, track):
     # Client 1's huge features overflow its first update; the other clients
@@ -422,13 +422,14 @@ def test_train_clients_isolates_a_diverging_client(epochs, message, track):
         local_train(LOGISTIC, start, clients[1], epochs, 6, 1e10, seeds[1], track)
     for i in (0, 2, 3):
         one = local_train(LOGISTIC, start, clients[i], epochs, 6, 1e10, seeds[i], track)
-        assert reports[i].params_after.tobytes() == one.params_after.tobytes()
+        theta, path = reference_local_train(LOGISTIC, start, clients[i], epochs, 6, 1e10, seeds[i])
+        assert reports[i].params_after.tobytes() == one.params_after.tobytes() == theta.tobytes()
         assert reports[i].update_norm == one.update_norm
         if track is None:
             assert reports[i].path is None
         else:
             assert reports[i].tracked.tobytes() == one.tracked.tobytes()
-            assert reports[i].path.tobytes() == one.path.tobytes()
+            assert reports[i].path.tobytes() == one.path.tobytes() == path[:, one.tracked].tobytes()
 
 
 @pytest.mark.parametrize("scales, calls", [

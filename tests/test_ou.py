@@ -233,6 +233,35 @@ def test_columns_fit_matches_scalar_fit():
         assert np.float64(scalar).tobytes() == est[j].tobytes()
 
 
+def test_one_column_fit_is_its_column_of_a_wider_fit():
+    # numpy sums a lone column pairwise and several columns row by row; a
+    # column's fit must not depend on how many columns are fitted with it.
+    rng = np.random.default_rng(16)
+    values = np.cumsum(rng.standard_normal((11, 6)), axis=0) * 0.1 + 0.5
+    values[:, 5] = 1.25  # constant: degenerate
+    full = fit_ou_ls_columns(values, dt=1.0)
+    for j in range(6):
+        one = fit_ou_ls_columns(values[:, [j]], dt=1.0)
+        for name in ("a", "b", "resid_sd", "degenerate", "non_reverting"):
+            assert getattr(one, name).tobytes() == getattr(full, name)[[j]].tobytes(), (j, name)
+
+
+def test_underflowing_sxx_is_degenerate_with_nan_fields():
+    # x's deviations square below the smallest subnormal, so sxx is 0.0
+    # while sxy is -5e-171: the slope is NaN, not -inf, and so is mu.
+    rng = np.random.default_rng(3)
+    values = np.zeros((11, 2))
+    values[1, 0], values[-1, 0] = 1e-170, 5.0
+    values[:, 1] = simulate_ou(1.0, 0.5, 0.2, 0.0, 0.1, 10, seed=4)
+    fit = fit_ou_ls_columns(values, dt=1.0)
+    assert fit.degenerate.tolist() == [True, False]
+    for name in ("a", "b", "resid_sd", "mu"):
+        assert math.isnan(getattr(fit, name)[0]), name
+    finals = values[-1] + rng.uniform(-1.0, 1.0, 2)
+    # The degenerate column counts as inside.
+    assert band_fraction(finals, fit) == band_fraction(finals[1:], fit.columns([1])) / 2
+
+
 def test_columns_fit_rejects_bad_shapes():
     with pytest.raises(ValueError):
         fit_ou_ls_columns(np.zeros((2, 3)), dt=1.0)
@@ -321,9 +350,10 @@ def test_band_boundary_is_inside():
 def test_band_flag_conventions():
     deg = (math.nan, math.nan, math.nan)
     nr = (1.5, 0.0, 0.1)
+    unit = (1.0, 0.0, 0.1)  # a zero-width denominator in the band
     live = (0.5, 0.0, 0.2)
-    finals = np.array([100.0, 0.0, 0.0])
-    assert band_fraction(finals, fit_of([deg, nr, live])) == pytest.approx(1.0 / 3.0)
+    finals = np.array([100.0, 0.0, 0.0, 0.0])
+    assert band_fraction(finals, fit_of([deg, nr, unit, live])) == 0.5
 
 
 @pytest.mark.parametrize("dt", [0.5, 1.0, 2.0])
