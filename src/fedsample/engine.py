@@ -64,12 +64,17 @@ METRICS_HEADER = (
 
 
 def _round_size(n_clients: int, fraction: float) -> int:
-    """m = max(floor(C*K), 1), once K and C are checked."""
+    """m = max(floor(C*K), 1), once K and C are checked. The floor is taken
+    exactly, in integers, on C's shortest decimal, so C=0.29 at K=100 gives
+    29 clients, not the 28 that the float product 28.999999999999996 would."""
     if n_clients < 1:
         raise ValueError("K (n_clients) must be >= 1")
     if not 0.0 < fraction <= 1.0:
         raise ValueError("C (client_fraction) must lie in (0, 1]")
-    return max(int(math.floor(fraction * n_clients)), 1)
+    # C <= 1, so its repr has no positive exponent: "0.29", "1.0", "1.5e-07".
+    digits, _, exp = repr(float(fraction)).partition("e")
+    whole, _, frac = digits.partition(".")
+    return max(int(whole + frac) * n_clients // 10 ** (len(frac) - int(exp or 0)), 1)
 
 
 def _check_nack_mode(mode: str) -> None:
@@ -408,8 +413,9 @@ def iter_rounds(
     state: ServerState | None = None,
 ):
     """An iterator with one RoundReport per round; state/ledger mutate as it
-    goes. An inconsistent experiment (a passed state's parameter shape
-    included) raises ValueError at the call, before any round runs."""
+    goes. An inconsistent experiment (a passed state's parameter shape and
+    history length included) raises ValueError at the call, before any round
+    runs."""
     _validate_experiment(model, config, dataset, rounds)
     if state is None:
         state = ServerState(
@@ -419,6 +425,9 @@ def iter_rounds(
     elif np.shape(state.global_params) != (model.param_count,):
         raise ValueError(f"state.global_params must be a ({model.param_count},) vector, "
                          f"got shape {np.shape(state.global_params)}")
+    elif state.history_len != config.history_len:
+        raise ValueError(f"state.history_len {state.history_len} does not match "
+                         f"history_len {config.history_len}")
     return (run_round(state, model, config, dataset, ledger) for _ in range(rounds))
 
 

@@ -18,7 +18,7 @@ other operation is elementwise or reduces within a row.
 Given a ``scratch`` dict, ``loss_and_grad`` writes the gradient, the
 hidden layer, its gradient and the logits into one flat float64 buffer
 held in the dict, through C-contiguous views cached per batch shape (a
-short final batch, a stack that shrinks, a lone vector); the buffer is
+short final batch, a narrower chunk, a lone vector); the buffer is
 replaced only when a call needs more room. A call then allocates only
 the finiteness mask of the parameters and arrays of one value per
 sample. Every ``out=`` target keeps C-contiguous 2-D slices, so the
@@ -32,7 +32,9 @@ subset through a flat index gather. Clients of equal size
 share a step schedule, so each such group trains in lockstep: one stacked
 ``loss_and_grad`` call per step for a chunk of the group, chunks being as
 wide as ``_LOCKSTEP_ELEMENTS`` allows. A lone client's chunk steps row 0
-of its stack as a plain vector, so it makes the one-vector calls.
+of its stack as a plain vector, so it makes the one-vector calls. A
+stack keeps its rows to the end of its chunk: a diverging client's row
+fails and restarts from the broadcast model, and the others step on.
 ``local_train`` is the one-client case.
 """
 
@@ -400,8 +402,8 @@ def train_clients(
     Entry i is client i's report, or the NumericError its training raised:
     "non-finite parameters" at the step that would start from them, or
     "parameters diverged" if only the last step overflowed. A diverging
-    client leaves its group and the others carry on, so the caller decides
-    which failure comes first.
+    client fails alone and the others of its group carry on, bit for bit as
+    if trained alone, so the caller decides which failure comes first.
     """
     _check_sgd_knobs(epochs, batch_size, eta, track)
     if len(seeds) != len(clients):
@@ -430,20 +432,6 @@ def train_clients(
     return out
 
 
-def _report(
-    theta: np.ndarray, start: np.ndarray, n: int, steps: int, tracked: np.ndarray | None,
-    path: np.ndarray | None, diff: np.ndarray,
-) -> LocalTrainReport | NumericError:
-    """One client's outcome; ``diff`` takes its update."""
-    if not np.isfinite(theta).all():
-        return NumericError("parameters diverged during local training")
-    # May overflow to inf from finite parameters; the engine rejects a
-    # non-finite decision statistic. sqrt(d @ d) is np.linalg.norm(d) for a
-    # vector, bit for bit.
-    d = np.subtract(theta, start, out=diff)
-    return LocalTrainReport(theta, math.sqrt(d @ d), n, steps, tracked, path)
-
-
 def _train_chunk(
     spec: ModelSpec,
     start: np.ndarray,
@@ -458,87 +446,87 @@ def _train_chunk(
     """Lockstep SGD of equal-size clients on a (G, P) parameter stack.
 
     A lone client steps row 0 as a plain (P,) vector with (n, dim)
-    batches, so each of its gradient calls is the one-vector call; a stack
-    that shrinks to one row steps on as a one-row stack. When the clients
-    track every coordinate, each step's path row is a copy of the stack;
-    a subset is gathered from it through flat indices."""
+    batches, so each of its gradient calls is the one-vector call. The
+    stack keeps its G rows to the end: a row that goes non-finite fails and
+    restarts from ``start``, its later steps and path thrown away, so the
+    other rows step on; the chunk stops once every row has failed. When the
+    clients track every coordinate, each step's path row is a copy of the
+    stack; a subset is gathered from it through flat indices."""
     n = batches[0][0].shape[0]
     steps_total = epochs * math.ceil(n / batch_size)
-    lane = 0 if len(seeds) == 1 else slice(None)  # the rows each step reads
+    rows = len(seeds)
+    lane = 0 if rows == 1 else slice(None)  # the rows each step reads
     tracked = [_resolve_track(track, start.size, seed) for seed in seeds]
-    theta = np.tile(start, (len(seeds), 1))
+    theta = np.tile(start, (rows, 1))
     params = theta[lane]
-    live = np.arange(len(seeds))  # group position of each row of theta
-
-    def flat_tracked(live: np.ndarray) -> np.ndarray:
-        """Each live row's tracked coordinates as flat indices into theta."""
-        at = np.stack([tracked[g] for g in live.tolist()])
-        at += start.size * np.arange(live.size)[:, None]
-        return at
-
     at = paths = None  # `at` stays None when every coordinate is tracked
     if tracked[0] is not None:
-        paths = np.empty((len(seeds), steps_total + 1, tracked[0].size), dtype=np.float64)
+        paths = np.empty((rows, steps_total + 1, tracked[0].size), dtype=np.float64)
         if tracked[0].size < start.size:
-            at = flat_tracked(live)
+            # Each row's tracked coordinates as flat indices into theta.
+            at = np.stack(tracked)
+            at += start.size * np.arange(rows)[:, None]
             paths[:, 0] = theta.take(at)
         else:
             paths[:, 0] = theta
-    # Every live client's next `block` rows in epoch order, gathered at once:
+    # Every client's next `block` rows in epoch order, gathered at once:
     # whole batches, at most _GATHER_ELEMENTS features for the chunk (or one
     # batch each). A step's batch stack is a slice of this buffer.
-    fit = _GATHER_ELEMENTS // (len(seeds) * spec.input_dim * batch_size)
+    fit = _GATHER_ELEMENTS // (rows * spec.input_dim * batch_size)
     block = max(1, fit) * batch_size
-    xs = np.empty((len(seeds), min(block, n), spec.input_dim), dtype=np.float64)
-    ys = np.empty((len(seeds), min(block, n)), dtype=np.result_type(*(y for _, y in batches)))
+    xs = np.empty((rows, min(block, n), spec.input_dim), dtype=np.float64)
+    ys = np.empty((rows, min(block, n)), dtype=np.result_type(*(y for _, y in batches)))
     # Each step's epoch offset and its batch's bounds in the buffer (the
     # last batch of an epoch may be short).
     cuts = [(lo, lo % block, lo % block + min(batch_size, n - lo))
             for lo in range(0, n, batch_size)]
-    results: dict[int, LocalTrainReport | NumericError] = {}  # by group position
+    out: list[LocalTrainReport | NumericError | None] = [None] * rows  # a failed row's error
     step = 0  # lockstep steps taken
-    for epoch in range(epochs):
-        orders = [derive_rng(seeds[g], "shuffle", epoch).permutation(n) for g in live.tolist()]
-        for lo, b, e in cuts:
-            if b == 0:
-                for j, g in enumerate(live.tolist()):
-                    sel = orders[j][lo : lo + block]
-                    batches[g][0].take(sel, axis=0, out=xs[j, : sel.size], mode="clip")
-                    ys[j, : sel.size] = batches[g][1][sel]
-            if live.size > 1 and not np.isfinite(theta).all():
-                # The rows that went non-finite fail here, as each would
-                # alone at its next gradient call; the rest step on.
-                keep = np.isfinite(theta).all(axis=1)
-                exc = NumericError("non-finite parameters")
-                results.update(dict.fromkeys(live[~keep].tolist(), exc))
-                live, theta, xs, ys = (a[keep] for a in (live, theta, xs, ys))
-                params = theta[lane]
-                orders = [order for order, k in zip(orders, keep) if k]
-                if not live.size:
-                    break
-                if paths is not None:
-                    paths = paths[keep]
-                if at is not None:
-                    at = flat_tracked(live)
-            try:
-                _, grad = loss_and_grad(spec, params, (xs[lane, b:e], ys[lane, b:e]), scratch)
-            except NumericError as exc:
-                # Only a row left alone gets here non-finite: the call's own
-                # check fails it, as for one client trained alone.
-                results[int(live[0])] = exc
-                live = live[:0]
+    for epoch, (lo, b, e) in itertools.product(range(epochs), cuts):
+        if lo == 0:
+            orders = [derive_rng(seed, "shuffle", epoch).permutation(n) for seed in seeds]
+        if b == 0:
+            for j, (x, y) in enumerate(batches):
+                sel = orders[j][lo : lo + block]
+                x.take(sel, axis=0, out=xs[j, : sel.size], mode="clip")
+                ys[j, : sel.size] = y[sel]
+        if rows > 1 and not np.isfinite(theta).all():
+            # The rows that went non-finite fail here, as each would alone
+            # at its next gradient call. They restart from `start`, so the
+            # stack stays finite for that call's own check; their later
+            # steps are thrown away.
+            bad = ~np.isfinite(theta).all(axis=1)
+            exc = NumericError("non-finite parameters")
+            for g in np.flatnonzero(bad).tolist():
+                out[g] = out[g] or exc
+            if None not in out:
                 break
-            grad *= eta
-            params -= grad
-            step += 1
-            if at is not None:
-                theta.take(at, out=paths[:, step], mode="clip")
-            elif paths is not None:
-                paths[:, step] = theta
-        if not live.size:
+            theta[bad] = start
+        try:
+            _, grad = loss_and_grad(spec, params, (xs[lane, b:e], ys[lane, b:e]), scratch)
+        except NumericError as exc:
+            # Only a lone client gets here non-finite: the call's own check
+            # fails it.
+            out[0] = exc
             break
+        grad *= eta
+        params -= grad
+        step += 1
+        if at is not None:
+            theta.take(at, out=paths[:, step], mode="clip")
+        elif paths is not None:
+            paths[:, step] = theta
     diff = np.empty_like(start)
-    for j, g in enumerate(live.tolist()):
-        path = None if paths is None else paths[j]
-        results[g] = _report(theta[j], start, n, steps_total, tracked[g], path, diff)
-    return [results[g] for g in range(len(seeds))]
+    for g in range(rows):
+        if out[g] is not None:
+            continue
+        if not np.isfinite(theta[g]).all():
+            out[g] = NumericError("parameters diverged during local training")
+            continue
+        # May overflow to inf from finite parameters; the engine rejects a
+        # non-finite decision statistic. sqrt(d @ d) is np.linalg.norm(d) for
+        # a vector, bit for bit.
+        d = np.subtract(theta[g], start, out=diff)
+        path = None if paths is None else paths[g]
+        out[g] = LocalTrainReport(theta[g], math.sqrt(d @ d), n, steps_total, tracked[g], path)
+    return out

@@ -81,12 +81,6 @@ class OUFit:
             self.degenerate[index], self.non_reverting[index],
         )
 
-    def stationary_sd(self) -> np.ndarray:
-        """Each column's stationary sd, resid_sd / sqrt(1 - a^2); NaN where
-        the column is flagged."""
-        a = np.where(self.flagged, 0.0, self.a)
-        return np.where(self.flagged, np.nan, self.resid_sd / np.sqrt(1.0 - a * a))
-
     @cached_property
     def mu(self) -> np.ndarray:
         a_eff = np.where(self.a <= 0.0, _SLOPE_FLOOR, self.a)

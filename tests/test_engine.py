@@ -56,6 +56,14 @@ def test_select_tiny_fraction_takes_one():
     assert select_clients(50, 0.001, round_idx=3, seed=0).size == 1
 
 
+@pytest.mark.parametrize("k", [10, 20, 50, 100, 200, 1000])
+def test_select_takes_the_exact_floor_of_c_times_k(k):
+    # C = c/100 selects floor(c*K/100) clients, at least one, also where the
+    # float product lands just below an integer (0.29 * 100 is 28.99...).
+    for c in range(1, 101):
+        assert select_clients(k, c / 100, round_idx=0, seed=0).size == max(c * k // 100, 1)
+
+
 def test_select_is_deterministic_and_round_varying():
     a = select_clients(50, 0.2, round_idx=5, seed=1)
     b = select_clients(50, 0.2, round_idx=5, seed=1)
@@ -410,6 +418,17 @@ def test_iter_rounds_rejects_a_state_of_another_shape(shape):
     # fails at the call, not in round 0.
     state = ServerState(global_params=np.zeros(shape))
     with pytest.raises(ValueError, match=r"must be a \(28,\) vector, got shape"):
+        iter_rounds(MODEL, config(PolicyConfig("full")), small_dataset(), 1, CommLedger(),
+                    state=state)
+
+
+@pytest.mark.parametrize("history_len", [1, 3, 21])
+def test_iter_rounds_rejects_a_state_of_another_history_len(history_len):
+    # The config's checked history_len holds: a state keeping another number
+    # of models fails at the call, even one the config would reject.
+    state = ServerState(global_params=np.zeros(MODEL.param_count), history_len=history_len)
+    with pytest.raises(ValueError, match=f"state.history_len {history_len} does not match "
+                                         "history_len 20"):
         iter_rounds(MODEL, config(PolicyConfig("full")), small_dataset(), 1, CommLedger(),
                     state=state)
 

@@ -160,7 +160,7 @@ def stacked_call(spec: ModelSpec, g: int | None, n: int, seed: int):
 @pytest.mark.parametrize("spec", [LOGISTIC, MLP, QUAD], ids=lambda s: s.kind)
 def test_scratch_gives_the_fresh_result_bitwise(spec):
     # One scratch serves a chunk's calls: a full and a short final batch, a
-    # stack that shrinks from G to G-3 and a lone vector, all in the buffers
+    # narrower stack of G-3 and a lone vector, all in the buffers
     # the first, widest call sized; then a wider call that outgrows them.
     scratch = {}
     calls = [(7, 4), (7, 3), (4, 4), (4, 1), (None, 4), (None, 1), (7, 4)]
@@ -398,31 +398,43 @@ def test_train_clients_equals_one_client_at_a_time(monkeypatch, spec, sizes, tra
         assert len({rep.tracked.tobytes() for rep in reports}) > 1
 
 
-@pytest.mark.parametrize("epochs, message, track", [
-    pytest.param(epochs, message, track,
-                 id=f"{epochs}-{message}" + ("" if track is None else f"-track={track}"))
-    for epochs, message in [
-        (2, "^non-finite parameters$"),                       # fails mid-run
-        (1, "^parameters diverged during local training$"),   # at its last step
-    ]
-    for track in (None, "all", 3, 10**6)
+@pytest.mark.parametrize("spec, epochs, batch_size, scales, message, track", [
+    *(pytest.param(LOGISTIC, epochs, 6, {1: 1e300}, message, track,
+                   id=f"{epochs}-{message}" + ("" if track is None else f"-track={track}"))
+      for epochs, message in [
+          (2, "^non-finite parameters$"),                       # fails mid-run
+          (1, "^parameters diverged during local training$"),   # at its last step
+      ]
+      for track in (None, "all", 3, 10**6)),
+    # Long runs: each diverging row fails, restarts from the broadcast model
+    # and diverges again, 8 to 17 times in 18 steps. mlp1's saturated tanh
+    # holds merely huge features, so its rows carry infinite ones.
+    *(pytest.param(spec, 6, 2, scales, "^non-finite parameters$", track,
+                   id=f"long-{spec.kind}" + ("" if track is None else f"-track={track}"))
+      for spec, scales in [(LOGISTIC, {1: 1e300, 3: 1e150}), (MLP, {1: 1e308, 3: np.inf})]
+      for track in (None, "all", 3)),
 ])
-def test_train_clients_isolates_a_diverging_client(epochs, message, track):
-    # Client 1's huge features overflow its first update; the other clients
-    # of its group train on as if alone. Mid-run, a tracked group drops the
-    # failed row from its paths and tracked indices too.
-    start = init_params(LOGISTIC, seed=2)
-    clients = [random_batch(LOGISTIC, 6, seed=40 + i) for i in range(4)]
-    clients[1] = (clients[1][0] * 1e300, clients[1][1])
+def test_train_clients_isolates_a_diverging_client(
+    spec, epochs, batch_size, scales, message, track,
+):
+    # The scaled clients' huge features overflow their first update; the
+    # other clients of their group train on as if alone, paths included.
+    start = init_params(spec, seed=2)
+    clients = [random_batch(spec, 6, seed=40 + i) for i in range(4)]
+    with np.errstate(over="ignore"):
+        for i, scale in scales.items():
+            clients[i] = (clients[i][0] * scale, clients[i][1])
     seeds = [7, 8, 9, 10]
-    reports = train_clients(LOGISTIC, start, clients, seeds, epochs, 6, 1e10, track)
-    assert isinstance(reports[1], NumericError)
-    assert str(reports[1]) == message.strip("^$")
-    with pytest.raises(NumericError, match=message):
-        local_train(LOGISTIC, start, clients[1], epochs, 6, 1e10, seeds[1], track)
-    for i in (0, 2, 3):
-        one = local_train(LOGISTIC, start, clients[i], epochs, 6, 1e10, seeds[i], track)
-        theta, path = reference_local_train(LOGISTIC, start, clients[i], epochs, 6, 1e10, seeds[i])
+    reports = train_clients(spec, start, clients, seeds, epochs, batch_size, 1e10, track)
+    for i in scales:
+        assert isinstance(reports[i], NumericError)
+        assert str(reports[i]) == message.strip("^$")
+        with pytest.raises(NumericError, match=message):
+            local_train(spec, start, clients[i], epochs, batch_size, 1e10, seeds[i], track)
+    for i in sorted(set(range(4)) - scales.keys()):
+        one = local_train(spec, start, clients[i], epochs, batch_size, 1e10, seeds[i], track)
+        theta, path = reference_local_train(
+            spec, start, clients[i], epochs, batch_size, 1e10, seeds[i])
         assert reports[i].params_after.tobytes() == one.params_after.tobytes() == theta.tobytes()
         assert reports[i].update_norm == one.update_norm
         if track is None:
@@ -433,9 +445,9 @@ def test_train_clients_isolates_a_diverging_client(epochs, message, track):
 
 
 @pytest.mark.parametrize("scales, calls", [
-    # Client 0 leaves the group after one step; client 1, then alone, fails
-    # at its third step's own gradient call.
-    ((1e300, 1e200), 3),
+    # Client 0 fails after one step and client 1 after two: the check of the
+    # stack before the third step fails client 1, so no third call is made.
+    ((1e300, 1e200), 2),
     # A client that trains on keeps the group stepping to the end.
     ((1e300, 1.0, 1e200), 9),
 ])
@@ -488,15 +500,15 @@ def test_lone_clients_step_a_vector_and_groups_a_stack(monkeypatch, spec, track)
     assert shapes == [(p,)] * 16
 
 
-def test_a_group_left_with_one_row_steps_as_a_stack(monkeypatch):
-    # Client 0 leaves the pair after its first step; client 1 steps on as a
-    # one-row stack.
+def test_a_diverging_pair_steps_as_a_pair_to_the_end(monkeypatch):
+    # Client 0 fails after its first step and its row restarts; the pair
+    # steps as one (2, P) stack for all 9 steps of client 1.
     shapes = record_param_shapes(monkeypatch)
     start = init_params(LOGISTIC, seed=2)
     x, y = random_batch(LOGISTIC, 6, seed=41)
     reports = train_clients(LOGISTIC, start, [(x * 1e300, y), (x, y)], [8, 8], 3, 2, 1e10)
     assert isinstance(reports[0], NumericError) and not isinstance(reports[1], NumericError)
-    assert shapes == [(2, LOGISTIC.param_count)] + [(1, LOGISTIC.param_count)] * 8
+    assert shapes == [(2, LOGISTIC.param_count)] * 9
 
 
 @pytest.mark.parametrize("track", [None, "all"], ids=["none", "all"])
