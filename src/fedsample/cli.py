@@ -36,7 +36,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .config import build_experiment, load_config
+from .config import _as_seed, build_experiment, load_config
 from .engine import METRICS_HEADER, CommLedger, _ou_fit, format_metrics_row, iter_rounds
 from .errors import ConfigError, NumericError
 from .models import init_params, local_train
@@ -86,7 +86,8 @@ def _command(args, outputs: list[str]):
     the command raises.
     """
     settings = load_config(args.config)
-    seed = settings.round.seed if args.seed_override is None else args.seed_override
+    seed = (settings.round.seed if args.seed_override is None
+            else _as_seed(args.seed_override, "--seed-override"))
     _make_dir(args.out, "--out")
     manifest = {
         "run_id": _run_id(args.config, seed),
@@ -219,7 +220,8 @@ def cmd_sweep(args) -> int:
             )
         if not policies:
             raise ConfigError("sweep: empty grid; pass --gammas and/or --policies")
-        seeds = _parse_list(args.seeds, int, "--seeds") if args.seeds else [base_seed]
+        seeds = ([_as_seed(seed, "--seeds") for seed in _parse_list(args.seeds, int, "--seeds")]
+                 if args.seeds else [base_seed])
         if not seeds:
             raise ConfigError(f"sweep: empty seed list {args.seeds!r}; name seeds or omit --seeds")
 
@@ -258,8 +260,10 @@ def cmd_sweep(args) -> int:
 
 
 def demo_train_seed(seed: int) -> int:
-    """Seed stream for the central demo trainer."""
-    return int(seed_sequence(seed, "demo").generate_state(1, np.uint64)[0])
+    """Seed stream for the central demo trainer, joined from two 32-bit
+    words as ``engine.client_train_seed`` joins its own."""
+    low, high = seed_sequence(seed, "demo").generate_state(2).tolist()
+    return low | high << 32
 
 
 def cmd_ou_demo(args) -> int:

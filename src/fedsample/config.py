@@ -37,6 +37,7 @@ from .engine import RoundConfig, _check_client_count
 from .errors import ConfigError
 from .models import MODEL_KINDS, ModelSpec
 from .policies import POLICY_PARAMS, PolicyConfig
+from .seeding import check_seed
 
 _TOP_KEYS = {
     "dataset", "model", "K", "C", "E", "B", "eta", "rounds", "policy",
@@ -74,6 +75,15 @@ def _as_int(value, where: str, minimum: int | None = None) -> int:
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{where}: must be >= {minimum}, got {value}")
+    return value
+
+
+def _as_seed(value, where: str) -> int:
+    value = _as_int(value, where)
+    try:
+        check_seed(value, where)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
     return value
 
 
@@ -125,7 +135,7 @@ def parse_config(doc: dict) -> RunSettings:
         _as_int(_require(dataset, "shards_per_client", "dataset"),
                 "dataset.shards_per_client", 1)
         if "seed" in dataset:
-            _as_int(dataset["seed"], "dataset.seed")
+            _as_seed(dataset["seed"], "dataset.seed")
     else:
         path = _require(dataset, "path", "dataset")
         if not isinstance(path, str) or not path:
@@ -191,9 +201,14 @@ def build_experiment(
 
     An explicit ``dataset.seed`` pins synthetic data across seeds; without
     one, ``seed`` drives it too, so that per-seed comparisons across
-    policies stay paired. Whatever the data or the model rejects is a
+    policies stay paired. A seed outside [0, 2**64) is a ConfigError
+    naming ``seed``; whatever the data or the model rejects is a
     ConfigError prefixed ``dataset:`` or ``model:``.
     """
+    try:
+        round_config = dataclasses.replace(settings.round, seed=seed)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
     ds, m = settings.dataset, settings.model
     try:
         if ds["kind"] == "csv":
@@ -202,12 +217,12 @@ def build_experiment(
             dataset = synth_blobs(
                 n_classes=ds["n_classes"],
                 dim=ds["dim"],
-                n_clients=settings.round.n_clients,
+                n_clients=round_config.n_clients,
                 samples_per_client=ds["samples_per_client"],
                 shards_per_client=ds["shards_per_client"],
                 seed=ds.get("seed", seed),
             )
-        _check_client_count(settings.round.n_clients, dataset)
+        _check_client_count(round_config.n_clients, dataset)
     except (ValueError, OSError) as err:
         raise ConfigError(f"dataset: {err}") from None
 
@@ -221,4 +236,4 @@ def build_experiment(
     except ValueError as err:
         raise ConfigError(f"model: {err}") from None
 
-    return dataset, model, dataclasses.replace(settings.round, seed=seed)
+    return dataset, model, round_config

@@ -49,7 +49,7 @@ from .policies import (
     compute_adaptive_threshold,
     local_decide,
 )
-from .seeding import derive_rng, seed_sequence
+from .seeding import check_seed, derive_rng, seed_sequence
 
 PARAM_BYTES = 4      # single-precision payload accounting
 COUNT_BYTES = 8      # n_i attached to every message
@@ -103,6 +103,7 @@ class RoundConfig:
         _round_size(self.n_clients, self.client_fraction)  # checks K and C
         _check_sgd_knobs(self.epochs, self.batch_size, self.eta, self.track)
         _check_nack_mode(self.nack_estimate_mode)
+        check_seed(self.seed)
         if self.history_len < 3:
             raise ValueError("history_len must be >= 3")
 
@@ -192,8 +193,10 @@ def select_clients(
 
 
 def client_train_seed(seed: int, round_idx: int, client_id: int) -> int:
-    """Stable integer seed for one client's local work in one round."""
-    return int(seed_sequence(seed, "train", round_idx, client_id).generate_state(1, np.uint64)[0])
+    """Stable integer seed for one client's local work in one round: the
+    stream's first two 32-bit words, low word first (its first uint64)."""
+    low, high = seed_sequence(seed, "train", round_idx, client_id).generate_state(2).tolist()
+    return low | high << 32
 
 
 def message_bytes(msg: UpdateMessage, n_params: int) -> int:

@@ -146,7 +146,8 @@ def _ar1_ols(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, in
     values: (T, k) array, T >= 3. Returns (a, b, resid_sd, n_points,
     degenerate) where degenerate marks zero-variance predictor columns.
     Residual sd uses the regression dof denominator (n_points - 2), with an
-    exact-fit convention of zero when n_points == 2.
+    exact-fit convention of zero when n_points == 2. Raises ValueError for
+    non-finite values.
 
     numpy sums a lone column pairwise but several columns row by row, so a
     lone column is fitted as one of two equal columns: a column's bits do
@@ -159,6 +160,10 @@ def _ar1_ols(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, in
     n = x.shape[0]
     mx = np.add.reduce(x, axis=0) / n
     my = np.add.reduce(y, axis=0) / n
+    # Every row is in x or in y, so a non-finite value makes its column's
+    # mean non-finite; a finite column can overflow too, so only then scan.
+    if not (np.isfinite(mx).all() and np.isfinite(my).all()) and not np.isfinite(values).all():
+        raise ValueError("trajectory values must be finite")
     # Two (T-1, k) buffers serve every product and the residual below.
     dx = x - mx
     dy = y - my
@@ -196,8 +201,6 @@ def fit_ou_ls_columns(values: np.ndarray, dt: float) -> OUFit:
         raise ValueError("need at least 3 observations per trajectory")
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError("dt must be positive and finite")
-    if not np.isfinite(values).all():
-        raise ValueError("trajectory values must be finite")
 
     with np.errstate(all="ignore"):
         a, b, resid_sd, n, degenerate = _ar1_ols(values)

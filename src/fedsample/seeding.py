@@ -4,6 +4,14 @@ All randomness in the package flows through independent, named streams so
 that client-local work can run in any order (or in parallel) and still
 reproduce bit-identical results. A stream is addressed by a tuple of parts,
 e.g. ``derive_rng(seed, "train", round_idx, client_id)``.
+
+Each part stands for a 64-bit value: an int in [0, 2**64) for itself, a
+label for the first 8 bytes of its sha256, little-endian. Ints outside
+that range are rejected, not wrapped, so distinct seeds never share a
+stream. A stream is numpy's SeedSequence (seeding PCG64) of the values'
+32-bit words, low word first, one word for a value below 2**32: the stream
+``np.random.SeedSequence([value, ...])`` gives, fixed by numpy's stream
+policy (NEP 19).
 """
 
 from __future__ import annotations
@@ -13,11 +21,23 @@ import hashlib
 
 import numpy as np
 
+_WORD_MASK = 0xFFFFFFFF
+_PART_LIMIT = 1 << 64
+
+
+def check_seed(seed: int, name: str = "seed") -> None:
+    """Raise ValueError naming ``name`` unless ``seed`` is a valid int
+    stream part, i.e. lies in [0, 2**64)."""
+    if not 0 <= seed < _PART_LIMIT:
+        raise ValueError(f"{name} must be in [0, 2**64), got {seed}")
+
 
 def _part_to_int(part: int | str) -> int:
-    """Map a stream-name part to a stable non-negative integer."""
+    """Map a stream-name part to a stable integer in [0, 2**64)."""
     if isinstance(part, (int, np.integer)):
-        return int(part) & 0xFFFFFFFFFFFFFFFF
+        value = int(part)
+        check_seed(value, "stream part")
+        return value
     return _label_to_int(part)
 
 
@@ -30,10 +50,21 @@ def _label_to_int(label: str) -> int:
 
 
 def seed_sequence(*parts: int | str) -> np.random.SeedSequence:
-    """Build a SeedSequence from a tuple of ints/labels; stable across runs."""
+    """Build a SeedSequence from a tuple of ints/labels; stable across runs.
+
+    The parts' 32-bit words go in as one uint32 array. numpy builds the
+    same pool from the list of values, but its coercion of a list, int by
+    int, costs more than the hash itself.
+    """
     if not parts:
         raise ValueError("seed_sequence requires at least one part")
-    return np.random.SeedSequence([_part_to_int(p) for p in parts])
+    words = []
+    for part in parts:
+        value = _part_to_int(part)
+        words.append(value & _WORD_MASK)
+        if value > _WORD_MASK:
+            words.append(value >> 32)
+    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
 
 
 def derive_rng(*parts: int | str) -> np.random.Generator:

@@ -832,6 +832,38 @@ def test_manifest_that_cannot_be_opened_exits_2(tmp_path, capsys, command):
     assert (out / "manifest.json").is_dir()
 
 
+@pytest.mark.parametrize("bad", [2**64, -1])
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_seed_outside_64_bits_exits_2_naming_the_key(tmp_path, capsys, command, bad):
+    # Seeds are not wrapped modulo 2**64: 2**64 would rerun seed 0.
+    cases = [
+        ("seed", {"seed": bad}, []),
+        ("dataset.seed", {"dataset": {**BASE_CONFIG["dataset"], "seed": bad}}, []),
+        ("--seed-override", {}, ["--seed-override", str(bad)]),
+    ]
+    if command == "sweep":
+        cases.append(("--seeds", {}, [f"--seeds=0,{bad}"]))
+    for i, (key, overrides, argv) in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        capsys.readouterr()
+        code = main([command, "--config", write_config(tmp_path, overrides), "--out", str(out),
+                     "--quiet", *COMMANDS[command], *argv])
+        assert code == 2, key
+        assert capsys.readouterr().err == f"config error: {key} must be in [0, 2**64), got {bad}\n"
+        assert not (out / "runs").exists(), key
+
+
+def test_seed_at_the_top_of_the_range_runs(tmp_path):
+    top = 2**64 - 1
+    cfg = write_config(tmp_path, {"dataset": {**BASE_CONFIG["dataset"], "seed": top}})
+    for i, argv in enumerate([["--seed-override", str(top)], []]):
+        out = tmp_path / f"out{i}"
+        assert main(["run", "--config", cfg, "--out", str(out), "--quiet", *argv]) == 0
+    # The config's dataset seed pins the data; the round seed differs.
+    assert read_csv(tmp_path / "out0" / "metrics.csv")[-1][-1] == str(top)
+    assert read_csv(tmp_path / "out1" / "metrics.csv")[-1][-1] == "0"
+
+
 def test_sweep_cell_csv_that_cannot_be_opened_is_an_error_row(tmp_path, capsys):
     out = tmp_path / "sweep"
     (out / "runs" / "full_s0.csv").mkdir(parents=True)

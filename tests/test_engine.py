@@ -78,10 +78,14 @@ def test_select_is_deterministic_and_round_varying():
 # ------------------------------------------------------------ byte accounting
 
 def test_stream_labels_hash_to_stable_words():
-    # A label part enters the seed as the first 8 sha256 bytes, little-endian.
+    # A label part enters the seed as the first 8 sha256 bytes, little-endian,
+    # as two 32-bit words, low word first: SeedSequence's split of that int.
     word = int.from_bytes(hashlib.sha256(b"shuffle").digest()[:8], "little")
     for _ in range(2):
-        assert seed_sequence(3, "shuffle", 1).entropy == [3, word, 1]
+        stream = seed_sequence(3, "shuffle", 1)
+        assert stream.entropy.tolist() == [3, word & 0xFFFFFFFF, word >> 32, 1]
+        reference = np.random.SeedSequence([3, word, 1])
+        assert np.array_equal(stream.generate_state(8), reference.generate_state(8))
 
 
 def test_message_bytes_closed_forms():

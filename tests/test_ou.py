@@ -281,6 +281,26 @@ def test_columns_fit_rejects_non_finite_input_and_statistics():
         fit_ou_ls_columns(overflowing, dt=1.0)
 
 
+def test_columns_fit_finds_a_non_finite_value_in_any_row():
+    # The fit reads non-finite input off its column means: the first and
+    # last rows enter only one of them.
+    base = np.column_stack([np.arange(6.0), np.sin(np.arange(6.0)), np.ones(6)])
+    for row in range(6):
+        for col in range(3):
+            for bad in (math.nan, math.inf, -math.inf):
+                values = base.copy()
+                values[row, col] = bad
+                with pytest.raises(ValueError, match=r"^trajectory values must be finite$"):
+                    fit_ou_ls_columns(values, dt=1.0)
+                with pytest.raises(ValueError, match=r"^trajectory values must be finite$"):
+                    fit_ou_ls(values[:, col], 1.0)
+    # A finite column whose mean overflows is not non-finite input: the
+    # fit's own check rejects it.
+    base[:, 0] = 1.5e308
+    with pytest.raises(ValueError, match=r"^lam and mu must be finite$"):
+        fit_ou_ls_columns(base, dt=1.0)
+
+
 # --------------------------------------------------------------------- decode
 
 def test_decode_zero_elapsed_returns_reference():

@@ -1,0 +1,74 @@
+"""Tests for the stream contract: a stream is numpy's SeedSequence of its
+parts' 64-bit values, and int parts outside [0, 2**64) are rejected."""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from fedsample.cli import demo_train_seed
+from fedsample.engine import RoundConfig, client_train_seed
+from fedsample.policies import PolicyConfig
+from fedsample.seeding import _part_to_int, derive_rng, seed_sequence
+
+EDGE_PARTS = [
+    0, 1, 2**32 - 1, 2**32, 2**64 - 1,
+    np.uint64(0), np.uint64(2**32), np.uint64(2**64 - 1), np.uint32(2**32 - 1),
+    np.int64(0), np.int64(2**32 - 1), np.int64(2**63 - 1),
+    "shuffle", "train", "", "ü",
+]
+
+
+def random_part(rng: np.random.Generator):
+    kind = int(rng.integers(3))
+    if kind == 0:
+        return EDGE_PARTS[int(rng.integers(len(EDGE_PARTS)))]
+    if kind == 1:
+        # Every bit length from 0 to 64 turns up.
+        return int(rng.integers(0, 2**64, dtype=np.uint64)) >> int(rng.integers(65))
+    return f"label{int(rng.integers(100))}"
+
+
+def test_streams_are_seed_sequences_of_the_part_values():
+    rng = np.random.default_rng(20261019)
+    for _ in range(300):
+        parts = [random_part(rng) for _ in range(int(rng.integers(1, 7)))]
+        reference = np.random.SeedSequence([_part_to_int(p) for p in parts])
+        assert np.array_equal(seed_sequence(*parts).generate_state(8),
+                              reference.generate_state(8)), parts
+        expected = np.random.Generator(np.random.PCG64(reference))
+        got = derive_rng(*parts)
+        assert np.array_equal(got.integers(0, 2**63, size=4), expected.integers(0, 2**63, size=4))
+        assert np.array_equal(got.permutation(50), expected.permutation(50)), parts
+
+
+def test_train_seeds_are_the_streams_first_uint64():
+    train = int.from_bytes(hashlib.sha256(b"train").digest()[:8], "little")
+    demo = int.from_bytes(hashlib.sha256(b"demo").digest()[:8], "little")
+    for seed, t, k in [(0, 0, 0), (7, 3, 99), (2**32, 1, 2), (2**64 - 1, 2**40, 5)]:
+        reference = np.random.SeedSequence([seed, train, t, k])
+        assert client_train_seed(seed, t, k) == int(reference.generate_state(1, np.uint64)[0])
+        reference = np.random.SeedSequence([seed, demo])
+        assert demo_train_seed(seed) == int(reference.generate_state(1, np.uint64)[0])
+
+
+@pytest.mark.parametrize("bad", [2**64, -1, 2**70, np.int64(-1)])
+def test_int_parts_outside_64_bits_are_rejected(bad):
+    message = r"must be in \[0, 2\*\*64\)"
+    with pytest.raises(ValueError, match=message):
+        seed_sequence(bad)
+    with pytest.raises(ValueError, match=message):
+        derive_rng(0, "shuffle", bad)
+    with pytest.raises(ValueError, match=message):
+        client_train_seed(bad, 0, 0)
+    with pytest.raises(ValueError, match="^seed " + message):
+        RoundConfig(n_clients=4, client_fraction=0.5, epochs=1, batch_size=2, eta=0.1,
+                    policy=PolicyConfig("full"), seed=bad)
+
+
+def test_seeds_at_the_ends_of_the_range_are_distinct_streams():
+    RoundConfig(n_clients=4, client_fraction=0.5, epochs=1, batch_size=2, eta=0.1,
+                policy=PolicyConfig("full"), seed=2**64 - 1)
+    draws = {seed: derive_rng(seed, "select", 0).permutation(20).tolist()
+             for seed in (0, 1, 2**32, 2**64 - 1)}
+    assert len({tuple(d) for d in draws.values()}) == len(draws)
