@@ -7,6 +7,11 @@ threshold -> each client decides send or suppress -> senders upload their
 full model (ACK), the rest a stub (NACK) -> the server fills NACK slots
 with an estimate -> sample-size-weighted aggregation -> evaluation.
 
+Band policies' statistics are computed for the whole round in one
+``band_fractions`` call, bit for bit the per-client fits; a fit that fails
+sends the round back to fitting client by client, so that the error, and
+which client's error comes first, stays that of the per-client loop.
+
 Byte accounting is exact and single-precision-based regardless of the
 double-precision arithmetic: 4 bytes per parameter, 8 bytes per sample
 count, 4 bytes per reported scalar or broadcast threshold.
@@ -26,6 +31,7 @@ bitwise, so zero-sender rounds cannot drift the model.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -42,7 +48,7 @@ from .models import (
     local_train,  # noqa: F401 - engine.local_train stays resolvable (bench/tracer.py wraps it)
     train_clients,
 )
-from .ou import OUFit, band_fraction, decode, fit_ou_ls_columns
+from .ou import OUFit, band_fraction, band_fractions, decode, fit_ou_ls_columns
 from .policies import (
     NORM_POLICIES,
     PolicyConfig,
@@ -275,6 +281,23 @@ def aggregate(estimates: list[tuple[np.ndarray, int]]) -> np.ndarray:
     return anchor + acc
 
 
+def _round_band_stats(trained: list[LocalTrainReport | NumericError]) -> list[float] | None:
+    """Every client's band statistic from one ``band_fractions`` call over
+    the clients before the first training failure, which it then raises.
+    None where the per-client loop must decide instead: a path shorter than
+    3 rows, or a fit that fails, whose error that loop names and orders."""
+    reps = list(itertools.takewhile(lambda rep: not isinstance(rep, NumericError), trained))
+    if any(rep.path.shape[0] < 3 for rep in reps):
+        return None
+    try:
+        stats = band_fractions([rep.path for rep in reps])
+    except ValueError:
+        return None
+    if len(reps) < len(trained):
+        raise trained[len(reps)]
+    return stats
+
+
 def _band_stats(report: LocalTrainReport, what: str) -> float:
     path = report.path
     if path.shape[0] < 3:
@@ -312,21 +335,24 @@ def run_round(
         eta=config.eta,
         track=track,
     )
-    stats: list[float] = []  # each client's decision statistic, in id order
-    # The first failure in client-id order wins, and a client's training
-    # failure comes before its decision statistic's: what training and
-    # checking one client after another would raise.
-    for k, rep in zip(ids, trained):
-        if isinstance(rep, NumericError):
-            raise rep
-        if policy.needs_band_fraction:
-            stats.append(_band_stats(rep, f"client {k} at round {t} (policy {policy.label})"))
-        else:
-            if policy.kind in NORM_POLICIES and not math.isfinite(rep.update_norm):
+    # Each client's decision statistic, in id order. The first failure in
+    # client-id order wins, and a client's training failure comes before its
+    # decision statistic's: what training and checking one client after
+    # another would raise.
+    stats = _round_band_stats(trained) if policy.needs_band_fraction else None
+    if stats is None:
+        stats = []
+        for k, rep in zip(ids, trained):
+            if isinstance(rep, NumericError):
+                raise rep
+            if policy.needs_band_fraction:
+                stats.append(_band_stats(rep, f"client {k} at round {t} (policy {policy.label})"))
+            elif policy.kind in NORM_POLICIES and not math.isfinite(rep.update_norm):
                 raise NumericError(
                     f"update norm of client {k} non-finite at round {t} (policy {policy.label})"
                 )
-            stats.append(rep.update_norm)
+            else:
+                stats.append(rep.update_norm)
 
     threshold = policy.fixed_threshold
     if policy.adaptive:
@@ -407,6 +433,23 @@ def _validate_experiment(
             )
 
 
+def _check_history(state: ServerState) -> None:
+    """A passed state's history holds 1 to history_len (P,) models, the last
+    of them global_params (NaN compared equal, so that a non-finite state
+    still fails in its round, as a NumericError)."""
+    shape = np.shape(state.global_params)
+    for i, model in enumerate(state.history):
+        if np.shape(model) != shape:
+            raise ValueError(f"state.history[{i}] must be a {shape} vector, "
+                             f"got shape {np.shape(model)}")
+    if len(state.history) > state.history_len:
+        raise ValueError(f"state.history holds {len(state.history)} models, more than "
+                         f"history_len {state.history_len}")
+    if not (state.history and np.array_equal(state.history[-1], state.global_params,
+                                              equal_nan=True)):
+        raise ValueError("state.history[-1] must be state.global_params")
+
+
 def iter_rounds(
     model: ModelSpec,
     config: RoundConfig,
@@ -416,9 +459,9 @@ def iter_rounds(
     state: ServerState | None = None,
 ):
     """An iterator with one RoundReport per round; state/ledger mutate as it
-    goes. An inconsistent experiment (a passed state's parameter shape and
-    history length included) raises ValueError at the call, before any round
-    runs."""
+    goes. An inconsistent experiment (a passed state's parameter shape,
+    history_len and history included) raises ValueError at the call, before
+    any round runs."""
     _validate_experiment(model, config, dataset, rounds)
     if state is None:
         state = ServerState(
@@ -431,6 +474,8 @@ def iter_rounds(
     elif state.history_len != config.history_len:
         raise ValueError(f"state.history_len {state.history_len} does not match "
                          f"history_len {config.history_len}")
+    else:
+        _check_history(state)
     return (run_round(state, model, config, dataset, ledger) for _ in range(rounds))
 
 

@@ -17,7 +17,11 @@ squares of theta_{t+1} on theta_t, (a, b, resid_sd), and its flags;
 ``fit_ou_ls(values, dt)`` is the one-column fit of a 1-D path, with scalar
 fields. That is all ``band_fraction`` (the share of columns outside their
 one-stationary-sd band) needs: sigma / sqrt(2 * lam) is resid_sd /
-sqrt(1 - a^2) for any dt. The process, lam = -ln(a) / dt, mu = b / (1 - a)
+sqrt(1 - a^2) for any dt. ``band_fractions(paths)`` is that statistic of
+each of many (T, k) paths sampled one step apart, bit for bit its own
+``band_fraction(p[-1], fit_ou_ls_columns(p, 1.0))``: paths of one shape are
+fitted a block at a time, so most of numpy's per-call cost is paid once per
+block, not per path. The process, lam = -ln(a) / dt, mu = b / (1 - a)
 and sigma = resid_sd * sqrt(-2 * ln(a) / (dt * (1 - a^2))), is derived on
 first read of ``fit.lam``, ``fit.mu`` or ``fit.sigma``; ``decode(theta_ref,
 lam, mu, elapsed)`` gives conditional-mean estimates from it. Only there do
@@ -40,6 +44,12 @@ from .seeding import derive_rng
 # recovered rate finite so downstream decoding never sees NaN, while the
 # `degenerate` flag preserves the "not a mean-reverting path" signal.
 _SLOPE_FLOOR = 1e-6
+
+# band_fractions fits paths of one shape in blocks of at most this many
+# elements per (B, T-1, k) buffer: 3 paths of (11, 1002). Twice as many
+# made the two per-call buffers big enough that the heap was trimmed and
+# refilled round after round, costing more page faults than they saved.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 def _elementwise(fn, x: np.ndarray) -> np.ndarray:
@@ -140,36 +150,60 @@ def simulate_ou(lam: float, mu: float, sigma: float, theta0: float, dt: float, s
     return values
 
 
-def _ar1_ols(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
-    """Column-wise OLS with intercept over pairs (theta_t, theta_{t+1}).
+def _ar1_ols(
+    paths: list[np.ndarray], scratch: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
+    """Column-wise OLS with intercept over pairs (theta_t, theta_{t+1}) of a
+    block of B paths of one shape.
 
-    values: (T, k) array, T >= 3. Returns (a, b, resid_sd, n_points,
-    degenerate) where degenerate marks zero-variance predictor columns.
-    Residual sd uses the regression dof denominator (n_points - 2), with an
-    exact-fit convention of zero when n_points == 2. Raises ValueError for
-    non-finite values.
+    paths: B (T, k) arrays, T >= 3. Returns (a, b, resid_sd, n_points,
+    degenerate), each array (B, k), where degenerate marks zero-variance
+    predictor columns. Residual sd uses the regression dof denominator
+    (n_points - 2), with an exact-fit convention of zero when n_points == 2.
+    Raises ValueError for non-finite values. ``scratch`` is two flat
+    buffers of at least B * (T - 1) * max(k, 2) elements, overwritten.
 
-    numpy sums a lone column pairwise but several columns row by row, so a
-    lone column is fitted as one of two equal columns: a column's bits do
-    not depend on how many columns are fitted with it.
+    Only each path's reads (its column sums, centred copies, x * a and
+    y - fit) run per path, into rows of two (B, T-1, k) buffers; every other
+    pass runs once over the block, in the same order per element as over
+    one path. numpy sums a lone column pairwise but several columns row by
+    row, so a lone column is fitted as one of two equal columns: a column's
+    bits do not depend on how many columns, or paths, are fitted with it.
     """
-    if values.shape[1] == 1:
-        a, b, resid_sd, n, degenerate = _ar1_ols(np.repeat(values, 2, axis=1))
-        return a[:1], b[:1], resid_sd[:1], n, degenerate[:1]
-    x, y = values[:-1], values[1:]
-    n = x.shape[0]
-    mx = np.add.reduce(x, axis=0) / n
-    my = np.add.reduce(y, axis=0) / n
+    if paths[0].shape[1] == 1:
+        a, b, resid_sd, n, degenerate = _ar1_ols([np.repeat(p, 2, axis=1) for p in paths],
+                                                 scratch)
+        return a[:, :1], b[:, :1], resid_sd[:, :1], n, degenerate[:, :1]
+    t, k = paths[0].shape
+    n = t - 1
+    shape = (len(paths), n, k)
+    if scratch is None:
+        dx, dy = np.empty(shape), np.empty(shape)
+    else:
+        size = math.prod(shape)
+        dx, dy = (buf[:size].reshape(shape) for buf in scratch)
+    xs = [p[:-1] for p in paths]
+    ys = [p[1:] for p in paths]
+    mx = np.empty((len(paths), k))
+    my = np.empty((len(paths), k))
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        np.add.reduce(x, axis=0, out=mx[i])
+        np.add.reduce(y, axis=0, out=my[i])
+    mx /= n
+    my /= n
     # Every row is in x or in y, so a non-finite value makes its column's
     # mean non-finite; a finite column can overflow too, so only then scan.
-    if not (np.isfinite(mx).all() and np.isfinite(my).all()) and not np.isfinite(values).all():
+    if not (np.isfinite(mx).all() and np.isfinite(my).all()) and not all(
+        np.isfinite(p).all() for p in paths
+    ):
         raise ValueError("trajectory values must be finite")
-    # Two (T-1, k) buffers serve every product and the residual below.
-    dx = x - mx
-    dy = y - my
+    # The two buffers serve every product and the residual below.
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        np.subtract(x, mx[i], out=dx[i])
+        np.subtract(y, my[i], out=dy[i])
     dy *= dx
-    sxy = np.add.reduce(dy, axis=0)
-    sxx = np.add.reduce(np.multiply(dx, dx, out=dy), axis=0)
+    sxy = np.add.reduce(dy, axis=1)
+    sxx = np.add.reduce(np.multiply(dx, dx, out=dy), axis=1)
 
     degenerate = sxx == 0.0
     a = sxy / sxx
@@ -178,14 +212,40 @@ def _ar1_ols(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, in
         a[degenerate] = np.nan
     b = my - a * mx  # NaN where a is
 
-    resid = np.multiply(x, a, out=dx)
-    resid += b
-    np.subtract(y, resid, out=resid)
-    resid *= resid
-    ssr = np.add.reduce(resid, axis=0)
+    for i, x in enumerate(xs):
+        np.multiply(x, a[i], out=dx[i])
+    dx += b[:, None, :]
+    for i, y in enumerate(ys):
+        np.subtract(y, dx[i], out=dx[i])
+    dx *= dx
+    ssr = np.add.reduce(dx, axis=1)
     # NaN where a is; the exact-fit zero (n == 2) keeps the degenerate NaN.
     resid_sd = np.sqrt(ssr / (n - 2)) if n > 2 else np.where(degenerate, np.nan, 0.0)
     return a, b, resid_sd, n, degenerate
+
+
+def _checked_fit(a, b, resid_sd, n: int, degenerate, dt: float) -> OUFit:
+    """The OUFit of _ar1_ols' fields, of any shape; raises ValueError when a
+    fit statistic of an unflagged column overflows. Call under errstate."""
+    # Slopes >= 1 are non-reverting, slopes <= 0 (clamped) degenerate.
+    fit = OUFit(a, b, resid_sd, n, dt, degenerate | (a <= 0.0), a >= 1.0)
+    # An unflagged slope is NaN (so is mu) or in (0, 1), where -2 ln(a) <
+    # 1490: where mu and this bound of sigma are finite, so are lam and
+    # sigma, known without a log. Elsewhere they are derived and checked.
+    sigma_bound = resid_sd * np.sqrt(1490.0 / (dt * (1.0 - a * a)))
+    if not np.all(fit.flagged | (np.isfinite(fit.mu) & np.isfinite(sigma_bound))):
+        if not np.all(fit.flagged | (np.isfinite(fit.lam) & np.isfinite(fit.mu))):
+            raise ValueError("lam and mu must be finite")
+        if not np.all(fit.flagged | (np.isfinite(fit.sigma) & (fit.sigma >= 0.0))):
+            raise ValueError("sigma must be finite and >= 0")
+    return fit
+
+
+def _check_paths(values: np.ndarray) -> None:
+    if values.ndim != 2:
+        raise ValueError("expected a (T, k) array of column trajectories")
+    if values.shape[0] < 3:
+        raise ValueError("need at least 3 observations per trajectory")
 
 
 def fit_ou_ls_columns(values: np.ndarray, dt: float) -> OUFit:
@@ -195,27 +255,13 @@ def fit_ou_ls_columns(values: np.ndarray, dt: float) -> OUFit:
     unflagged column overflows to a non-finite value.
     """
     values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2:
-        raise ValueError("expected a (T, k) array of column trajectories")
-    if values.shape[0] < 3:
-        raise ValueError("need at least 3 observations per trajectory")
+    _check_paths(values)
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError("dt must be positive and finite")
 
     with np.errstate(all="ignore"):
-        a, b, resid_sd, n, degenerate = _ar1_ols(values)
-        # Slopes >= 1 are non-reverting, slopes <= 0 (clamped) degenerate.
-        fit = OUFit(a, b, resid_sd, n, dt, degenerate | (a <= 0.0), a >= 1.0)
-        # An unflagged slope is NaN (so is mu) or in (0, 1), where -2 ln(a) <
-        # 1490: where mu and this bound of sigma are finite, so are lam and
-        # sigma, known without a log. Elsewhere they are derived and checked.
-        sigma_bound = resid_sd * np.sqrt(1490.0 / (dt * (1.0 - a * a)))
-        if not np.all(fit.flagged | (np.isfinite(fit.mu) & np.isfinite(sigma_bound))):
-            if not np.all(fit.flagged | (np.isfinite(fit.lam) & np.isfinite(fit.mu))):
-                raise ValueError("lam and mu must be finite")
-            if not np.all(fit.flagged | (np.isfinite(fit.sigma) & (fit.sigma >= 0.0))):
-                raise ValueError("sigma must be finite and >= 0")
-    return fit
+        a, b, resid_sd, n, degenerate = _ar1_ols([values])
+        return _checked_fit(a[0], b[0], resid_sd[0], n, degenerate[0], dt)
 
 
 def fit_ou_ls(values: np.ndarray, dt: float) -> OUFit:
@@ -268,10 +314,49 @@ def band_fraction(finals: np.ndarray, fit: OUFit) -> float:
     if len(fit) != finals.size:
         raise ValueError("finals and fits must have equal length")
 
+    return int(np.count_nonzero(_outside(finals, fit))) / finals.size
+
+
+def _outside(finals: np.ndarray, fit: OUFit) -> np.ndarray:
+    """Where finals lie outside their band, the flags' conventions applied;
+    any shape, finals' and the fit's alike."""
     # A flagged column's band may be NaN or inf (slopes >= 1); its test is
     # discarded below, so it is computed on every column without a mask.
     with np.errstate(all="ignore"):
         band = fit.resid_sd / np.sqrt(1.0 - fit.a * fit.a)
         off_band = (finals > fit.mu + band) | (finals < fit.mu - band)
-    outside = fit.non_reverting | (~fit.flagged & off_band)
-    return int(np.count_nonzero(outside)) / finals.size
+    return fit.non_reverting | (~fit.flagged & off_band)
+
+
+def band_fractions(paths) -> list[float]:
+    """``band_fraction(p[-1], fit_ou_ls_columns(p, 1.0))`` of every (T, k)
+    path, bit for bit, with the same ValueErrors (which path's is raised
+    first is not fixed).
+
+    Paths of one shape are fitted together, in blocks of at most
+    _BLOCK_ELEMENTS elements per (B, T-1, k) buffer; see ``_ar1_ols``.
+    """
+    paths = [np.asarray(p, dtype=np.float64) for p in paths]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, p in enumerate(paths):
+        _check_paths(p)
+        groups.setdefault(p.shape, []).append(i)
+    # Each group's block width, and two buffers that hold the widest block.
+    widths = {(t, k): max(1, _BLOCK_ELEMENTS // ((t - 1) * max(k, 2))) for t, k in groups}
+    size = max(
+        (min(widths[t, k], len(members)) * (t - 1) * max(k, 2)
+         for (t, k), members in groups.items()),
+        default=0,
+    )
+    scratch = (np.empty(size), np.empty(size))
+    out: list[float] = [0.0] * len(paths)
+    with np.errstate(all="ignore"):
+        for (t, k), members in groups.items():
+            for lo in range(0, len(members), widths[t, k]):
+                block = members[lo : lo + widths[t, k]]
+                fit = _checked_fit(*_ar1_ols([paths[i] for i in block], scratch), 1.0)
+                finals = np.array([paths[i][-1] for i in block])
+                counts = np.count_nonzero(_outside(finals, fit), axis=1).tolist()
+                for i, count in zip(block, counts):
+                    out[i] = count / k
+    return out

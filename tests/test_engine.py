@@ -437,6 +437,61 @@ def test_iter_rounds_rejects_a_state_of_another_history_len(history_len):
                     state=state)
 
 
+def state_with_history(history_len=20, **change):
+    """A consistent state of MODEL two rounds in, then the given fields."""
+    params = np.arange(MODEL.param_count, dtype=np.float64)
+    state = ServerState(global_params=params, history_len=history_len)
+    state.history = [params - 2.0, params - 1.0, params.copy()]
+    for name, value in change.items():
+        setattr(state, name, value)
+    return state
+
+
+@pytest.mark.parametrize(
+    "state, message",
+    [
+        (state_with_history(history=[np.zeros(27), np.arange(28.0)]),
+         r"^state.history\[0\] must be a \(28,\) vector, got shape \(27,\)$"),
+        (state_with_history(history=[np.zeros((28, 1)), np.arange(28.0)]),
+         r"^state.history\[0\] must be a \(28,\) vector, got shape \(28, 1\)$"),
+        (state_with_history(history=[np.arange(28.0), np.zeros((2, 14))]),
+         r"^state.history\[1\] must be a \(28,\) vector, got shape \(2, 14\)$"),
+        (state_with_history(history_len=5, history=[np.arange(28.0)] * 9),
+         r"^state.history holds 9 models, more than history_len 5$"),
+        (state_with_history(history=[np.arange(28.0), np.zeros(28)]),
+         r"^state.history\[-1\] must be state.global_params$"),
+        (state_with_history(history=[]), r"^state.history\[-1\] must be state.global_params$"),
+    ],
+    ids=["short_entry", "column_entry", "matrix_last_entry", "nine_of_five",
+         "last_is_not_params", "empty"],
+)
+def test_iter_rounds_rejects_an_inconsistent_history(state, message):
+    # Each fails at the call, before any round runs: an entry of another
+    # shape would otherwise fail inside round 0's np.stack, and an overlong
+    # history would be fitted as it is.
+    cfg = config(PolicyConfig("aou"), nack_estimate_mode="ou_decode",
+                 history_len=state.history_len)
+    ledger = CommLedger()
+    with pytest.raises(ValueError, match=message):
+        iter_rounds(MODEL, cfg, small_dataset(), 1, ledger, state=state)
+    assert ledger.rounds == 0 and state.round == 0
+
+
+def test_iter_rounds_accepts_a_consistent_history_and_a_nan_state():
+    cfg = config(PolicyConfig("aou"), nack_estimate_mode="ou_decode")
+    state = state_with_history()
+    for _ in iter_rounds(MODEL, cfg, small_dataset(), 2, CommLedger(), state=state):
+        pass
+    assert state.round == 2 and len(state.history) == 5
+    # A NaN model is its own history[-1]: it fails in its round, as a
+    # NumericError, not at the call.
+    params = np.full(MODEL.param_count, np.nan)
+    state = state_with_history(global_params=params, history=[params.copy()])
+    rounds = iter_rounds(MODEL, cfg, small_dataset(), 1, CommLedger(), state=state)
+    with pytest.raises(NumericError):
+        next(rounds)
+
+
 def test_divergent_run_raises_numeric_error():
     # Softmax models saturate instead of diverging; the quadratic loss has
     # grad = theta, so a large step factor blows up geometrically.
@@ -472,6 +527,39 @@ def test_round_raises_the_lowest_id_clients_first_failure(sizes, policy, message
                  eta=5.0)
     with pytest.raises(NumericError, match=message):
         run_experiment(quad, cfg, two_client_quadratic(sizes), rounds=1)
+
+
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        # Blocks [0, 1], then [2]: client 2's fit overflows in the second
+        # block, ahead of client 3's training.
+        ((10, 10, 300, 600), "OU fit of client 2 at round 0"),
+        # Blocks [0, 1] and [3] of the 10-step paths, then [2]: client 2's
+        # fit overflows in the last block, ahead of client 4's training.
+        ((10, 10, 300, 10, 600), "OU fit of client 2 at round 0"),
+        # Client 2's training fails ahead of client 4's overflowing fit.
+        ((10, 10, 600, 10, 300), "^non-finite parameters$"),
+        ((10, 10, 10, 10, 10, 300), "OU fit of client 5 at round 0"),
+    ],
+)
+def test_round_error_precedence_holds_across_fit_blocks(monkeypatch, sizes, message):
+    import fedsample.engine as engine
+    import fedsample.ou as ou
+
+    quad = ModelSpec("quadratic-diagnostic", input_dim=2)
+    # Two 10-step paths of 2 coordinates per block, one longer path.
+    monkeypatch.setattr(ou, "_BLOCK_ELEMENTS", 2 * 10 * quad.param_count)
+    fitted = []
+    band_fractions = engine.band_fractions
+    monkeypatch.setattr(engine, "band_fractions",
+                        lambda paths: fitted.append(len(paths)) or band_fractions(paths))
+    cfg = config(PolicyConfig("ou", r=0.5), n_clients=len(sizes), client_fraction=1.0,
+                 epochs=1, batch_size=1, eta=5.0)
+    with pytest.raises(NumericError, match=message):
+        run_experiment(quad, cfg, two_client_quadratic(sizes), rounds=1)
+    # One block call over the clients before the first training failure.
+    assert fitted == [sizes.index(600) if 600 in sizes else len(sizes)]
 
 
 def test_config_validation():

@@ -18,6 +18,7 @@ from fedsample import (
     fit_ou_ls_columns,
     simulate_ou,
 )
+from fedsample import ou
 from fedsample.seeding import derive_rng
 
 
@@ -142,6 +143,12 @@ def test_fit_two_pairs_is_exact_with_zero_resid():
     assert fit.b == pytest.approx(1.0)
     assert fit.resid_sd == 0.0
     assert fit.mu == pytest.approx(2.0)
+    # The zero is a convention, not float luck: two pairs of arbitrary
+    # values leave rounding residuals that it discards.
+    values = np.random.default_rng(2).standard_normal((3, 50))
+    values[:, 0] = 1.0  # degenerate: NaN, not zero
+    fits = fit_ou_ls_columns(values, 1.0)
+    assert np.isnan(fits.resid_sd[0]) and (fits.resid_sd[1:] == 0.0).all()
 
 
 def test_fit_constant_sequence_is_degenerate():
@@ -421,6 +428,98 @@ def test_band_rejects_empty_and_mismatched():
         band_fraction(np.array([]), fit_of([]))
     with pytest.raises(ValueError):
         band_fraction(np.array([1.0]), fit_of([]))
+
+
+# ------------------------------------------------------------- band_fractions
+
+def band_path(rng, t, k, kind):
+    """A seeded (t, k) path of one column kind: AR(1) columns with slopes in
+    (-0.6, 1.2), or columns that are constant (degenerate), a unit-slope
+    line, an expanding walk (non-reverting), alternating (negative slope),
+    or the underflowing-sxx column of
+    test_underflowing_sxx_is_degenerate_with_nan_fields."""
+    slopes = rng.uniform(-0.6, 1.2, k)
+    values = np.empty((t, k))
+    values[0] = rng.standard_normal(k)
+    for row in range(1, t):
+        values[row] = slopes * values[row - 1] + 0.3 + 0.1 * rng.standard_normal(k)
+    cols = slice(0, k, 3) if k > 2 else slice(0, 1)
+    if kind == "constant":
+        values[:, cols] = 1.25
+    elif kind == "unit":
+        values[:, cols] = np.arange(t, dtype=np.float64)[:, None] * 0.5 - 1.0
+    elif kind == "expanding":
+        values[:, cols] = (1.5 ** np.arange(t))[:, None]
+    elif kind == "alternating":
+        values[:, cols] = np.where(np.arange(t) % 2, 0.75, -0.25)[:, None]
+    elif kind == "underflow":
+        values[:, cols] = 0.0
+        values[1, cols], values[-1, cols] = 1e-170, 5.0
+    return values
+
+
+def per_path(paths):
+    return [band_fraction(p[-1], fit_ou_ls_columns(p, 1.0)) for p in paths]
+
+
+BAND_KINDS = ("ar1", "constant", "unit", "expanding", "alternating", "underflow")
+
+
+@pytest.mark.parametrize("block_paths", [None, 1, 2, 3])
+def test_band_fractions_are_the_per_path_band_fractions(monkeypatch, block_paths):
+    # Bit for bit the per-path statistic, for one shape or mixed shapes in
+    # one list, with blocks of at most block_paths paths of (11, 1002), so
+    # that a group's size falls on and across block edges.
+    if block_paths is not None:
+        monkeypatch.setattr(ou, "_BLOCK_ELEMENTS", block_paths * 10 * 1002)
+    rng = np.random.default_rng(19 + (block_paths or 0))
+    shapes = [(t, k) for t in (3, 4, 11, 21) for k in (1, 2, 1002)]
+    cases = [[shape] * g for shape in shapes for g in (1, 2, 6, 7)]
+    cases += [[shapes[i] for i in rng.integers(len(shapes), size=rng.integers(2, 13))]
+              for _ in range(12)]
+    for case in cases:
+        paths = [band_path(rng, t, k, BAND_KINDS[rng.integers(len(BAND_KINDS))])
+                 for t, k in case]
+        assert ou.band_fractions(paths) == per_path(paths), case
+    assert ou.band_fractions([]) == []
+
+
+def test_band_fractions_cover_every_column_kind():
+    # Each kind on its own, so each reaches the flag and slope it is meant to.
+    rng = np.random.default_rng(20)
+    expect = {"constant": (True, False, math.nan), "underflow": (True, False, math.nan),
+              "alternating": (True, False, -1.0), "unit": (False, True, 1.0),
+              "expanding": (False, True, 1.5)}
+    for kind in BAND_KINDS:
+        paths = [band_path(rng, t, k, kind) for t in (3, 4, 11) for k in (1, 2, 1002)]
+        assert ou.band_fractions(paths) == per_path(paths), kind
+        for p in paths if kind in expect else ():
+            fit = fit_ou_ls_columns(p, 1.0).columns(0)
+            assert (fit.degenerate, fit.non_reverting) == expect[kind][:2], (kind, p.shape)
+            np.testing.assert_equal(fit.a, expect[kind][2])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "overflow"])
+def test_band_fractions_reject_non_finite_paths_and_fits(monkeypatch, bad):
+    monkeypatch.setattr(ou, "_BLOCK_ELEMENTS", 2 * 10 * 1002)
+    rng = np.random.default_rng(21)
+    for where in (0, 3, 4):  # in the first, second and last block
+        paths = [band_path(rng, 11, 1002, "ar1") for _ in range(5)]
+        if bad == "overflow":
+            # Finite, but its regression sums overflow: as fit_ou_ls_columns.
+            paths[where][:, 7] = [(-1.0) ** t * 1e300 for t in range(11)]
+            match = r"^lam and mu must be finite$"
+        else:
+            paths[where][5, 7] = bad
+            match = r"^trajectory values must be finite$"
+        with pytest.raises(ValueError, match=match):
+            fit_ou_ls_columns(paths[where], 1.0)
+        with pytest.raises(ValueError, match=match):
+            ou.band_fractions(paths)
+    with pytest.raises(ValueError, match="at least 3 observations"):
+        ou.band_fractions([np.zeros((2, 4))])
+    with pytest.raises(ValueError, match=r"\(T, k\) array"):
+        ou.band_fractions([np.zeros(5)])
 
 
 # ---------------------------------------------------------------- bitwise pin
