@@ -8,9 +8,9 @@ full model (ACK), the rest a stub (NACK) -> the server fills NACK slots
 with an estimate -> sample-size-weighted aggregation -> evaluation.
 
 Band policies' statistics are computed for the whole round in one
-``band_fractions`` call, bit for bit the per-client fits; a fit that fails
-sends the round back to fitting client by client, so that the error, and
-which client's error comes first, stays that of the per-client loop.
+``band_fractions`` call, bit for bit the per-client fits. It gives each
+client its statistic or its fit's error, so that the round raises the
+error, and the client, that fitting client by client would.
 
 Byte accounting is exact and single-precision-based regardless of the
 double-precision arithmetic: 4 bytes per parameter, 8 bytes per sample
@@ -40,7 +40,6 @@ import numpy as np
 from .data import FederatedDataset
 from .errors import NumericError
 from .models import (
-    LocalTrainReport,
     ModelSpec,
     _check_sgd_knobs,
     evaluate,
@@ -48,7 +47,8 @@ from .models import (
     local_train,  # noqa: F401 - engine.local_train stays resolvable (bench/tracer.py wraps it)
     train_clients,
 )
-from .ou import OUFit, band_fraction, band_fractions, decode, fit_ou_ls_columns
+from .ou import OUFit, band_fractions, decode, fit_ou_ls_columns
+from .ou import band_fraction  # noqa: F401 - stays resolvable (bench/tracer.py wraps it)
 from .policies import (
     NORM_POLICIES,
     PolicyConfig,
@@ -281,34 +281,6 @@ def aggregate(estimates: list[tuple[np.ndarray, int]]) -> np.ndarray:
     return anchor + acc
 
 
-def _round_band_stats(trained: list[LocalTrainReport | NumericError]) -> list[float] | None:
-    """Every client's band statistic from one ``band_fractions`` call over
-    the clients before the first training failure, which it then raises.
-    None where the per-client loop must decide instead: a path shorter than
-    3 rows, or a fit that fails, whose error that loop names and orders."""
-    reps = list(itertools.takewhile(lambda rep: not isinstance(rep, NumericError), trained))
-    if any(rep.path.shape[0] < 3 for rep in reps):
-        return None
-    try:
-        stats = band_fractions([rep.path for rep in reps])
-    except ValueError:
-        return None
-    if len(reps) < len(trained):
-        raise trained[len(reps)]
-    return stats
-
-
-def _band_stats(report: LocalTrainReport, what: str) -> float:
-    path = report.path
-    if path.shape[0] < 3:
-        raise ValueError(
-            "band policies need at least 2 local steps per round "
-            "(epochs * ceil(n_i / batch_size) >= 2)"
-        )
-    # One row per SGD step: the fit's time unit is one step.
-    return band_fraction(path[-1], _ou_fit(path, 1.0, what))
-
-
 def run_round(
     state: ServerState,
     model: ModelSpec,
@@ -335,24 +307,37 @@ def run_round(
         eta=config.eta,
         track=track,
     )
+    if policy.needs_band_fraction:
+        # One path row per SGD step: the fit's time unit is one step. The
+        # fit stops at the first client the loop below raises for.
+        fitted = itertools.takewhile(
+            lambda rep: not isinstance(rep, NumericError) and rep.path.shape[0] >= 3, trained)
+        bands = band_fractions([rep.path for rep in fitted])
     # Each client's decision statistic, in id order. The first failure in
     # client-id order wins, and a client's training failure comes before its
     # decision statistic's: what training and checking one client after
     # another would raise.
-    stats = _round_band_stats(trained) if policy.needs_band_fraction else None
-    if stats is None:
-        stats = []
-        for k, rep in zip(ids, trained):
-            if isinstance(rep, NumericError):
-                raise rep
-            if policy.needs_band_fraction:
-                stats.append(_band_stats(rep, f"client {k} at round {t} (policy {policy.label})"))
-            elif policy.kind in NORM_POLICIES and not math.isfinite(rep.update_norm):
-                raise NumericError(
-                    f"update norm of client {k} non-finite at round {t} (policy {policy.label})"
+    stats = []
+    for i, (k, rep) in enumerate(zip(ids, trained)):
+        if isinstance(rep, NumericError):
+            raise rep
+        if policy.needs_band_fraction:
+            if rep.path.shape[0] < 3:
+                raise ValueError(
+                    "band policies need at least 2 local steps per round "
+                    "(epochs * ceil(n_i / batch_size) >= 2)"
                 )
-            else:
-                stats.append(rep.update_norm)
+            stat = bands[i]
+            if isinstance(stat, ValueError):
+                raise NumericError(f"OU fit of client {k} at round {t} "
+                                   f"(policy {policy.label}) non-finite: {stat}") from stat
+            stats.append(stat)
+        elif policy.kind in NORM_POLICIES and not math.isfinite(rep.update_norm):
+            raise NumericError(
+                f"update norm of client {k} non-finite at round {t} (policy {policy.label})"
+            )
+        else:
+            stats.append(rep.update_norm)
 
     threshold = policy.fixed_threshold
     if policy.adaptive:

@@ -19,12 +19,13 @@ fields. That is all ``band_fraction`` (the share of columns outside their
 one-stationary-sd band) needs: sigma / sqrt(2 * lam) is resid_sd /
 sqrt(1 - a^2) for any dt. ``band_fractions(paths)`` is that statistic of
 each of many (T, k) paths sampled one step apart, bit for bit its own
-``band_fraction(p[-1], fit_ou_ls_columns(p, 1.0))``: paths of one shape are
-fitted a block at a time, so most of numpy's per-call cost is paid once per
-block, not per path. The process, lam = -ln(a) / dt, mu = b / (1 - a)
-and sigma = resid_sd * sqrt(-2 * ln(a) / (dt * (1 - a^2))), is derived on
-first read of ``fit.lam``, ``fit.mu`` or ``fit.sigma``; ``decode(theta_ref,
-lam, mu, elapsed)`` gives conditional-mean estimates from it. Only there do
+``band_fraction(p[-1], fit_ou_ls_columns(p, 1.0))``, or the ValueError that
+fit raises for the path alone: paths of one shape are fitted a block at a
+time, so most of numpy's per-call cost is paid once per block, not per path.
+The process, lam = -ln(a) / dt, mu = b / (1 - a) and sigma = resid_sd *
+sqrt(-2 * ln(a) / (dt * (1 - a^2))), is derived on first read of
+``fit.lam``, ``fit.mu`` or ``fit.sigma``; ``decode(theta_ref, lam, mu,
+elapsed)`` gives conditional-mean estimates from it. Only there do
 ``math.log`` and ``math.exp`` run, element by element: numpy's vectorised
 log and exp can differ from them in the last bit.
 """
@@ -152,16 +153,17 @@ def simulate_ou(lam: float, mu: float, sigma: float, theta0: float, dt: float, s
 
 def _ar1_ols(
     paths: list[np.ndarray], scratch: tuple[np.ndarray, np.ndarray] | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray, np.ndarray]:
     """Column-wise OLS with intercept over pairs (theta_t, theta_{t+1}) of a
     block of B paths of one shape.
 
     paths: B (T, k) arrays, T >= 3. Returns (a, b, resid_sd, n_points,
-    degenerate), each array (B, k), where degenerate marks zero-variance
-    predictor columns. Residual sd uses the regression dof denominator
-    (n_points - 2), with an exact-fit convention of zero when n_points == 2.
-    Raises ValueError for non-finite values. ``scratch`` is two flat
-    buffers of at least B * (T - 1) * max(k, 2) elements, overwritten.
+    degenerate, finite), each array (B, k) but finite (B,): degenerate marks
+    zero-variance predictor columns, finite the paths with no non-finite
+    value; no path's row depends on another path's values. Residual sd
+    uses the regression dof denominator (n_points - 2), with an exact-fit
+    convention of zero when n_points == 2. ``scratch`` is two flat buffers
+    of at least B * (T - 1) * max(k, 2) elements, overwritten.
 
     Only each path's reads (its column sums, centred copies, x * a and
     y - fit) run per path, into rows of two (B, T-1, k) buffers; every other
@@ -171,9 +173,9 @@ def _ar1_ols(
     bits do not depend on how many columns, or paths, are fitted with it.
     """
     if paths[0].shape[1] == 1:
-        a, b, resid_sd, n, degenerate = _ar1_ols([np.repeat(p, 2, axis=1) for p in paths],
-                                                 scratch)
-        return a[:, :1], b[:, :1], resid_sd[:, :1], n, degenerate[:, :1]
+        a, b, resid_sd, n, degenerate, finite = _ar1_ols(
+            [np.repeat(p, 2, axis=1) for p in paths], scratch)
+        return a[:, :1], b[:, :1], resid_sd[:, :1], n, degenerate[:, :1], finite
     t, k = paths[0].shape
     n = t - 1
     shape = (len(paths), n, k)
@@ -193,10 +195,9 @@ def _ar1_ols(
     my /= n
     # Every row is in x or in y, so a non-finite value makes its column's
     # mean non-finite; a finite column can overflow too, so only then scan.
-    if not (np.isfinite(mx).all() and np.isfinite(my).all()) and not all(
-        np.isfinite(p).all() for p in paths
-    ):
-        raise ValueError("trajectory values must be finite")
+    finite = np.ones(len(paths), dtype=bool)
+    if not (np.isfinite(mx).all() and np.isfinite(my).all()):
+        finite[:] = [np.isfinite(p).all() for p in paths]
     # The two buffers serve every product and the residual below.
     for i, (x, y) in enumerate(zip(xs, ys)):
         np.subtract(x, mx[i], out=dx[i])
@@ -221,24 +222,31 @@ def _ar1_ols(
     ssr = np.add.reduce(dx, axis=1)
     # NaN where a is; the exact-fit zero (n == 2) keeps the degenerate NaN.
     resid_sd = np.sqrt(ssr / (n - 2)) if n > 2 else np.where(degenerate, np.nan, 0.0)
-    return a, b, resid_sd, n, degenerate
+    return a, b, resid_sd, n, degenerate, finite
 
 
-def _checked_fit(a, b, resid_sd, n: int, degenerate, dt: float) -> OUFit:
-    """The OUFit of _ar1_ols' fields, of any shape; raises ValueError when a
-    fit statistic of an unflagged column overflows. Call under errstate."""
+def _checked_fit(a, b, resid_sd, n: int, degenerate, finite, dt: float) -> tuple[OUFit, list]:
+    """The OUFit of _ar1_ols' (B, k) fields, and each row's ValueError or
+    None: non-finite values, or else a fit statistic of an unflagged column
+    that overflows. Call under errstate."""
     # Slopes >= 1 are non-reverting, slopes <= 0 (clamped) degenerate.
     fit = OUFit(a, b, resid_sd, n, dt, degenerate | (a <= 0.0), a >= 1.0)
+    checks = [(finite, "trajectory values must be finite")]
     # An unflagged slope is NaN (so is mu) or in (0, 1), where -2 ln(a) <
     # 1490: where mu and this bound of sigma are finite, so are lam and
     # sigma, known without a log. Elsewhere they are derived and checked.
     sigma_bound = resid_sd * np.sqrt(1490.0 / (dt * (1.0 - a * a)))
     if not np.all(fit.flagged | (np.isfinite(fit.mu) & np.isfinite(sigma_bound))):
-        if not np.all(fit.flagged | (np.isfinite(fit.lam) & np.isfinite(fit.mu))):
-            raise ValueError("lam and mu must be finite")
-        if not np.all(fit.flagged | (np.isfinite(fit.sigma) & (fit.sigma >= 0.0))):
-            raise ValueError("sigma must be finite and >= 0")
-    return fit
+        rated = np.all(fit.flagged | (np.isfinite(fit.lam) & np.isfinite(fit.mu)), axis=1)
+        scaled = np.all(fit.flagged | (np.isfinite(fit.sigma) & (fit.sigma >= 0.0)), axis=1)
+        checks += [(rated, "lam and mu must be finite"),
+                   (scaled, "sigma must be finite and >= 0")]
+    # Each row's first failed check, in the order a one-path fit makes them.
+    errors = [None] * len(finite)
+    for ok, msg in checks:
+        for i in np.flatnonzero(~ok).tolist():
+            errors[i] = errors[i] or ValueError(msg)
+    return fit, errors
 
 
 def _check_paths(values: np.ndarray) -> None:
@@ -254,14 +262,17 @@ def fit_ou_ls_columns(values: np.ndarray, dt: float) -> OUFit:
     Raises ValueError for non-finite input, and when a fit statistic of an
     unflagged column overflows to a non-finite value.
     """
-    values = np.asarray(values, dtype=np.float64)
+    # C order: numpy sums a Fortran-ordered array's columns in another order.
+    values = np.ascontiguousarray(values, dtype=np.float64)
     _check_paths(values)
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError("dt must be positive and finite")
 
     with np.errstate(all="ignore"):
-        a, b, resid_sd, n, degenerate = _ar1_ols([values])
-        return _checked_fit(a[0], b[0], resid_sd[0], n, degenerate[0], dt)
+        fit, (error,) = _checked_fit(*_ar1_ols([values]), dt)
+    if error is not None:
+        raise error
+    return fit.columns(0)
 
 
 def fit_ou_ls(values: np.ndarray, dt: float) -> OUFit:
@@ -328,18 +339,21 @@ def _outside(finals: np.ndarray, fit: OUFit) -> np.ndarray:
     return fit.non_reverting | (~fit.flagged & off_band)
 
 
-def band_fractions(paths) -> list[float]:
-    """``band_fraction(p[-1], fit_ou_ls_columns(p, 1.0))`` of every (T, k)
-    path, bit for bit, with the same ValueErrors (which path's is raised
-    first is not fixed).
+def band_fractions(paths) -> list[float | ValueError]:
+    """One entry per (T, k) path: ``band_fraction(p[-1],
+    fit_ou_ls_columns(p, 1.0))``, bit for bit, or the ValueError that this
+    fit raises for the path alone. A path that is not (T, k) with T >= 3
+    and k >= 1 raises its ValueError at the call.
 
     Paths of one shape are fitted together, in blocks of at most
     _BLOCK_ELEMENTS elements per (B, T-1, k) buffer; see ``_ar1_ols``.
     """
-    paths = [np.asarray(p, dtype=np.float64) for p in paths]
+    paths = [np.ascontiguousarray(p, dtype=np.float64) for p in paths]
     groups: dict[tuple[int, int], list[int]] = {}
     for i, p in enumerate(paths):
         _check_paths(p)
+        if p.shape[1] == 0:
+            raise ValueError("finals must be a non-empty vector")
         groups.setdefault(p.shape, []).append(i)
     # Each group's block width, and two buffers that hold the widest block.
     widths = {(t, k): max(1, _BLOCK_ELEMENTS // ((t - 1) * max(k, 2))) for t, k in groups}
@@ -349,14 +363,14 @@ def band_fractions(paths) -> list[float]:
         default=0,
     )
     scratch = (np.empty(size), np.empty(size))
-    out: list[float] = [0.0] * len(paths)
+    out: list[float | ValueError] = [0.0] * len(paths)
     with np.errstate(all="ignore"):
         for (t, k), members in groups.items():
             for lo in range(0, len(members), widths[t, k]):
                 block = members[lo : lo + widths[t, k]]
-                fit = _checked_fit(*_ar1_ols([paths[i] for i in block], scratch), 1.0)
+                fit, errors = _checked_fit(*_ar1_ols([paths[i] for i in block], scratch), 1.0)
                 finals = np.array([paths[i][-1] for i in block])
                 counts = np.count_nonzero(_outside(finals, fit), axis=1).tolist()
-                for i, count in zip(block, counts):
-                    out[i] = count / k
+                for i, count, error in zip(block, counts, errors):
+                    out[i] = count / k if error is None else error
     return out

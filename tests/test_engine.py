@@ -541,6 +541,8 @@ def test_round_raises_the_lowest_id_clients_first_failure(sizes, policy, message
         # Client 2's training fails ahead of client 4's overflowing fit.
         ((10, 10, 600, 10, 300), "^non-finite parameters$"),
         ((10, 10, 10, 10, 10, 300), "OU fit of client 5 at round 0"),
+        # Clients 2, 3 and 4 overflow, in one block: client 2's error wins.
+        ((10, 10, 300, 300, 300), "OU fit of client 2 at round 0"),
     ],
 )
 def test_round_error_precedence_holds_across_fit_blocks(monkeypatch, sizes, message):
@@ -560,6 +562,45 @@ def test_round_error_precedence_holds_across_fit_blocks(monkeypatch, sizes, mess
         run_experiment(quad, cfg, two_client_quadratic(sizes), rounds=1)
     # One block call over the clients before the first training failure.
     assert fitted == [sizes.index(600) if 600 in sizes else len(sizes)]
+
+
+@pytest.mark.parametrize(
+    "sizes, error, message",
+    [
+        # Client 1 takes one step: its 2-row path has no band statistic.
+        ((10, 1, 300), ValueError, "at least 2 local steps"),
+        # Client 0's overflowing fit comes before client 1's short path.
+        ((300, 1, 10), NumericError, "OU fit of client 0 at round 0"),
+    ],
+)
+def test_round_rejects_a_one_step_band_path_in_id_order(sizes, error, message):
+    # iter_rounds rejects such an experiment before its first round;
+    # run_round, called on its own, raises in client-id order.
+    import fedsample.engine as engine
+
+    quad = ModelSpec("quadratic-diagnostic", input_dim=2)
+    cfg = config(PolicyConfig("ou", r=0.5), n_clients=len(sizes), client_fraction=1.0,
+                 epochs=1, batch_size=1, eta=5.0)
+    state = ServerState(global_params=init_params(quad, 0))
+    with pytest.raises(error, match=message):
+        engine.run_round(state, quad, cfg, two_client_quadratic(sizes), CommLedger())
+
+
+def test_failing_band_round_fits_no_client_again(monkeypatch):
+    # The round's one band fit names the failing client: no client's path is
+    # fitted on its own after it.
+    import fedsample.engine as engine
+
+    fits = []
+    fit_ou_ls_columns = engine.fit_ou_ls_columns
+    monkeypatch.setattr(engine, "fit_ou_ls_columns",
+                        lambda *args, **kw: fits.append(args) or fit_ou_ls_columns(*args, **kw))
+    quad = ModelSpec("quadratic-diagnostic", input_dim=2)
+    cfg = config(PolicyConfig("ou", r=0.5), n_clients=3, client_fraction=1.0, epochs=1,
+                 batch_size=1, eta=5.0)
+    with pytest.raises(NumericError, match="OU fit of client 2 at round 0"):
+        run_experiment(quad, cfg, two_client_quadratic((10, 10, 300)), rounds=1)
+    assert fits == []
 
 
 def test_config_validation():

@@ -499,27 +499,70 @@ def test_band_fractions_cover_every_column_kind():
             np.testing.assert_equal(fit.a, expect[kind][2])
 
 
+def spoil(path, bad):
+    """Make path's column 1 non-finite (bad is the value) or, for
+    "overflow", finite with regression sums that overflow."""
+    if bad == "overflow":
+        path[:, 1] = [(-1.0) ** t * 1e300 for t in range(len(path))]
+    else:
+        path[len(path) // 2, 1] = bad
+
+
+def fit_error(path):
+    with pytest.raises(ValueError) as info:
+        fit_ou_ls_columns(path, 1.0)
+    return str(info.value)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "overflow"])
 def test_band_fractions_reject_non_finite_paths_and_fits(monkeypatch, bad):
+    # A path whose fit fails gets the ValueError that fitting it alone
+    # raises; every other path gets its statistic.
     monkeypatch.setattr(ou, "_BLOCK_ELEMENTS", 2 * 10 * 1002)
     rng = np.random.default_rng(21)
+    match = r"^lam and mu must be finite$" if bad == "overflow" else (
+        r"^trajectory values must be finite$")
     for where in (0, 3, 4):  # in the first, second and last block
         paths = [band_path(rng, 11, 1002, "ar1") for _ in range(5)]
-        if bad == "overflow":
-            # Finite, but its regression sums overflow: as fit_ou_ls_columns.
-            paths[where][:, 7] = [(-1.0) ** t * 1e300 for t in range(11)]
-            match = r"^lam and mu must be finite$"
-        else:
-            paths[where][5, 7] = bad
-            match = r"^trajectory values must be finite$"
+        spoil(paths[where], bad)
         with pytest.raises(ValueError, match=match):
             fit_ou_ls_columns(paths[where], 1.0)
-        with pytest.raises(ValueError, match=match):
-            ou.band_fractions(paths)
+        got = ou.band_fractions(paths)
+        assert isinstance(got[where], ValueError)
+        assert str(got[where]) == fit_error(paths[where])
+        others = [i for i in range(5) if i != where]
+        assert [got[i] for i in others] == per_path([paths[i] for i in others])
+    # Two bad paths, in different blocks of different shape groups, each
+    # with its own error.
+    shapes = [(11, 1002), (21, 2), (11, 1002), (21, 2), (11, 1002)]
+    paths = [band_path(rng, t, k, "ar1") for t, k in shapes]
+    spoil(paths[0], bad)
+    spoil(paths[3], math.nan if bad == "overflow" else "overflow")
+    got = ou.band_fractions(paths)
+    assert [str(got[i]) for i in (0, 3)] == [fit_error(paths[i]) for i in (0, 3)]
+    assert str(got[0]) != str(got[3])
+    assert [got[i] for i in (1, 2, 4)] == per_path([paths[i] for i in (1, 2, 4)])
     with pytest.raises(ValueError, match="at least 3 observations"):
         ou.band_fractions([np.zeros((2, 4))])
     with pytest.raises(ValueError, match=r"\(T, k\) array"):
         ou.band_fractions([np.zeros(5)])
+    with pytest.raises(ValueError, match=r"^finals must be a non-empty vector$"):
+        ou.band_fractions([np.zeros((5, 0))])
+
+
+def test_fits_do_not_depend_on_memory_layout():
+    # numpy sums a Fortran-ordered array's columns in another order; the
+    # fit reads every layout as C order.
+    values = band_path(np.random.default_rng(22), 40, 30, "ar1")
+    layouts = [np.asfortranarray(values), np.ascontiguousarray(values.T).T,
+               np.repeat(values, 2, axis=1)[:, ::2]]
+    fit = fit_ou_ls_columns(values, 1.0)
+    for other in layouts:
+        assert not np.array_equal(other.strides, values.strides)
+        again = fit_ou_ls_columns(other, 1.0)
+        for name in ("a", "b", "resid_sd"):
+            assert getattr(again, name).tobytes() == getattr(fit, name).tobytes(), name
+        assert ou.band_fractions([other]) == ou.band_fractions([values])
 
 
 # ---------------------------------------------------------------- bitwise pin
