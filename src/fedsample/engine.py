@@ -17,9 +17,14 @@ double-precision arithmetic: 4 bytes per parameter, 8 bytes per sample
 count, 4 bytes per reported scalar or broadcast threshold.
 
 Determinism contract: every random draw comes from a stream derived from
-(seed, purpose, round, client), so concurrent client execution, rerun
-order, and platform cannot change results. Selected clients are processed
-in ascending client-id order, and aggregation follows the anchored form
+(seed, purpose, round, client), so concurrent client execution and rerun
+order cannot change results. The platform can: the BLAS kernel sets the
+order of matmul's sums. The full-bit pins hold under OpenBLAS's Haswell,
+Zen and SkylakeX kernels. Under Sandybridge and Prescott the final
+parameters' last bits move (by at most 8.4e-15 relative in the pinned
+runs), while every sender set and byte count stays the same. Selected
+clients are processed in ascending client-id order, and aggregation
+follows the anchored form
 
     theta_next = x_0 + sum_i w_i * (x_i - x_0),    w_i = n_i / sum_j n_j
 

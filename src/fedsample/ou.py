@@ -20,8 +20,9 @@ one-stationary-sd band) needs: sigma / sqrt(2 * lam) is resid_sd /
 sqrt(1 - a^2) for any dt. ``band_fractions(paths)`` is that statistic of
 each of many (T, k) paths sampled one step apart, bit for bit its own
 ``band_fraction(p[-1], fit_ou_ls_columns(p, 1.0))``, or the ValueError that
-fit raises for the path alone: paths of one shape are fitted a block at a
-time, so most of numpy's per-call cost is paid once per block, not per path.
+fit raises for the path alone: paths of one shape are copied into a C-order
+(B, T, k) stack a block at a time, and every pass of the fit is one numpy
+call over the stack, so numpy's per-call cost is paid per block, not per path.
 The process, lam = -ln(a) / dt, mu = b / (1 - a) and sigma = resid_sd *
 sqrt(-2 * ln(a) / (dt * (1 - a^2))), is derived on first read of
 ``fit.lam``, ``fit.mu`` or ``fit.sigma``; ``decode(theta_ref, lam, mu,
@@ -46,10 +47,10 @@ from .seeding import derive_rng
 # `degenerate` flag preserves the "not a mean-reverting path" signal.
 _SLOPE_FLOOR = 1e-6
 
-# band_fractions fits paths of one shape in blocks of at most this many
-# elements per (B, T-1, k) buffer: 3 paths of (11, 1002). Twice as many
-# made the two per-call buffers big enough that the heap was trimmed and
-# refilled round after round, costing more page faults than they saved.
+# band_fractions stacks paths of one shape in blocks of at most this many
+# elements per (B, T-1, k) buffer of _ar1_ols: 3 paths of (11, 1002). Twice
+# as many made the fit's two buffers big enough that the heap was trimmed
+# and refilled round after round, costing more page faults than they saved.
 _BLOCK_ELEMENTS = 1 << 15
 
 
@@ -152,56 +153,41 @@ def simulate_ou(lam: float, mu: float, sigma: float, theta0: float, dt: float, s
 
 
 def _ar1_ols(
-    paths: list[np.ndarray], scratch: tuple[np.ndarray, np.ndarray] | None = None
+    stack: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray, np.ndarray]:
-    """Column-wise OLS with intercept over pairs (theta_t, theta_{t+1}) of a
-    block of B paths of one shape.
+    """Column-wise OLS with intercept over pairs (theta_t, theta_{t+1}) of
+    each of B paths.
 
-    paths: B (T, k) arrays, T >= 3. Returns (a, b, resid_sd, n_points,
-    degenerate, finite), each array (B, k) but finite (B,): degenerate marks
-    zero-variance predictor columns, finite the paths with no non-finite
-    value; no path's row depends on another path's values. Residual sd
-    uses the regression dof denominator (n_points - 2), with an exact-fit
-    convention of zero when n_points == 2. ``scratch`` is two flat buffers
-    of at least B * (T - 1) * max(k, 2) elements, overwritten.
+    stack: a C-contiguous (B, T, k) array, T >= 3. Returns (a, b, resid_sd,
+    n_points, degenerate, finite), each array (B, k) but finite (B,):
+    degenerate marks zero-variance predictor columns, finite the paths with
+    no non-finite value; no path's row depends on another path's values.
+    Residual sd uses the regression dof denominator (n_points - 2), with an
+    exact-fit convention of zero when n_points == 2.
 
-    Only each path's reads (its column sums, centred copies, x * a and
-    y - fit) run per path, into rows of two (B, T-1, k) buffers; every other
-    pass runs once over the block, in the same order per element as over
-    one path. numpy sums a lone column pairwise but several columns row by
-    row, so a lone column is fitted as one of two equal columns: a column's
-    bits do not depend on how many columns, or paths, are fitted with it.
+    Every pass is one numpy call over the stack, into two (B, T-1, k)
+    buffers, and sums each column row by row, as over one (T, k) path.
+    numpy sums a lone column pairwise, so a lone column is fitted as one of
+    two equal columns: a column's bits do not depend on how many columns,
+    or paths, are fitted with it.
     """
-    if paths[0].shape[1] == 1:
-        a, b, resid_sd, n, degenerate, finite = _ar1_ols(
-            [np.repeat(p, 2, axis=1) for p in paths], scratch)
+    if stack.shape[2] == 1:
+        a, b, resid_sd, n, degenerate, finite = _ar1_ols(np.repeat(stack, 2, axis=2))
         return a[:, :1], b[:, :1], resid_sd[:, :1], n, degenerate[:, :1], finite
-    t, k = paths[0].shape
-    n = t - 1
-    shape = (len(paths), n, k)
-    if scratch is None:
-        dx, dy = np.empty(shape), np.empty(shape)
-    else:
-        size = math.prod(shape)
-        dx, dy = (buf[:size].reshape(shape) for buf in scratch)
-    xs = [p[:-1] for p in paths]
-    ys = [p[1:] for p in paths]
-    mx = np.empty((len(paths), k))
-    my = np.empty((len(paths), k))
-    for i, (x, y) in enumerate(zip(xs, ys)):
-        np.add.reduce(x, axis=0, out=mx[i])
-        np.add.reduce(y, axis=0, out=my[i])
+    x, y = stack[:, :-1], stack[:, 1:]
+    n = x.shape[1]
+    mx = np.add.reduce(x, axis=1)
+    my = np.add.reduce(y, axis=1)
     mx /= n
     my /= n
     # Every row is in x or in y, so a non-finite value makes its column's
     # mean non-finite; a finite column can overflow too, so only then scan.
-    finite = np.ones(len(paths), dtype=bool)
+    finite = np.ones(len(stack), dtype=bool)
     if not (np.isfinite(mx).all() and np.isfinite(my).all()):
-        finite[:] = [np.isfinite(p).all() for p in paths]
+        finite = np.isfinite(stack).all(axis=(1, 2))
     # The two buffers serve every product and the residual below.
-    for i, (x, y) in enumerate(zip(xs, ys)):
-        np.subtract(x, mx[i], out=dx[i])
-        np.subtract(y, my[i], out=dy[i])
+    dx = np.subtract(x, mx[:, None])
+    dy = np.subtract(y, my[:, None])
     dy *= dx
     sxy = np.add.reduce(dy, axis=1)
     sxx = np.add.reduce(np.multiply(dx, dx, out=dy), axis=1)
@@ -213,11 +199,9 @@ def _ar1_ols(
         a[degenerate] = np.nan
     b = my - a * mx  # NaN where a is
 
-    for i, x in enumerate(xs):
-        np.multiply(x, a[i], out=dx[i])
-    dx += b[:, None, :]
-    for i, y in enumerate(ys):
-        np.subtract(y, dx[i], out=dx[i])
+    np.multiply(x, a[:, None], out=dx)
+    dx += b[:, None]
+    np.subtract(y, dx, out=dx)
     dx *= dx
     ssr = np.add.reduce(dx, axis=1)
     # NaN where a is; the exact-fit zero (n == 2) keeps the degenerate NaN.
@@ -269,7 +253,7 @@ def fit_ou_ls_columns(values: np.ndarray, dt: float) -> OUFit:
         raise ValueError("dt must be positive and finite")
 
     with np.errstate(all="ignore"):
-        fit, (error,) = _checked_fit(*_ar1_ols([values]), dt)
+        fit, (error,) = _checked_fit(*_ar1_ols(values[None]), dt)
     if error is not None:
         raise error
     return fit.columns(0)
@@ -345,32 +329,27 @@ def band_fractions(paths) -> list[float | ValueError]:
     fit raises for the path alone. A path that is not (T, k) with T >= 3
     and k >= 1 raises its ValueError at the call.
 
-    Paths of one shape are fitted together, in blocks of at most
+    Paths of one shape are copied a block at a time into one C-order
+    (B, T, k) stack and fitted together, in blocks of at most
     _BLOCK_ELEMENTS elements per (B, T-1, k) buffer; see ``_ar1_ols``.
     """
-    paths = [np.ascontiguousarray(p, dtype=np.float64) for p in paths]
+    paths = [np.asarray(p, dtype=np.float64) for p in paths]
     groups: dict[tuple[int, int], list[int]] = {}
     for i, p in enumerate(paths):
         _check_paths(p)
         if p.shape[1] == 0:
             raise ValueError("finals must be a non-empty vector")
         groups.setdefault(p.shape, []).append(i)
-    # Each group's block width, and two buffers that hold the widest block.
-    widths = {(t, k): max(1, _BLOCK_ELEMENTS // ((t - 1) * max(k, 2))) for t, k in groups}
-    size = max(
-        (min(widths[t, k], len(members)) * (t - 1) * max(k, 2)
-         for (t, k), members in groups.items()),
-        default=0,
-    )
-    scratch = (np.empty(size), np.empty(size))
     out: list[float | ValueError] = [0.0] * len(paths)
     with np.errstate(all="ignore"):
         for (t, k), members in groups.items():
-            for lo in range(0, len(members), widths[t, k]):
-                block = members[lo : lo + widths[t, k]]
-                fit, errors = _checked_fit(*_ar1_ols([paths[i] for i in block], scratch), 1.0)
-                finals = np.array([paths[i][-1] for i in block])
-                counts = np.count_nonzero(_outside(finals, fit), axis=1).tolist()
+            width = max(1, _BLOCK_ELEMENTS // ((t - 1) * max(k, 2)))
+            buf = np.empty((min(width, len(members)), t, k))
+            for lo in range(0, len(members), width):
+                block = members[lo : lo + width]
+                stack = np.stack([paths[i] for i in block], out=buf[: len(block)])
+                fit, errors = _checked_fit(*_ar1_ols(stack), 1.0)
+                counts = np.count_nonzero(_outside(stack[:, -1], fit), axis=1).tolist()
                 for i, count, error in zip(block, counts, errors):
                     out[i] = count / k if error is None else error
     return out

@@ -1,6 +1,7 @@
 """Tests for the round protocol: selection, estimation, aggregation,
 byte accounting, and end-to-end agreement with a reference FedAvg."""
 
+import copy
 import hashlib
 import itertools
 import math
@@ -490,6 +491,32 @@ def test_iter_rounds_accepts_a_consistent_history_and_a_nan_state():
     rounds = iter_rounds(MODEL, cfg, small_dataset(), 1, CommLedger(), state=state)
     with pytest.raises(NumericError):
         next(rounds)
+
+
+@pytest.mark.parametrize("policy, mode", [(PolicyConfig("aou"), "ou_decode"),
+                                          (PolicyConfig("at"), "carry_forward")],
+                         ids=["aou-ou_decode", "at-carry_forward"])
+def test_resume_from_a_copied_state_is_bitwise(policy, mode):
+    # 12 rounds straight through equal 6 rounds plus 6 more resumed from
+    # deep copies of the server state and the ledger: the state and the
+    # ledger are all that a run carries from round to round.
+    ds = small_dataset()
+    cfg = config(policy, client_fraction=0.5, epochs=3, batch_size=2,
+                 nack_estimate_mode=mode, seed=3)
+
+    def run(rounds, state=None, ledger=None):
+        state = state or ServerState(init_params(MLP, cfg.seed), history_len=cfg.history_len)
+        ledger = ledger or CommLedger()
+        return list(iter_rounds(MLP, cfg, ds, rounds, ledger, state=state)), state, ledger
+
+    straight, state, ledger = run(12)
+    first, mid_state, mid_ledger = run(6)
+    rest, resumed, resumed_ledger = run(6, copy.deepcopy(mid_state), copy.deepcopy(mid_ledger))
+    # Silent clients after the resume, so a NACK estimate reaches the model.
+    assert any(len(r.senders) < len(r.selected) for r in rest)
+    assert first + rest == straight
+    assert resumed.global_params.tobytes() == state.global_params.tobytes()
+    assert resumed_ledger == ledger  # rounds and both byte totals
 
 
 def test_divergent_run_raises_numeric_error():

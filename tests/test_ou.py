@@ -597,6 +597,23 @@ def test_fit_decode_band_bits_are_pinned():
     assert digest == "0dbee43f6bf7ae325cd6f670599c17acbcbb339d30e9884184a3a07d49c0b9a0"
 
 
+def test_narrow_fit_and_band_bits_are_pinned():
+    # sha256 recorded with the per-path fit, before the (B, T, k) stack fit.
+    # k = 1 is fitted as one of two equal columns, and T - 1 in {2, 8, 9,
+    # 20} spans numpy's 8-element pairwise-sum block. Several paths of one
+    # shape share a band_fractions block, so a row's bits are pinned there.
+    rng = np.random.default_rng(20261019)
+    digest = hashlib.sha256()
+    for k in (1, 2):
+        for t in (3, 9, 10, 21):
+            paths = [band_path(rng, t, k, kind) for kind in BAND_KINDS + ("ar1", "ar1")]
+            for p in paths:
+                fit = fit_ou_ls_columns(p, 1.0)
+                digest.update(np.stack([fit.a, fit.b, fit.resid_sd]).tobytes())
+            digest.update(np.array(ou.band_fractions(paths)).tobytes())
+    assert digest.hexdigest() == "02dcef07e09653f26f1df62099328c82524c72a70b3e20277079f7f1174ce4a8"
+
+
 # ---------------------------------------------------------------------- types
 
 def test_fit_ou_ls_rejects_bad_paths():
