@@ -7,10 +7,11 @@ threshold -> each client decides send or suppress -> senders upload their
 full model (ACK), the rest a stub (NACK) -> the server fills NACK slots
 with an estimate -> sample-size-weighted aggregation -> evaluation.
 
-Band policies' statistics are computed for the whole round in one
-``band_fractions`` call, bit for bit the per-client fits. It gives each
-client its statistic or its fit's error, so that the round raises the
-error, and the client, that fitting client by client would.
+Band policies' statistics are fitted in place on the paths training
+wrote: one ``band_fractions`` call per lockstep chunk, over the chunk's
+``(G, T, k)`` array, bit for bit the per-client fits. It gives each client
+its statistic or its fit's error, so that the round raises the error, and
+the client, that fitting client by client would.
 
 Byte accounting is exact and single-precision-based regardless of the
 double-precision arithmetic: 4 bytes per parameter, 8 bytes per sample
@@ -36,7 +37,6 @@ bitwise, so zero-sender rounds cannot drift the model.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -313,11 +313,19 @@ def run_round(
         track=track,
     )
     if policy.needs_band_fraction:
-        # One path row per SGD step: the fit's time unit is one step. The
-        # fit stops at the first client the loop below raises for.
-        fitted = itertools.takewhile(
-            lambda rep: not isinstance(rep, NumericError) and rep.path.shape[0] >= 3, trained)
-        bands = band_fractions([rep.path for rep in fitted])
+        # One path row per SGD step: the fit's time unit is one step. Each
+        # path is a row of its lockstep chunk's (G, T, k) array, rows in
+        # client order, so the clients before the first one the loop below
+        # raises for are a prefix of each chunk's rows: only they are fitted.
+        chunks: dict[int, list[int]] = {}  # fitted clients by their array's id
+        for i, rep in enumerate(trained):
+            if isinstance(rep, NumericError) or rep.path.shape[0] < 3:
+                break
+            chunks.setdefault(id(rep.path.base), []).append(i)
+        bands = {}
+        for rows in chunks.values():
+            stack = trained[rows[0]].path.base
+            bands.update(zip(rows, band_fractions(stack[: len(rows)])))
     # Each client's decision statistic, in id order. The first failure in
     # client-id order wins, and a client's training failure comes before its
     # decision statistic's: what training and checking one client after

@@ -139,7 +139,9 @@ class ModelSpec:
 class LocalTrainReport:
     """One client's local training. With tracking on, ``tracked`` holds the
     recorded coordinate ids and ``path[t, j]`` is coordinate ``tracked[j]``
-    after t SGD steps (row 0 is the starting point)."""
+    after t SGD steps (row 0 is the starting point). ``train_clients`` gives
+    ``path`` as row g of ``path.base``, its lockstep chunk's C-contiguous
+    (G, T, k) array, whose rows are the chunk's clients in ascending order."""
 
     params_after: np.ndarray
     update_norm: float
@@ -404,6 +406,10 @@ def train_clients(
     "parameters diverged" if only the last step overflowed. A diverging
     client fails alone and the others of its group carry on, bit for bit as
     if trained alone, so the caller decides which failure comes first.
+
+    A tracked report's ``path`` is a row of the (G, T, k) array its chunk
+    was recorded into (see ``LocalTrainReport``); the engine fits that array
+    in place. A failed client's row holds no usable path.
     """
     _check_sgd_knobs(epochs, batch_size, eta, track)
     if len(seeds) != len(clients):

@@ -17,12 +17,13 @@ squares of theta_{t+1} on theta_t, (a, b, resid_sd), and its flags;
 ``fit_ou_ls(values, dt)`` is the one-column fit of a 1-D path, with scalar
 fields. That is all ``band_fraction`` (the share of columns outside their
 one-stationary-sd band) needs: sigma / sqrt(2 * lam) is resid_sd /
-sqrt(1 - a^2) for any dt. ``band_fractions(paths)`` is that statistic of
-each of many (T, k) paths sampled one step apart, bit for bit its own
-``band_fraction(p[-1], fit_ou_ls_columns(p, 1.0))``, or the ValueError that
-fit raises for the path alone: paths of one shape are copied into a C-order
-(B, T, k) stack a block at a time, and every pass of the fit is one numpy
-call over the stack, so numpy's per-call cost is paid per block, not per path.
+sqrt(1 - a^2) for any dt. ``band_fractions(stack)`` is that statistic of
+each row of a (B, T, k) array of paths sampled one step apart, bit for bit
+the row's own ``band_fraction(p[-1], fit_ou_ls_columns(p, 1.0))``, or the
+ValueError that fit raises for the row alone: it fits the array in place,
+a block of rows at a time, every pass of the fit one numpy call over the
+block, and then checks the fits and counts the bands once over all rows,
+so numpy's per-call cost is paid per block and per array, not per path.
 The process, lam = -ln(a) / dt, mu = b / (1 - a) and sigma = resid_sd *
 sqrt(-2 * ln(a) / (dt * (1 - a^2))), is derived on first read of
 ``fit.lam``, ``fit.mu`` or ``fit.sigma``; ``decode(theta_ref, lam, mu,
@@ -47,10 +48,13 @@ from .seeding import derive_rng
 # `degenerate` flag preserves the "not a mean-reverting path" signal.
 _SLOPE_FLOOR = 1e-6
 
-# band_fractions stacks paths of one shape in blocks of at most this many
-# elements per (B, T-1, k) buffer of _ar1_ols: 3 paths of (11, 1002). Twice
-# as many made the fit's two buffers big enough that the heap was trimmed
-# and refilled round after round, costing more page faults than they saved.
+# band_fractions fits its rows in blocks of at most this many elements per
+# (B, T-1, k) buffer of _ar1_ols: 3 paths of (11, 1002). Twice as many made
+# the fit's two buffers big enough that the heap was trimmed and refilled
+# round after round, costing more page faults than they saved. The buffers
+# are allocated per block: two held for all of a call's blocks made the
+# bench's `ou-decode` slower (run_s +7.3%, round_ms_p90 +13.3% and peak RSS
+# +1.2%, each worse in 6 of 6 paired runs).
 _BLOCK_ELEMENTS = 1 << 15
 
 
@@ -233,10 +237,10 @@ def _checked_fit(a, b, resid_sd, n: int, degenerate, finite, dt: float) -> tuple
     return fit, errors
 
 
-def _check_paths(values: np.ndarray) -> None:
-    if values.ndim != 2:
-        raise ValueError("expected a (T, k) array of column trajectories")
-    if values.shape[0] < 3:
+def _check_paths(values: np.ndarray, dims: str = "(T, k)") -> None:
+    if values.ndim != dims.count(",") + 1:
+        raise ValueError(f"expected a {dims} array of column trajectories")
+    if values.shape[-2] < 3:
         raise ValueError("need at least 3 observations per trajectory")
 
 
@@ -323,33 +327,35 @@ def _outside(finals: np.ndarray, fit: OUFit) -> np.ndarray:
     return fit.non_reverting | (~fit.flagged & off_band)
 
 
-def band_fractions(paths) -> list[float | ValueError]:
-    """One entry per (T, k) path: ``band_fraction(p[-1],
-    fit_ou_ls_columns(p, 1.0))``, bit for bit, or the ValueError that this
-    fit raises for the path alone. A path that is not (T, k) with T >= 3
-    and k >= 1 raises its ValueError at the call.
+def band_fractions(stack) -> list[float | ValueError]:
+    """One entry per row p of a (B, T, k) array of paths: ``band_fraction(
+    p[-1], fit_ou_ls_columns(p, 1.0))``, bit for bit, or the ValueError that
+    this fit raises for the row alone. An array that is not (B, T, k) with
+    T >= 3 and k >= 1 raises its ValueError at the call.
 
-    Paths of one shape are copied a block at a time into one C-order
-    (B, T, k) stack and fitted together, in blocks of at most
-    _BLOCK_ELEMENTS elements per (B, T-1, k) buffer; see ``_ar1_ols``.
+    A C-contiguous float64 array is fitted where it lies, never written;
+    any other is fitted as its C-order float64 copy. The rows are fitted in
+    blocks of at most _BLOCK_ELEMENTS elements per (B, T-1, k) buffer (see
+    ``_ar1_ols``), and the fits are checked and the bands counted once over
+    all B rows.
     """
-    paths = [np.asarray(p, dtype=np.float64) for p in paths]
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, p in enumerate(paths):
-        _check_paths(p)
-        if p.shape[1] == 0:
-            raise ValueError("finals must be a non-empty vector")
-        groups.setdefault(p.shape, []).append(i)
-    out: list[float | ValueError] = [0.0] * len(paths)
+    # C order: numpy sums a Fortran-ordered array's columns in another order.
+    stack = np.ascontiguousarray(stack, dtype=np.float64)
+    _check_paths(stack, "(B, T, k)")
+    _, t, k = stack.shape
+    if k == 0:
+        raise ValueError("finals must be a non-empty vector")
+    width = max(1, _BLOCK_ELEMENTS // ((t - 1) * max(k, 2)))
+    # Each block's fields are written into these and dropped, so that at
+    # most one block's fit is held besides them (a list of blocks to
+    # concatenate raised the bench's peak RSS).
+    a, b, resid_sd = (np.empty((len(stack), k)) for _ in range(3))
+    degenerate, finite = np.empty((len(stack), k), dtype=bool), np.empty(len(stack), dtype=bool)
     with np.errstate(all="ignore"):
-        for (t, k), members in groups.items():
-            width = max(1, _BLOCK_ELEMENTS // ((t - 1) * max(k, 2)))
-            buf = np.empty((min(width, len(members)), t, k))
-            for lo in range(0, len(members), width):
-                block = members[lo : lo + width]
-                stack = np.stack([paths[i] for i in block], out=buf[: len(block)])
-                fit, errors = _checked_fit(*_ar1_ols(stack), 1.0)
-                counts = np.count_nonzero(_outside(stack[:, -1], fit), axis=1).tolist()
-                for i, count, error in zip(block, counts, errors):
-                    out[i] = count / k if error is None else error
-    return out
+        for lo in range(0, len(stack), width):
+            rows = slice(lo, lo + width)
+            a[rows], b[rows], resid_sd[rows], _, degenerate[rows], finite[rows] = (
+                _ar1_ols(stack[rows]))
+        fit, errors = _checked_fit(a, b, resid_sd, t - 1, degenerate, finite, 1.0)
+        counts = np.count_nonzero(_outside(stack[:, -1], fit), axis=1).tolist()
+    return [count / k if error is None else error for count, error in zip(counts, errors)]

@@ -559,16 +559,18 @@ def test_round_raises_the_lowest_id_clients_first_failure(sizes, policy, message
 @pytest.mark.parametrize(
     "sizes, message",
     [
-        # Blocks [0, 1], then [2]: client 2's fit overflows in the second
-        # block, ahead of client 3's training.
+        # Chunks [0, 1] and [2]: client 2's fit overflows, ahead of client
+        # 3's training.
         ((10, 10, 300, 600), "OU fit of client 2 at round 0"),
-        # Blocks [0, 1] and [3] of the 10-step paths, then [2]: client 2's
-        # fit overflows in the last block, ahead of client 4's training.
+        # Chunks [0, 1, 3] (blocks [0, 1] and [3]) and [2]: client 2's fit
+        # overflows, ahead of client 4's training.
         ((10, 10, 300, 10, 600), "OU fit of client 2 at round 0"),
-        # Client 2's training fails ahead of client 4's overflowing fit.
+        # Client 2's training fails ahead of client 4's overflowing fit:
+        # rows 0 and 1 of chunk [0, 1, 3] are fitted, client 3 is not.
         ((10, 10, 600, 10, 300), "^non-finite parameters$"),
+        # Chunk [0, 1, 2, 3, 4] in blocks [0, 1], [2, 3] and [4], then [5].
         ((10, 10, 10, 10, 10, 300), "OU fit of client 5 at round 0"),
-        # Clients 2, 3 and 4 overflow, in one block: client 2's error wins.
+        # Clients 2, 3 and 4 overflow, in one chunk: client 2's error wins.
         ((10, 10, 300, 300, 300), "OU fit of client 2 at round 0"),
     ],
 )
@@ -579,16 +581,69 @@ def test_round_error_precedence_holds_across_fit_blocks(monkeypatch, sizes, mess
     quad = ModelSpec("quadratic-diagnostic", input_dim=2)
     # Two 10-step paths of 2 coordinates per block, one longer path.
     monkeypatch.setattr(ou, "_BLOCK_ELEMENTS", 2 * 10 * quad.param_count)
-    fitted = []
-    band_fractions = engine.band_fractions
-    monkeypatch.setattr(engine, "band_fractions",
-                        lambda paths: fitted.append(len(paths)) or band_fractions(paths))
+    trained, fitted = [], []
+    train_clients, band_fractions = engine.train_clients, engine.band_fractions
+    monkeypatch.setattr(engine, "train_clients",
+                        lambda *args, **kw: trained.extend(train_clients(*args, **kw)) or trained)
+
+    def fit(stack):
+        # Each row's client: the one whose report's path is that row.
+        fitted.append([i for row in stack for i, rep in enumerate(trained)
+                       if not isinstance(rep, NumericError)
+                       and rep.path.ctypes.data == row.ctypes.data])
+        return band_fractions(stack)
+
+    monkeypatch.setattr(engine, "band_fractions", fit)
     cfg = config(PolicyConfig("ou", r=0.5), n_clients=len(sizes), client_fraction=1.0,
                  epochs=1, batch_size=1, eta=5.0)
     with pytest.raises(NumericError, match=message):
         run_experiment(quad, cfg, two_client_quadratic(sizes), rounds=1)
-    # One block call over the clients before the first training failure.
-    assert fitted == [sizes.index(600) if 600 in sizes else len(sizes)]
+    # The fitted rows, one call per chunk, are exactly the clients before
+    # the first training failure, each once and in id order within its chunk.
+    assert all(rows == sorted(rows) for rows in fitted)
+    assert sorted(sum(fitted, [])) == list(range(sizes.index(600) if 600 in sizes
+                                                 else len(sizes)))
+
+
+@pytest.mark.parametrize("track", ["all", 5], ids=["all", "int"])
+def test_band_rounds_decide_as_each_clients_own_fit(monkeypatch, track):
+    # Sizes 12, 8 and 5 (7, 5 and 5 path rows) under a lockstep cap of 2
+    # clients: chunks [0, 2], [1, 4], [3] and [5]. aou's threshold and
+    # senders are those of each client's own fit of its own path, bit for bit.
+    import fedsample.engine as engine
+    import fedsample.models as models
+    from fedsample.models import local_train
+    from fedsample.ou import band_fraction, fit_ou_ls_columns
+    from fedsample.policies import compute_adaptive_threshold, local_decide
+
+    monkeypatch.setattr(models, "_LOCKSTEP_ELEMENTS", 2 * MODEL.param_count)
+    rows = []
+    band_fractions = engine.band_fractions
+    monkeypatch.setattr(engine, "band_fractions",
+                        lambda stack: rows.append(len(stack)) or band_fractions(stack))
+    sizes = (12, 8, 12, 5, 8, 12)
+    blobs = small_dataset(n_clients=len(sizes))
+    ds = FederatedDataset(
+        clients=tuple((x[:n], y[:n]) for (x, y), n in zip(blobs.clients, sizes)),
+        test_set=blobs.test_set, n_classes=blobs.n_classes, dim=blobs.dim)
+    cfg = config(PolicyConfig("aou"), n_clients=len(sizes), client_fraction=1.0, track=track)
+    state, ledger = ServerState(global_params=init_params(MODEL, cfg.seed)), CommLedger()
+    partial = 0
+    for t in range(4):
+        start = state.global_params.copy()
+        report = engine.run_round(state, MODEL, cfg, ds, ledger)
+        stats = []
+        for k in report.selected:
+            rep = local_train(MODEL, start, ds.clients[k], cfg.epochs, cfg.batch_size,
+                              cfg.eta, client_train_seed(cfg.seed, t, k), track)
+            stats.append(band_fraction(rep.path[-1], fit_ou_ls_columns(rep.path, 1.0)))
+        threshold = compute_adaptive_threshold(np.array(stats))
+        assert report.threshold.hex() == threshold.hex()
+        assert report.senders == tuple(k for k, stat in zip(report.selected, stats)
+                                       if local_decide(cfg.policy, stat, threshold))
+        partial += 0 < len(report.senders) < len(sizes)
+    assert rows == [2, 2, 1, 1] * 4
+    assert partial > 0
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from helpers import fd_check
 
-from fedsample import models
+from fedsample import models, ou
 from fedsample.errors import NumericError
 from fedsample.models import (
     LocalTrainReport,
@@ -521,6 +521,54 @@ def test_train_clients_whole_group_diverges(track):
         with pytest.raises(NumericError) as alone:
             local_train(QUAD, start, data, 400, 2, 1e100, seed, track)
         assert isinstance(rep, NumericError) and str(rep) == str(alone.value)
+
+
+@pytest.mark.parametrize("track", ["all", 3], ids=["all", "int"])
+def test_tracked_paths_are_rows_of_their_chunks_array(monkeypatch, track):
+    # Sizes 9, 5, 9 and 9 in chunks of at most 2: the 9s split into [0, 2]
+    # and [3], and the 5 is a lone client. Each path is row g of its chunk's
+    # C-contiguous (G, T, k) array, the chunk's clients in ascending order.
+    monkeypatch.setattr(models, "_LOCKSTEP_ELEMENTS", 2 * LOGISTIC.param_count)
+    start = init_params(LOGISTIC, seed=1)
+    clients = [random_batch(LOGISTIC, n, seed=70 + i) for i, n in enumerate((9, 5, 9, 9))]
+    reports = train_clients(LOGISTIC, start, clients, [1, 2, 3, 4], 2, 4, 0.1, track)
+    k = LOGISTIC.param_count if track == "all" else 3
+    for chunk in ([0, 2], [1], [3]):
+        stack = reports[chunk[0]].path.base
+        assert stack.flags.c_contiguous and stack.dtype == np.float64
+        assert stack.shape == (len(chunk), reports[chunk[0]].steps_taken + 1, k)
+        for g, i in enumerate(chunk):
+            assert reports[i].path.base is stack
+            assert reports[i].path.__array_interface__ == stack[g].__array_interface__
+
+
+@pytest.mark.parametrize("track", ["all", 3, 1], ids=["all", "int", "one"])
+def test_band_fractions_fit_a_read_only_chunk_in_place(monkeypatch, track):
+    # The engine hands band_fractions the array that training recorded and
+    # that the reports' paths view: it is fitted where it lies, a block at a
+    # time, and never written.
+    start = init_params(LOGISTIC, seed=1)
+    clients = [random_batch(LOGISTIC, 9, seed=80 + i) for i in range(3)]
+    reports = train_clients(LOGISTIC, start, clients, [1, 2, 3], 2, 4, 0.1, track)
+    stack = reports[0].path.base
+    before = stack.tobytes()
+    stack.flags.writeable = False
+    blocks = []
+    ar1_ols = ou._ar1_ols
+    monkeypatch.setattr(ou, "_ar1_ols", lambda block: blocks.append(block) or ar1_ols(block))
+    # Blocks of 2 rows of (T - 1) x max(k, 2) elements: [0, 1] and [2].
+    _, t, k = stack.shape
+    monkeypatch.setattr(ou, "_BLOCK_ELEMENTS", 2 * (t - 1) * max(k, 2))
+    got = ou.band_fractions(stack)
+    monkeypatch.undo()
+    assert stack.tobytes() == before
+    assert [rep.path.tobytes() for rep in reports] == [row.tobytes() for row in stack]
+    assert got == [ou.band_fraction(rep.path[-1], ou.fit_ou_ls_columns(rep.path, 1.0))
+                   for rep in reports]
+    # The blocks fitted (not k = 1's repeated copies) are views of the array.
+    views = [block for block in blocks if block.shape[2] == k]
+    assert [len(block) for block in views] == [2, 1]
+    assert all(block.base is stack for block in views)
 
 
 def test_train_clients_rejects_bad_arguments():

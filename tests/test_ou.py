@@ -462,14 +462,30 @@ def per_path(paths):
     return [band_fraction(p[-1], fit_ou_ls_columns(p, 1.0)) for p in paths]
 
 
+def by_shape(paths):
+    """Each path's band_fractions entry, from one call per shape (one
+    (B, T, k) array, rows in list order), as the engine makes one call per
+    lockstep chunk."""
+    rows = {}
+    for i, p in enumerate(paths):
+        rows.setdefault(p.shape, []).append(i)
+    out = [None] * len(paths)
+    for members in rows.values():
+        got = ou.band_fractions(np.stack([paths[i] for i in members]))
+        assert len(got) == len(members)
+        for i, entry in zip(members, got):
+            out[i] = entry
+    return out
+
+
 BAND_KINDS = ("ar1", "constant", "unit", "expanding", "alternating", "underflow")
 
 
 @pytest.mark.parametrize("block_paths", [None, 1, 2, 3])
 def test_band_fractions_are_the_per_path_band_fractions(monkeypatch, block_paths):
-    # Bit for bit the per-path statistic, for one shape or mixed shapes in
-    # one list, with blocks of at most block_paths paths of (11, 1002), so
-    # that a group's size falls on and across block edges.
+    # Bit for bit the per-path statistic, for arrays of one shape, one call
+    # per shape of a mixed list, with blocks of at most block_paths paths of
+    # (11, 1002), so that an array's rows fall on and across block edges.
     if block_paths is not None:
         monkeypatch.setattr(ou, "_BLOCK_ELEMENTS", block_paths * 10 * 1002)
     rng = np.random.default_rng(19 + (block_paths or 0))
@@ -480,8 +496,9 @@ def test_band_fractions_are_the_per_path_band_fractions(monkeypatch, block_paths
     for case in cases:
         paths = [band_path(rng, t, k, BAND_KINDS[rng.integers(len(BAND_KINDS))])
                  for t, k in case]
-        assert ou.band_fractions(paths) == per_path(paths), case
-    assert ou.band_fractions([]) == []
+        assert by_shape(paths) == per_path(paths), case
+    for t, k in shapes:
+        assert ou.band_fractions(np.empty((0, t, k))) == []
 
 
 def test_band_fractions_cover_every_column_kind():
@@ -492,7 +509,7 @@ def test_band_fractions_cover_every_column_kind():
               "expanding": (False, True, 1.5)}
     for kind in BAND_KINDS:
         paths = [band_path(rng, t, k, kind) for t in (3, 4, 11) for k in (1, 2, 1002)]
-        assert ou.band_fractions(paths) == per_path(paths), kind
+        assert by_shape(paths) == per_path(paths), kind
         for p in paths if kind in expect else ():
             fit = fit_ou_ls_columns(p, 1.0).columns(0)
             assert (fit.degenerate, fit.non_reverting) == expect[kind][:2], (kind, p.shape)
@@ -516,14 +533,15 @@ def fit_error(path):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "overflow"])
 def test_band_fractions_reject_non_finite_paths_and_fits(monkeypatch, bad):
-    # A path whose fit fails gets the ValueError that fitting it alone
-    # raises; every other path gets its statistic.
+    # A row whose fit fails gets the ValueError that fitting it alone
+    # raises; every other row gets its statistic. Blocks of 2 rows: [0, 1],
+    # [2, 3], [4].
     monkeypatch.setattr(ou, "_BLOCK_ELEMENTS", 2 * 10 * 1002)
     rng = np.random.default_rng(21)
     match = r"^lam and mu must be finite$" if bad == "overflow" else (
         r"^trajectory values must be finite$")
-    for where in (0, 3, 4):  # in the first, second and last block
-        paths = [band_path(rng, 11, 1002, "ar1") for _ in range(5)]
+    for where in (0, 3, 4):  # in the first, a middle and the last block
+        paths = np.stack([band_path(rng, 11, 1002, "ar1") for _ in range(5)])
         spoil(paths[where], bad)
         with pytest.raises(ValueError, match=match):
             fit_ou_ls_columns(paths[where], 1.0)
@@ -531,26 +549,24 @@ def test_band_fractions_reject_non_finite_paths_and_fits(monkeypatch, bad):
         assert isinstance(got[where], ValueError)
         assert str(got[where]) == fit_error(paths[where])
         others = [i for i in range(5) if i != where]
-        assert [got[i] for i in others] == per_path([paths[i] for i in others])
-    # Two bad paths, in different blocks of different shape groups, each
-    # with its own error.
-    shapes = [(11, 1002), (21, 2), (11, 1002), (21, 2), (11, 1002)]
-    paths = [band_path(rng, t, k, "ar1") for t, k in shapes]
+        assert [got[i] for i in others] == per_path(paths[others])
+    # Two bad rows of one call, in different blocks, each with its own error.
+    paths = np.stack([band_path(rng, 11, 1002, "ar1") for _ in range(5)])
     spoil(paths[0], bad)
     spoil(paths[3], math.nan if bad == "overflow" else "overflow")
     got = ou.band_fractions(paths)
     assert [str(got[i]) for i in (0, 3)] == [fit_error(paths[i]) for i in (0, 3)]
     assert str(got[0]) != str(got[3])
-    assert [got[i] for i in (1, 2, 4)] == per_path([paths[i] for i in (1, 2, 4)])
+    assert [got[i] for i in (1, 2, 4)] == per_path(paths[[1, 2, 4]])
     with pytest.raises(ValueError, match="at least 3 observations"):
-        ou.band_fractions([np.zeros((2, 4))])
-    with pytest.raises(ValueError, match=r"\(T, k\) array"):
-        ou.band_fractions([np.zeros(5)])
+        ou.band_fractions(np.zeros((1, 2, 4)))
+    with pytest.raises(ValueError, match=r"\(B, T, k\) array"):
+        ou.band_fractions(np.zeros((5, 4)))
     with pytest.raises(ValueError, match=r"^finals must be a non-empty vector$"):
-        ou.band_fractions([np.zeros((5, 0))])
+        ou.band_fractions(np.zeros((1, 5, 0)))
 
 
-def test_fits_do_not_depend_on_memory_layout():
+def test_fits_do_not_depend_on_memory_layout(monkeypatch):
     # numpy sums a Fortran-ordered array's columns in another order; the
     # fit reads every layout as C order.
     values = band_path(np.random.default_rng(22), 40, 30, "ar1")
@@ -562,7 +578,27 @@ def test_fits_do_not_depend_on_memory_layout():
         again = fit_ou_ls_columns(other, 1.0)
         for name in ("a", "b", "resid_sd"):
             assert getattr(again, name).tobytes() == getattr(fit, name).tobytes(), name
-        assert ou.band_fractions([other]) == ou.band_fractions([values])
+    # So do band_fractions' fits of (B, T, k) arrays, one row or several:
+    # Fortran-ordered, transposed copies, and strided along each axis.
+    fits = []
+    checked_fit = ou._checked_fit
+    monkeypatch.setattr(ou, "_checked_fit",
+                        lambda *fields: fits.append(fields[:3]) or checked_fit(*fields))
+    rng = np.random.default_rng(23)
+    for b in (1, 3):
+        stack = np.stack([band_path(rng, 40, 30, "ar1") for _ in range(b)])
+        layouts = [np.asfortranarray(stack), np.repeat(stack, 2, axis=2)[:, :, ::2],
+                   np.repeat(stack, 2, axis=1)[:, ::2]]
+        if b > 1:  # a lone row's layout along axis 0 is C order's
+            layouts += [np.ascontiguousarray(stack.transpose(1, 0, 2)).transpose(1, 0, 2),
+                        np.repeat(stack, 2, axis=0)[::2]]
+        expect = ou.band_fractions(stack)
+        fit = [f.tobytes() for f in fits[-1]]
+        assert expect == per_path(stack)
+        for other in layouts:
+            assert other.strides != stack.strides
+            assert ou.band_fractions(other) == expect
+            assert [f.tobytes() for f in fits[-1]] == fit
 
 
 # ---------------------------------------------------------------- bitwise pin
