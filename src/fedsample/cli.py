@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -41,7 +40,7 @@ from .engine import METRICS_HEADER, CommLedger, _ou_fit, format_metrics_row, ite
 from .errors import ConfigError, NumericError
 from .models import init_params, local_train
 from .policies import POLICY_KINDS, POLICY_PARAMS, PolicyConfig
-from .seeding import seed_sequence
+from .seeding import seed_sequence, sha256
 
 TRUNCATION_MARKER = "TRUNCATED"
 
@@ -57,7 +56,7 @@ def _now() -> str:
 
 def _run_id(config_path: str, seed: int) -> str:
     with open(config_path, "rb") as fh:
-        digest = hashlib.sha256(fh.read() + b"|seed=" + str(seed).encode())
+        digest = sha256(fh.read() + b"|seed=" + str(seed).encode())
     return digest.hexdigest()[:12]
 
 

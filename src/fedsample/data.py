@@ -16,7 +16,6 @@ appearance in the file.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -127,6 +126,8 @@ def export_csv(ds: FederatedDataset, path: str) -> None:
     Floats use shortest round-trip repr, so load_csv reproduces the arrays
     exactly.
     """
+    import csv  # here, so that `import fedsample` loads no csv
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["client_id", "label"] + [f"f_{j}" for j in range(ds.dim)])
@@ -150,6 +151,8 @@ def load_csv(path: str, n_classes: int, dim: int | None = None) -> FederatedData
         raise ValueError("n_classes must be >= 1")
     if dim is not None and dim < 1:
         raise ValueError("dim must be >= 1")
+    import csv
+
     groups: dict[str, list[tuple[int, list[float]]]] = {}
     parse_error = functools.partial(ParseError, path=path)
 

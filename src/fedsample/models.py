@@ -179,6 +179,9 @@ def _check_batch(
     if y.shape != x.shape[:-1]:
         raise ValueError("labels must be one class index per row")
     if spec.kind != "quadratic-diagnostic":
+        # Casting float labels would truncate them without a word.
+        if y.dtype.kind not in "iu":
+            raise ValueError("labels must be integer class indices")
         y = y.astype(np.int64, copy=False)
         # One reduction checks both ends: a negative label reads as a huge
         # unsigned value.

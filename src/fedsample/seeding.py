@@ -6,20 +6,30 @@ reproduce bit-identical results. A stream is addressed by a tuple of parts,
 e.g. ``derive_rng(seed, "train", round_idx, client_id)``.
 
 Each part stands for a 64-bit value: an int in [0, 2**64) for itself, a
-label for the first 8 bytes of its sha256, little-endian. Ints outside
-that range are rejected, not wrapped, so distinct seeds never share a
-stream. A stream is numpy's SeedSequence (seeding PCG64) of the values'
-32-bit words, low word first, one word for a value below 2**32: the stream
-``np.random.SeedSequence([value, ...])`` gives, fixed by numpy's stream
-policy (NEP 19).
+label for the first 8 bytes of its sha256, little-endian (the digest of
+the interpreter's built-in sha256 module, so importing the package loads
+no OpenSSL). Ints outside that range are rejected, not wrapped, so
+distinct seeds never share a stream. A stream is numpy's SeedSequence
+(seeding PCG64) of the values' 32-bit words, low word first, one word for
+a value below 2**32: the stream ``np.random.SeedSequence([value, ...])``
+gives, fixed by numpy's stream policy (NEP 19).
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 
 import numpy as np
+
+# The built-in module, as random.py takes sha512: hashlib would load
+# OpenSSL's _hashlib (and _blake2) for a handful of label digests.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 _WORD_MASK = 0xFFFFFFFF
 _PART_LIMIT = 1 << 64
@@ -45,7 +55,7 @@ def _part_to_int(part: int | str) -> int:
 def _label_to_int(label: str) -> int:
     # Labels come from a small fixed vocabulary ("shuffle", "train", ...),
     # each hashed once per process instead of once per stream.
-    digest = hashlib.sha256(label.encode("utf-8")).digest()
+    digest = sha256(label.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
 
 

@@ -581,6 +581,31 @@ def test_train_clients_rejects_bad_arguments():
     assert train_clients(LOGISTIC, start, [], [], 1, 4, 0.1) == []
 
 
+@pytest.mark.parametrize("spec", [LOGISTIC, MLP], ids=lambda s: s.kind)
+def test_classifiers_reject_non_integer_labels(spec):
+    # A cast would truncate [0.9, 1.9] to [0, 1] and train on it unnoticed.
+    x, y = random_batch(spec, 4, seed=6)
+    params = init_params(spec, seed=6)
+    message = "^labels must be integer class indices$"
+    for bad in (y + 0.9, y.astype(np.float64), y.astype(bool)):
+        with pytest.raises(ValueError, match=message):
+            loss_and_grad(spec, params, (x, bad))
+        with pytest.raises(ValueError, match=message):
+            loss_and_grad(spec, np.stack([params, params]), (np.stack([x, x]), np.stack([bad, bad])))
+        with pytest.raises(ValueError, match=message):
+            train_clients(spec, params, [(x, y), (x, bad)], [0, 1], 1, 2, 0.1)
+        with pytest.raises(ValueError, match=message):
+            evaluate(spec, params, x, bad)
+    for good in (y.astype(np.uint8), y.astype(np.int32), y.tolist()):
+        assert loss_and_grad(spec, params, (x, good))[0] == loss_and_grad(spec, params, (x, y))[0]
+
+
+def test_diagnostic_model_ignores_label_dtype():
+    x, y = random_batch(QUAD, 4, seed=6)
+    params = init_params(QUAD, seed=6)
+    assert loss_and_grad(QUAD, params, (x, y + 0.5))[0] == loss_and_grad(QUAD, params, (x, y))[0]
+
+
 # ---------------------------------------------------------------- init & spec
 
 def test_init_is_deterministic_and_bounded():

@@ -2,6 +2,11 @@
 parts' 64-bit values, and int parts outside [0, 2**64) are rejected."""
 
 import hashlib
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,3 +77,42 @@ def test_seeds_at_the_ends_of_the_range_are_distinct_streams():
     draws = {seed: derive_rng(seed, "select", 0).permutation(20).tolist()
              for seed in (0, 1, 2**32, 2**64 - 1)}
     assert len({tuple(d) for d in draws.values()}) == len(draws)
+
+
+# Every label the package passes to derive_rng or seed_sequence.
+PACKAGE_LABELS = ("deal", "decide", "demo", "init", "means", "ou_path", "samples",
+                  "select", "shuffle", "test", "track", "train")
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def sha256_word(label: str) -> int:
+    return int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "little")
+
+
+def run_fresh(code: str) -> str:
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+
+
+def test_package_labels_are_listed():
+    calls = re.findall(r"(?:derive_rng|seed_sequence)\([^)]*?\"(\w+)\"",
+                       "".join(p.read_text() for p in (SRC / "fedsample").glob("*.py")))
+    assert sorted(set(calls)) == list(PACKAGE_LABELS)
+
+
+def test_package_labels_hash_to_hashlib_words():
+    assert [_part_to_int(label) for label in PACKAGE_LABELS] == [
+        sha256_word(label) for label in PACKAGE_LABELS]
+
+
+def test_hashlib_fallback_gives_the_same_words():
+    # With neither built-in module importable, seeding takes hashlib's sha256.
+    code = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from fedsample.seeding import _part_to_int\n"
+        f"print('hashlib' in sys.modules, [_part_to_int(l) for l in {PACKAGE_LABELS!r}])\n"
+    )
+    expected = [sha256_word(label) for label in PACKAGE_LABELS]
+    assert run_fresh(code).strip() == f"True {expected}"
