@@ -7,11 +7,13 @@ threshold -> each client decides send or suppress -> senders upload their
 full model (ACK), the rest a stub (NACK) -> the server fills NACK slots
 with an estimate -> sample-size-weighted aggregation -> evaluation.
 
-Band policies' statistics are fitted in place on the paths training
+Band policies' statistics are computed in place on the paths training
 wrote: one ``band_fractions`` call per lockstep chunk, over the chunk's
-``(G, T, k)`` array, bit for bit the per-client fits. It gives each client
-its statistic or its fit's error, so that the round raises the error, and
-the client, that fitting client by client would.
+``(G, T, k)`` array, each entry equal to the client's own fit's statistic
+(certified from shifted moments, or refitted exactly where the bound is
+not sure). It gives each client its statistic or its fit's error, so that
+the round raises the error, and the client, that fitting client by client
+would.
 
 Byte accounting is exact and single-precision-based regardless of the
 double-precision arithmetic: 4 bytes per parameter, 8 bytes per sample

@@ -526,10 +526,11 @@ def _train_chunk(
         elif paths is not None:
             paths[:, step] = theta
     diff = np.empty_like(start)
+    finite = np.isfinite(theta).all(axis=1).tolist()
     for g in range(rows):
         if out[g] is not None:
             continue
-        if not np.isfinite(theta[g]).all():
+        if not finite[g]:
             out[g] = NumericError("parameters diverged during local training")
             continue
         # May overflow to inf from finite parameters; the engine rejects a

@@ -18,12 +18,14 @@ squares of theta_{t+1} on theta_t, (a, b, resid_sd), and its flags;
 fields. That is all ``band_fraction`` (the share of columns outside their
 one-stationary-sd band) needs: sigma / sqrt(2 * lam) is resid_sd /
 sqrt(1 - a^2) for any dt. ``band_fractions(stack)`` is that statistic of
-each row of a (B, T, k) array of paths sampled one step apart, bit for bit
+each row of a (B, T, k) array of paths sampled one step apart, equal to
 the row's own ``band_fraction(p[-1], fit_ou_ls_columns(p, 1.0))``, or the
-ValueError that fit raises for the row alone: it fits the array in place,
-a block of rows at a time, every pass of the fit one numpy call over the
-block, and then checks the fits and counts the bands once over all rows,
-so numpy's per-call cost is paid per block and per array, not per path.
+ValueError that fit raises for the row alone. It needs only each column's
+inside/outside verdict, so it reads the array in place, a block of rows at
+a time, for four shifted moments per column (Chan, Golub and LeVeque,
+1983), and classifies every column from them once over all rows, under a
+rounding-error bound on both this fast fit and the two-pass one. The few
+columns the bound leaves open are fitted by the two-pass fit itself.
 The process, lam = -ln(a) / dt, mu = b / (1 - a) and sigma = resid_sd *
 sqrt(-2 * ln(a) / (dt * (1 - a^2))), is derived on first read of
 ``fit.lam``, ``fit.mu`` or ``fit.sigma``; ``decode(theta_ref, lam, mu,
@@ -48,14 +50,18 @@ from .seeding import derive_rng
 # `degenerate` flag preserves the "not a mean-reverting path" signal.
 _SLOPE_FLOOR = 1e-6
 
-# band_fractions fits its rows in blocks of at most this many elements per
-# (B, T-1, k) buffer of _ar1_ols: 3 paths of (11, 1002). Twice as many made
-# the fit's two buffers big enough that the heap was trimmed and refilled
-# round after round, costing more page faults than they saved. The buffers
-# are allocated per block: two held for all of a call's blocks made the
-# bench's `ou-decode` slower (run_s +7.3%, round_ms_p90 +13.3% and peak RSS
-# +1.2%, each worse in 6 of 6 paired runs).
+# band_fractions reads its rows in blocks of at most this many elements in
+# the one (B, T-1, k) buffer of _shifted_moments: 3 paths of (11, 1002).
+# The buffer is allocated per block. Measured with the two-buffer fit that
+# came before: twice as many elements made the heap be trimmed and refilled
+# round after round, costing more page faults than they saved, and buffers
+# held for all of a call's blocks made the bench's `ou-decode` slower
+# (run_s +7.3%, round_ms_p90 +13.3% and peak RSS +1.2%, each worse in 6 of
+# 6 paired runs).
 _BLOCK_ELEMENTS = 1 << 15
+
+_U = 2.0**-53  # unit roundoff of float64
+_CAP = 2.0**-20  # largest slope error bound (da) that _certify accepts
 
 
 def _elementwise(fn, x: np.ndarray) -> np.ndarray:
@@ -327,17 +333,152 @@ def _outside(finals: np.ndarray, fit: OUFit) -> np.ndarray:
     return fit.non_reverting | (~fit.flagged & off_band)
 
 
+def _shifted_moments(block: np.ndarray, s, q, x, f) -> None:
+    """The moments of z = p - p[0] of each column of a (B, T, k) block, into
+    (B, k) arrays: s = sum z_t and q = sum z_t^2 over 0 < t < T-1, x = sum
+    z_t z_{t+1} over t < T-1, and f = z_{T-1}. The block is only read; z
+    is the one (B, T-1, k) buffer."""
+    z = np.subtract(block[:, 1:], block[:, :1])
+    inner = z[:, :-1]
+    np.add.reduce(inner, axis=1, out=s)
+    np.einsum("btk,btk->bk", inner, inner, out=q)
+    np.einsum("btk,btk->bk", inner, z[:, 1:], out=x)
+    np.copyto(f, z[:, -1])
+
+
+# The bound behind _certify, a first-order rounding-error analysis (Higham,
+# "Accuracy and Stability of Numerical Algorithms", 2002, ch. 3-4).
+# Assumed: IEEE float64 with round to nearest, so fl(x op y) = (x op y)(1 +
+# e), |e| <= u = 2^-53, for + - * / and sqrt; a sum of m terms in any
+# order (numpy's row by row, pairwise or einsum's) errs by <= (m-1) u
+# sum|terms|; no overflow, and underflow errors (<= 2^-1075 an operation)
+# negligible next to u R^2: the checks 2^-800 <= R^2 <= 2^800 and da <=
+# 2^-20 below ensure both.
+#   A column p_0..p_{T-1} has n = T - 1 pairs (x, y) = (p_t, p_{t+1}); z =
+# p - p_0, R^2 = sum z_t^2, so |z_t| <= R and |p_t| <= P = |p_0| + R. In
+# exact arithmetic a = sxy / sxx over the centred pair sums, and at a slope
+# s the column is outside iff |d(s)| > band(s), where d(s) = p_{T-1} -
+# mu(s) = z_n - xbar - z_n / (n (1 - s)), band(s) = sqrt(h ssr(s) / (1 -
+# s^2)), ssr(s) = sum (y - ybar - s (x - xbar))^2 and h = 1/(n - 2) (0 at
+# n = 2, where both fits' band is exactly 0). With eps = c_n u P / R and
+# c_n = 8 sqrt(n) (n + 9) + 16 n + 64:
+#  1. Both fits' sxx, sxy and syy are within eps R^2 of the exact ones:
+#     the two-pass fit's within (2 n^1.5 P/R + n + 2) u R^2 (its rounded
+#     means err by <= n u P), these moments' within (3 n + 13) u R^2. The
+#     two-pass fit's sum of squared residuals is within (8 sqrt(n) (n + 9)
+#     P/R + 4 n + 8) u R^2 of ssr at its own slope, and syy - a sxy here
+#     within (12 n + 56) u R^2 of ssr(a): within e = eps R^2 + da^2 R^2 of
+#     each other's, since ssr(s) - ssr(a) = (s - a)^2 sxx.
+#  2. Each slope is within (1 + |a|) eps_i R^2 / sxx + u |a| of a, so the
+#     two are within da/2, da = 2 (1 + |a|) (eps R^2 / sxx + u).
+#  3. For slopes in [a - da, a + da] in (0, 1), with w = 1 / (1 - a - da):
+#     the two fits' d are within (3 n + 19) u P w <= eps R w, together, of
+#     d at their own slopes (mu = b / (1 - a) and the rounding of mu +-
+#     band included); between the slopes, d(s) moves by <= R w^2 (da/2) / n
+#     and sqrt(h / (1 - s^2)) by <= sqrt(h) w^1.5 (da/2); the two sqrt(ssr)
+#     are within e / sqrt(max(ssr - e, e)) of sqrt(ssr) at the two-pass
+#     slope, which puts the two bands within 3 e h w / band of it; and the
+#     rounding of the two bands is <= 13 u w band.
+#  Summed, with eps <= da/2 and u <= da/128, the two fits' margins |d| -
+#  band differ by at most E = (da/2) w R (K w + 3 h R / band), K = 1 + 1/n
+#  + 8 sqrt(h), from the exact margin at the two-pass slope.
+# A column is certain when da <= 2^-20 (which gives eps R^2 / sxx <= 2^-21,
+# so sxx > 0 and the dropped terms are below 2^-18 of the kept ones) and:
+# a - da >= 1 (non-reverting, outside), a + da <= 0 (degenerate, inside),
+# or a - da > 0, a + (2^20 + 1) da <= 1 and |margin| > 2 E. Doubling da
+# and E covers the dropped terms and the rounding of the bound itself.
+def _certify(n: int, p0: np.ndarray, s, q, x, f) -> tuple[np.ndarray, np.ndarray]:
+    """(outside, exact): each column's band verdict where the bound above
+    makes it certain, and where it does not. Takes _shifted_moments' (B, k)
+    arrays and overwrites them; p0 is the paths' first row. Call under
+    errstate: non-finite moments fail every test and are left exact. The
+    last argument of each ufunc call is its output."""
+    h = 1.0 / (n - 2) if n > 2 else 0.0
+    r = f * f
+    r += q  # R^2
+    s *= 1.0 / n  # xbar
+    t = np.multiply(s, s)
+    t *= n
+    q -= t  # sxx
+    np.multiply(f, 1.0 / n, t)
+    t += s  # ybar
+    a = np.multiply(s, t)
+    a *= n
+    x -= a  # sxy
+    t *= t
+    t *= n
+    np.subtract(r, t, t)  # syy
+    np.divide(x, q, a)  # slope
+    x *= a
+    t -= x  # ssr
+    np.subtract(1.0, a, x)  # 1 - a
+    np.subtract(f, s, s)
+    f /= x
+    f *= 1.0 / n
+    s -= f
+    np.abs(s, s)  # |d|
+    np.maximum(t, 0.0, out=t)
+    t *= h
+    np.add(a, 1.0, f)
+    f *= x
+    t /= f
+    np.sqrt(t, t)  # band
+    ok = (r >= 2.0**-800) & (r <= 2.0**800)
+    np.sqrt(r, r)  # R
+    np.abs(p0, f)
+    f += r
+    f *= r
+    f *= 2 * (8 * math.sqrt(n) * (n + 9) + 16 * n + 64) * _U
+    f /= q
+    f += 2 * _U
+    np.abs(a, q)
+    q += 1.0
+    f *= q  # da
+    ok &= np.abs(f, q) <= _CAP  # false where sxx <= 0 too
+    np.subtract(a, f, q)
+    high = q >= 1.0
+    high &= ok
+    mid = q > 0.0
+    mid &= ok
+    np.add(a, f, q)
+    low = np.logical_and(ok, q <= 0.0, ok)
+    np.multiply(f, 1.0 / _CAP + 1.0, q)
+    q += a
+    mid &= q <= 1.0
+    x -= f
+    np.divide(1.0, x, x)  # w
+    np.multiply(x, 1.0 + 1.0 / n + 8.0 * math.sqrt(h), q)
+    if h:
+        np.divide(r, t, a)
+        a *= 3.0 * h
+        q += a
+    q *= f
+    q *= x
+    q *= r  # 2 E
+    s -= t  # margin
+    mid &= np.abs(s, a) > q
+    high |= mid & (s > 0.0)
+    mid |= low
+    mid |= high
+    return high, ~mid
+
+
 def band_fractions(stack) -> list[float | ValueError]:
     """One entry per row p of a (B, T, k) array of paths: ``band_fraction(
-    p[-1], fit_ou_ls_columns(p, 1.0))``, bit for bit, or the ValueError that
-    this fit raises for the row alone. An array that is not (B, T, k) with
-    T >= 3 and k >= 1 raises its ValueError at the call.
+    p[-1], fit_ou_ls_columns(p, 1.0))``, or the ValueError that this fit
+    raises for the row alone. An array that is not (B, T, k) with T >= 3 and
+    k >= 1 raises its ValueError at the call.
 
-    A C-contiguous float64 array is fitted where it lies, never written;
-    any other is fitted as its C-order float64 copy. The rows are fitted in
-    blocks of at most _BLOCK_ELEMENTS elements per (B, T-1, k) buffer (see
-    ``_ar1_ols``), and the fits are checked and the bands counted once over
-    all B rows.
+    A C-contiguous float64 array is read where it lies, never written; any
+    other is read as its C-order float64 copy. The rows' shifted moments
+    are taken in blocks of at most _BLOCK_ELEMENTS elements per (B, T-1, k)
+    buffer, and every column is classified from them once over all B rows
+    (``_certify``). A column the bound leaves open (near its band edge, a
+    slope within its error of 0 or 1, a spread sxx not certainly positive,
+    or non-finite or out-of-range moments) is fitted with the row's other
+    open columns, and the rows that leave the same columns open, by the
+    two-pass fit, whose bits for a column do not depend on the columns
+    fitted with it; so every entry is exact.
     """
     # C order: numpy sums a Fortran-ordered array's columns in another order.
     stack = np.ascontiguousarray(stack, dtype=np.float64)
@@ -345,17 +486,25 @@ def band_fractions(stack) -> list[float | ValueError]:
     _, t, k = stack.shape
     if k == 0:
         raise ValueError("finals must be a non-empty vector")
-    width = max(1, _BLOCK_ELEMENTS // ((t - 1) * max(k, 2)))
-    # Each block's fields are written into these and dropped, so that at
-    # most one block's fit is held besides them (a list of blocks to
-    # concatenate raised the bench's peak RSS).
-    a, b, resid_sd = (np.empty((len(stack), k)) for _ in range(3))
-    degenerate, finite = np.empty((len(stack), k), dtype=bool), np.empty(len(stack), dtype=bool)
+    width = max(1, _BLOCK_ELEMENTS // ((t - 1) * k))
+    # Four (B, k) arrays, which _certify reuses for its own fields.
+    moments = [np.empty((len(stack), k)) for _ in range(4)]
     with np.errstate(all="ignore"):
         for lo in range(0, len(stack), width):
-            rows = slice(lo, lo + width)
-            a[rows], b[rows], resid_sd[rows], _, degenerate[rows], finite[rows] = (
-                _ar1_ols(stack[rows]))
-        fit, errors = _checked_fit(a, b, resid_sd, t - 1, degenerate, finite, 1.0)
-        counts = np.count_nonzero(_outside(stack[:, -1], fit), axis=1).tolist()
-    return [count / k if error is None else error for count, error in zip(counts, errors)]
+            _shifted_moments(stack[lo : lo + width], *(m[lo : lo + width] for m in moments))
+        outside, exact = _certify(t - 1, stack[:, 0], *moments)
+        counts = np.count_nonzero(outside, axis=1).tolist()
+        entries = [count / k for count in counts]
+        # Rows with the same open columns (such as coordinates that no client
+        # moves) are refitted together. Every column that can fail a check is
+        # open, so a row's open columns raise what the row would.
+        groups: dict[bytes, list[int]] = {}
+        for row in np.flatnonzero(exact.any(axis=1)).tolist():
+            groups.setdefault(exact[row].tobytes(), []).append(row)
+        for rows in groups.values():
+            open_paths = stack[np.ix_(rows, range(t), np.flatnonzero(exact[rows[0]]))]
+            fit, errors = _checked_fit(*_ar1_ols(open_paths), 1.0)
+            more = np.count_nonzero(_outside(open_paths[:, -1], fit), axis=1).tolist()
+            for row, error, extra in zip(rows, errors, more):
+                entries[row] = error or (counts[row] + extra) / k
+    return entries

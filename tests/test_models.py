@@ -545,8 +545,8 @@ def test_tracked_paths_are_rows_of_their_chunks_array(monkeypatch, track):
 @pytest.mark.parametrize("track", ["all", 3, 1], ids=["all", "int", "one"])
 def test_band_fractions_fit_a_read_only_chunk_in_place(monkeypatch, track):
     # The engine hands band_fractions the array that training recorded and
-    # that the reports' paths view: it is fitted where it lies, a block at a
-    # time, and never written.
+    # that the reports' paths view: its moments are taken where it lies, a
+    # block at a time, and it is never written.
     start = init_params(LOGISTIC, seed=1)
     clients = [random_batch(LOGISTIC, 9, seed=80 + i) for i in range(3)]
     reports = train_clients(LOGISTIC, start, clients, [1, 2, 3], 2, 4, 0.1, track)
@@ -554,21 +554,21 @@ def test_band_fractions_fit_a_read_only_chunk_in_place(monkeypatch, track):
     before = stack.tobytes()
     stack.flags.writeable = False
     blocks = []
-    ar1_ols = ou._ar1_ols
-    monkeypatch.setattr(ou, "_ar1_ols", lambda block: blocks.append(block) or ar1_ols(block))
-    # Blocks of 2 rows of (T - 1) x max(k, 2) elements: [0, 1] and [2].
+    moments = ou._shifted_moments
+    monkeypatch.setattr(ou, "_shifted_moments",
+                        lambda block, *out: blocks.append(block) or moments(block, *out))
+    # Blocks of 2 rows of (T - 1) x k elements: [0, 1] and [2].
     _, t, k = stack.shape
-    monkeypatch.setattr(ou, "_BLOCK_ELEMENTS", 2 * (t - 1) * max(k, 2))
+    monkeypatch.setattr(ou, "_BLOCK_ELEMENTS", 2 * (t - 1) * k)
     got = ou.band_fractions(stack)
     monkeypatch.undo()
     assert stack.tobytes() == before
     assert [rep.path.tobytes() for rep in reports] == [row.tobytes() for row in stack]
     assert got == [ou.band_fraction(rep.path[-1], ou.fit_ou_ls_columns(rep.path, 1.0))
                    for rep in reports]
-    # The blocks fitted (not k = 1's repeated copies) are views of the array.
-    views = [block for block in blocks if block.shape[2] == k]
-    assert [len(block) for block in views] == [2, 1]
-    assert all(block.base is stack for block in views)
+    # The blocks read are views of the array.
+    assert [len(block) for block in blocks] == [2, 1]
+    assert all(block.base is stack for block in blocks)
 
 
 def test_train_clients_rejects_bad_arguments():

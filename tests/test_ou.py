@@ -578,12 +578,12 @@ def test_fits_do_not_depend_on_memory_layout(monkeypatch):
         again = fit_ou_ls_columns(other, 1.0)
         for name in ("a", "b", "resid_sd"):
             assert getattr(again, name).tobytes() == getattr(fit, name).tobytes(), name
-    # So do band_fractions' fits of (B, T, k) arrays, one row or several:
+    # So do band_fractions' moments of (B, T, k) arrays, one row or several:
     # Fortran-ordered, transposed copies, and strided along each axis.
-    fits = []
-    checked_fit = ou._checked_fit
-    monkeypatch.setattr(ou, "_checked_fit",
-                        lambda *fields: fits.append(fields[:3]) or checked_fit(*fields))
+    moments = []
+    certify = ou._certify
+    monkeypatch.setattr(ou, "_certify", lambda n, p0, *m: moments.append(
+        [v.tobytes() for v in (p0, *m)]) or certify(n, p0, *m))
     rng = np.random.default_rng(23)
     for b in (1, 3):
         stack = np.stack([band_path(rng, 40, 30, "ar1") for _ in range(b)])
@@ -593,12 +593,122 @@ def test_fits_do_not_depend_on_memory_layout(monkeypatch):
             layouts += [np.ascontiguousarray(stack.transpose(1, 0, 2)).transpose(1, 0, 2),
                         np.repeat(stack, 2, axis=0)[::2]]
         expect = ou.band_fractions(stack)
-        fit = [f.tobytes() for f in fits[-1]]
+        fitted = moments[-1]
         assert expect == per_path(stack)
         for other in layouts:
             assert other.strides != stack.strides
             assert ou.band_fractions(other) == expect
-            assert [f.tobytes() for f in fits[-1]] == fit
+            assert moments[-1] == fitted
+
+
+# ------------------------------------------------------ certified band verdicts
+
+def one_column_fit(p):
+    return fit_ou_ls_columns(p[:, None], 1.0)
+
+
+def ar1_column(rng, t):
+    values = np.empty(t)
+    values[0] = rng.standard_normal()
+    for row in range(1, t):
+        values[row] = 0.6 * values[row - 1] + 0.3 + 0.1 * rng.standard_normal()
+    return values
+
+
+def flip_pair(path, lo, hi, verdict):
+    """Two copies of a 1-D path whose final values are adjacent floats either
+    side of where verdict(path) flips between finals lo and hi, by bisection."""
+    def at(final):
+        p = path.copy()
+        p[-1] = final
+        return p
+    below = verdict(at(lo))
+    assert verdict(at(hi)) != below
+    while np.nextafter(lo, hi) != hi:
+        mid = lo + (hi - lo) / 2
+        if mid in (lo, hi):
+            mid = np.nextafter(lo, hi)
+        lo, hi = (mid, hi) if verdict(at(mid)) == below else (lo, mid)
+    return [at(lo), at(hi)]
+
+
+def tricky_columns(rng, t):
+    """1-D paths of t points, one or more for each test that leaves a column
+    to the exact fit: finals one ulp either side of a band edge (t > 3; at
+    t = 3 the band is 0 and a path with a usable slope is always outside),
+    one path's band far below its drift; of where the slope crosses 0, 1
+    and 1 - 2^-24; constant paths; paths too large or too small; and paths
+    too far from 0 for their drift, one of them with slope 1.5."""
+    def outside(p):
+        return band_fraction(p[-1:], one_column_fit(p)) == 1.0
+
+    columns = []
+    for start in (None, None, -1e5) if t > 3 else ():
+        path = ar1_column(rng, t)
+        if start is not None:
+            # A far first value: the band is far below the drift.
+            path[0], path[1] = start, path[1:].min() - 0.1
+        # The final value moves the band too: scan finals for verdict flips,
+        # and take the first two.
+        finals = np.linspace(path[1:].min() - 1.0, path[1:].max() + 1.0, 401)
+        verdicts = [outside(np.append(path[:-1], final)) for final in finals]
+        flips = [i for i in range(400) if verdicts[i] != verdicts[i + 1]][:2]
+        assert len(flips) == 2
+        for i in flips:
+            pair = flip_pair(path, finals[i], finals[i + 1], outside)
+            assert not any(one_column_fit(p).flagged[0] for p in pair)
+            columns += pair
+    rising = 0.1 * np.arange(t) + 0.01 * rng.standard_normal(t)
+    for verdict in (lambda p: bool(one_column_fit(p).degenerate[0]),
+                    lambda p: bool(one_column_fit(p).non_reverting[0]),
+                    lambda p: bool(one_column_fit(p).a < 1.0 - 2.0**-24)):
+        columns += flip_pair(rising, 100.0, -100.0, verdict)
+    drift = ar1_column(rng, t)
+    columns += [np.full(t, 0.1), np.full(t, 1.25), 1e150 + 1e147 * drift,
+                1e-150 + 1e-153 * drift, 1e8 + 1e-3 * drift, 1e11 + 1.5 ** np.arange(t)]
+    return columns
+
+
+def test_band_fractions_refit_every_uncertain_column_exactly(monkeypatch):
+    # Every entry equals the per-path reference; the columns the bound
+    # cannot decide (see tricky_columns) take the exact fit, and AR(1) paths
+    # of the bench's shape take none.
+    opened = []
+    certify = ou._certify
+
+    def certified(*moments):
+        outside, exact = certify(*moments)
+        opened.append(exact)
+        return outside, exact
+
+    monkeypatch.setattr(ou, "_certify", certified)
+    # The inexact sums of a constant 0.1 leave today's fit a usable slope.
+    assert not one_column_fit(np.full(11, 0.1)).degenerate[0]
+    rng = np.random.default_rng(24)
+    for t in (11, 3):
+        columns = tricky_columns(rng, t)
+        # k = 1002: the columns spread over 4 rows among AR(1) columns.
+        stack = np.stack([band_path(rng, t, 1002, "ar1") for _ in range(4)])
+        where = [(i % 4, int(c)) for i, c in enumerate(rng.choice(1002, len(columns), False))]
+        for (row, col), path in zip(where, columns):
+            stack[row, :, col] = path
+        assert ou.band_fractions(stack) == per_path(stack)
+        assert all(opened[-1][row, col] for row, col in where)
+        # k = 1: one column per row.
+        stack = np.stack(columns)[:, :, None]
+        assert ou.band_fractions(stack) == per_path(stack)
+        assert opened[-1].all()
+    # A non-finite column is open too, and its row gets the fit's error.
+    stack = np.stack([band_path(rng, 11, 1002, "ar1") for _ in range(2)])
+    stack[1, 5, 7] = math.nan
+    got = ou.band_fractions(stack)
+    assert opened[-1][1, 7]
+    assert got[0] == per_path(stack[:1])[0]
+    assert str(got[1]) == fit_error(stack[1])
+    # Bench-shaped AR(1) paths are all certified.
+    stack = np.stack([band_path(rng, 11, 1002, "ar1") for _ in range(20)])
+    assert ou.band_fractions(stack) == per_path(stack)
+    assert not opened[-1].any()
 
 
 # ---------------------------------------------------------------- bitwise pin
