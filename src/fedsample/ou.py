@@ -397,12 +397,12 @@ def _certify(n: int, p0: np.ndarray, s, q, x, f) -> tuple[np.ndarray, np.ndarray
     r = f * f
     r += q  # R^2
     s *= 1.0 / n  # xbar
-    t = np.multiply(s, s)
+    t = s * s
     t *= n
     q -= t  # sxx
     np.multiply(f, 1.0 / n, t)
     t += s  # ybar
-    a = np.multiply(s, t)
+    a = s * t
     a *= n
     x -= a  # sxy
     t *= t
@@ -436,12 +436,10 @@ def _certify(n: int, p0: np.ndarray, s, q, x, f) -> tuple[np.ndarray, np.ndarray
     f *= q  # da
     ok &= np.abs(f, q) <= _CAP  # false where sxx <= 0 too
     np.subtract(a, f, q)
-    high = q >= 1.0
-    high &= ok
-    mid = q > 0.0
-    mid &= ok
+    high = ok & (q >= 1.0)
+    mid = ok & (q > 0.0)
     np.add(a, f, q)
-    low = np.logical_and(ok, q <= 0.0, ok)
+    low = ok & (q <= 0.0)
     np.multiply(f, 1.0 / _CAP + 1.0, q)
     q += a
     mid &= q <= 1.0
@@ -458,9 +456,7 @@ def _certify(n: int, p0: np.ndarray, s, q, x, f) -> tuple[np.ndarray, np.ndarray
     s -= t  # margin
     mid &= np.abs(s, a) > q
     high |= mid & (s > 0.0)
-    mid |= low
-    mid |= high
-    return high, ~mid
+    return high, ~(mid | low | high)
 
 
 def band_fractions(stack) -> list[float | ValueError]:
@@ -475,10 +471,12 @@ def band_fractions(stack) -> list[float | ValueError]:
     buffer, and every column is classified from them once over all B rows
     (``_certify``). A column the bound leaves open (near its band edge, a
     slope within its error of 0 or 1, a spread sxx not certainly positive,
-    or non-finite or out-of-range moments) is fitted with the row's other
-    open columns, and the rows that leave the same columns open, by the
-    two-pass fit, whose bits for a column do not depend on the columns
-    fitted with it; so every entry is exact.
+    or non-finite or out-of-range moments) is refitted by the two-pass fit,
+    with every other column open in some row, over the rows that leave any
+    open, in blocks of the same cap. That fit's bits for a column do not
+    depend on the columns fitted with it, so every entry is exact. Inputs
+    with many open columns, such as coordinates that some clients never
+    move, pay for both fits.
     """
     # C order: numpy sums a Fortran-ordered array's columns in another order.
     stack = np.ascontiguousarray(stack, dtype=np.float64)
@@ -495,16 +493,18 @@ def band_fractions(stack) -> list[float | ValueError]:
         outside, exact = _certify(t - 1, stack[:, 0], *moments)
         counts = np.count_nonzero(outside, axis=1).tolist()
         entries = [count / k for count in counts]
-        # Rows with the same open columns (such as coordinates that no client
-        # moves) are refitted together. Every column that can fail a check is
-        # open, so a row's open columns raise what the row would.
-        groups: dict[bytes, list[int]] = {}
-        for row in np.flatnonzero(exact.any(axis=1)).tolist():
-            groups.setdefault(exact[row].tobytes(), []).append(row)
-        for rows in groups.values():
-            open_paths = stack[np.ix_(rows, range(t), np.flatnonzero(exact[rows[0]]))]
+        # Every column open in any row is refitted over every row with one
+        # open, in blocks as above. A column certified in a row cannot fail a
+        # check when refitted there, and only open entries are counted.
+        rows = np.flatnonzero(exact.any(axis=1))
+        cols = np.flatnonzero(exact.any(axis=0))
+        width = max(1, _BLOCK_ELEMENTS // ((t - 1) * max(1, cols.size)))
+        for lo in range(0, rows.size, width):
+            part = rows[lo : lo + width]
+            open_paths = stack[np.ix_(part, range(t), cols)]
             fit, errors = _checked_fit(*_ar1_ols(open_paths), 1.0)
-            more = np.count_nonzero(_outside(open_paths[:, -1], fit), axis=1).tolist()
-            for row, error, extra in zip(rows, errors, more):
+            more = _outside(open_paths[:, -1], fit) & exact[np.ix_(part, cols)]
+            more = np.count_nonzero(more, axis=1).tolist()
+            for row, error, extra in zip(part.tolist(), errors, more):
                 entries[row] = error or (counts[row] + extra) / k
     return entries

@@ -711,6 +711,27 @@ def test_band_fractions_refit_every_uncertain_column_exactly(monkeypatch):
     assert not opened[-1].any()
 
 
+def test_band_fractions_refit_scattered_open_columns_in_blocks(monkeypatch):
+    # Rows that leave different columns open (constant ones here, as the
+    # weights a client's data never touches stay) are refitted over the
+    # union of their open columns, in capped blocks of rows. A column
+    # certified in a row is refitted there but counted once, and a row with
+    # a NaN keeps its own error.
+    rng = np.random.default_rng(25)
+    stack = np.stack([band_path(rng, 11, 1002, "ar1") for _ in range(7)])
+    for row in stack:
+        row[:, rng.random(1002) < 0.3] = 0.1
+    stack[5, 4, 9] = math.nan
+    shapes = []
+    ar1_ols = ou._ar1_ols
+    monkeypatch.setattr(ou, "_ar1_ols", lambda s: shapes.append(s.shape) or ar1_ols(s))
+    got = ou.band_fractions(stack)
+    assert [b for b, _, _ in shapes] == [3, 3, 1]
+    assert all(b * (t - 1) * k <= ou._BLOCK_ELEMENTS for b, t, k in shapes)
+    assert str(got.pop(5)) == fit_error(stack[5])
+    assert got == per_path(np.delete(stack, 5, axis=0))
+
+
 # ---------------------------------------------------------------- bitwise pin
 
 def test_fit_decode_band_bits_are_pinned():
