@@ -53,10 +53,10 @@ _SLOPE_FLOOR = 1e-6
 # band_fractions reads its rows in blocks of at most this many elements in
 # the one (B, T-1, k) buffer of _shifted_moments: 3 paths of (11, 1002).
 # The buffer is allocated per block, and so is each block of the refit of
-# open columns. Measured with the two-buffer fit that
-# came before: twice as many elements made the heap be trimmed and refilled
-# round after round, costing more page faults than they saved, and buffers
-# held for all of a call's blocks made the bench's `ou-decode` slower
+# open columns. Measured with the two-buffer fit that came before: twice
+# as many elements made the heap be trimmed and refilled round after
+# round, costing more page faults than they saved, and buffers held for
+# all of a call's blocks made the bench's `ou-decode` slower
 # (run_s +7.3%, round_ms_p90 +13.3% and peak RSS +1.2%, each worse in 6 of
 # 6 paired runs).
 _BLOCK_ELEMENTS = 1 << 15
