@@ -9,10 +9,10 @@ with an estimate -> sample-size-weighted aggregation -> evaluation.
 
 Band policies' statistics are computed in place on the paths training
 wrote: one ``band_fractions`` call per lockstep chunk, over the chunk's
-``(G, T, k)`` array, each entry equal to the client's own fit's statistic
-(certified from shifted moments, or refitted exactly where the bound is
-not sure). It gives each client its statistic or its fit's error, so that
-the round raises the error, and the client, that fitting client by client
+``(G, T, k)`` array, each entry the client's share of columns outside their
+band by the shifted-moments verdict, with exactly constant columns inside.
+It gives each client its statistic or its own fit's error, so that the
+round raises the error, and the client, that fitting client by client
 would.
 
 Byte accounting is exact and single-precision-based regardless of the

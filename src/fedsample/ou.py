@@ -13,19 +13,17 @@ has an exact one-step transition over a sampling period ``dt``:
 ``simulate_ou(lam, mu, sigma, theta0, dt, steps, seed)`` draws a sample
 path from this transition as a float64 array. ``fit_ou_ls_columns`` returns
 one ``OUFit`` of arrays over the columns of a (T, k) array: the least
-squares of theta_{t+1} on theta_t, (a, b, resid_sd), and its flags;
+squares of theta_{t+1} on theta_t, (a, b, resid_sd), from the means and
+then the centred sums (the two-pass fit), and its flags;
 ``fit_ou_ls(values, dt)`` is the one-column fit of a 1-D path, with scalar
 fields. That is all ``band_fraction`` (the share of columns outside their
 one-stationary-sd band) needs: sigma / sqrt(2 * lam) is resid_sd /
 sqrt(1 - a^2) for any dt. ``band_fractions(stack)`` is that statistic of
-each row of a (B, T, k) array of paths sampled one step apart, equal to
-the row's own ``band_fraction(p[-1], fit_ou_ls_columns(p, 1.0))``, or the
-ValueError that fit raises for the row alone. It needs only each column's
-inside/outside verdict, so it reads the array in place, a block of rows at
-a time, for four shifted moments per column (Chan, Golub and LeVeque,
-1983), and classifies every column from them once over all rows, under a
-rounding-error bound on both this fast fit and the two-pass one. The few
-columns the bound leaves open are fitted by the two-pass fit itself.
+each row of a (B, T, k) array of paths sampled one step apart, from each
+column's verdict alone: it reads the array in place, a block of rows at a
+time, for four moments per column shifted by its first value (Chan, Golub
+and LeVeque, 1983). An exactly constant column's are all 0: it is
+degenerate and inside, as the two-pass fit makes it too.
 The process, lam = -ln(a) / dt, mu = b / (1 - a) and sigma = resid_sd *
 sqrt(-2 * ln(a) / (dt * (1 - a^2))), is derived on first read of
 ``fit.lam``, ``fit.mu`` or ``fit.sigma``; ``decode(theta_ref, lam, mu,
@@ -52,17 +50,13 @@ _SLOPE_FLOOR = 1e-6
 
 # band_fractions reads its rows in blocks of at most this many elements in
 # the one (B, T-1, k) buffer of _shifted_moments: 3 paths of (11, 1002).
-# The buffer is allocated per block, and so is each block of the refit of
-# open columns. Measured with the two-buffer fit that came before: twice
-# as many elements made the heap be trimmed and refilled round after
-# round, costing more page faults than they saved, and buffers held for
-# all of a call's blocks made the bench's `ou-decode` slower
+# The buffer is allocated per block. Measured with the two-buffer fit that
+# came before: twice as many elements made the heap be trimmed and refilled
+# round after round, costing more page faults than they saved, and buffers
+# held for all of a call's blocks made the bench's `ou-decode` slower
 # (run_s +7.3%, round_ms_p90 +13.3% and peak RSS +1.2%, each worse in 6 of
 # 6 paired runs).
 _BLOCK_ELEMENTS = 1 << 15
-
-_U = 2.0**-53  # unit roundoff of float64
-_CAP = 2.0**-20  # largest slope error bound (da) that _certify accepts
 
 
 def _elementwise(fn, x: np.ndarray) -> np.ndarray:
@@ -171,8 +165,8 @@ def _ar1_ols(
 
     stack: a C-contiguous (B, T, k) array, T >= 3. Returns (a, b, resid_sd,
     n_points, degenerate, finite), each array (B, k) but finite (B,):
-    degenerate marks zero-variance predictor columns, finite the paths with
-    no non-finite value; no path's row depends on another path's values.
+    degenerate marks constant columns and those with sxx == 0, finite the
+    paths with no non-finite value; no row depends on another's values.
     Residual sd uses the regression dof denominator (n_points - 2), with an
     exact-fit convention of zero when n_points == 2.
 
@@ -203,7 +197,15 @@ def _ar1_ols(
     sxy = np.add.reduce(dy, axis=1)
     sxx = np.add.reduce(np.multiply(dx, dx, out=dy), axis=1)
 
-    degenerate = sxx == 0.0
+    # A constant column's mean may not round to its value, leaving sxx > 0
+    # and a slope of 1: compare the columns with equal finite means (one whose
+    # mean overflows is left to the fit's own check).
+    degenerate = (mx == my) & np.isfinite(mx)
+    if degenerate.any():
+        rows, cols = np.nonzero(degenerate)
+        paths = stack[rows, :, cols]
+        degenerate[rows, cols] = (paths == paths[:, :1]).all(axis=1)
+    degenerate |= sxx == 0.0
     a = sxy / sxx
     if degenerate.any():
         # sxx may underflow to 0 where sxy does not: a must not read +-inf.
@@ -347,56 +349,16 @@ def _shifted_moments(block: np.ndarray, s, q, x, f) -> None:
     np.copyto(f, z[:, -1])
 
 
-# The bound behind _certify, a first-order rounding-error analysis (Higham,
-# "Accuracy and Stability of Numerical Algorithms", 2002, ch. 3-4).
-# Assumed: IEEE float64 with round to nearest, so fl(x op y) = (x op y)(1 +
-# e), |e| <= u = 2^-53, for + - * / and sqrt; a sum of m terms in any
-# order (numpy's row by row, pairwise or einsum's) errs by <= (m-1) u
-# sum|terms|; no overflow, and underflow errors (<= 2^-1075 an operation)
-# negligible next to u R^2: the checks 2^-800 <= R^2 <= 2^800 and da <=
-# 2^-20 below ensure both.
-#   A column p_0..p_{T-1} has n = T - 1 pairs (x, y) = (p_t, p_{t+1}); z =
-# p - p_0, R^2 = sum z_t^2, so |z_t| <= R and |p_t| <= P = |p_0| + R. In
-# exact arithmetic a = sxy / sxx over the centred pair sums, and at a slope
-# s the column is outside iff |d(s)| > band(s), where d(s) = p_{T-1} -
-# mu(s) = z_n - xbar - z_n / (n (1 - s)), band(s) = sqrt(h ssr(s) / (1 -
-# s^2)), ssr(s) = sum (y - ybar - s (x - xbar))^2 and h = 1/(n - 2) (0 at
-# n = 2, where both fits' band is exactly 0). With eps = c_n u P / R and
-# c_n = 8 sqrt(n) (n + 9) + 16 n + 64:
-#  1. Both fits' sxx, sxy and syy are within eps R^2 of the exact ones:
-#     the two-pass fit's within (2 n^1.5 P/R + n + 2) u R^2 (its rounded
-#     means err by <= n u P), these moments' within (3 n + 13) u R^2. The
-#     two-pass fit's sum of squared residuals is within (8 sqrt(n) (n + 9)
-#     P/R + 4 n + 8) u R^2 of ssr at its own slope, and syy - a sxy here
-#     within (12 n + 56) u R^2 of ssr(a): within e = eps R^2 + da^2 R^2 of
-#     each other's, since ssr(s) - ssr(a) = (s - a)^2 sxx.
-#  2. Each slope is within (1 + |a|) eps_i R^2 / sxx + u |a| of a, so the
-#     two are within da/2, da = 2 (1 + |a|) (eps R^2 / sxx + u).
-#  3. For slopes in [a - da, a + da] in (0, 1), with w = 1 / (1 - a - da):
-#     the two fits' d are within (3 n + 19) u P w <= eps R w, together, of
-#     d at their own slopes (mu = b / (1 - a) and the rounding of mu +-
-#     band included); between the slopes, d(s) moves by <= R w^2 (da/2) / n
-#     and sqrt(h / (1 - s^2)) by <= sqrt(h) w^1.5 (da/2); the two sqrt(ssr)
-#     are within e / sqrt(max(ssr - e, e)) of sqrt(ssr) at the two-pass
-#     slope, which puts the two bands within 3 e h w / band of it; and the
-#     rounding of the two bands is <= 13 u w band.
-#  Summed, with eps <= da/2 and u <= da/128, the two fits' margins |d| -
-#  band differ by at most E = (da/2) w R (K w + 3 h R / band), K = 1 + 1/n
-#  + 8 sqrt(h), from the exact margin at the two-pass slope.
-# A column is certain when da <= 2^-20 (which gives eps R^2 / sxx <= 2^-21,
-# so sxx > 0 and the dropped terms are below 2^-18 of the kept ones) and:
-# a - da >= 1 (non-reverting, outside), a + da <= 0 (degenerate, inside),
-# or a - da > 0, a + (2^20 + 1) da <= 1 and |margin| > 2 E. Doubling da
-# and E covers the dropped terms and the rounding of the bound itself.
-def _certify(n: int, p0: np.ndarray, s, q, x, f) -> tuple[np.ndarray, np.ndarray]:
-    """(outside, exact): each column's band verdict where the bound above
-    makes it certain, and where it does not. Takes _shifted_moments' (B, k)
-    arrays and overwrites them; p0 is the paths' first row. Call under
-    errstate: non-finite moments fail every test and are left exact. The
-    last argument of each ufunc call is its output."""
+def _band_verdict(n: int, s, q, x, f) -> tuple[np.ndarray, np.ndarray]:
+    """(outside, unsure) from _shifted_moments' (B, k) arrays, which it
+    overwrites: each column's band verdict, and the rows it cannot decide (a
+    non-finite sum y^2, or a non-finite d or band in an unflagged column).
+    Degenerate (inside) if sxx <= 0 or a <= 0, non-reverting (outside) if a
+    >= 1, else outside iff |d| > band, d = p[-1] - mu. Call under errstate;
+    the last argument of each ufunc call is its output."""
     h = 1.0 / (n - 2) if n > 2 else 0.0
     r = f * f
-    r += q  # R^2
+    r += q  # sum y^2
     s *= 1.0 / n  # xbar
     t = s * s
     t *= n
@@ -424,60 +386,29 @@ def _certify(n: int, p0: np.ndarray, s, q, x, f) -> tuple[np.ndarray, np.ndarray
     f *= x
     t /= f
     np.sqrt(t, t)  # band
-    ok = (r >= 2.0**-800) & (r <= 2.0**800)
-    np.sqrt(r, r)  # R
-    np.abs(p0, f)
-    f += r
-    f *= r
-    f *= 2 * (8 * math.sqrt(n) * (n + 9) + 16 * n + 64) * _U
-    f /= q
-    f += 2 * _U
-    np.abs(a, q)
-    q += 1.0
-    f *= q  # da
-    ok &= np.abs(f, q) <= _CAP  # false where sxx <= 0 too
-    np.subtract(a, f, q)
-    high = ok & (q >= 1.0)
-    mid = ok & (q > 0.0)
-    np.add(a, f, q)
-    low = ok & (q <= 0.0)
-    np.multiply(f, 1.0 / _CAP + 1.0, q)
-    q += a
-    mid &= q <= 1.0
-    x -= f
-    np.divide(1.0, x, x)  # w
-    np.multiply(x, 1.0 + 1.0 / n + 8.0 * math.sqrt(h), q)
-    if h:
-        np.divide(r, t, a)
-        a *= 3.0 * h
-        q += a
-    q *= f
-    q *= x
-    q *= r  # 2 E
-    s -= t  # margin
-    mid &= np.abs(s, a) > q
-    high |= mid & (s > 0.0)
-    return high, ~(mid | low | high)
+    s -= t  # |d| - band, non-finite where d or band is
+    # sxx <= 0 first: where sxx is 0 and sxy is not, a reads +-inf.
+    live = (q > 0.0) & (a > 0.0)
+    outside = live & (a >= 1.0)
+    live &= a < 1.0
+    unsure = ~np.isfinite(r).all(axis=1) | (live & ~np.isfinite(s)).any(axis=1)
+    outside |= live & (s > 0.0)
+    return outside, unsure
 
 
 def band_fractions(stack) -> list[float | ValueError]:
-    """One entry per row p of a (B, T, k) array of paths: ``band_fraction(
-    p[-1], fit_ou_ls_columns(p, 1.0))``, or the ValueError that this fit
-    raises for the row alone. An array that is not (B, T, k) with T >= 3 and
-    k >= 1 raises its ValueError at the call.
+    """One entry per row p of a (B, T, k) array of paths: the share of its
+    columns outside their band by ``_band_verdict``, exactly constant columns
+    inside; for a row it cannot decide, or with a value whose column mean
+    may overflow, ``band_fraction(p[-1], fit_ou_ls_columns(p, 1.0))`` or the
+    ValueError that this fit raises. An array that is not (B, T, k) with T
+    >= 3 and k >= 1 raises its ValueError at the call. The verdict is the
+    two-pass fit's but where d, band or slope is within the rounding of the
+    shifted sums, which scales with the path's squared distance from p[0].
 
     A C-contiguous float64 array is read where it lies, never written; any
-    other is read as its C-order float64 copy. The rows' shifted moments
-    are taken in blocks of at most _BLOCK_ELEMENTS elements per (B, T-1, k)
-    buffer, and every column is classified from them once over all B rows
-    (``_certify``). A column the bound leaves open (near its band edge, a
-    slope within its error of 0 or 1, a spread sxx not certainly positive,
-    or non-finite or out-of-range moments) is refitted by the two-pass fit,
-    with every other column open in some row, over the rows that leave any
-    open, in blocks of the same cap. That fit's bits for a column do not
-    depend on the columns fitted with it, so every entry is exact. Inputs
-    with many open columns, such as coordinates that some clients never
-    move, pay for both fits.
+    other is read as its C-order float64 copy. The moments are taken in
+    blocks of at most _BLOCK_ELEMENTS elements per (B, T-1, k) buffer.
     """
     # C order: numpy sums a Fortran-ordered array's columns in another order.
     stack = np.ascontiguousarray(stack, dtype=np.float64)
@@ -486,26 +417,15 @@ def band_fractions(stack) -> list[float | ValueError]:
     if k == 0:
         raise ValueError("finals must be a non-empty vector")
     width = max(1, _BLOCK_ELEMENTS // ((t - 1) * k))
-    # Four (B, k) arrays, which _certify reuses for its own fields.
-    moments = [np.empty((len(stack), k)) for _ in range(4)]
+    moments = [np.empty((len(stack), k)) for _ in range(4)]  # reused by _band_verdict
     with np.errstate(all="ignore"):
         for lo in range(0, len(stack), width):
             _shifted_moments(stack[lo : lo + width], *(m[lo : lo + width] for m in moments))
-        outside, exact = _certify(t - 1, stack[:, 0], *moments)
-        counts = np.count_nonzero(outside, axis=1).tolist()
-        entries = [count / k for count in counts]
-        # Every column open in any row is refitted over every row with one
-        # open, in blocks as above. A column certified in a row cannot fail a
-        # check when refitted there, and only open entries are counted.
-        rows = np.flatnonzero(exact.any(axis=1))
-        cols = np.flatnonzero(exact.any(axis=0))
-        width = max(1, _BLOCK_ELEMENTS // ((t - 1) * max(1, cols.size)))
-        for lo in range(0, rows.size, width):
-            part = rows[lo : lo + width]
-            open_paths = stack[np.ix_(part, range(t), cols)]
-            fit, errors = _checked_fit(*_ar1_ols(open_paths), 1.0)
-            more = _outside(open_paths[:, -1], fit) & exact[np.ix_(part, cols)]
-            more = np.count_nonzero(more, axis=1).tolist()
-            for row, error, extra in zip(part.tolist(), errors, more):
-                entries[row] = error or (counts[row] + extra) / k
+        outside, unsure = _band_verdict(t - 1, *moments)
+        # The two-pass fit rejects a constant column whose mean overflows.
+        unsure |= (np.abs(stack[:, 0]) > np.finfo(np.float64).max / (2 * t)).any(axis=1)
+        entries = [count / k for count in np.count_nonzero(outside, axis=1).tolist()]
+        for row in np.flatnonzero(unsure).tolist():
+            fit, (error,) = _checked_fit(*_ar1_ols(stack[row : row + 1]), 1.0)
+            entries[row] = error or np.count_nonzero(_outside(stack[row, -1], fit)) / k
     return entries

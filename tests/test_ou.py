@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -581,9 +582,13 @@ def test_fits_do_not_depend_on_memory_layout(monkeypatch):
     # So do band_fractions' moments of (B, T, k) arrays, one row or several:
     # Fortran-ordered, transposed copies, and strided along each axis.
     moments = []
-    certify = ou._certify
-    monkeypatch.setattr(ou, "_certify", lambda n, p0, *m: moments.append(
-        [v.tobytes() for v in (p0, *m)]) or certify(n, p0, *m))
+    shifted = ou._shifted_moments
+
+    def record(block, *out):
+        shifted(block, *out)
+        moments.append([m.tobytes() for m in out])
+
+    monkeypatch.setattr(ou, "_shifted_moments", record)
     rng = np.random.default_rng(23)
     for b in (1, 3):
         stack = np.stack([band_path(rng, 40, 30, "ar1") for _ in range(b)])
@@ -601,7 +606,7 @@ def test_fits_do_not_depend_on_memory_layout(monkeypatch):
             assert moments[-1] == fitted
 
 
-# ------------------------------------------------------ certified band verdicts
+# ------------------------------------------------------- band verdicts at edges
 
 def one_column_fit(p):
     return fit_ou_ls_columns(p[:, None], 1.0)
@@ -615,121 +620,102 @@ def ar1_column(rng, t):
     return values
 
 
-def flip_pair(path, lo, hi, verdict):
-    """Two copies of a 1-D path whose final values are adjacent floats either
-    side of where verdict(path) flips between finals lo and hi, by bisection."""
-    def at(final):
-        p = path.copy()
-        p[-1] = final
-        return p
-    below = verdict(at(lo))
-    assert verdict(at(hi)) != below
-    while np.nextafter(lo, hi) != hi:
-        mid = lo + (hi - lo) / 2
-        if mid in (lo, hi):
-            mid = np.nextafter(lo, hi)
-        lo, hi = (mid, hi) if verdict(at(mid)) == below else (lo, mid)
-    return [at(lo), at(hi)]
+def exact_outside(path):
+    """The band verdict of a 1-D path in exact rational arithmetic: outside
+    iff sxx > 0, a > 0, and a >= 1 or d^2 (1 - a^2) > h ssr, where d is the
+    final value's distance from mu and h = 1 / (n - 2) (0 at n = 2)."""
+    p = [Fraction(v) for v in path.tolist()]
+    n = len(p) - 1
+    x, y = p[:-1], p[1:]
+    xbar, ybar = sum(x) / n, sum(y) / n
+    sxx = sum((u - xbar) ** 2 for u in x)
+    sxy = sum((u - xbar) * (v - ybar) for u, v in zip(x, y))
+    if sxx <= 0 or sxy <= 0:
+        return False
+    a = sxy / sxx
+    if a >= 1:
+        return True
+    ssr = sum((v - ybar - a * (u - xbar)) ** 2 for u, v in zip(x, y))
+    d = p[-1] - (ybar - a * xbar) / (1 - a)
+    h = Fraction(1, n - 2) if n > 2 else 0
+    return d * d * (1 - a * a) > h * ssr
 
 
-def tricky_columns(rng, t):
-    """1-D paths of t points, one or more for each test that leaves a column
-    to the exact fit: finals one ulp either side of a band edge (t > 3; at
-    t = 3 the band is 0 and a path with a usable slope is always outside),
-    one path's band far below its drift; of where the slope crosses 0, 1
-    and 1 - 2^-24; constant paths; paths too large or too small; and paths
-    too far from 0 for their drift, one of them with slope 1.5."""
-    def outside(p):
-        return band_fraction(p[-1:], one_column_fit(p)) == 1.0
-
-    columns = []
-    for start in (None, None, -1e5) if t > 3 else ():
-        path = ar1_column(rng, t)
-        if start is not None:
-            # A far first value: the band is far below the drift.
-            path[0], path[1] = start, path[1:].min() - 0.1
-        # The final value moves the band too: scan finals for verdict flips,
-        # and take the first two.
-        finals = np.linspace(path[1:].min() - 1.0, path[1:].max() + 1.0, 401)
-        verdicts = [outside(np.append(path[:-1], final)) for final in finals]
-        flips = [i for i in range(400) if verdicts[i] != verdicts[i + 1]][:2]
-        assert len(flips) == 2
-        for i in flips:
-            pair = flip_pair(path, finals[i], finals[i + 1], outside)
-            assert not any(one_column_fit(p).flagged[0] for p in pair)
-            columns += pair
-    rising = 0.1 * np.arange(t) + 0.01 * rng.standard_normal(t)
-    for verdict in (lambda p: bool(one_column_fit(p).degenerate[0]),
-                    lambda p: bool(one_column_fit(p).non_reverting[0]),
-                    lambda p: bool(one_column_fit(p).a < 1.0 - 2.0**-24)):
-        columns += flip_pair(rising, 100.0, -100.0, verdict)
+def edge_columns(rng, t):
+    """1-D paths of t points at the edges of the moments' range: constant
+    paths, one whose mean is not its value; paths too large or too small;
+    and paths too far from 0 for their drift, one of them with slope 1.5."""
     drift = ar1_column(rng, t)
-    columns += [np.full(t, 0.1), np.full(t, 1.25), 1e150 + 1e147 * drift,
-                1e-150 + 1e-153 * drift, 1e8 + 1e-3 * drift, 1e11 + 1.5 ** np.arange(t)]
-    return columns
+    return [np.full(t, 0.1), np.full(t, 1.25), 1e150 + 1e147 * drift,
+            1e-150 + 1e-153 * drift, 1e8 + 1e-3 * drift, 1e11 + 1.5 ** np.arange(t)]
 
 
-def test_band_fractions_refit_every_uncertain_column_exactly(monkeypatch):
-    # Every entry equals the per-path reference; the columns the bound
-    # cannot decide (see tricky_columns) take the exact fit, and AR(1) paths
-    # of the bench's shape take none.
-    opened = []
-    certify = ou._certify
-
-    def certified(*moments):
-        outside, exact = certify(*moments)
-        opened.append(exact)
-        return outside, exact
-
-    monkeypatch.setattr(ou, "_certify", certified)
-    # The inexact sums of a constant 0.1 leave today's fit a usable slope.
-    assert not one_column_fit(np.full(11, 0.1)).degenerate[0]
+def test_band_fractions_match_the_exact_verdict():
+    # Each entry is the share of columns outside by the exact verdict: on
+    # the edge columns, one per row, and on AR(1) columns of the bench's
+    # shape, where it is also the two-pass fit's.
+    # A constant 0.1, whose mean does not round to 0.1, is degenerate.
+    assert one_column_fit(np.full(11, 0.1)).degenerate[0]
     rng = np.random.default_rng(24)
     for t in (11, 3):
-        columns = tricky_columns(rng, t)
-        # k = 1002: the columns spread over 4 rows among AR(1) columns.
-        stack = np.stack([band_path(rng, t, 1002, "ar1") for _ in range(4)])
-        where = [(i % 4, int(c)) for i, c in enumerate(rng.choice(1002, len(columns), False))]
-        for (row, col), path in zip(where, columns):
-            stack[row, :, col] = path
-        assert ou.band_fractions(stack) == per_path(stack)
-        assert all(opened[-1][row, col] for row, col in where)
-        # k = 1: one column per row.
-        stack = np.stack(columns)[:, :, None]
-        assert ou.band_fractions(stack) == per_path(stack)
-        assert opened[-1].all()
-    # A non-finite column is open too, and its row gets the fit's error.
-    stack = np.stack([band_path(rng, 11, 1002, "ar1") for _ in range(2)])
-    stack[1, 5, 7] = math.nan
-    got = ou.band_fractions(stack)
-    assert opened[-1][1, 7]
-    assert got[0] == per_path(stack[:1])[0]
-    assert str(got[1]) == fit_error(stack[1])
-    # Bench-shaped AR(1) paths are all certified.
+        columns = edge_columns(rng, t)
+        got = ou.band_fractions(np.stack(columns)[:, :, None])
+        assert got == [float(exact_outside(p)) for p in columns], t
+        assert got == per_path(np.stack(columns)[:, :, None])
+        stack = np.stack([band_path(rng, t, 300, "ar1") for _ in range(2)])
+        exact = [sum(map(exact_outside, row.T)) / 300 for row in stack]
+        assert ou.band_fractions(stack) == exact == per_path(stack), t
     stack = np.stack([band_path(rng, 11, 1002, "ar1") for _ in range(20)])
     assert ou.band_fractions(stack) == per_path(stack)
-    assert not opened[-1].any()
+    # A spread that underflows to sxx = 0 is degenerate and inside, whatever
+    # the sign of sxy (+-inf slopes), as in the two-pass fit.
+    underflow = np.zeros((2, 11, 1))
+    underflow[:, -1] = 5.0
+    underflow[:, 1, 0] = 1e-170, -1e-170
+    assert ou.band_fractions(underflow) == per_path(underflow) == [0.0, 0.0]
+    # A non-finite row gets its own fit's error, and so does a row with a
+    # constant column whose mean overflows; a large constant whose mean does
+    # not is inside.
+    stack = np.stack([band_path(rng, 11, 1002, "ar1") for _ in range(4)])
+    stack[1, 5, 7] = math.nan
+    stack[2, :, 7] = 1.5e308
+    stack[3, :, 7] = 1e307
+    got = ou.band_fractions(stack)
+    assert str(got[1]) == fit_error(stack[1]) == "trajectory values must be finite"
+    assert str(got[2]) == fit_error(stack[2]) == "lam and mu must be finite"
+    assert [got[0], got[3]] == per_path(stack[[0, 3]])
 
 
-def test_band_fractions_refit_scattered_open_columns_in_blocks(monkeypatch):
-    # Rows that leave different columns open (constant ones here, as the
-    # weights a client's data never touches stay) are refitted over the
-    # union of their open columns, in capped blocks of rows. A column
-    # certified in a row is refitted there but counted once, and a row with
-    # a NaN keeps its own error.
+def test_band_fractions_count_scattered_constant_columns_inside(monkeypatch):
+    # Rows whose constant columns (as the weights a client's data never
+    # touches stay) lie at different places, in blocks of 3 rows: each such
+    # column is inside, as in the two-pass fit, and a row with a NaN keeps
+    # its own error.
+    monkeypatch.setattr(ou, "_BLOCK_ELEMENTS", 3 * 10 * 1002)
     rng = np.random.default_rng(25)
     stack = np.stack([band_path(rng, 11, 1002, "ar1") for _ in range(7)])
     for row in stack:
         row[:, rng.random(1002) < 0.3] = 0.1
     stack[5, 4, 9] = math.nan
-    shapes = []
-    ar1_ols = ou._ar1_ols
-    monkeypatch.setattr(ou, "_ar1_ols", lambda s: shapes.append(s.shape) or ar1_ols(s))
     got = ou.band_fractions(stack)
-    assert [b for b, _, _ in shapes] == [3, 3, 1]
-    assert all(b * (t - 1) * k <= ou._BLOCK_ELEMENTS for b, t, k in shapes)
     assert str(got.pop(5)) == fit_error(stack[5])
     assert got == per_path(np.delete(stack, 5, axis=0))
+
+
+@pytest.mark.parametrize("t", [11, 21])
+def test_constant_columns_are_degenerate_and_inside(t):
+    # A constant column has nothing left to move, also where its rounded
+    # mean is not its value, as for most draws from N(0, 0.1^2): its fit is
+    # degenerate with a NaN slope, and it counts as inside.
+    constants = 0.1 * np.random.default_rng(26).standard_normal(1000)
+    values = np.tile(constants, (t, 1))
+    fit = fit_ou_ls_columns(values, 1.0)
+    assert fit.degenerate.all() and not fit.non_reverting.any()
+    assert np.isnan(fit.a).all() and np.isnan(fit.b).all()
+    assert all(fit_ou_ls(values[:, j], 1.0).degenerate for j in range(0, 1000, 50))
+    assert band_fraction(values[-1], fit) == 0.0
+    assert ou.band_fractions(values[None]) == [0.0]
+    assert ou.band_fractions(values.T[:, :, None]) == [0.0] * 1000
 
 
 # ---------------------------------------------------------------- bitwise pin
