@@ -21,7 +21,7 @@ one-stationary-sd band) needs: sigma / sqrt(2 * lam) is resid_sd /
 sqrt(1 - a^2) for any dt. ``band_fractions(stack)`` is that statistic of
 each row of a (B, T, k) array of paths sampled one step apart, from each
 column's verdict alone: it reads the array in place, a block of rows at a
-time, for four moments per column shifted by its first value (Chan, Golub
+time, for five moments per column shifted by its second value (Chan, Golub
 and LeVeque, 1983). An exactly constant column's are all 0: it is
 degenerate and inside, as the two-pass fit makes it too.
 The process, lam = -ln(a) / dt, mu = b / (1 - a) and sigma = resid_sd *
@@ -49,13 +49,10 @@ from .seeding import derive_rng
 _SLOPE_FLOOR = 1e-6
 
 # band_fractions reads its rows in blocks of at most this many elements in
-# the one (B, T-1, k) buffer of _shifted_moments: 3 paths of (11, 1002).
-# The buffer is allocated per block. Measured with the two-buffer fit that
-# came before: twice as many elements made the heap be trimmed and refilled
-# round after round, costing more page faults than they saved, and buffers
-# held for all of a call's blocks made the bench's `ou-decode` slower
-# (run_s +7.3%, round_ms_p90 +13.3% and peak RSS +1.2%, each worse in 6 of
-# 6 paired runs).
+# the one (B, T-1, k) buffer of _shifted_moments (3 paths of (11, 1002)),
+# allocated per block. With the two-buffer fit that came before, twice as
+# many made the heap be trimmed and refilled round after round, and buffers
+# held for a whole call made `ou-decode` slower (run_s +7.3%, 6 of 6 pairs).
 _BLOCK_ELEMENTS = 1 << 15
 
 
@@ -197,14 +194,12 @@ def _ar1_ols(
     sxy = np.add.reduce(dy, axis=1)
     sxx = np.add.reduce(np.multiply(dx, dx, out=dy), axis=1)
 
-    # A constant column's mean may not round to its value, leaving sxx > 0
-    # and a slope of 1: compare the columns with equal finite means (one whose
-    # mean overflows is left to the fit's own check).
+    # A constant column's mean may not round to its value, leaving sxx > 0:
+    # compare columns of equal finite means (an overflow fails a later check).
     degenerate = (mx == my) & np.isfinite(mx)
     if degenerate.any():
         rows, cols = np.nonzero(degenerate)
-        paths = stack[rows, :, cols]
-        degenerate[rows, cols] = (paths == paths[:, :1]).all(axis=1)
+        degenerate[rows, cols] = (stack[rows, :, cols] == stack[rows, :1, cols]).all(axis=1)
     degenerate |= sxx == 0.0
     a = sxy / sxx
     if degenerate.any():
@@ -336,36 +331,43 @@ def _outside(finals: np.ndarray, fit: OUFit) -> np.ndarray:
     return fit.non_reverting | (~fit.flagged & off_band)
 
 
-def _shifted_moments(block: np.ndarray, s, q, x, f) -> None:
-    """The moments of z = p - p[0] of each column of a (B, T, k) block, into
+def _shifted_moments(block: np.ndarray, s, q, x, e, f) -> None:
+    """The moments of z = p - p[1] of each column of a (B, T, k) block, into
     (B, k) arrays: s = sum z_t and q = sum z_t^2 over 0 < t < T-1, x = sum
-    z_t z_{t+1} over t < T-1, and f = z_{T-1}. The block is only read; z
-    is the one (B, T-1, k) buffer."""
-    z = np.subtract(block[:, 1:], block[:, :1])
+    z_t z_{t+1} over t < T-1, e = z_0 and f = z_{T-1}. p[1] is in x and y
+    both, so a jump at the first or last step does not cancel in sxx or syy.
+    The block is only read; z is the one (B, T-1, k) buffer."""
+    z = np.subtract(block[:, 1:], block[:, 1:2])
     inner = z[:, :-1]
     np.add.reduce(inner, axis=1, out=s)
     np.einsum("btk,btk->bk", inner, inner, out=q)
-    np.einsum("btk,btk->bk", inner, z[:, 1:], out=x)
+    np.einsum("btk,btk->bk", inner, z[:, 1:], out=x)  # z_0 z_1 is 0
+    np.subtract(block[:, 0], block[:, 1], out=e)
     np.copyto(f, z[:, -1])
 
 
-def _band_verdict(n: int, s, q, x, f) -> tuple[np.ndarray, np.ndarray]:
+def _band_verdict(n: int, s, q, x, e, f) -> tuple[np.ndarray, np.ndarray]:
     """(outside, unsure) from _shifted_moments' (B, k) arrays, which it
     overwrites: each column's band verdict, and the rows it cannot decide (a
-    non-finite sum y^2, or a non-finite d or band in an unflagged column).
-    Degenerate (inside) if sxx <= 0 or a <= 0, non-reverting (outside) if a
+    non-finite sum of squares, or a non-finite d or band in an unflagged
+    column). Degenerate (inside) if sxx <= 0 or a <= 0, non-reverting if a
     >= 1, else outside iff |d| > band, d = p[-1] - mu. Call under errstate;
     the last argument of each ufunc call is its output."""
     h = 1.0 / (n - 2) if n > 2 else 0.0
     r = f * f
     r += q  # sum y^2
+    t = e * e
+    q += t  # sum x^2
+    unsure = ~np.isfinite(np.add(q, r, t)).all(axis=1)
+    np.add(s, f, t)
+    t *= 1.0 / n  # ybar
+    s += e
     s *= 1.0 / n  # xbar
-    t = s * s
-    t *= n
-    q -= t  # sxx
-    np.multiply(f, 1.0 / n, t)
-    t += s  # ybar
-    a = s * t
+    np.subtract(t, s, e)  # ybar - xbar
+    a = s * s
+    a *= n
+    q -= a  # sxx
+    np.multiply(s, t, a)
     a *= n
     x -= a  # sxy
     t *= t
@@ -376,10 +378,9 @@ def _band_verdict(n: int, s, q, x, f) -> tuple[np.ndarray, np.ndarray]:
     t -= x  # ssr
     np.subtract(1.0, a, x)  # 1 - a
     np.subtract(f, s, s)
-    f /= x
-    f *= 1.0 / n
-    s -= f
-    np.abs(s, s)  # |d|
+    e /= x
+    s -= e  # d: mu is xbar + (ybar - xbar) / (1 - a)
+    np.abs(s, s)
     np.maximum(t, 0.0, out=t)
     t *= h
     np.add(a, 1.0, f)
@@ -391,20 +392,19 @@ def _band_verdict(n: int, s, q, x, f) -> tuple[np.ndarray, np.ndarray]:
     live = (q > 0.0) & (a > 0.0)
     outside = live & (a >= 1.0)
     live &= a < 1.0
-    unsure = ~np.isfinite(r).all(axis=1) | (live & ~np.isfinite(s)).any(axis=1)
-    outside |= live & (s > 0.0)
-    return outside, unsure
+    unsure |= (live & ~np.isfinite(s)).any(axis=1)
+    return outside | (live & (s > 0.0)), unsure
 
 
 def band_fractions(stack) -> list[float | ValueError]:
     """One entry per row p of a (B, T, k) array of paths: the share of its
     columns outside their band by ``_band_verdict``, exactly constant columns
-    inside; for a row it cannot decide, or with a value whose column mean
-    may overflow, ``band_fraction(p[-1], fit_ou_ls_columns(p, 1.0))`` or the
-    ValueError that this fit raises. An array that is not (B, T, k) with T
-    >= 3 and k >= 1 raises its ValueError at the call. The verdict is the
-    two-pass fit's but where d, band or slope is within the rounding of the
-    shifted sums, which scales with the path's squared distance from p[0].
+    inside. A row it cannot decide, or with a value whose column mean may
+    overflow, takes ``band_fraction(p[-1], fit_ou_ls_columns(p, 1.0))`` or
+    that fit's ValueError. An array that is not (B, T, k) with T >= 3 and k
+    >= 1 raises at the call. The verdict is the two-pass fit's but where d,
+    band or slope is within the rounding of the sums, which scales with the
+    path's squared distance from p[1].
 
     A C-contiguous float64 array is read where it lies, never written; any
     other is read as its C-order float64 copy. The moments are taken in
@@ -417,7 +417,7 @@ def band_fractions(stack) -> list[float | ValueError]:
     if k == 0:
         raise ValueError("finals must be a non-empty vector")
     width = max(1, _BLOCK_ELEMENTS // ((t - 1) * k))
-    moments = [np.empty((len(stack), k)) for _ in range(4)]  # reused by _band_verdict
+    moments = [np.empty((len(stack), k)) for _ in range(5)]  # reused by _band_verdict
     with np.errstate(all="ignore"):
         for lo in range(0, len(stack), width):
             _shifted_moments(stack[lo : lo + width], *(m[lo : lo + width] for m in moments))

@@ -315,9 +315,8 @@ def run_outcome(cfg, out):
 
 # sha256 over every grid cell's (exit code, manifest status, sha256 of
 # metrics.csv or None), recorded with band fractions from the shifted
-# moments. Cells 5, 29, 31 and 33 depend on how constant coordinates, and
-# ones that jump at the first step and then barely move, are decided.
-EXIT_GRID_DIGEST = "baa6b88a201a104bb7ca5a37c49986f9137cbc463d16ef0d9d0bab28e2ee3534"
+# moments. Cell 31 depends on constant coordinates counting as inside.
+EXIT_GRID_DIGEST = "a07d4664399b324b7804c935093676c13506cf7b2ea2a3edaac3b57baea7eb56"
 
 
 def test_run_exit_contract_over_seeded_grid(tmp_path):

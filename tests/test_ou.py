@@ -650,6 +650,15 @@ def edge_columns(rng, t):
             1e-150 + 1e-153 * drift, 1e8 + 1e-3 * drift, 1e11 + 1.5 ** np.arange(t)]
 
 
+def jump_columns(rng, t, k, at):
+    """(t, k) paths that jump at step ``at`` (1 or t - 1) by up to 4 and
+    drift by 1e-14 to 1e-8 elsewhere, as saturated coordinates do."""
+    drift = rng.standard_normal((t, k)) * 10.0 ** rng.uniform(-14, -8, k)
+    values = rng.uniform(-2.0, 2.0, k) + np.cumsum(drift, axis=0)
+    values[0 if at == 1 else -1] = rng.uniform(-2.0, 2.0, k)
+    return values
+
+
 def test_band_fractions_match_the_exact_verdict():
     # Each entry is the share of columns outside by the exact verdict: on
     # the edge columns, one per row, and on AR(1) columns of the bench's
@@ -667,6 +676,13 @@ def test_band_fractions_match_the_exact_verdict():
         assert ou.band_fractions(stack) == exact == per_path(stack), t
     stack = np.stack([band_path(rng, 11, 1002, "ar1") for _ in range(20)])
     assert ou.band_fractions(stack) == per_path(stack)
+    # Paths that jump at the first or the last step and barely move
+    # elsewhere: shifted by a value across the jump from their flat part,
+    # the rounding of sxx or syy would swamp their small ssr.
+    for t in (11, 21):
+        stack = np.stack([jump_columns(rng, t, 200, at) for at in (1, t - 1)])
+        exact = [sum(map(exact_outside, row.T)) / 200 for row in stack]
+        assert ou.band_fractions(stack) == exact, t
     # A spread that underflows to sxx = 0 is degenerate and inside, whatever
     # the sign of sxy (+-inf slopes), as in the two-pass fit.
     underflow = np.zeros((2, 11, 1))
@@ -697,7 +713,12 @@ def test_band_fractions_count_scattered_constant_columns_inside(monkeypatch):
     for row in stack:
         row[:, rng.random(1002) < 0.3] = 0.1
     stack[5, 4, 9] = math.nan
+    shapes = []
+    shifted = ou._shifted_moments
+    monkeypatch.setattr(ou, "_shifted_moments",
+                        lambda block, *out: shapes.append(block.shape) or shifted(block, *out))
     got = ou.band_fractions(stack)
+    assert shapes == [(3, 11, 1002), (3, 11, 1002), (1, 11, 1002)]
     assert str(got.pop(5)) == fit_error(stack[5])
     assert got == per_path(np.delete(stack, 5, axis=0))
 
