@@ -74,6 +74,23 @@ def _open_out(path: str):
         raise ConfigError(f"cannot write {path!r}: {err.strerror}") from None
 
 
+def _blas_core() -> str | None:
+    """The kernel numpy's bundled OpenBLAS selected at run time (it sets the
+    order of matmul's sums), or None where that library cannot be read."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
 @contextlib.contextmanager
 def _command(args, outputs: list[str]):
     """Load the config, then record the command in ``manifest.json``.
@@ -96,6 +113,7 @@ def _command(args, outputs: list[str]):
         "started_at": _now(),
         "status": "error",
         "outputs": outputs,
+        "blas_core": _blas_core(),
     }
     try:
         yield settings, seed, manifest

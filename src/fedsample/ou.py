@@ -23,7 +23,10 @@ each row of a (B, T, k) array of paths sampled one step apart, from each
 column's verdict alone: it reads the array in place, a block of rows at a
 time, for five moments per column shifted by its second value (Chan, Golub
 and LeVeque, 1983). An exactly constant column's are all 0: it is
-degenerate and inside, as the two-pass fit makes it too.
+degenerate and inside, as the two-pass fit makes it too. A row those
+verdicts cannot decide is fitted alone by the two-pass fit: it takes
+``band_fraction(p[-1], fit_ou_ls_columns(p, 1.0))``, or that fit's
+ValueError.
 The process, lam = -ln(a) / dt, mu = b / (1 - a) and sigma = resid_sd *
 sqrt(-2 * ln(a) / (dt * (1 - a^2))), is derived on first read of
 ``fit.lam``, ``fit.mu`` or ``fit.sigma``; ``decode(theta_ref, lam, mu,
@@ -43,9 +46,10 @@ import numpy as np
 
 from .seeding import derive_rng
 
-# Slope clamp applied when an estimated AR(1) slope is <= 0: keeps the
-# recovered rate finite so downstream decoding never sees NaN, while the
-# `degenerate` flag preserves the "not a mean-reverting path" signal.
+# Slope clamp for an estimated AR(1) slope <= 0, which the fit flags
+# degenerate: it gives such a column the finite lam, mu and sigma of a
+# slope of 1e-6, as `ou-demo` writes them to fits.csv. Decoding never reads
+# them: `server_estimate` decodes only unflagged columns, where 0 < a < 1.
 _SLOPE_FLOOR = 1e-6
 
 # band_fractions reads its rows in blocks of at most this many elements in
@@ -155,51 +159,46 @@ def simulate_ou(lam: float, mu: float, sigma: float, theta0: float, dt: float, s
 
 
 def _ar1_ols(
-    stack: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray, np.ndarray]:
-    """Column-wise OLS with intercept over pairs (theta_t, theta_{t+1}) of
-    each of B paths.
+    values: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray, bool]:
+    """Column-wise OLS with intercept over pairs (theta_t, theta_{t+1}).
 
-    stack: a C-contiguous (B, T, k) array, T >= 3. Returns (a, b, resid_sd,
-    n_points, degenerate, finite), each array (B, k) but finite (B,):
-    degenerate marks constant columns and those with sxx == 0, finite the
-    paths with no non-finite value; no row depends on another's values.
-    Residual sd uses the regression dof denominator (n_points - 2), with an
-    exact-fit convention of zero when n_points == 2.
+    values: a C-contiguous (T, k) array, T >= 3. Returns (a, b, resid_sd,
+    n_points, degenerate, finite), each array (k,) but finite, which is
+    whether no value is non-finite: degenerate marks constant columns and
+    those with sxx == 0. Residual sd uses the regression dof denominator
+    (n_points - 2), with an exact-fit convention of zero when n_points == 2.
 
-    Every pass is one numpy call over the stack, into two (B, T-1, k)
-    buffers, and sums each column row by row, as over one (T, k) path.
-    numpy sums a lone column pairwise, so a lone column is fitted as one of
-    two equal columns: a column's bits do not depend on how many columns,
-    or paths, are fitted with it.
+    Every pass is one numpy call over the path, into two (T-1, k) buffers.
+    numpy sums a lone column pairwise but several columns row by row, so a
+    lone column is fitted as one of two equal columns: a column's bits do
+    not depend on how many columns are fitted with it.
     """
-    if stack.shape[2] == 1:
-        a, b, resid_sd, n, degenerate, finite = _ar1_ols(np.repeat(stack, 2, axis=2))
-        return a[:, :1], b[:, :1], resid_sd[:, :1], n, degenerate[:, :1], finite
-    x, y = stack[:, :-1], stack[:, 1:]
-    n = x.shape[1]
-    mx = np.add.reduce(x, axis=1)
-    my = np.add.reduce(y, axis=1)
+    if values.shape[1] == 1:
+        a, b, resid_sd, n, degenerate, finite = _ar1_ols(np.repeat(values, 2, axis=1))
+        return a[:1], b[:1], resid_sd[:1], n, degenerate[:1], finite
+    x, y = values[:-1], values[1:]
+    n = len(x)
+    mx = np.add.reduce(x, axis=0)
+    my = np.add.reduce(y, axis=0)
     mx /= n
     my /= n
     # Every row is in x or in y, so a non-finite value makes its column's
     # mean non-finite; a finite column can overflow too, so only then scan.
-    finite = np.ones(len(stack), dtype=bool)
-    if not (np.isfinite(mx).all() and np.isfinite(my).all()):
-        finite = np.isfinite(stack).all(axis=(1, 2))
+    finite = np.isfinite(mx).all() and np.isfinite(my).all() or np.isfinite(values).all()
     # The two buffers serve every product and the residual below.
-    dx = np.subtract(x, mx[:, None])
-    dy = np.subtract(y, my[:, None])
+    dx = np.subtract(x, mx)
+    dy = np.subtract(y, my)
     dy *= dx
-    sxy = np.add.reduce(dy, axis=1)
-    sxx = np.add.reduce(np.multiply(dx, dx, out=dy), axis=1)
+    sxy = np.add.reduce(dy, axis=0)
+    sxx = np.add.reduce(np.multiply(dx, dx, out=dy), axis=0)
 
     # A constant column's mean may not round to its value, leaving sxx > 0:
     # compare columns of equal finite means (an overflow fails a later check).
     degenerate = (mx == my) & np.isfinite(mx)
     if degenerate.any():
-        rows, cols = np.nonzero(degenerate)
-        degenerate[rows, cols] = (stack[rows, :, cols] == stack[rows, :1, cols]).all(axis=1)
+        cols = np.flatnonzero(degenerate)
+        degenerate[cols] = (values[:, cols] == values[0, cols]).all(axis=0)
     degenerate |= sxx == 0.0
     a = sxy / sxx
     if degenerate.any():
@@ -207,64 +206,47 @@ def _ar1_ols(
         a[degenerate] = np.nan
     b = my - a * mx  # NaN where a is
 
-    np.multiply(x, a[:, None], out=dx)
-    dx += b[:, None]
+    np.multiply(x, a, out=dx)
+    dx += b
     np.subtract(y, dx, out=dx)
     dx *= dx
-    ssr = np.add.reduce(dx, axis=1)
+    ssr = np.add.reduce(dx, axis=0)
     # NaN where a is; the exact-fit zero (n == 2) keeps the degenerate NaN.
     resid_sd = np.sqrt(ssr / (n - 2)) if n > 2 else np.where(degenerate, np.nan, 0.0)
     return a, b, resid_sd, n, degenerate, finite
 
 
-def _checked_fit(a, b, resid_sd, n: int, degenerate, finite, dt: float) -> tuple[OUFit, list]:
-    """The OUFit of _ar1_ols' (B, k) fields, and each row's ValueError or
-    None: non-finite values, or else a fit statistic of an unflagged column
-    that overflows. Call under errstate."""
-    # Slopes >= 1 are non-reverting, slopes <= 0 (clamped) degenerate.
-    fit = OUFit(a, b, resid_sd, n, dt, degenerate | (a <= 0.0), a >= 1.0)
-    checks = [(finite, "trajectory values must be finite")]
-    # An unflagged slope is NaN (so is mu) or in (0, 1), where -2 ln(a) <
-    # 1490: where mu and this bound of sigma are finite, so are lam and
-    # sigma, known without a log. Elsewhere they are derived and checked.
-    sigma_bound = resid_sd * np.sqrt(1490.0 / (dt * (1.0 - a * a)))
-    if not np.all(fit.flagged | (np.isfinite(fit.mu) & np.isfinite(sigma_bound))):
-        rated = np.all(fit.flagged | (np.isfinite(fit.lam) & np.isfinite(fit.mu)), axis=1)
-        scaled = np.all(fit.flagged | (np.isfinite(fit.sigma) & (fit.sigma >= 0.0)), axis=1)
-        checks += [(rated, "lam and mu must be finite"),
-                   (scaled, "sigma must be finite and >= 0")]
-    # Each row's first failed check, in the order a one-path fit makes them.
-    errors = [None] * len(finite)
-    for ok, msg in checks:
-        for i in np.flatnonzero(~ok).tolist():
-            errors[i] = errors[i] or ValueError(msg)
-    return fit, errors
-
-
-def _check_paths(values: np.ndarray, dims: str = "(T, k)") -> None:
-    if values.ndim != dims.count(",") + 1:
-        raise ValueError(f"expected a {dims} array of column trajectories")
-    if values.shape[-2] < 3:
-        raise ValueError("need at least 3 observations per trajectory")
-
-
 def fit_ou_ls_columns(values: np.ndarray, dt: float) -> OUFit:
     """Fit every column of a (T, k) array of trajectories sharing one dt.
 
-    Raises ValueError for non-finite input, and when a fit statistic of an
-    unflagged column overflows to a non-finite value.
+    Raises ValueError for non-finite input, else when a fit statistic of an
+    unflagged column overflows to a non-finite value (lam or mu before sigma).
     """
     # C order: numpy sums a Fortran-ordered array's columns in another order.
     values = np.ascontiguousarray(values, dtype=np.float64)
-    _check_paths(values)
+    if values.ndim != 2:
+        raise ValueError("expected a (T, k) array of column trajectories")
+    if len(values) < 3:
+        raise ValueError("need at least 3 observations per trajectory")
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError("dt must be positive and finite")
 
     with np.errstate(all="ignore"):
-        fit, (error,) = _checked_fit(*_ar1_ols(values[None]), dt)
-    if error is not None:
-        raise error
-    return fit.columns(0)
+        a, b, resid_sd, n, degenerate, finite = _ar1_ols(values)
+        if not finite:
+            raise ValueError("trajectory values must be finite")
+        # Slopes >= 1 are non-reverting, slopes <= 0 (clamped) degenerate.
+        fit = OUFit(a, b, resid_sd, n, dt, degenerate | (a <= 0.0), a >= 1.0)
+        # An unflagged slope is NaN (so is mu) or in (0, 1), where -2 ln(a) <
+        # 1490: where mu and this bound of sigma are finite, so are lam and
+        # sigma, known without a log. Elsewhere they are derived and checked.
+        sigma_bound = resid_sd * np.sqrt(1490.0 / (dt * (1.0 - a * a)))
+        if not np.all(fit.flagged | (np.isfinite(fit.mu) & np.isfinite(sigma_bound))):
+            if not np.all(fit.flagged | (np.isfinite(fit.lam) & np.isfinite(fit.mu))):
+                raise ValueError("lam and mu must be finite")
+            if not np.all(fit.flagged | (np.isfinite(fit.sigma) & (fit.sigma >= 0.0))):
+                raise ValueError("sigma must be finite and >= 0")
+    return fit
 
 
 def fit_ou_ls(values: np.ndarray, dt: float) -> OUFit:
@@ -317,18 +299,13 @@ def band_fraction(finals: np.ndarray, fit: OUFit) -> float:
     if len(fit) != finals.size:
         raise ValueError("finals and fits must have equal length")
 
-    return int(np.count_nonzero(_outside(finals, fit))) / finals.size
-
-
-def _outside(finals: np.ndarray, fit: OUFit) -> np.ndarray:
-    """Where finals lie outside their band, the flags' conventions applied;
-    any shape, finals' and the fit's alike."""
     # A flagged column's band may be NaN or inf (slopes >= 1); its test is
     # discarded below, so it is computed on every column without a mask.
     with np.errstate(all="ignore"):
         band = fit.resid_sd / np.sqrt(1.0 - fit.a * fit.a)
         off_band = (finals > fit.mu + band) | (finals < fit.mu - band)
-    return fit.non_reverting | (~fit.flagged & off_band)
+    outside = fit.non_reverting | (~fit.flagged & off_band)
+    return int(np.count_nonzero(outside)) / finals.size
 
 
 def _shifted_moments(block: np.ndarray, s, q, x, e, f) -> None:
@@ -412,8 +389,11 @@ def band_fractions(stack) -> list[float | ValueError]:
     """
     # C order: numpy sums a Fortran-ordered array's columns in another order.
     stack = np.ascontiguousarray(stack, dtype=np.float64)
-    _check_paths(stack, "(B, T, k)")
+    if stack.ndim != 3:
+        raise ValueError("expected a (B, T, k) array of column trajectories")
     _, t, k = stack.shape
+    if t < 3:
+        raise ValueError("need at least 3 observations per trajectory")
     if k == 0:
         raise ValueError("finals must be a non-empty vector")
     width = max(1, _BLOCK_ELEMENTS // ((t - 1) * k))
@@ -426,6 +406,8 @@ def band_fractions(stack) -> list[float | ValueError]:
         unsure |= (np.abs(stack[:, 0]) > np.finfo(np.float64).max / (2 * t)).any(axis=1)
         entries = [count / k for count in np.count_nonzero(outside, axis=1).tolist()]
         for row in np.flatnonzero(unsure).tolist():
-            fit, (error,) = _checked_fit(*_ar1_ols(stack[row : row + 1]), 1.0)
-            entries[row] = error or np.count_nonzero(_outside(stack[row, -1], fit)) / k
+            try:
+                entries[row] = band_fraction(stack[row, -1], fit_ou_ls_columns(stack[row], 1.0))
+            except ValueError as error:
+                entries[row] = error
     return entries

@@ -84,11 +84,15 @@ class PolicyConfig:
     @property
     def label(self) -> str:
         """Compact run label used in ledger CSVs, e.g. ft_g0.5: the kind, then
-        the parameter's initial and value."""
+        the parameter's initial and value, in ``:g`` form where that reads
+        back as the value and as its repr otherwise, so distinct parameters
+        get distinct labels."""
         name = POLICY_PARAMS.get(self.kind)
         if name is None:
             return self.kind
-        return f"{self.kind}_{name[0]}{getattr(self, name):g}"
+        value = getattr(self, name)
+        text = f"{value:g}"
+        return f"{self.kind}_{name[0]}{text if float(text) == value else repr(value)}"
 
 
 def compute_adaptive_threshold(scalars: np.ndarray) -> float:

@@ -520,6 +520,20 @@ def test_sweep_bad_policy_tokens_exit_2(tmp_path, capsys):
         assert code == 2 and err.startswith(f"config error: {message}"), (grid, err)
 
 
+@pytest.mark.parametrize("grid, names", [
+    ("--gammas=0.1234567,0.1234568", ["ft_g0.1234567_s7.csv", "ft_g0.1234568_s7.csv"]),
+    ("--policies=random:0.30000001,random:0.3", ["random_q0.30000001_s7.csv",
+                                                 "random_q0.3_s7.csv"]),
+])
+def test_sweep_parameters_equal_to_6_digits_are_distinct_cells(tmp_path, grid, names):
+    # ':g' keeps 6 significant digits; a label spells out any value it would round.
+    cfg = write_config(tmp_path, {"rounds": 1})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out), grid, "--seeds", "7",
+                 "--quiet"]) == 0
+    assert sorted(os.listdir(out / "runs")) == names
+
+
 # ------------------------------------------------------------------- ou-demo
 
 def test_ou_demo_quadratic_closed_form(tmp_path):
@@ -835,6 +849,31 @@ def test_manifest_that_cannot_be_opened_exits_2(tmp_path, capsys, command):
     assert err.startswith(f"config error: cannot write {str(out / 'manifest.json')!r}: ")
     assert err.count("\n") == 1
     assert (out / "manifest.json").is_dir()
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_manifest_records_the_blas_core(tmp_path, command):
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path), "--out", str(out), "--quiet",
+                 *COMMANDS[command]]) == 0
+    core = json.loads((out / "manifest.json").read_text())["blas_core"]
+    assert core is None or (isinstance(core, str) and core)
+
+
+def test_manifest_blas_core_follows_openblas_coretype(tmp_path):
+    # The kernel OpenBLAS selects sets the order of matmul's sums.
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_CORETYPE": "Haswell"}
+    done = subprocess.run(
+        [sys.executable, "-m", "fedsample.cli", "run", "--config", write_config(tmp_path),
+         "--out", str(out), "--quiet"],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    core = json.loads((out / "manifest.json").read_text())["blas_core"]
+    if core is None:
+        pytest.skip("numpy's OpenBLAS does not report its core here")
+    assert core == "Haswell"
 
 
 @pytest.mark.parametrize("bad", [2**64, -1])

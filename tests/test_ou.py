@@ -277,6 +277,8 @@ def test_columns_fit_rejects_bad_shapes():
         fit_ou_ls_columns(np.zeros(5), dt=1.0)
     with pytest.raises(ValueError):
         fit_ou_ls_columns(np.zeros((5, 2)), dt=0.0)
+    with pytest.raises(ValueError, match=r"^expected a \(T, k\) array of column trajectories$"):
+        fit_ou_ls_columns(np.zeros((1, 5, 2)), dt=1.0)
 
 
 def test_columns_fit_rejects_non_finite_input_and_statistics():
