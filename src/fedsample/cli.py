@@ -35,6 +35,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from . import __version__
 from .config import _as_seed, build_experiment, load_config
 from .engine import METRICS_HEADER, CommLedger, _ou_fit, format_metrics_row, iter_rounds
 from .errors import ConfigError, NumericError
@@ -91,6 +92,16 @@ def _blas_core() -> str | None:
     return None
 
 
+def _numpy_cpu_features() -> list[str] | None:
+    """The CPU features numpy's SIMD dispatch enabled (numpy >= 2.0), or None
+    where numpy does not expose them."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return None
+    return sorted(name for name, on in __cpu_features__.items() if on)
+
+
 @contextlib.contextmanager
 def _command(args, outputs: list[str]):
     """Load the config, then record the command in ``manifest.json``.
@@ -114,6 +125,9 @@ def _command(args, outputs: list[str]):
         "status": "error",
         "outputs": outputs,
         "blas_core": _blas_core(),
+        "fedsample_version": __version__,
+        "numpy_version": np.__version__,
+        "numpy_cpu_features": _numpy_cpu_features(),
     }
     try:
         yield settings, seed, manifest

@@ -15,6 +15,12 @@ It gives each client its statistic or its own fit's error, so that the
 round raises the error, and the client, that fitting client by client
 would.
 
+The round's policy-independent draws, its selected ids and their train
+seeds, are memoized by ``(K, C, round, seed)`` through
+``seeding.memoized``; a miss calls ``select_clients`` and
+``client_train_seed``. Cells of one seed that run in one process, such as a
+sweep's policies, draw them once.
+
 Byte accounting is exact and single-precision-based regardless of the
 double-precision arithmetic: 4 bytes per parameter, 8 bytes per sample
 count, 4 bytes per reported scalar or broadcast threshold.
@@ -62,7 +68,7 @@ from .policies import (
     compute_adaptive_threshold,
     local_decide,
 )
-from .seeding import check_seed, derive_rng, seed_sequence
+from .seeding import check_seed, derive_rng, memoized, seed_sequence
 
 PARAM_BYTES = 4      # single-precision payload accounting
 COUNT_BYTES = 8      # n_i attached to every message
@@ -199,7 +205,8 @@ def select_clients(
     n_clients: int, fraction: float, round_idx: int, seed: int
 ) -> np.ndarray:
     """The round's participant set: uniform without replacement, ascending
-    ids, deterministic per (seed, round)."""
+    ids, deterministic per (seed, round). Every call draws a fresh array;
+    ``run_round`` memoizes the ids with their train seeds."""
     m = _round_size(n_clients, fraction)
     rng = derive_rng(seed, "select", round_idx)
     return np.sort(rng.choice(n_clients, size=m, replace=False)).astype(np.int64)
@@ -207,9 +214,16 @@ def select_clients(
 
 def client_train_seed(seed: int, round_idx: int, client_id: int) -> int:
     """Stable integer seed for one client's local work in one round: the
-    stream's first two 32-bit words, low word first (its first uint64)."""
+    stream's first two 32-bit words, low word first (its first uint64).
+    ``run_round`` memoizes a round's seeds with its ids."""
     low, high = seed_sequence(seed, "train", round_idx, client_id).generate_state(2).tolist()
     return low | high << 32
+
+
+def _round_draws(n_clients: int, fraction: float, round_idx: int, seed: int) -> np.ndarray:
+    """The round's selected ids (row 0) and their train seeds (row 1)."""
+    ids = select_clients(n_clients, fraction, round_idx, seed).tolist()
+    return np.array([ids, [client_train_seed(seed, round_idx, k) for k in ids]], np.uint64)
 
 
 def message_bytes(msg: UpdateMessage, n_params: int) -> int:
@@ -299,7 +313,8 @@ def run_round(
     policy = config.policy
     t = state.round
     n_params = state.global_params.size
-    ids = select_clients(config.n_clients, config.client_fraction, t, config.seed).tolist()
+    ids, seeds = memoized(_round_draws, config.n_clients, config.client_fraction,
+                          t, config.seed).tolist()
     downlink = broadcast_bytes(n_params, len(ids))
     uplink = 0
 
@@ -308,7 +323,7 @@ def run_round(
         model,
         state.global_params,
         [dataset.clients[k] for k in ids],
-        [client_train_seed(config.seed, t, k) for k in ids],
+        seeds,
         epochs=config.epochs,
         batch_size=config.batch_size,
         eta=config.eta,

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .seeding import derive_rng
+from .seeding import derive_rng, memoized
 
 # "auto" tracking records every coordinate for models below this size and
 # falls back to a fixed-size uniform subsample above it, keeping trajectory
@@ -402,7 +402,10 @@ def train_clients(
     of ``batch_size``; a short final batch is kept and its gradient averaged
     over its actual size. Deterministic given the client's seed: the
     permutation for epoch e comes from a stream derived from
-    (seed, "shuffle", e), so clients cannot perturb each other.
+    (seed, "shuffle", e), so clients cannot perturb each other. A lockstep
+    chunk's permutations are one read-only (E, G, n) block, memoized by
+    (E, n, the chunk's seeds) through ``seeding.memoized``, so a later call
+    with the same seeds, as another cell of the same seed makes, draws none.
 
     Entry i is client i's report, or the NumericError its training raised:
     "non-finite parameters" at the step that would start from them, or
@@ -439,6 +442,15 @@ def train_clients(
                 for i, result in zip(chunk, results):
                     out[i] = result
     return out
+
+
+def _shuffle_orders(epochs: int, n: int, *seeds: int) -> np.ndarray:
+    """Each client's sample order in each epoch, as an (E, G, n) block of
+    the smallest unsigned type that holds n - 1."""
+    orders = np.empty((epochs, len(seeds), n), np.min_scalar_type(n - 1))
+    for e, g in itertools.product(range(epochs), range(len(seeds))):
+        orders[e, g] = derive_rng(seeds[g], "shuffle", e).permutation(n)
+    return orders
 
 
 def _train_chunk(
@@ -489,14 +501,13 @@ def _train_chunk(
     # last batch of an epoch may be short).
     cuts = [(lo, lo % block, lo % block + min(batch_size, n - lo))
             for lo in range(0, n, batch_size)]
+    orders = memoized(_shuffle_orders, epochs, n, *seeds)
     out: list[LocalTrainReport | NumericError | None] = [None] * rows  # a failed row's error
     step = 0  # lockstep steps taken
     for epoch, (lo, b, e) in itertools.product(range(epochs), cuts):
-        if lo == 0:
-            orders = [derive_rng(seed, "shuffle", epoch).permutation(n) for seed in seeds]
         if b == 0:
             for j, (x, y) in enumerate(batches):
-                sel = orders[j][lo : lo + block]
+                sel = orders[epoch, j, lo : lo + block]
                 x.take(sel, axis=0, out=xs[j, : sel.size], mode="clip")
                 ys[j, : sel.size] = y[sel]
         if rows > 1 and not np.isfinite(theta).all():

@@ -13,11 +13,15 @@ distinct seeds never share a stream. A stream is numpy's SeedSequence
 (seeding PCG64) of the values' 32-bit words, low word first, one word for
 a value below 2**32: the stream ``np.random.SeedSequence([value, ...])``
 gives, fixed by numpy's stream policy (NEP 19).
+
+``memoized`` keeps what pure functions of streams return, so that the
+cells of one seed in one process build their shared draws once.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
 
 import numpy as np
 
@@ -84,3 +88,49 @@ def derive_rng(*parts: int | str) -> np.random.Generator:
     statistically independent streams (PCG64 seeded via SeedSequence).
     """
     return np.random.default_rng(seed_sequence(*parts))
+
+
+# The memo of stream draws holds at most this many bytes (16 MiB): each
+# entry is charged its array's bytes, 64 per key part and _ENTRY_BYTES for
+# the rest, and the oldest entries are evicted first.
+_MEMO_BYTES = 1 << 24
+_ENTRY_BYTES = 512
+
+
+class _Memo(dict):
+    """(build, *args) -> build(*args), read-only, oldest first; ``nbytes``
+    is the entries' charge in all."""
+
+    nbytes = 0
+
+    def clear(self) -> None:
+        super().clear()
+        self.nbytes = 0
+
+
+_MEMO = _Memo()
+_MEMO_LOCK = threading.Lock()
+
+
+def _charge(key: tuple, value: np.ndarray) -> int:
+    return value.nbytes + 64 * len(key) + _ENTRY_BYTES
+
+
+def memoized(build, *args) -> np.ndarray:
+    """``build(*args)``, an array drawn from streams that ``args`` name, made
+    read-only. It is built once and shared by later calls with the same
+    ``build`` and args while the memo has room; an error is never kept."""
+    key = (build, *args)
+    value = _MEMO.get(key)
+    if value is None:
+        value = build(*args)
+        value.flags.writeable = False
+        charge = _charge(key, value)
+        with _MEMO_LOCK:
+            if key not in _MEMO and charge <= _MEMO_BYTES:
+                while _MEMO.nbytes + charge > _MEMO_BYTES:
+                    old = next(iter(_MEMO))
+                    _MEMO.nbytes -= _charge(old, _MEMO.pop(old))
+                _MEMO[key] = value
+                _MEMO.nbytes += charge
+    return value

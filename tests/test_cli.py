@@ -860,6 +860,23 @@ def test_manifest_records_the_blas_core(tmp_path, command):
     assert core is None or (isinstance(core, str) and core)
 
 
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_manifest_records_the_package_and_numpy(tmp_path, command):
+    import numpy as np
+
+    import fedsample
+
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path), "--out", str(out), "--quiet",
+                 *COMMANDS[command]]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["fedsample_version"] == fedsample.__version__
+    assert manifest["numpy_version"] == np.__version__
+    features = manifest["numpy_cpu_features"]
+    assert features is None or (features == sorted(set(features))
+                                and all(isinstance(name, str) for name in features))
+
+
 def test_manifest_blas_core_follows_openblas_coretype(tmp_path):
     # The kernel OpenBLAS selects sets the order of matmul's sums.
     out = tmp_path / "out"

@@ -831,3 +831,127 @@ def test_band_rounds_map_no_log(monkeypatch):
     assert any(nacks for _, _, nacks in per_round[2:])
     assert all((logs, exps) == (int(nacks > 0),) * 2 for logs, exps, nacks in per_round[2:])
     assert [(logs, exps) for logs, exps, _ in per_round[:2]] == [(0, 0), (0, 0)]
+
+
+# ------------------------------------------------------ memoized stream draws
+
+def run_cell(policy, seed, mode):
+    """One sweep cell's outputs: the final parameter bytes, and every
+    round's senders and byte counts."""
+    cfg = config(policy, client_fraction=0.5, epochs=3, batch_size=2,
+                 nack_estimate_mode=mode, seed=seed)
+    state = ServerState(init_params(MLP, seed), history_len=cfg.history_len)
+    rounds = [(r.selected, r.senders, r.uplink_bytes, r.downlink_bytes)
+              for r in iter_rounds(MLP, cfg, small_dataset(seed=seed), 8, CommLedger(), state)]
+    return state.global_params.tobytes(), rounds
+
+
+def count_stream_builds(monkeypatch) -> list:
+    """Record each selection and shuffle stream built, through the module
+    globals a memo miss calls."""
+    import fedsample.engine as engine
+    import fedsample.models as models
+
+    builds = []
+    select, derive = engine.select_clients, models.derive_rng
+    monkeypatch.setattr(engine, "select_clients",
+                        lambda *a: builds.append("select") or select(*a))
+    monkeypatch.setattr(models, "derive_rng", lambda *a: builds.append(a[1]) or derive(*a))
+    return builds
+
+
+@pytest.mark.parametrize("policies, seeds, mode", [
+    ([PolicyConfig("full"), PolicyConfig("ft", gamma=0.5), PolicyConfig("at")], [0],
+     "carry_forward"),
+    ([PolicyConfig("aou"), PolicyConfig("random", q=0.3)], [0, 1], "ou_decode"),
+], ids=["three-policies-one-seed", "two-seeds-policy-major"])
+def test_cells_sharing_a_seed_equal_cells_run_cold_bitwise(monkeypatch, policies, seeds,
+                                                           mode):
+    from fedsample import seeding
+
+    builds = count_stream_builds(monkeypatch)
+    cells = [(policy, seed) for policy in policies for seed in seeds]  # as cmd_sweep
+    seeding._MEMO.clear()
+    warm = [run_cell(policy, seed, mode) for policy, seed in cells]
+    warm_builds = [label for label in builds if label != "init"]
+    builds.clear()
+    cold = []
+    for policy, seed in cells:
+        seeding._MEMO.clear()
+        cold.append(run_cell(policy, seed, mode))
+    assert warm == cold
+    # Only the first cell of each seed built its streams.
+    cold_builds = [label for label in builds if label != "init"]
+    assert sorted(warm_builds * len(policies)) == sorted(cold_builds)
+    assert warm_builds.count("select") == 8 * len(seeds)
+
+
+def test_select_clients_returns_a_fresh_writable_array():
+    cfg = config(PolicyConfig("full"))
+    before, _ = run_experiment(MODEL, cfg, small_dataset(), rounds=3)
+    for t in range(3):
+        ids = select_clients(cfg.n_clients, cfg.client_fraction, t, cfg.seed)
+        again = select_clients(cfg.n_clients, cfg.client_fraction, t, cfg.seed)
+        assert ids.dtype == np.int64 and ids.flags.writeable
+        assert not np.shares_memory(ids, again)
+        assert tuple(ids.tolist()) == before[t].selected
+        ids[:] = 0
+    after, _ = run_experiment(MODEL, cfg, small_dataset(), rounds=3)
+    assert after == before
+
+
+def test_invalid_round_sizes_raise_on_every_call():
+    from fedsample import engine, seeding
+
+    for _ in range(2):
+        for n_clients, fraction, message in [(0, 0.5, "K"), (10, 1.5, "C"), (10, 0.0, "C")]:
+            with pytest.raises(ValueError, match=message):
+                select_clients(n_clients, fraction, 0, 0)
+            with pytest.raises(ValueError, match=message):
+                seeding.memoized(engine._round_draws, n_clients, fraction, 0, 0)
+    assert not any(key[0] is engine._round_draws and key[1:3] in [(0, 0.5), (10, 1.5), (10, 0.0)]
+                   for key in seeding._MEMO)
+
+
+def test_a_tiny_memo_stays_within_its_budget_bitwise(monkeypatch):
+    from fedsample import seeding
+
+    def run():
+        return [run_cell(policy, 0, "ou_decode")
+                for policy in (PolicyConfig("aou"), PolicyConfig("ft", gamma=0.5))]
+
+    seeding._MEMO.clear()
+    expected = run()
+    budget = 6000  # room for a few rounds' entries
+    held = []
+
+    class Checked(seeding._Memo):
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            held.append((len(self), sum(seeding._charge(*entry) for entry in self.items())))
+
+    monkeypatch.setattr(seeding, "_MEMO_BYTES", budget)
+    monkeypatch.setattr(seeding, "_MEMO", Checked())
+    assert run() == expected
+    assert max(charged for _, charged in held) <= budget
+    assert 1 < max(entries for entries, _ in held) < len(held)  # it evicted
+    assert seeding._MEMO.nbytes == sum(seeding._charge(*entry)
+                                       for entry in seeding._MEMO.items())
+
+
+def test_memo_entries_cost_no_more_than_charged():
+    # Each entry's key tuple, its parts, the array and a dict slot (at most
+    # 100 bytes), against the charge the budget counts.
+    import sys
+
+    from fedsample import engine, models, seeding
+
+    seeding._MEMO.clear()
+    run_cell(PolicyConfig("aou"), 0, "carry_forward")
+    kinds = set()
+    for key, value in seeding._MEMO.items():
+        kinds.add(key[0])
+        held = (sys.getsizeof(key) + sum(map(sys.getsizeof, key[1:]))
+                + sys.getsizeof(value) + 100)
+        assert held <= seeding._charge(key, value)
+    assert kinds == {engine._round_draws, models._shuffle_orders}

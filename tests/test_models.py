@@ -398,6 +398,28 @@ def test_train_clients_equals_one_client_at_a_time(monkeypatch, spec, sizes, tra
         assert len({rep.tracked.tobytes() for rep in reports}) > 1
 
 
+def test_shuffle_orders_are_one_read_only_block_per_chunk():
+    from fedsample import seeding
+
+    seeding._MEMO.clear()
+    x, y = random_batch(LOGISTIC, 9, seed=3)
+    start = init_params(LOGISTIC, seed=0)
+    first = train_clients(LOGISTIC, start, [(x, y), (x, y)], [5, 6], 2, 4, 0.1)
+    ((key, orders),) = seeding._MEMO.items()
+    assert key == (models._shuffle_orders, 2, 9, 5, 6)
+    assert orders.dtype == np.uint8 and orders.shape == (2, 2, 9)
+    for (e, seed), order in zip([(0, 5), (0, 6), (1, 5), (1, 6)], orders.reshape(4, 9)):
+        assert np.array_equal(order, derive_rng(seed, "shuffle", e).permutation(9))
+    with pytest.raises(ValueError, match="read-only"):
+        orders[0, 0, 0] = 1
+    again = train_clients(LOGISTIC, start, [(x, y), (x, y)], [5, 6], 2, 4, 0.1)
+    assert [r.params_after.tobytes() for r in again] == [r.params_after.tobytes() for r in first]
+    assert len(seeding._MEMO) == 1
+    # The smallest unsigned type that holds every index.
+    assert [models._shuffle_orders(1, n, 0).dtype for n in (1, 256, 257, 65537)] == [
+        np.uint8, np.uint8, np.uint16, np.uint32]
+
+
 @pytest.mark.parametrize("spec, epochs, batch_size, scales, message, track", [
     *(pytest.param(LOGISTIC, epochs, 6, {1: 1e300}, message, track,
                    id=f"{epochs}-{message}" + ("" if track is None else f"-track={track}"))

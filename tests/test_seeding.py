@@ -116,3 +116,40 @@ def test_hashlib_fallback_gives_the_same_words():
     )
     expected = [sha256_word(label) for label in PACKAGE_LABELS]
     assert run_fresh(code).strip() == f"True {expected}"
+
+
+def test_memo_stays_consistent_under_threads(monkeypatch):
+    import threading
+
+    from fedsample import seeding
+
+    def orders(i):
+        return derive_rng(i, "shuffle", 0).permutation(8).astype(np.uint8)
+
+    monkeypatch.setattr(seeding, "_MEMO", seeding._Memo())
+    monkeypatch.setattr(seeding, "_MEMO_BYTES", 8 * seeding._charge((orders, 0), orders(0)))
+    errors = []
+
+    def work(offset):
+        try:
+            for i in range(400):
+                key = (offset + i) % 24
+                assert np.array_equal(seeding.memoized(orders, key), orders(key))
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(7 * n,)) for n in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    memo = seeding._MEMO
+    assert 0 < memo.nbytes == sum(seeding._charge(*entry) for entry in memo.items())
+    assert memo.nbytes <= seeding._MEMO_BYTES
