@@ -19,10 +19,12 @@ Given a ``scratch`` dict, ``loss_and_grad`` writes the gradient, the
 hidden layer, its gradient and the logits into one flat float64 buffer
 held in the dict, through C-contiguous views cached per batch shape (a
 short final batch, a narrower chunk, a lone vector); the buffer is
-replaced only when a call needs more room. A call then allocates only
-the finiteness mask of the parameters and arrays of one value per
-sample. Every ``out=`` target keeps C-contiguous 2-D slices, so the
-kernels and their bits are those of fresh arrays.
+replaced only when a call needs more room. The dict also holds the layer
+views of the last parameter array given, kept while the same array comes
+back with the same shape. A call then allocates only the finiteness mask
+of the parameters, a transposed copy of the logits and arrays of one
+value per sample. Every ``out=`` target keeps C-contiguous 2-D slices, so
+the kernels and their bits are those of fresh arrays.
 
 ``train_clients`` runs E epochs of mini-batch SGD with per-epoch
 reshuffling for each of several clients that start from one model, and can
@@ -155,12 +157,8 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
     """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per layer."""
     rng = derive_rng(seed, "init")
     chunks: list[np.ndarray] = []
-    fan_in = {"W": spec.input_dim, "b": spec.input_dim,
-              "W1": spec.input_dim, "b1": spec.input_dim,
-              "W2": spec.hidden_dim, "b2": spec.hidden_dim,
-              "theta": spec.input_dim}
     for name, shape in spec.layer_shapes:
-        bound = 1.0 / math.sqrt(fan_in[name])
+        bound = 1.0 / math.sqrt(spec.hidden_dim if name in ("W2", "b2") else spec.input_dim)
         chunks.append(rng.uniform(-bound, bound, size=math.prod(shape)))
     return np.concatenate(chunks)
 
@@ -178,15 +176,16 @@ def _check_batch(
         raise ValueError(f"feature dim {x.shape[-1]} does not match model input_dim {spec.input_dim}")
     if y.shape != x.shape[:-1]:
         raise ValueError("labels must be one class index per row")
-    if spec.kind != "quadratic-diagnostic":
-        # Casting float labels would truncate them without a word.
-        if y.dtype.kind not in "iu":
-            raise ValueError("labels must be integer class indices")
-        y = y.astype(np.int64, copy=False)
-        # One reduction checks both ends: a negative label reads as a huge
-        # unsigned value.
-        if y.size and y.view(np.uint64).max() >= spec.n_classes:
-            raise ValueError("label outside [0, n_classes)")
+    if spec.kind == "quadratic-diagnostic":
+        return x, np.zeros(y.shape, np.int64)  # read by nothing: only the shape counts
+    # Casting float labels would truncate them without a word.
+    if y.dtype.kind not in "iu":
+        raise ValueError("labels must be integer class indices")
+    y = y.astype(np.int64, copy=False)
+    # One reduction checks both ends: a negative label reads as a huge
+    # unsigned value.
+    if y.size and np.maximum.reduce(y.view(np.uint64), axis=None) >= spec.n_classes:
+        raise ValueError("label outside [0, n_classes)")
     return x, y
 
 
@@ -195,9 +194,12 @@ def _check_batch(
 # shows at the batch sizes local SGD uses.
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, in place: every caller passes logits that
-    nothing else reads."""
-    logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
+    """Softmax over the last axis, in place: every caller passes C-contiguous
+    logits that nothing else reads. Each row's max is reduced down the
+    columns of a transposed copy, faster than along rows of C entries; a max
+    is exact in any order, up to the sign of a tied zero, which exp maps to 1."""
+    rows = logits.reshape(-1, logits.shape[-1])
+    rows -= np.maximum.reduce(rows.T.copy(), axis=0)[:, None]
     np.exp(logits, out=logits)
     logits /= np.add.reduce(logits, axis=-1, keepdims=True)
     return logits
@@ -230,8 +232,7 @@ def _workspace(spec: ModelSpec, scratch: dict, rows: tuple[int, ...]) -> tuple:
         flat = scratch["flat"]
         grad, h, dh, z = (flat[lo:hi].reshape(shape)
                           for lo, hi, shape in zip([0] + ends, ends, shapes))
-        views = spec.stack_views if lead else spec.layer_views
-        ws = scratch[rows] = (grad, views(grad), h, dh, z)
+        ws = scratch[rows] = (grad, spec._views(grad, grad.ndim), h, dh, z)
     return ws
 
 
@@ -275,11 +276,17 @@ def loss_and_grad(
     """
     if not np.isfinite(params).all():
         raise NumericError("non-finite parameters")
+    scratch = {} if scratch is None else scratch
     # Every operation below works on either rank (see the module docstring).
-    v = (spec.stack_views if params.ndim == 2 else spec.layer_views)(params)
+    # The layer views of the last parameter array seen are kept with it.
+    seen = scratch.get("params", (None,))
+    if seen[0] is not params or seen[1] != params.shape:
+        seen = (params, params.shape, spec._views(params, 2 if params.ndim == 2 else 1))
+    v = seen[2]
     lead = params.shape[:-1]
     x, y = _check_batch(spec, *batch, lead=lead)
-    grad, g, h, dh, z = _workspace(spec, {} if scratch is None else scratch, x.shape[:-1])
+    grad, g, h, dh, z = _workspace(spec, scratch, x.shape[:-1])
+    scratch["params"] = seen  # after _workspace, which may clear the dict
 
     if spec.kind == "quadratic-diagnostic":
         # May overflow to inf on a diverging path; reported as-is. A dot per
@@ -333,7 +340,7 @@ def evaluate(
             return math.nan, 0.5 * float(params @ params)
 
     _, probs = _forward(spec, v, x)
-    acc = float((probs.argmax(axis=1) == y).mean())
+    acc = np.count_nonzero(probs.argmax(axis=1) == y) / y.size
     return acc, float(_ce_loss(probs, y)[0])
 
 
@@ -355,16 +362,18 @@ def _check_sgd_knobs(epochs: int, batch_size: int, eta: float, track: None | str
         )
 
 
-def _resolve_track(track: None | str | int, n_params: int, seed: int) -> np.ndarray | None:
-    """The coordinate ids a track spec that ``_check_sgd_knobs`` accepted
-    records."""
+def _resolve_track(track: None | str | int, n_params: int, seeds: list[int]) -> list:
+    """Each seed's coordinate ids under a track spec that ``_check_sgd_knobs``
+    accepted; a spec that draws none shares one read-only array."""
     if track is None:
-        return None
+        return [None] * len(seeds)
     if track == "all" or (track == "auto" and n_params < _AUTO_TRACK_LIMIT):
-        return np.arange(n_params, dtype=np.int64)
-    k = _AUTO_TRACK_SUBSAMPLE if track == "auto" else int(track)
-    idx = derive_rng(seed, "track").choice(n_params, size=min(k, n_params), replace=False)
-    return np.sort(idx).astype(np.int64)
+        ids = np.arange(n_params, dtype=np.int64)
+        ids.flags.writeable = False
+        return [ids] * len(seeds)
+    k = min(_AUTO_TRACK_SUBSAMPLE if track == "auto" else int(track), n_params)
+    draw = (derive_rng(seed, "track").choice(n_params, size=k, replace=False) for seed in seeds)
+    return [np.sort(idx).astype(np.int64) for idx in draw]
 
 
 def local_train(
@@ -477,7 +486,7 @@ def _train_chunk(
     steps_total = epochs * math.ceil(n / batch_size)
     rows = len(seeds)
     lane = 0 if rows == 1 else slice(None)  # the rows each step reads
-    tracked = [_resolve_track(track, start.size, seed) for seed in seeds]
+    tracked = _resolve_track(track, start.size, seeds)
     theta = np.tile(start, (rows, 1))
     params = theta[lane]
     at = paths = None  # `at` stays None when every coordinate is tracked
@@ -496,7 +505,7 @@ def _train_chunk(
     fit = _GATHER_ELEMENTS // (rows * spec.input_dim * batch_size)
     block = max(1, fit) * batch_size
     xs = np.empty((rows, min(block, n), spec.input_dim), dtype=np.float64)
-    ys = np.empty((rows, min(block, n)), dtype=np.result_type(*(y for _, y in batches)))
+    ys = np.empty((rows, min(block, n)), dtype=np.int64)
     # Each step's epoch offset and its batch's bounds in the buffer (the
     # last batch of an epoch may be short).
     cuts = [(lo, lo % block, lo % block + min(batch_size, n - lo))
@@ -509,7 +518,7 @@ def _train_chunk(
             for j, (x, y) in enumerate(batches):
                 sel = orders[epoch, j, lo : lo + block]
                 x.take(sel, axis=0, out=xs[j, : sel.size], mode="clip")
-                ys[j, : sel.size] = y[sel]
+                y.take(sel, out=ys[j, : sel.size], mode="clip")
         if rows > 1 and not np.isfinite(theta).all():
             # The rows that went non-finite fail here, as each would alone
             # at its next gradient call. They restart from `start`, so the

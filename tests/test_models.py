@@ -180,6 +180,70 @@ def test_scratch_gives_the_fresh_result_bitwise(spec):
     assert not np.shares_memory(grad, first)  # regrown for the wider call
 
 
+@pytest.mark.parametrize("spec", [LOGISTIC, MLP, QUAD], ids=lambda s: s.kind)
+def test_scratch_reuses_parameter_views_bitwise(spec):
+    # The scratch keeps the layer views of the last parameter array it saw.
+    # Each call must read the array it is given as it is now.
+    scratch = {}
+
+    def check(params, batch):
+        loss, grad = loss_and_grad(spec, params, batch, scratch)
+        ref_loss, ref_grad = loss_and_grad(spec, params, batch, {})
+        assert np.asarray(loss).tobytes() == np.asarray(ref_loss).tobytes()
+        assert grad.shape == ref_grad.shape and grad.tobytes() == ref_grad.tobytes()
+
+    params, batch = stacked_call(spec, 4, 5, seed=1)
+    check(params, batch)
+    assert scratch["params"][0] is params
+    params *= 0.5  # the same array, mutated in place
+    check(params, batch)
+    check(params[::-1].copy(), batch)  # a different array of the same shape
+    lone, lone_batch = stacked_call(spec, None, 5, seed=2)
+    check(lone, lone_batch)  # a lone vector after a stack
+    check(params, batch)
+    one = params[:1].copy()
+    check(one, (batch[0][:1], batch[1][:1]))
+    one.shape = (spec.param_count,)  # the same array as a lone vector
+    check(one, (batch[0][0], batch[1][0]))
+    flat = scratch["flat"]
+    wide, wide_batch = stacked_call(spec, 9, 7, seed=3)
+    check(wide, wide_batch)  # a wider batch replaces the buffer
+    assert scratch["flat"] is not flat and scratch["params"][0] is wide
+    check(params, batch)
+
+
+def reference_softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax with each row's max reduced along the last axis."""
+    e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("n_classes", [2, 10, 62])
+@pytest.mark.parametrize("shape", [(7, 10), (10,), (1000,)], ids=["stack", "batch", "test-set"])
+def test_softmax_row_max_bitwise(shape, n_classes):
+    rng = derive_rng(n_classes, "logits")
+    logits = rng.standard_normal(shape + (n_classes,)) * 30.0
+    rows = logits.reshape(-1, n_classes)
+    ties, zeros, specials, _ = np.array_split(rng.permutation(rows.shape[0]), 4)
+    # Two distinct columns of each row.
+    first = rng.integers(0, n_classes, size=rows.shape[0])
+    second = (first + rng.integers(1, n_classes, size=rows.shape[0])) % n_classes
+    # Ties: the row's max twice.
+    rows[ties, first[ties]] = rows[ties, second[ties]] = np.abs(rows[ties]).max(axis=1)
+    # Mixed +-0.0 maxima in rows of otherwise negative entries.
+    rows[zeros] = -np.abs(rows[zeros]) - 1.0
+    rows[zeros, first[zeros]], rows[zeros, second[zeros]] = 0.0, -0.0
+    # Two of +inf, -inf and NaN in each row, in every pairing.
+    specials_values = np.array([np.nan, np.inf, -np.inf])
+    k = np.arange(specials.size)
+    rows[specials, first[specials]] = specials_values[k % 3]
+    rows[specials, second[specials]] = specials_values[(k + 1 + k // 3) % 3]
+    with np.errstate(invalid="ignore"):
+        expected = reference_softmax(logits)
+        got = models._softmax(logits.copy())
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("spec", [LOGISTIC, MLP], ids=lambda s: s.kind)
 @pytest.mark.parametrize("g", [None, 3], ids=["vector", "stack"])
 def test_inputs_are_never_written(spec, g):
@@ -396,6 +460,34 @@ def test_train_clients_equals_one_client_at_a_time(monkeypatch, spec, sizes, tra
     if track == 3:
         # Every client draws its coordinates from its own seed.
         assert len({rep.tracked.tobytes() for rep in reports}) > 1
+
+
+@pytest.mark.parametrize("track", ["all", "auto", 3], ids=["all", "auto", "int"])
+def test_unseeded_track_specs_share_one_read_only_id_array(track):
+    x, y = random_batch(MLP, 6, seed=2)
+    start = init_params(MLP, seed=2)
+    reports = train_clients(MLP, start, [(x, y)] * 3, [4, 5, 6], 1, 3, 0.1, track)
+    ids = [rep.tracked for rep in reports]
+    if track == 3:
+        # A seeded subsample draws one array per client.
+        assert len({id(a) for a in ids}) == 3
+        for rep, seed in zip(reports, [4, 5, 6]):
+            one = local_train(MLP, start, (x, y), 1, 3, 0.1, seed, track)
+            assert rep.tracked.tobytes() == one.tracked.tobytes()
+    else:
+        assert all(a is ids[0] for a in ids) and not ids[0].flags.writeable
+        assert ids[0].dtype == np.int64 and np.array_equal(ids[0], np.arange(start.size))
+
+
+def test_diagnostic_clients_with_mixed_label_dtypes_train_together():
+    # The diagnostic model never reads its labels, whatever their dtype.
+    x, y = random_batch(QUAD, 6, seed=2)
+    start = init_params(QUAD, seed=2)
+    labels = [y.astype(np.int32), y + 0.5, y.astype(np.uint8)]
+    reports = train_clients(QUAD, start, [(x, lab) for lab in labels], [1, 2, 3], 2, 4, 0.1)
+    for rep, seed in zip(reports, [1, 2, 3]):
+        one = local_train(QUAD, start, (x, y), 2, 4, 0.1, seed)
+        assert rep.params_after.tobytes() == one.params_after.tobytes()
 
 
 def test_shuffle_orders_are_one_read_only_block_per_chunk():
