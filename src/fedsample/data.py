@@ -28,9 +28,11 @@ from .seeding import derive_rng
 TEST_CLIENT_ID = "test"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FederatedDataset:
-    """Per-client labelled samples plus a shared held-out test set."""
+    """Per-client labelled samples plus a shared held-out test set. Two
+    datasets are equal only if they are one object, which hashes by
+    identity and can key a ``weakref.WeakKeyDictionary``."""
 
     clients: tuple[tuple[np.ndarray, np.ndarray], ...]
     test_set: tuple[np.ndarray, np.ndarray]

@@ -21,6 +21,15 @@ seeds, are memoized by ``(K, C, round, seed)`` through
 ``client_train_seed``. Cells of one seed that run in one process, such as a
 sweep's policies, draw them once.
 
+A round in which every selected client sends is kept in its dataset's table
+under what alone fixes its outcome: the model, K, C, E, B, eta, seed, the
+track spec training used, the round and the start model's bits. A later
+round with that key runs its own policy's checks and decisions on the stored
+statistics; if it too sends everyone, it takes a copy of the stored model,
+accuracy and loss, and trains, aggregates and evaluates nothing. A table
+dies with its dataset, whose arrays must not change. Rounds with a NACK or
+an error store nothing, and stores stop at ``_REPLAY_BYTES``.
+
 Byte accounting is exact and single-precision-based regardless of the
 double-precision arithmetic: 4 bytes per parameter, 8 bytes per sample
 count, 4 bytes per reported scalar or broadcast threshold.
@@ -46,6 +55,8 @@ bitwise, so zero-sender rounds cannot drift the model.
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -302,6 +313,45 @@ def aggregate(estimates: list[tuple[np.ndarray, int]]) -> np.ndarray:
     return anchor + acc
 
 
+# The replay tables hold at most this many bytes (16 MiB) over all live
+# datasets, an entry charged its new arrays' bytes and 8 per statistic. Once
+# full they store no more and evict nothing: the first rounds, which cells
+# share, stay.
+_REPLAY_BYTES = 1 << 24
+_REPLAY_LOCK = threading.Lock()
+
+
+class _Replays(dict):
+    """One dataset's table: key -> entries (start, stats, next model, message
+    bytes, test_acc, test_loss), arrays read-only; ``nbytes``: their charge."""
+
+    nbytes = 0
+
+
+_REPLAYS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _find(entries, at: int, params: np.ndarray) -> tuple | None:
+    """The entry whose array ``at`` has the bits of ``params``, if any."""
+    return next((e for e in entries if e[at].dtype == params.dtype
+                 and e[at].shape == params.shape and e[at].tobytes() == params.tobytes()),
+                None)
+
+
+def _store(dataset, key, start, stats, new_params, outcome) -> None:
+    """Keep a computed all-send round while the cap allows. Its start is the
+    previous round's stored model when it has those bits."""
+    with _REPLAY_LOCK:
+        table = _REPLAYS.setdefault(dataset, _Replays())
+        prev = _find(table.get(key[:-1] + (key[-1] - 1,), ()), 2, start)
+        charge = new_params.nbytes + (prev is None) * start.nbytes + 8 * len(stats)
+        if sum(t.nbytes for t in _REPLAYS.values()) + charge <= _REPLAY_BYTES:
+            start, new_params = (start.copy() if prev is None else prev[2]), new_params.copy()
+            start.flags.writeable = new_params.flags.writeable = False
+            table.setdefault(key, []).append((start, tuple(stats), new_params, *outcome))
+            table.nbytes += charge
+
+
 def run_round(
     state: ServerState,
     model: ModelSpec,
@@ -312,62 +362,61 @@ def run_round(
     """Execute one protocol round, mutating state and appending to ledger."""
     policy = config.policy
     t = state.round
-    n_params = state.global_params.size
+    start = state.global_params
+    n_params = start.size
     ids, seeds = memoized(_round_draws, config.n_clients, config.client_fraction,
                           t, config.seed).tolist()
     downlink = broadcast_bytes(n_params, len(ids))
     uplink = 0
 
     track = config.track if policy.needs_band_fraction else None
-    trained = train_clients(
-        model,
-        state.global_params,
-        [dataset.clients[k] for k in ids],
-        seeds,
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        eta=config.eta,
-        track=track,
-    )
-    if policy.needs_band_fraction:
+    key = (model, config.n_clients, config.client_fraction, config.epochs,
+           config.batch_size, config.eta, config.seed, track, t)
+    hit = _find(_REPLAYS.get(dataset, {}).get(key, ()), 0, start)
+
+    def train():
+        return train_clients(model, start, [dataset.clients[k] for k in ids], seeds,
+                             epochs=config.epochs, batch_size=config.batch_size,
+                             eta=config.eta, track=track)
+
+    trained = None if hit else train()
+    # Each client's decision statistic, or the error that its round raises.
+    raw = hit[1] if hit else [rep if isinstance(rep, NumericError) else rep.update_norm
+                              for rep in trained]
+    if trained and policy.needs_band_fraction:
         # One path row per SGD step: the fit's time unit is one step. Each
         # path is a row of its lockstep chunk's (G, T, k) array, rows in
         # client order, so the clients before the first one the loop below
         # raises for are a prefix of each chunk's rows: only they are fitted.
         chunks: dict[int, list[int]] = {}  # fitted clients by their array's id
         for i, rep in enumerate(trained):
-            if isinstance(rep, NumericError) or rep.path.shape[0] < 3:
+            if isinstance(rep, NumericError):
+                break
+            if rep.path.shape[0] < 3:
+                raw[i] = ValueError("band policies need at least 2 local steps per round "
+                                    "(epochs * ceil(n_i / batch_size) >= 2)")
                 break
             chunks.setdefault(id(rep.path.base), []).append(i)
-        bands = {}
         for rows in chunks.values():
             stack = trained[rows[0]].path.base
-            bands.update(zip(rows, band_fractions(stack[: len(rows)])))
-    # Each client's decision statistic, in id order. The first failure in
-    # client-id order wins, and a client's training failure comes before its
-    # decision statistic's: what training and checking one client after
-    # another would raise.
+            for i, stat in zip(rows, band_fractions(stack[: len(rows)])):
+                raw[i] = stat
+                if isinstance(stat, ValueError):
+                    raw[i] = NumericError(f"OU fit of client {ids[i]} at round {t} "
+                                          f"(policy {policy.label}) non-finite: {stat}")
+                    raw[i].__cause__ = stat
+    # The first failure in client-id order wins, and a client's training
+    # failure comes before its decision statistic's: what training and
+    # checking one client after another would raise.
     stats = []
-    for i, (k, rep) in enumerate(zip(ids, trained)):
-        if isinstance(rep, NumericError):
-            raise rep
-        if policy.needs_band_fraction:
-            if rep.path.shape[0] < 3:
-                raise ValueError(
-                    "band policies need at least 2 local steps per round "
-                    "(epochs * ceil(n_i / batch_size) >= 2)"
-                )
-            stat = bands[i]
-            if isinstance(stat, ValueError):
-                raise NumericError(f"OU fit of client {k} at round {t} "
-                                   f"(policy {policy.label}) non-finite: {stat}") from stat
-            stats.append(stat)
-        elif policy.kind in NORM_POLICIES and not math.isfinite(rep.update_norm):
+    for k, stat in zip(ids, raw):
+        if isinstance(stat, Exception):
+            raise stat
+        if policy.kind in NORM_POLICIES and not math.isfinite(stat):
             raise NumericError(
                 f"update norm of client {k} non-finite at round {t} (policy {policy.label})"
             )
-        else:
-            stats.append(rep.update_norm)
+        stats.append(stat)
 
     threshold = policy.fixed_threshold
     if policy.adaptive:
@@ -375,28 +424,35 @@ def run_round(
         threshold = compute_adaptive_threshold(np.array(stats))
         downlink += SCALAR_BYTES * len(ids)
 
-    estimates: list[tuple[np.ndarray, int]] = []
-    senders: list[int] = []
+    sends = [local_decide(policy, stat, threshold, derive_rng(config.seed, "decide", t, k)
+                          if policy.kind == "random" else None)
+             for k, stat in zip(ids, stats)]
+    senders = [k for k, send in zip(ids, sends) if send]
     ou_fallback = False
-    for k, rep, stat in zip(ids, trained, stats):
-        rng = derive_rng(config.seed, "decide", t, k) if policy.kind == "random" else None
-        send = local_decide(policy, stat, threshold, rng)
-        msg = UpdateMessage(k, rep.n_samples, rep.params_after if send else None)
-        uplink += message_bytes(msg, n_params)
-        est, fell_back = server_estimate(msg, state, config.nack_estimate_mode)
-        ou_fallback = ou_fallback or fell_back
-        estimates.append((est, rep.n_samples))
-        if send:
-            senders.append(k)
+    if hit and len(senders) == len(ids):
+        new_params, sent, test_acc, test_loss = hit[2].copy(), *hit[3:]
+        state.advance(new_params)
+    else:
+        trained = trained or train()
+        estimates: list[tuple[np.ndarray, int]] = []
+        sent = 0
+        for k, rep, send in zip(ids, trained, sends):
+            msg = UpdateMessage(k, rep.n_samples, rep.params_after if send else None)
+            sent += message_bytes(msg, n_params)
+            est, fell_back = server_estimate(msg, state, config.nack_estimate_mode)
+            ou_fallback = ou_fallback or fell_back
+            estimates.append((est, rep.n_samples))
 
-    new_params = aggregate(estimates)
-    if not np.isfinite(new_params).all():
-        raise NumericError(
-            f"aggregated model non-finite at round {t} (policy {policy.label})"
-        )
-    state.advance(new_params)
-
-    test_acc, test_loss = evaluate(model, new_params, *dataset.test_set)
+        new_params = aggregate(estimates)
+        if not np.isfinite(new_params).all():
+            raise NumericError(
+                f"aggregated model non-finite at round {t} (policy {policy.label})"
+            )
+        state.advance(new_params)
+        test_acc, test_loss = evaluate(model, new_params, *dataset.test_set)
+        if not hit and len(senders) == len(ids):
+            _store(dataset, key, start, stats, new_params, (sent, test_acc, test_loss))
+    uplink += sent
     ledger.append(len(ids), len(senders), uplink, downlink)
     return RoundReport(
         round_idx=t,

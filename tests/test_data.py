@@ -192,6 +192,22 @@ def test_two_row_file_two_clients(tmp_path):
 
 # --------------------------------------------------------------------- types
 
+def test_datasets_compare_and_hash_by_identity():
+    import gc
+    import weakref
+
+    a, b = (synth_blobs(n_classes=3, dim=2, n_clients=4, samples_per_client=5,
+                        shards_per_client=1, seed=0) for _ in range(2))
+    # Same bits, two objects: unequal, where comparing the arrays raised.
+    assert a == a and a != b and not (a == b)
+    assert hash(a) == hash(a) and len({a, b}) == 2
+    table = weakref.WeakKeyDictionary({a: "a", b: "b"})
+    assert table[a] == "a" and table[b] == "b"
+    del a
+    gc.collect()
+    assert list(table.values()) == ["b"]
+
+
 def test_dataset_validation():
     x = np.zeros((2, 3))
     y = np.zeros(2, dtype=np.int64)

@@ -386,11 +386,12 @@ def test_history_ring_buffer_is_bounded():
 
 
 def test_experiment_is_deterministic_to_the_byte():
-    ds = small_dataset()
     cfg = config(PolicyConfig("at"))
     rows = []
     for _ in range(2):
-        reports, _ = run_experiment(MODEL, cfg, ds, rounds=4)
+        # A dataset object of its own, so that no run replays the other's
+        # all-send rounds.
+        reports, _ = run_experiment(MODEL, cfg, small_dataset(), rounds=4)
         rows.append([format_metrics_row(r, cfg.policy.label, cfg.seed) for r in reports])
     assert rows[0] == rows[1]
 
@@ -500,14 +501,16 @@ def test_resume_from_a_copied_state_is_bitwise(policy, mode):
     # 12 rounds straight through equal 6 rounds plus 6 more resumed from
     # deep copies of the server state and the ledger: the state and the
     # ledger are all that a run carries from round to round.
-    ds = small_dataset()
     cfg = config(policy, client_fraction=0.5, epochs=3, batch_size=2,
                  nack_estimate_mode=mode, seed=3)
 
     def run(rounds, state=None, ledger=None):
+        # Each run on a dataset object of its own: none replays another's
+        # all-send rounds.
         state = state or ServerState(init_params(MLP, cfg.seed), history_len=cfg.history_len)
         ledger = ledger or CommLedger()
-        return list(iter_rounds(MLP, cfg, ds, rounds, ledger, state=state)), state, ledger
+        return (list(iter_rounds(MLP, cfg, small_dataset(), rounds, ledger, state=state)),
+                state, ledger)
 
     straight, state, ledger = run(12)
     first, mid_state, mid_ledger = run(6)
@@ -955,3 +958,169 @@ def test_memo_entries_cost_no_more_than_charged():
                 + sys.getsizeof(value) + 100)
         assert held <= seeding._charge(key, value)
     assert kinds == {engine._round_draws, models._shuffle_orders}
+
+
+# ------------------------------------------------------ replayed all-send rounds
+
+# ft at gamma 0.8 sends all 5 clients in rounds 0-2, then suppresses some.
+REPLAY_CELLS = [
+    (PolicyConfig("full"), "carry_forward"),
+    (PolicyConfig("ft", gamma=0.8), "carry_forward"),
+    (PolicyConfig("at"), "carry_forward"),
+    (PolicyConfig("random", q=0.2), "carry_forward"),
+    (PolicyConfig("full"), "ou_decode"),
+    (PolicyConfig("ft", gamma=0.8), "ou_decode"),
+]
+
+
+def replay_cell(policy, mode, ds, rounds=8):
+    """One cell's reports, by repr (exact for floats), final parameter bytes
+    and ledger."""
+    cfg = config(policy, client_fraction=0.5, epochs=3, batch_size=2,
+                 nack_estimate_mode=mode)
+    state = ServerState(init_params(MLP, cfg.seed), history_len=cfg.history_len)
+    ledger = CommLedger()
+    reports = list(iter_rounds(MLP, cfg, ds, rounds, ledger, state))
+    return repr(reports), state.global_params.tobytes(), ledger
+
+
+def count_training(monkeypatch) -> list:
+    """Record the client count of each engine.train_clients call."""
+    import fedsample.engine as engine
+
+    calls = []
+    train_clients = engine.train_clients
+    monkeypatch.setattr(engine, "train_clients",
+                        lambda spec, start, clients, *a, **kw:
+                        calls.append(len(clients)) or train_clients(spec, start, clients, *a, **kw))
+    return calls
+
+
+def stored_rounds(ds) -> list:
+    """The round index of each entry stored for ``ds``, in order."""
+    import fedsample.engine as engine
+
+    table = engine._REPLAYS.get(ds, {})
+    return sorted(key[-1] for key, entries in table.items() for _ in entries)
+
+
+def test_replayed_cells_equal_cells_run_cold_bitwise(monkeypatch):
+    calls = count_training(monkeypatch)
+    cold = [replay_cell(policy, mode, small_dataset()) for policy, mode in REPLAY_CELLS]
+    cold_calls = len(calls)
+    calls.clear()
+    ds = small_dataset()
+    warm = [replay_cell(policy, mode, ds) for policy, mode in REPLAY_CELLS]
+    assert warm == cold
+    # full trains its 8 rounds once for both NACK modes; each ft replays
+    # rounds 0-2; at and random replay round 0's statistics and then train.
+    assert cold_calls == 8 * len(REPLAY_CELLS)
+    assert len(calls) == cold_calls - 8 - 2 * 3
+    # Every all-send round of the warm cells is stored once.
+    sends = [[len(r.senders) == len(r.selected) for r in
+              run_experiment(MLP, config(policy, client_fraction=0.5, epochs=3, batch_size=2,
+                                         nack_estimate_mode=mode), small_dataset(), 8)[0]]
+             for policy, mode in REPLAY_CELLS]
+    assert sends[1][:4] == [True] * 3 + [False]
+    assert len(stored_rounds(ds)) == sum(map(sum, sends)) - 8 - 3 - 3
+
+
+def test_replaying_cell_raises_as_computed_bitwise(monkeypatch):
+    # 300 steps leave both clients finite with overflowing update norms:
+    # full sends them and stores the round, ft's own check raises on it.
+    quad = ModelSpec("quadratic-diagnostic", input_dim=2)
+
+    def cfg(policy):
+        return config(policy, n_clients=2, client_fraction=1.0, epochs=1, batch_size=1,
+                      eta=5.0)
+
+    def raised(ds):
+        with pytest.raises(NumericError) as info:
+            run_experiment(quad, cfg(PolicyConfig("ft", gamma=0.5)), ds, rounds=1)
+        return str(info.value)
+
+    calls = count_training(monkeypatch)
+    cold = raised(two_client_quadratic((300, 300)))
+    assert cold == "update norm of client 0 non-finite at round 0 (policy ft_g0.5)"
+    ds = two_client_quadratic((300, 300))
+    reports, _ = run_experiment(quad, cfg(PolicyConfig("full")), ds, rounds=1)
+    assert reports[0].test_loss == math.inf and stored_rounds(ds) == [0]
+    calls.clear()
+    assert raised(ds) == cold
+    assert calls == []  # the replay did not train
+
+
+def test_rounds_with_a_nack_or_an_error_store_nothing():
+    ds = small_dataset()
+    replay_cell(PolicyConfig("ft", gamma=1.5), "carry_forward", ds)  # no sender at all
+    assert stored_rounds(ds) == []
+    replay_cell(PolicyConfig("ft", gamma=0.8), "carry_forward", ds)
+    assert stored_rounds(ds) == [0, 1, 2]
+    # Client 1's training fails after client 0's norm overflows.
+    quad = ModelSpec("quadratic-diagnostic", input_dim=2)
+    failing = two_client_quadratic((300, 600))
+    for policy in (PolicyConfig("full"), PolicyConfig("ft", gamma=0.5)):
+        cfg = config(policy, n_clients=2, client_fraction=1.0, epochs=1, batch_size=1,
+                     eta=5.0)
+        with pytest.raises(NumericError):
+            run_experiment(quad, cfg, failing, rounds=1)
+    assert stored_rounds(failing) == []
+
+
+def test_replay_tables_die_with_their_dataset():
+    import gc
+    import weakref
+
+    import fedsample.engine as engine
+
+    ds = small_dataset()
+    replay_cell(PolicyConfig("full"), "carry_forward", ds, rounds=3)
+    table = weakref.ref(engine._REPLAYS[ds])
+    assert stored_rounds(ds) == [0, 1, 2]
+    del ds
+    gc.collect()
+    assert table() is None
+
+
+def test_mutating_a_stored_model_leaves_replays_bitwise():
+    cfg = config(PolicyConfig("full"), client_fraction=0.5, epochs=3, batch_size=2)
+    ds = small_dataset()
+    expected = replay_cell(PolicyConfig("full"), "carry_forward", small_dataset())
+    for _ in range(3):
+        state = ServerState(init_params(MLP, cfg.seed), history_len=cfg.history_len)
+        for _ in iter_rounds(MLP, cfg, ds, 8, CommLedger(), state):
+            # In place, after each round is stored or replayed: the state's
+            # model is its own writable array.
+            final = state.global_params.tobytes()
+            state.global_params[:] = 0.0
+            state.global_params[:] = np.frombuffer(final)
+        assert state.global_params.tobytes() == expected[1]
+        state.global_params[:] = np.nan
+        for model in state.history:
+            model[:] = np.nan
+    assert replay_cell(PolicyConfig("full"), "carry_forward", ds) == expected
+
+
+def test_a_tiny_replay_table_stops_storing_bitwise(monkeypatch):
+    import weakref
+
+    import fedsample.engine as engine
+
+    cold = [replay_cell(policy, mode, small_dataset()) for policy, mode in REPLAY_CELLS]
+    entry = 2 * MLP.param_count * 8 + 8 * 5  # round 0: its start, next model, 5 stats
+    cap = entry + 2 * (MLP.param_count * 8 + 8 * 5)  # and two more rounds
+    monkeypatch.setattr(engine, "_REPLAY_BYTES", cap)
+    # The cap counts every live table: start from none.
+    monkeypatch.setattr(engine, "_REPLAYS", weakref.WeakKeyDictionary())
+    ds = small_dataset()
+    assert [replay_cell(policy, mode, ds) for policy, mode in REPLAY_CELLS] == cold
+    # Rounds 0-2 of full, never evicted; each later round's start is the
+    # stored model of the round before.
+    assert stored_rounds(ds) == [0, 1, 2]
+    table = engine._REPLAYS[ds]
+    assert table.nbytes == cap
+    entries = [e for t in range(3) for key, es in table.items() if key[-1] == t for e in es]
+    assert entries[1][0] is entries[0][2] and entries[2][0] is entries[1][2]
+    assert not any(a.flags.writeable for e in entries for a in (e[0], e[2]))
+    arrays = {id(a): a for e in entries for a in (e[0], e[2])}
+    assert sum(a.nbytes for a in arrays.values()) + sum(8 * len(e[1]) for e in entries) == cap
