@@ -1124,3 +1124,38 @@ def test_a_tiny_replay_table_stops_storing_bitwise(monkeypatch):
     assert not any(a.flags.writeable for e in entries for a in (e[0], e[2]))
     arrays = {id(a): a for e in entries for a in (e[0], e[2])}
     assert sum(a.nbytes for a in arrays.values()) + sum(8 * len(e[1]) for e in entries) == cap
+
+
+def test_threads_sharing_a_replay_table_stay_bitwise():
+    # More threads than cores, switching often, on one dataset: every cell
+    # still equals its cold run, and the table's charge is what its entries
+    # hold.
+    import sys
+    import threading
+
+    import fedsample.engine as engine
+
+    cells = REPLAY_CELLS * 2
+    cold = [replay_cell(policy, mode, small_dataset()) for policy, mode in cells]
+    ds = small_dataset()
+    warm = [None] * len(cells)
+
+    def run(i):
+        warm[i] = replay_cell(*cells[i], ds)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cells))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert warm == cold
+    entries = [e for es in engine._REPLAYS[ds].values() for e in es]
+    arrays = {id(a): a for e in entries for a in (e[0], e[2])}
+    assert engine._REPLAYS[ds].nbytes == (sum(a.nbytes for a in arrays.values())
+                                          + sum(8 * len(e[1]) for e in entries))
