@@ -25,11 +25,9 @@ from .engine import (
     ServerState,
     UpdateMessage,
     aggregate,
-    broadcast_bytes,
     client_train_seed,
     format_metrics_row,
     iter_rounds,
-    message_bytes,
     run_experiment,
     run_round,
     select_clients,
@@ -77,7 +75,6 @@ __all__ = [
     "UpdateMessage",
     "aggregate",
     "band_fraction",
-    "broadcast_bytes",
     "client_train_seed",
     "compute_adaptive_threshold",
     "decode",
@@ -94,7 +91,6 @@ __all__ = [
     "local_train",
     "loss_and_grad",
     "train_clients",
-    "message_bytes",
     "run_experiment",
     "run_round",
     "seed_sequence",

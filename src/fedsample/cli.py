@@ -41,7 +41,7 @@ from .engine import METRICS_HEADER, CommLedger, _ou_fit, format_metrics_row, ite
 from .errors import ConfigError, NumericError
 from .models import init_params, local_train
 from .policies import POLICY_KINDS, POLICY_PARAMS, PolicyConfig
-from .seeding import seed_sequence, sha256
+from .seeding import _first_uint64, seed_sequence, sha256
 
 TRUNCATION_MARKER = "TRUNCATED"
 
@@ -291,10 +291,9 @@ def cmd_sweep(args) -> int:
 
 
 def demo_train_seed(seed: int) -> int:
-    """Seed stream for the central demo trainer, joined from two 32-bit
-    words as ``engine.client_train_seed`` joins its own."""
-    low, high = seed_sequence(seed, "demo").generate_state(2).tolist()
-    return low | high << 32
+    """Seed for the central demo trainer: its stream's first uint64, as
+    ``engine.client_train_seed`` takes its own."""
+    return _first_uint64(seed_sequence(seed, "demo"))
 
 
 def cmd_ou_demo(args) -> int:

@@ -32,7 +32,9 @@ an error store nothing, and stores stop at ``_REPLAY_BYTES``.
 
 Byte accounting is exact and single-precision-based regardless of the
 double-precision arithmetic: 4 bytes per parameter, 8 bytes per sample
-count, 4 bytes per reported scalar or broadcast threshold.
+count, 4 bytes per reported scalar or broadcast threshold. ``_round_bytes``
+gives a round's totals from its selected and sender counts, for computed and
+replayed rounds alike.
 
 Determinism contract: every random draw comes from a stream derived from
 (seed, purpose, round, client), so concurrent client execution and rerun
@@ -79,7 +81,7 @@ from .policies import (
     compute_adaptive_threshold,
     local_decide,
 )
-from .seeding import check_seed, derive_rng, memoized, seed_sequence
+from .seeding import _first_uint64, check_seed, derive_rng, memoized, seed_sequence
 
 PARAM_BYTES = 4      # single-precision payload accounting
 COUNT_BYTES = 8      # n_i attached to every message
@@ -225,10 +227,9 @@ def select_clients(
 
 def client_train_seed(seed: int, round_idx: int, client_id: int) -> int:
     """Stable integer seed for one client's local work in one round: the
-    stream's first two 32-bit words, low word first (its first uint64).
-    ``run_round`` memoizes a round's seeds with its ids."""
-    low, high = seed_sequence(seed, "train", round_idx, client_id).generate_state(2).tolist()
-    return low | high << 32
+    stream's first uint64. ``run_round`` memoizes a round's seeds with its
+    ids."""
+    return _first_uint64(seed_sequence(seed, "train", round_idx, client_id))
 
 
 def _round_draws(n_clients: int, fraction: float, round_idx: int, seed: int) -> np.ndarray:
@@ -237,18 +238,14 @@ def _round_draws(n_clients: int, fraction: float, round_idx: int, seed: int) -> 
     return np.array([ids, [client_train_seed(seed, round_idx, k) for k in ids]], np.uint64)
 
 
-def message_bytes(msg: UpdateMessage, n_params: int) -> int:
-    """Uplink cost of one client message."""
-    if n_params < 1:
-        raise ValueError("n_params must be >= 1")
-    if msg.ack:
-        return PARAM_BYTES * n_params + COUNT_BYTES
-    return COUNT_BYTES
-
-
-def broadcast_bytes(n_params: int, n_receivers: int) -> int:
-    """Downlink cost of sending the model to the selected clients."""
-    return PARAM_BYTES * n_params * n_receivers
+def _round_bytes(n_params: int, selected: int, senders: int,
+                 adaptive: bool) -> tuple[int, int]:
+    """A round's (uplink, downlink) bytes: every selected client receives the
+    model and uploads its sample count, a sender its model too, and an
+    adaptive policy adds one scalar each way per selected client."""
+    scalars = SCALAR_BYTES * selected if adaptive else 0
+    return (PARAM_BYTES * n_params * senders + COUNT_BYTES * selected + scalars,
+            PARAM_BYTES * n_params * selected + scalars)
 
 
 def _ou_fit(values: np.ndarray, dt: float, what: str) -> OUFit:
@@ -290,8 +287,7 @@ def server_estimate(
         fit = _ou_fit(np.stack(state.history), 1.0, f"the model history at round {state.round}")
         live = ~fit.flagged
         est = theta.copy()
-        sub = fit.columns(live)
-        est[live] = decode(theta[live], sub.lam, sub.mu, 1.0)
+        est[live] = decode(theta[live], fit.lam[live], fit.mu[live], 1.0)
         state.ou_estimate = est
     return state.ou_estimate, False
 
@@ -322,8 +318,8 @@ _REPLAY_LOCK = threading.Lock()
 
 
 class _Replays(dict):
-    """One dataset's table: key -> entries (start, stats, next model, message
-    bytes, test_acc, test_loss), arrays read-only; ``nbytes``: their charge."""
+    """One dataset's table: key -> entries (start, stats, next model,
+    test_acc, test_loss), arrays read-only; ``nbytes``: their charge."""
 
     nbytes = 0
 
@@ -363,11 +359,8 @@ def run_round(
     policy = config.policy
     t = state.round
     start = state.global_params
-    n_params = start.size
     ids, seeds = memoized(_round_draws, config.n_clients, config.client_fraction,
                           t, config.seed).tolist()
-    downlink = broadcast_bytes(n_params, len(ids))
-    uplink = 0
 
     track = config.track if policy.needs_band_fraction else None
     key = (model, config.n_clients, config.client_fraction, config.epochs,
@@ -420,9 +413,7 @@ def run_round(
 
     threshold = policy.fixed_threshold
     if policy.adaptive:
-        uplink += SCALAR_BYTES * len(ids)
         threshold = compute_adaptive_threshold(np.array(stats))
-        downlink += SCALAR_BYTES * len(ids)
 
     sends = [local_decide(policy, stat, threshold, derive_rng(config.seed, "decide", t, k)
                           if policy.kind == "random" else None)
@@ -430,15 +421,13 @@ def run_round(
     senders = [k for k, send in zip(ids, sends) if send]
     ou_fallback = False
     if hit and len(senders) == len(ids):
-        new_params, sent, test_acc, test_loss = hit[2].copy(), *hit[3:]
+        new_params, test_acc, test_loss = hit[2].copy(), *hit[3:]
         state.advance(new_params)
     else:
         trained = trained or train()
         estimates: list[tuple[np.ndarray, int]] = []
-        sent = 0
         for k, rep, send in zip(ids, trained, sends):
             msg = UpdateMessage(k, rep.n_samples, rep.params_after if send else None)
-            sent += message_bytes(msg, n_params)
             est, fell_back = server_estimate(msg, state, config.nack_estimate_mode)
             ou_fallback = ou_fallback or fell_back
             estimates.append((est, rep.n_samples))
@@ -451,8 +440,8 @@ def run_round(
         state.advance(new_params)
         test_acc, test_loss = evaluate(model, new_params, *dataset.test_set)
         if not hit and len(senders) == len(ids):
-            _store(dataset, key, start, stats, new_params, (sent, test_acc, test_loss))
-    uplink += sent
+            _store(dataset, key, start, stats, new_params, (test_acc, test_loss))
+    uplink, downlink = _round_bytes(start.size, len(ids), len(senders), policy.adaptive)
     ledger.append(len(ids), len(senders), uplink, downlink)
     return RoundReport(
         round_idx=t,

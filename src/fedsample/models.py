@@ -111,11 +111,6 @@ class ModelSpec:
         """Per-layer reshaped views into a flat parameter vector (no copies)."""
         return self._views(theta, ndim=1)
 
-    def stack_views(self, thetas: np.ndarray) -> dict[str, np.ndarray]:
-        """Per-layer views into a ``(G, param_count)`` stack of parameter
-        vectors; each view has a leading axis of G (no copies)."""
-        return self._views(thetas, ndim=2)
-
     def _views(self, theta: np.ndarray, ndim: int) -> dict[str, np.ndarray]:
         if theta.ndim != ndim or theta.shape[-1] != self.param_count:
             raise ValueError(

@@ -28,11 +28,12 @@ verdicts cannot decide is fitted alone by the two-pass fit: it takes
 ``band_fraction(p[-1], fit_ou_ls_columns(p, 1.0))``, or that fit's
 ValueError.
 The process, lam = -ln(a) / dt, mu = b / (1 - a) and sigma = resid_sd *
-sqrt(-2 * ln(a) / (dt * (1 - a^2))), is derived on first read of
-``fit.lam``, ``fit.mu`` or ``fit.sigma``; ``decode(theta_ref, lam, mu,
-elapsed)`` gives conditional-mean estimates from it. Only there do
-``math.log`` and ``math.exp`` run, element by element: numpy's vectorised
-log and exp can differ from them in the last bit.
+sqrt(-2 * ln(a) / (dt * (1 - a^2))), is derived once per fit, when
+``fit_ou_ls_columns`` checks it, and kept as ``fit.lam``, ``fit.mu`` and
+``fit.sigma``; ``decode(theta_ref, lam, mu, elapsed)`` gives
+conditional-mean estimates from it. Only there do ``math.log`` and
+``math.exp`` run, element by element: numpy's vectorised log and exp can
+differ from them in the last bit.
 """
 
 from __future__ import annotations
@@ -221,6 +222,8 @@ def fit_ou_ls_columns(values: np.ndarray, dt: float) -> OUFit:
 
     Raises ValueError for non-finite input, else when a fit statistic of an
     unflagged column overflows to a non-finite value (lam or mu before sigma).
+    That check derives the process, so the returned fit holds ``lam``,
+    ``mu`` and ``sigma`` already.
     """
     # C order: numpy sums a Fortran-ordered array's columns in another order.
     values = np.ascontiguousarray(values, dtype=np.float64)
@@ -237,15 +240,10 @@ def fit_ou_ls_columns(values: np.ndarray, dt: float) -> OUFit:
             raise ValueError("trajectory values must be finite")
         # Slopes >= 1 are non-reverting, slopes <= 0 (clamped) degenerate.
         fit = OUFit(a, b, resid_sd, n, dt, degenerate | (a <= 0.0), a >= 1.0)
-        # An unflagged slope is NaN (so is mu) or in (0, 1), where -2 ln(a) <
-        # 1490: where mu and this bound of sigma are finite, so are lam and
-        # sigma, known without a log. Elsewhere they are derived and checked.
-        sigma_bound = resid_sd * np.sqrt(1490.0 / (dt * (1.0 - a * a)))
-        if not np.all(fit.flagged | (np.isfinite(fit.mu) & np.isfinite(sigma_bound))):
-            if not np.all(fit.flagged | (np.isfinite(fit.lam) & np.isfinite(fit.mu))):
-                raise ValueError("lam and mu must be finite")
-            if not np.all(fit.flagged | (np.isfinite(fit.sigma) & (fit.sigma >= 0.0))):
-                raise ValueError("sigma must be finite and >= 0")
+        if not np.all(fit.flagged | (np.isfinite(fit.lam) & np.isfinite(fit.mu))):
+            raise ValueError("lam and mu must be finite")
+        if not np.all(fit.flagged | (np.isfinite(fit.sigma) & (fit.sigma >= 0.0))):
+            raise ValueError("sigma must be finite and >= 0")
     return fit
 
 
@@ -270,8 +268,8 @@ def decode(theta_ref, lam, mu, elapsed: float):
         exp(-lam * elapsed) * theta_ref + (1 - exp(-lam * elapsed)) * mu
 
     Floats give a float; arrays (one theta_ref, lam and mu per process, as
-    ``fit.columns(live)`` holds them) give an array. Every process must
-    have finite lam and mu.
+    ``fit.lam[live]`` and ``fit.mu[live]`` hold them) give an array. Every
+    process must have finite lam and mu.
     """
     theta = np.asarray(theta_ref, dtype=np.float64)
     if not (np.isfinite(theta).all() and math.isfinite(elapsed)):

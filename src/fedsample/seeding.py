@@ -81,6 +81,12 @@ def seed_sequence(*parts: int | str) -> np.random.SeedSequence:
     return np.random.SeedSequence(np.array(words, dtype=np.uint32))
 
 
+def _first_uint64(stream: np.random.SeedSequence) -> int:
+    """The stream's first uint64: its first two 32-bit words, low word first."""
+    low, high = stream.generate_state(2).tolist()
+    return low | high << 32
+
+
 def derive_rng(*parts: int | str) -> np.random.Generator:
     """Return a Generator for the named stream.
 

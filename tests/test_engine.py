@@ -12,22 +12,23 @@ import pytest
 from fedsample.data import FederatedDataset, synth_blobs
 from fedsample.engine import (
     METRICS_HEADER,
+    NACK_MODES,
     CommLedger,
     RoundConfig,
     ServerState,
     UpdateMessage,
+    _round_bytes,
     aggregate,
-    broadcast_bytes,
     client_train_seed,
     format_metrics_row,
     iter_rounds,
-    message_bytes,
     run_experiment,
     select_clients,
     server_estimate,
 )
 from fedsample.errors import NumericError
 from fedsample.models import ModelSpec, init_params, loss_and_grad
+from fedsample.ou import decode, fit_ou_ls_columns, simulate_ou
 from fedsample.policies import PolicyConfig
 from fedsample.seeding import derive_rng, seed_sequence
 
@@ -89,12 +90,13 @@ def test_stream_labels_hash_to_stable_words():
         assert np.array_equal(stream.generate_state(8), reference.generate_state(8))
 
 
-def test_message_bytes_closed_forms():
-    ack = UpdateMessage(client_id=0, n_samples=5, params=np.zeros(101770))
-    nack = UpdateMessage(client_id=1, n_samples=5)
-    assert message_bytes(ack, 101770) == 407_088
-    assert message_bytes(nack, 101770) == 8
-    assert broadcast_bytes(1000, 7) == 4 * 1000 * 7
+def test_round_bytes_closed_forms():
+    # At P = 101,770 an ACK costs 407,088 bytes up and a NACK 8; each selected
+    # client receives the model, and an adaptive round adds 4 bytes each way.
+    assert _round_bytes(101770, 1, 1, False) == (407_088, 407_080)
+    assert _round_bytes(101770, 1, 0, False) == (8, 407_080)
+    assert _round_bytes(1000, 7, 0, False) == (7 * 8, 4 * 1000 * 7)
+    assert _round_bytes(101770, 3, 2, True) == (2 * 407_088 + 8 + 3 * 4, 3 * 407_080 + 3 * 4)
 
 
 # ---------------------------------------------------------------- aggregation
@@ -184,6 +186,30 @@ def test_estimate_ou_decode_overflowing_fit_is_numeric_error():
     state.global_params = history[-1].copy()
     with pytest.raises(NumericError, match="OU fit"):
         server_estimate(UpdateMessage(0, 3), state, "ou_decode")
+
+
+def test_ou_decode_stand_in_reads_the_fit_bitwise():
+    # Columns: constant (degenerate), alternating (slope <= 0, degenerate),
+    # doubling (non-reverting) and three mean-reverting paths (live). The
+    # stand-in keeps theta where the fit is flagged and decodes the live
+    # columns from the process of their own sub-fit, bit for bit.
+    t = np.arange(8.0)
+    paths = [np.full(8, 1.5), (-1.0) ** t, 2.0**t]
+    paths += [simulate_ou(0.5, mu, 0.3, 0.0, 1.0, 7, seed=s)
+              for s, mu in enumerate((0.5, -1.0, 2.0))]
+    history = np.column_stack(paths)
+    state = make_state(p=history.shape[1], history=history)
+    state.global_params = state.history[-1].copy()
+    est, fell = server_estimate(UpdateMessage(0, 5), state, "ou_decode")
+    assert not fell
+
+    fit = fit_ou_ls_columns(history, 1.0)
+    live = ~fit.flagged
+    assert fit.degenerate[:2].all() and fit.non_reverting[2] and live[3:].all()
+    theta = state.global_params
+    sub = fit.columns(live)
+    assert est[~live].tobytes() == theta[~live].tobytes()
+    assert est[live].tobytes() == decode(theta[live], sub.lam, sub.mu, 1.0).tobytes()
 
 
 def test_estimate_rejects_bad_payload_and_mode():
@@ -278,12 +304,29 @@ def test_ft_infinite_gamma_freezes_model():
     assert np.array_equal(state.global_params, start)
 
 
-def test_ledger_conservation_and_closed_form():
+def test_ledger_conservation_and_closed_form(monkeypatch):
+    # Every policy under both NACK modes on one dataset, so that later cells
+    # replay the all-send rounds earlier ones stored: replayed rounds must
+    # meet the closed form as computed ones do.
+    import fedsample.engine as engine
+
+    trainings = []
+    train_clients = engine.train_clients
+
+    def counted(*args, **kwargs):
+        trainings.append(1)
+        return train_clients(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "train_clients", counted)
     ds = small_dataset()
     p = MODEL.param_count
-    for policy in (PolicyConfig("ft", gamma=0.2), PolicyConfig("at"),
-                   PolicyConfig("random", q=0.5)):
-        reports, ledger = run_experiment(MODEL, config(policy), ds, rounds=4)
+    cells = list(itertools.product(
+        (PolicyConfig("full"), PolicyConfig("random", q=0.5), PolicyConfig("ft", gamma=0.2),
+         PolicyConfig("at"), PolicyConfig("ou", r=0.5), PolicyConfig("aou")),
+        NACK_MODES))
+    for policy, mode in cells:
+        reports, ledger = run_experiment(MODEL, config(policy, nack_estimate_mode=mode),
+                                         ds, rounds=4)
         assert ledger.rounds == len(reports) == 4
         cum = list(itertools.accumulate(rep.uplink_bytes for rep in reports))
         assert cum == [rep.cum_uplink_bytes for rep in reports]
@@ -298,6 +341,7 @@ def test_ledger_conservation_and_closed_form():
             assert rep.downlink_bytes == expected_down
         assert reports[-1].cum_uplink_bytes == ledger.total_uplink
         assert ledger.total_downlink == sum(rep.downlink_bytes for rep in reports)
+    assert len(trainings) < 4 * len(cells)  # some rounds were replayed
 
 
 def test_comm_ledger_keeps_running_totals():
@@ -809,7 +853,8 @@ def test_ou_decode_estimates_once_per_round(monkeypatch):
 
 def test_band_rounds_map_no_log(monkeypatch):
     # The band is closed-form in the regression: the per-element math.log
-    # map runs only where a rate is asked for, which is the server's decode.
+    # map runs only where the process is derived, which is the check of each
+    # fit, and in band rounds only the server's decode fits.
     import fedsample.ou as ou
 
     maps = []

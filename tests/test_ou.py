@@ -177,9 +177,10 @@ def test_fit_expanding_path_is_non_reverting():
 
 
 def test_fit_checks_lam_and_sigma_where_the_log_free_bound_fails():
-    # At dt = 1e-306 the fit's log-free bound of sigma overflows, yet lam
-    # and sigma are finite: the fit stands. Below, each overflows in turn
-    # and the fit fails with its own message.
+    # The fit checks the lam and sigma it derives, not a log-free bound of
+    # them: at dt = 1e-306 the bound resid_sd * sqrt(1490 / (dt * (1 - a^2)))
+    # overflows, yet lam and sigma are finite, and the fit stands. Below,
+    # each overflows in turn and the fit fails with its own message.
     path = simulate_ou(1.0, 0.5, 0.2, 0.0, 0.1, 50, seed=3)[:, None]
     fit = fit_ou_ls_columns(path, dt=1e-306)
     assert not fit.flagged.any()
