@@ -15,20 +15,18 @@ It gives each client its statistic or its own fit's error, so that the
 round raises the error, and the client, that fitting client by client
 would.
 
-The round's policy-independent draws, its selected ids and their train
-seeds, are memoized by ``(K, C, round, seed)`` through
-``seeding.memoized``; a miss calls ``select_clients`` and
-``client_train_seed``. Cells of one seed that run in one process, such as a
-sweep's policies, draw them once.
-
-A round in which every selected client sends is kept in its dataset's table
-under what alone fixes its outcome: the model, K, C, E, B, eta, seed, the
-track spec training used, the round and the start model's bits. A later
-round with that key runs its own policy's checks and decisions on the stored
-statistics; if it too sends everyone, it takes a copy of the stored model,
-accuracy and loss, and trains, aggregates and evaluates nothing. A table
-dies with its dataset, whose arrays must not change. Rounds with a NACK or
-an error store nothing, and stores stop at ``_REPLAY_BYTES``.
+Cells of one seed on one dataset object, such as a sweep's policies,
+share the dataset's ``seeding.shared_table``, which ``run_round`` looks up
+once and hands the trainer for its shuffle orders. It memoizes the round's
+policy-independent draws, its selected ids and their train seeds, by
+``(K, C, round, seed)``; a miss calls ``select_clients`` and
+``client_train_seed``. It also keeps each round in which every selected
+client sends, under what alone fixes its outcome: the model, K, C, E, B,
+eta, seed, the track spec training used, the round and the start model's
+bits. A later round with that key runs its own policy's checks and
+decisions on the stored statistics; if it too sends everyone, it takes a
+copy of the stored model, accuracy and loss, and trains, aggregates and
+evaluates nothing. Rounds with a NACK or an error store nothing.
 
 Byte accounting is exact and single-precision-based regardless of the
 double-precision arithmetic: 4 bytes per parameter, 8 bytes per sample
@@ -57,8 +55,6 @@ bitwise, so zero-sender rounds cannot drift the model.
 from __future__ import annotations
 
 import math
-import threading
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,7 +77,8 @@ from .policies import (
     compute_adaptive_threshold,
     local_decide,
 )
-from .seeding import _first_uint64, check_seed, derive_rng, memoized, seed_sequence
+from .seeding import (_first_uint64, check_seed, derive_rng, memoized, seed_sequence,
+                      shared_table, store)
 
 PARAM_BYTES = 4      # single-precision payload accounting
 COUNT_BYTES = 8      # n_i attached to every message
@@ -309,24 +306,6 @@ def aggregate(estimates: list[tuple[np.ndarray, int]]) -> np.ndarray:
     return anchor + acc
 
 
-# The replay tables hold at most this many bytes (16 MiB) over all live
-# datasets, an entry charged its new arrays' bytes and 8 per statistic. Once
-# full they store no more and evict nothing: the first rounds, which cells
-# share, stay.
-_REPLAY_BYTES = 1 << 24
-_REPLAY_LOCK = threading.Lock()
-
-
-class _Replays(dict):
-    """One dataset's table: key -> entries (start, stats, next model,
-    test_acc, test_loss), arrays read-only; ``nbytes``: their charge."""
-
-    nbytes = 0
-
-
-_REPLAYS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _find(entries, at: int, params: np.ndarray) -> tuple | None:
     """The entry whose array ``at`` has the bits of ``params``, if any."""
     return next((e for e in entries if e[at].dtype == params.dtype
@@ -334,18 +313,18 @@ def _find(entries, at: int, params: np.ndarray) -> tuple | None:
                 None)
 
 
-def _store(dataset, key, start, stats, new_params, outcome) -> None:
-    """Keep a computed all-send round while the cap allows. Its start is the
-    previous round's stored model when it has those bits."""
-    with _REPLAY_LOCK:
-        table = _REPLAYS.setdefault(dataset, _Replays())
-        prev = _find(table.get(key[:-1] + (key[-1] - 1,), ()), 2, start)
-        charge = new_params.nbytes + (prev is None) * start.nbytes + 8 * len(stats)
-        if sum(t.nbytes for t in _REPLAYS.values()) + charge <= _REPLAY_BYTES:
-            start, new_params = (start.copy() if prev is None else prev[2]), new_params.copy()
-            start.flags.writeable = new_params.flags.writeable = False
-            table.setdefault(key, []).append((start, tuple(stats), new_params, *outcome))
-            table.nbytes += charge
+def _store(table, key, start, stats, new_params, outcome) -> None:
+    """Add a computed all-send round to ``key``'s entries (start, stats, next
+    model, test_acc, test_loss), arrays read-only, charged their new arrays'
+    bytes and 8 per statistic. Its start is the previous round's stored
+    model when that has its bits."""
+    prev = _find(table.get(key[:-1] + (key[-1] - 1,), ()), 2, start)
+    charge = new_params.nbytes + (prev is None) * start.nbytes + 8 * len(stats)
+    start, new_params = (start.copy() if prev is None else prev[2]), new_params.copy()
+    start.flags.writeable = new_params.flags.writeable = False
+    entries = table.get(key)
+    store(table, key, (*(entries or ()), (start, tuple(stats), new_params, *outcome)), charge,
+          entries)
 
 
 def run_round(
@@ -359,18 +338,19 @@ def run_round(
     policy = config.policy
     t = state.round
     start = state.global_params
-    ids, seeds = memoized(_round_draws, config.n_clients, config.client_fraction,
+    table = shared_table(dataset)
+    ids, seeds = memoized(table, _round_draws, config.n_clients, config.client_fraction,
                           t, config.seed).tolist()
 
     track = config.track if policy.needs_band_fraction else None
     key = (model, config.n_clients, config.client_fraction, config.epochs,
            config.batch_size, config.eta, config.seed, track, t)
-    hit = _find(_REPLAYS.get(dataset, {}).get(key, ()), 0, start)
+    hit = _find(table.get(key, ()), 0, start)
 
     def train():
         return train_clients(model, start, [dataset.clients[k] for k in ids], seeds,
                              epochs=config.epochs, batch_size=config.batch_size,
-                             eta=config.eta, track=track)
+                             eta=config.eta, track=track, table=table)
 
     trained = None if hit else train()
     # Each client's decision statistic, or the error that its round raises.
@@ -440,7 +420,7 @@ def run_round(
         state.advance(new_params)
         test_acc, test_loss = evaluate(model, new_params, *dataset.test_set)
         if not hit and len(senders) == len(ids):
-            _store(dataset, key, start, stats, new_params, (test_acc, test_loss))
+            _store(table, key, start, stats, new_params, (test_acc, test_loss))
     uplink, downlink = _round_bytes(start.size, len(ids), len(senders), policy.adaptive)
     ledger.append(len(ids), len(senders), uplink, downlink)
     return RoundReport(

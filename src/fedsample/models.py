@@ -399,6 +399,7 @@ def train_clients(
     batch_size: int,
     eta: float,
     track: None | str | int = None,
+    table: dict | None = None,
 ) -> list[LocalTrainReport | NumericError]:
     """E epochs of mini-batch SGD from ``start`` for each client.
 
@@ -407,9 +408,11 @@ def train_clients(
     over its actual size. Deterministic given the client's seed: the
     permutation for epoch e comes from a stream derived from
     (seed, "shuffle", e), so clients cannot perturb each other. A lockstep
-    chunk's permutations are one read-only (E, G, n) block, memoized by
-    (E, n, the chunk's seeds) through ``seeding.memoized``, so a later call
-    with the same seeds, as another cell of the same seed makes, draws none.
+    chunk's permutations are one read-only (E, G, n) block. ``table``, the
+    dataset's ``seeding.shared_table`` that the engine passes, keeps each
+    block by (E, n, the chunk's seeds), so a later call with the same seeds
+    and table, as another cell of the same seed makes, draws none; it
+    changes no output. Without one nothing is kept.
 
     Entry i is client i's report, or the NumericError its training raised:
     "non-finite parameters" at the step that would start from them, or
@@ -441,7 +444,7 @@ def train_clients(
                 chunk = members[lo : lo + width]
                 results = _train_chunk(
                     spec, start, [batches[i] for i in chunk], [seeds[i] for i in chunk],
-                    epochs, batch_size, eta, track, scratch,
+                    epochs, batch_size, eta, track, scratch, table,
                 )
                 for i, result in zip(chunk, results):
                     out[i] = result
@@ -467,6 +470,7 @@ def _train_chunk(
     eta: float,
     track: None | str | int,
     scratch: dict,
+    table: dict | None,
 ) -> list[LocalTrainReport | NumericError]:
     """Lockstep SGD of equal-size clients on a (G, P) parameter stack.
 
@@ -505,7 +509,7 @@ def _train_chunk(
     # last batch of an epoch may be short).
     cuts = [(lo, lo % block, lo % block + min(batch_size, n - lo))
             for lo in range(0, n, batch_size)]
-    orders = memoized(_shuffle_orders, epochs, n, *seeds)
+    orders = memoized(table, _shuffle_orders, epochs, n, *seeds)
     out: list[LocalTrainReport | NumericError | None] = [None] * rows  # a failed row's error
     step = 0  # lockstep steps taken
     for epoch, (lo, b, e) in itertools.product(range(epochs), cuts):

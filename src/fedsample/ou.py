@@ -94,11 +94,16 @@ class OUFit:
         return int(np.size(self.a))
 
     def columns(self, index) -> OUFit:
-        """The fit of the columns ``index`` selects (an int gives scalar fields)."""
-        return OUFit(
+        """The fit of the columns ``index`` selects (an int gives scalar
+        fields), with what this fit has derived of them: the derivation is
+        element-wise, so those are the bits the sub-fit would derive."""
+        fit = OUFit(
             self.a[index], self.b[index], self.resid_sd[index], self.n_points, self.dt,
             self.degenerate[index], self.non_reverting[index],
         )
+        for name in vars(self).keys() - vars(fit).keys():  # the cached properties
+            vars(fit)[name] = vars(self)[name][..., index]
+        return fit
 
     @cached_property
     def mu(self) -> np.ndarray:
@@ -107,14 +112,14 @@ class OUFit:
             return np.where(np.isnan(self.a) | (self.a == 1.0), np.nan, self.b / (1.0 - a_eff))
 
     @cached_property
-    def _lam_sigma(self) -> tuple[np.ndarray, np.ndarray]:
+    def _lam_sigma(self) -> np.ndarray:
         a_eff = np.where(self.a <= 0.0, _SLOPE_FLOOR, self.a)
         rated = ~(self.non_reverting | np.isnan(self.a))
         with np.errstate(all="ignore"):
             log_a = _elementwise(math.log, np.where(rated, a_eff, np.nan))
             lam = np.where(rated, -log_a / self.dt, np.nan)
             sigma = self.resid_sd * np.sqrt(-2.0 * log_a / (self.dt * (1.0 - a_eff * a_eff)))
-        return lam, sigma
+        return np.array([lam, sigma])
 
     lam = property(lambda self: self._lam_sigma[0])
     sigma = property(lambda self: self._lam_sigma[1])

@@ -14,14 +14,16 @@ distinct seeds never share a stream. A stream is numpy's SeedSequence
 a value below 2**32: the stream ``np.random.SeedSequence([value, ...])``
 gives, fixed by numpy's stream policy (NEP 19).
 
-``memoized`` keeps what pure functions of streams return, so that the
-cells of one seed in one process build their shared draws once.
+What the cells of one seed share is kept in their dataset's table
+(``shared_table``): ``memoized`` keeps there what pure functions of streams
+return, and the engine its all-send rounds, through ``store``.
 """
 
 from __future__ import annotations
 
 import functools
 import threading
+import weakref
 
 import numpy as np
 
@@ -96,47 +98,55 @@ def derive_rng(*parts: int | str) -> np.random.Generator:
     return np.random.default_rng(seed_sequence(*parts))
 
 
-# The memo of stream draws holds at most this many bytes (16 MiB): each
-# entry is charged its array's bytes, 64 per key part and _ENTRY_BYTES for
-# the rest, and the oldest entries are evicted first.
-_MEMO_BYTES = 1 << 24
-_ENTRY_BYTES = 512
+# The tables hold at most this many bytes (16 MiB) over every live table.
+# Once full they store nothing more and evict nothing: the first rounds,
+# which the cells of a seed share, stay.
+_TABLE_BYTES = 1 << 24
+_TABLE_LOCK = threading.Lock()
 
 
-class _Memo(dict):
-    """(build, *args) -> build(*args), read-only, oldest first; ``nbytes``
-    is the entries' charge in all."""
+class _Table(dict):
+    """One dataset's shared entries, read-only; ``nbytes`` is their charge."""
 
     nbytes = 0
 
-    def clear(self) -> None:
-        super().clear()
-        self.nbytes = 0
+
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-_MEMO = _Memo()
-_MEMO_LOCK = threading.Lock()
+def shared_table(owner) -> _Table:
+    """The table of ``owner`` (a dataset, whose arrays must not change),
+    made on first use; it dies with ``owner``."""
+    with _TABLE_LOCK:
+        return _TABLES.setdefault(owner, _Table())
+
+
+def store(table: _Table, key, value, charge: int, was=None) -> None:
+    """Set ``table[key] = value``, charged ``charge`` bytes more, if ``key``
+    still holds ``was`` (None: nothing) and every live table's charge stays
+    within ``_TABLE_BYTES``."""
+    with _TABLE_LOCK:
+        if (table.get(key) is was
+                and sum(t.nbytes for t in _TABLES.values()) + charge <= _TABLE_BYTES):
+            table[key] = value
+            table.nbytes += charge
 
 
 def _charge(key: tuple, value: np.ndarray) -> int:
-    return value.nbytes + 64 * len(key) + _ENTRY_BYTES
+    """An array entry's charge: its bytes, 64 per key part, 512 for the rest."""
+    return value.nbytes + 64 * len(key) + 512
 
 
-def memoized(build, *args) -> np.ndarray:
+def memoized(table: _Table | None, build, *args) -> np.ndarray:
     """``build(*args)``, an array drawn from streams that ``args`` name, made
-    read-only. It is built once and shared by later calls with the same
-    ``build`` and args while the memo has room; an error is never kept."""
+    read-only. Given a table, it is kept there under ``(build, *args)`` while
+    the budget has room, and later calls with that table share it; an error
+    is never kept."""
     key = (build, *args)
-    value = _MEMO.get(key)
+    value = None if table is None else table.get(key)
     if value is None:
         value = build(*args)
         value.flags.writeable = False
-        charge = _charge(key, value)
-        with _MEMO_LOCK:
-            if key not in _MEMO and charge <= _MEMO_BYTES:
-                while _MEMO.nbytes + charge > _MEMO_BYTES:
-                    old = next(iter(_MEMO))
-                    _MEMO.nbytes -= _charge(old, _MEMO.pop(old))
-                _MEMO[key] = value
-                _MEMO.nbytes += charge
+        if table is not None:
+            store(table, key, value, _charge(key, value))
     return value

@@ -433,8 +433,8 @@ def test_experiment_is_deterministic_to_the_byte():
     cfg = config(PolicyConfig("at"))
     rows = []
     for _ in range(2):
-        # A dataset object of its own, so that no run replays the other's
-        # all-send rounds.
+        # A dataset object of its own, so that no run reads the other's
+        # table: its draws, shuffle orders or all-send rounds.
         reports, _ = run_experiment(MODEL, cfg, small_dataset(), rounds=4)
         rows.append([format_metrics_row(r, cfg.policy.label, cfg.seed) for r in reports])
     assert rows[0] == rows[1]
@@ -549,8 +549,8 @@ def test_resume_from_a_copied_state_is_bitwise(policy, mode):
                  nack_estimate_mode=mode, seed=3)
 
     def run(rounds, state=None, ledger=None):
-        # Each run on a dataset object of its own: none replays another's
-        # all-send rounds.
+        # Each run on a dataset object of its own: none reads another's
+        # table of draws, shuffle orders and all-send rounds.
         state = state or ServerState(init_params(MLP, cfg.seed), history_len=cfg.history_len)
         ledger = ledger or CommLedger()
         return (list(iter_rounds(MLP, cfg, small_dataset(), rounds, ledger, state=state)),
@@ -881,22 +881,24 @@ def test_band_rounds_map_no_log(monkeypatch):
     assert [(logs, exps) for logs, exps, _ in per_round[:2]] == [(0, 0), (0, 0)]
 
 
-# ------------------------------------------------------ memoized stream draws
+# ------------------------------------------------------ the dataset's table
 
-def run_cell(policy, seed, mode):
+def run_cell(policy, seed, mode, ds=None, rounds=8):
     """One sweep cell's outputs: the final parameter bytes, and every
-    round's senders and byte counts."""
-    cfg = config(policy, client_fraction=0.5, epochs=3, batch_size=2,
+    round's senders and byte counts. Without ``ds`` the cell runs cold, on a
+    dataset object of its own; K is the dataset's."""
+    ds = small_dataset(seed=seed) if ds is None else ds
+    cfg = config(policy, n_clients=ds.n_clients, client_fraction=0.5, epochs=3, batch_size=2,
                  nack_estimate_mode=mode, seed=seed)
     state = ServerState(init_params(MLP, seed), history_len=cfg.history_len)
-    rounds = [(r.selected, r.senders, r.uplink_bytes, r.downlink_bytes)
-              for r in iter_rounds(MLP, cfg, small_dataset(seed=seed), 8, CommLedger(), state)]
-    return state.global_params.tobytes(), rounds
+    reports = [(r.selected, r.senders, r.uplink_bytes, r.downlink_bytes)
+               for r in iter_rounds(MLP, cfg, ds, rounds, CommLedger(), state)]
+    return state.global_params.tobytes(), reports
 
 
 def count_stream_builds(monkeypatch) -> list:
     """Record each selection and shuffle stream built, through the module
-    globals a memo miss calls."""
+    globals a table miss calls."""
     import fedsample.engine as engine
     import fedsample.models as models
 
@@ -908,6 +910,36 @@ def count_stream_builds(monkeypatch) -> list:
     return builds
 
 
+def fresh_tables(monkeypatch, budget=None):
+    """Start from no live table, since the budget counts every live one;
+    with ``budget``, set it."""
+    import weakref
+
+    from fedsample import seeding
+
+    monkeypatch.setattr(seeding, "_TABLES", weakref.WeakKeyDictionary())
+    if budget is not None:
+        monkeypatch.setattr(seeding, "_TABLE_BYTES", budget)
+
+
+def replay_entries(table) -> list:
+    """The all-send round entries in ``table``: its values that are tuples of
+    entries, not memoized arrays."""
+    return [e for entries in table.values() if isinstance(entries, tuple) for e in entries]
+
+
+def table_charge(table) -> int:
+    """What ``table``'s entries are charged: each memoized array's charge,
+    and each all-send round's new arrays' bytes and 8 per statistic."""
+    from fedsample import seeding
+
+    memo = sum(seeding._charge(key, value) for key, value in table.items()
+               if isinstance(value, np.ndarray))
+    entries = replay_entries(table)
+    arrays = {id(a): a for e in entries for a in (e[0], e[2])}
+    return memo + sum(a.nbytes for a in arrays.values()) + sum(8 * len(e[1]) for e in entries)
+
+
 @pytest.mark.parametrize("policies, seeds, mode", [
     ([PolicyConfig("full"), PolicyConfig("ft", gamma=0.5), PolicyConfig("at")], [0],
      "carry_forward"),
@@ -915,23 +947,42 @@ def count_stream_builds(monkeypatch) -> list:
 ], ids=["three-policies-one-seed", "two-seeds-policy-major"])
 def test_cells_sharing_a_seed_equal_cells_run_cold_bitwise(monkeypatch, policies, seeds,
                                                            mode):
-    from fedsample import seeding
-
+    fresh_tables(monkeypatch)
     builds = count_stream_builds(monkeypatch)
-    cells = [(policy, seed) for policy in policies for seed in seeds]  # as cmd_sweep
-    seeding._MEMO.clear()
-    warm = [run_cell(policy, seed, mode) for policy, seed in cells]
+    # As cmd_sweep: one dataset object per seed, shared by its cells.
+    datasets = {seed: small_dataset(seed=seed) for seed in seeds}
+    cells = [(policy, seed) for policy in policies for seed in seeds]
+    warm = [run_cell(policy, seed, mode, datasets[seed]) for policy, seed in cells]
     warm_builds = [label for label in builds if label != "init"]
     builds.clear()
-    cold = []
-    for policy, seed in cells:
-        seeding._MEMO.clear()
-        cold.append(run_cell(policy, seed, mode))
+    cold = [run_cell(policy, seed, mode) for policy, seed in cells]
     assert warm == cold
     # Only the first cell of each seed built its streams.
     cold_builds = [label for label in builds if label != "init"]
     assert sorted(warm_builds * len(policies)) == sorted(cold_builds)
     assert warm_builds.count("select") == 8 * len(seeds)
+
+
+def test_a_policy_major_grid_over_budget_keeps_its_first_rounds_bitwise(monkeypatch):
+    # 2 policies x 3 seeds x 30 rounds at K=20, C=0.5, one dataset per seed,
+    # run policy-major as cmd_sweep does, under a budget below the grid's
+    # charge: the tables keep the first rounds stored, so the second policy
+    # reuses seed 0's, and every cell equals its cold run.
+    from fedsample import seeding
+
+    policies, seeds = [PolicyConfig("at"), PolicyConfig("random", q=0.3)], [0, 1, 2]
+    cells = [(policy, seed) for policy in policies for seed in seeds]
+    cold = [run_cell(policy, seed, "carry_forward", small_dataset(20, seed), rounds=30)
+            for policy, seed in cells]
+    budget = 40_000
+    fresh_tables(monkeypatch, budget)
+    builds = count_stream_builds(monkeypatch)
+    datasets = {seed: small_dataset(20, seed) for seed in seeds}
+    warm = [run_cell(policy, seed, "carry_forward", datasets[seed], rounds=30)
+            for policy, seed in cells]
+    assert warm == cold
+    assert 0 < sum(seeding._TABLES[ds].nbytes for ds in datasets.values()) <= budget
+    assert builds.count("select") < len(cells) * 30
 
 
 def test_select_clients_returns_a_fresh_writable_array():
@@ -951,40 +1002,40 @@ def test_select_clients_returns_a_fresh_writable_array():
 def test_invalid_round_sizes_raise_on_every_call():
     from fedsample import engine, seeding
 
+    table = seeding.shared_table(small_dataset())
     for _ in range(2):
         for n_clients, fraction, message in [(0, 0.5, "K"), (10, 1.5, "C"), (10, 0.0, "C")]:
             with pytest.raises(ValueError, match=message):
                 select_clients(n_clients, fraction, 0, 0)
             with pytest.raises(ValueError, match=message):
-                seeding.memoized(engine._round_draws, n_clients, fraction, 0, 0)
-    assert not any(key[0] is engine._round_draws and key[1:3] in [(0, 0.5), (10, 1.5), (10, 0.0)]
-                   for key in seeding._MEMO)
+                seeding.memoized(table, engine._round_draws, n_clients, fraction, 0, 0)
+    assert len(table) == 0 and table.nbytes == 0
 
 
 def test_a_tiny_memo_stays_within_its_budget_bitwise(monkeypatch):
-    from fedsample import seeding
+    from fedsample import engine, seeding
 
-    def run():
-        return [run_cell(policy, 0, "ou_decode")
-                for policy in (PolicyConfig("aou"), PolicyConfig("ft", gamma=0.5))]
-
-    seeding._MEMO.clear()
-    expected = run()
+    policies = (PolicyConfig("aou"), PolicyConfig("ft", gamma=0.5))
+    expected = [run_cell(policy, 0, "ou_decode") for policy in policies]
     budget = 6000  # room for a few rounds' entries
+    fresh_tables(monkeypatch, budget)
     held = []
+    store = seeding.store
 
-    class Checked(seeding._Memo):
-        def __setitem__(self, key, value):
-            super().__setitem__(key, value)
-            held.append((len(self), sum(seeding._charge(*entry) for entry in self.items())))
+    def checked(table, *args):
+        store(table, *args)
+        held.append((len(table), table.nbytes, table_charge(table)))
 
-    monkeypatch.setattr(seeding, "_MEMO_BYTES", budget)
-    monkeypatch.setattr(seeding, "_MEMO", Checked())
-    assert run() == expected
-    assert max(charged for _, charged in held) <= budget
-    assert 1 < max(entries for entries, _ in held) < len(held)  # it evicted
-    assert seeding._MEMO.nbytes == sum(seeding._charge(*entry)
-                                       for entry in seeding._MEMO.items())
+    monkeypatch.setattr(seeding, "store", checked)
+    monkeypatch.setattr(engine, "store", checked)
+    ds = small_dataset()
+    assert [run_cell(policy, 0, "ou_decode", ds) for policy in policies] == expected
+    assert max(nbytes for _, nbytes, _ in held) <= budget
+    assert all(nbytes == charged for _, nbytes, charged in held)
+    assert 1 < held[-1][0] < len(held)  # it stopped storing
+    # Rounds 0 to r - 1 kept their draws, and no later round did.
+    rounds = sorted(key[3] for key in seeding._TABLES[ds] if key[0] is engine._round_draws)
+    assert 0 < len(rounds) < 8 and rounds == list(range(len(rounds)))
 
 
 def test_memo_entries_cost_no_more_than_charged():
@@ -994,15 +1045,19 @@ def test_memo_entries_cost_no_more_than_charged():
 
     from fedsample import engine, models, seeding
 
-    seeding._MEMO.clear()
-    run_cell(PolicyConfig("aou"), 0, "carry_forward")
+    ds = small_dataset()
+    run_cell(PolicyConfig("aou"), 0, "carry_forward", ds)
+    table = seeding._TABLES[ds]
     kinds = set()
-    for key, value in seeding._MEMO.items():
-        kinds.add(key[0])
-        held = (sys.getsizeof(key) + sum(map(sys.getsizeof, key[1:]))
-                + sys.getsizeof(value) + 100)
-        assert held <= seeding._charge(key, value)
+    for key, value in table.items():
+        if isinstance(value, np.ndarray):
+            kinds.add(key[0])
+            held = (sys.getsizeof(key) + sum(map(sys.getsizeof, key[1:]))
+                    + sys.getsizeof(value) + 100)
+            assert held <= seeding._charge(key, value)
+            assert not value.flags.writeable
     assert kinds == {engine._round_draws, models._shuffle_orders}
+    assert table.nbytes == table_charge(table)
 
 
 # ------------------------------------------------------ replayed all-send rounds
@@ -1042,11 +1097,12 @@ def count_training(monkeypatch) -> list:
 
 
 def stored_rounds(ds) -> list:
-    """The round index of each entry stored for ``ds``, in order."""
-    import fedsample.engine as engine
+    """The round index of each all-send entry stored for ``ds``, in order."""
+    from fedsample import seeding
 
-    table = engine._REPLAYS.get(ds, {})
-    return sorted(key[-1] for key, entries in table.items() for _ in entries)
+    table = seeding._TABLES.get(ds, {})
+    return sorted(key[-1] for key, entries in table.items() if isinstance(entries, tuple)
+                  for _ in entries)
 
 
 def test_replayed_cells_equal_cells_run_cold_bitwise(monkeypatch):
@@ -1113,18 +1169,24 @@ def test_rounds_with_a_nack_or_an_error_store_nothing():
 
 
 def test_replay_tables_die_with_their_dataset():
+    # The table holds the dataset's all-send rounds and also its draws and
+    # shuffle orders, and all of it goes with the dataset.
     import gc
     import weakref
 
-    import fedsample.engine as engine
+    from fedsample import engine, models, seeding
 
     ds = small_dataset()
     replay_cell(PolicyConfig("full"), "carry_forward", ds, rounds=3)
-    table = weakref.ref(engine._REPLAYS[ds])
     assert stored_rounds(ds) == [0, 1, 2]
-    del ds
+    table = seeding._TABLES[ds]
+    memo = {key: value for key, value in table.items() if isinstance(value, np.ndarray)}
+    assert {key[0] for key in memo} == {engine._round_draws, models._shuffle_orders}
+    refs = [weakref.ref(table), *map(weakref.ref, memo.values()),
+            *(weakref.ref(a) for e in replay_entries(table) for a in (e[0], e[2]))]
+    del ds, table, memo
     gc.collect()
-    assert table() is None
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
 def test_mutating_a_stored_model_leaves_replays_bitwise():
@@ -1147,28 +1209,39 @@ def test_mutating_a_stored_model_leaves_replays_bitwise():
 
 
 def test_a_tiny_replay_table_stops_storing_bitwise(monkeypatch):
-    import weakref
+    import gc
 
-    import fedsample.engine as engine
+    from fedsample import seeding
 
     cold = [replay_cell(policy, mode, small_dataset()) for policy, mode in REPLAY_CELLS]
-    entry = 2 * MLP.param_count * 8 + 8 * 5  # round 0: its start, next model, 5 stats
-    cap = entry + 2 * (MLP.param_count * 8 + 8 * 5)  # and two more rounds
-    monkeypatch.setattr(engine, "_REPLAY_BYTES", cap)
-    # The cap counts every live table: start from none.
-    monkeypatch.setattr(engine, "_REPLAYS", weakref.WeakKeyDictionary())
+    fresh_tables(monkeypatch)
+
+    def three_rounds():
+        """The keys and charge of full's first 3 rounds on a dataset of its
+        own: their draws, shuffle orders and all-send entries."""
+        ds = small_dataset()
+        replay_cell(PolicyConfig("full"), "carry_forward", ds, rounds=3)
+        return set(seeding._TABLES[ds]), seeding._TABLES[ds].nbytes
+
+    keys, cap = three_rounds()
+    gc.collect()  # that table is dead, and the budget counts live ones
+    monkeypatch.setattr(seeding, "_TABLE_BYTES", cap)
     ds = small_dataset()
     assert [replay_cell(policy, mode, ds) for policy, mode in REPLAY_CELLS] == cold
     # Rounds 0-2 of full, never evicted; each later round's start is the
     # stored model of the round before.
-    assert stored_rounds(ds) == [0, 1, 2]
-    table = engine._REPLAYS[ds]
-    assert table.nbytes == cap
-    entries = [e for t in range(3) for key, es in table.items() if key[-1] == t for e in es]
+    table = seeding._TABLES[ds]
+    assert set(table) == keys and stored_rounds(ds) == [0, 1, 2]
+    assert table.nbytes == cap == table_charge(table)
+    entries = [e for t in range(3) for key, es in table.items()
+               if isinstance(es, tuple) and key[-1] == t for e in es]
     assert entries[1][0] is entries[0][2] and entries[2][0] is entries[1][2]
     assert not any(a.flags.writeable for e in entries for a in (e[0], e[2]))
+    assert not any(v.flags.writeable for v in table.values() if isinstance(v, np.ndarray))
     arrays = {id(a): a for e in entries for a in (e[0], e[2])}
-    assert sum(a.nbytes for a in arrays.values()) + sum(8 * len(e[1]) for e in entries) == cap
+    entry = 2 * MLP.param_count * 8 + 8 * 5  # round 0: its start, next model, 5 stats
+    assert (sum(a.nbytes for a in arrays.values()) + sum(8 * len(e[1]) for e in entries)
+            == entry + 2 * (MLP.param_count * 8 + 8 * 5))  # and two more rounds
 
 
 def test_threads_sharing_a_replay_table_stay_bitwise():
@@ -1178,7 +1251,7 @@ def test_threads_sharing_a_replay_table_stay_bitwise():
     import sys
     import threading
 
-    import fedsample.engine as engine
+    from fedsample import seeding
 
     cells = REPLAY_CELLS * 2
     cold = [replay_cell(policy, mode, small_dataset()) for policy, mode in cells]
@@ -1200,7 +1273,5 @@ def test_threads_sharing_a_replay_table_stay_bitwise():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert warm == cold
-    entries = [e for es in engine._REPLAYS[ds].values() for e in es]
-    arrays = {id(a): a for e in entries for a in (e[0], e[2])}
-    assert engine._REPLAYS[ds].nbytes == (sum(a.nbytes for a in arrays.values())
-                                          + sum(8 * len(e[1]) for e in entries))
+    table = seeding._TABLES[ds]
+    assert replay_entries(table) and table.nbytes == table_charge(table)

@@ -493,20 +493,28 @@ def test_diagnostic_clients_with_mixed_label_dtypes_train_together():
 def test_shuffle_orders_are_one_read_only_block_per_chunk():
     from fedsample import seeding
 
-    seeding._MEMO.clear()
+    class Owner:  # stands in for a dataset
+        pass
+
+    owner = Owner()
+    table = seeding.shared_table(owner)
     x, y = random_batch(LOGISTIC, 9, seed=3)
     start = init_params(LOGISTIC, seed=0)
-    first = train_clients(LOGISTIC, start, [(x, y), (x, y)], [5, 6], 2, 4, 0.1)
-    ((key, orders),) = seeding._MEMO.items()
+    first = train_clients(LOGISTIC, start, [(x, y), (x, y)], [5, 6], 2, 4, 0.1, table=table)
+    ((key, orders),) = table.items()
     assert key == (models._shuffle_orders, 2, 9, 5, 6)
     assert orders.dtype == np.uint8 and orders.shape == (2, 2, 9)
     for (e, seed), order in zip([(0, 5), (0, 6), (1, 5), (1, 6)], orders.reshape(4, 9)):
         assert np.array_equal(order, derive_rng(seed, "shuffle", e).permutation(9))
     with pytest.raises(ValueError, match="read-only"):
         orders[0, 0, 0] = 1
-    again = train_clients(LOGISTIC, start, [(x, y), (x, y)], [5, 6], 2, 4, 0.1)
+    again = train_clients(LOGISTIC, start, [(x, y), (x, y)], [5, 6], 2, 4, 0.1, table=table)
     assert [r.params_after.tobytes() for r in again] == [r.params_after.tobytes() for r in first]
-    assert len(seeding._MEMO) == 1
+    assert len(table) == 1 and table.nbytes == seeding._charge(key, orders)
+    # Without a table nothing is kept, and the reports are the same bits.
+    alone = train_clients(LOGISTIC, start, [(x, y), (x, y)], [5, 6], 2, 4, 0.1)
+    assert [r.params_after.tobytes() for r in alone] == [r.params_after.tobytes() for r in first]
+    assert len(table) == 1
     # The smallest unsigned type that holds every index.
     assert [models._shuffle_orders(1, n, 0).dtype for n in (1, 256, 257, 65537)] == [
         np.uint8, np.uint8, np.uint16, np.uint32]

@@ -193,6 +193,35 @@ def test_fit_checks_lam_and_sigma_where_the_log_free_bound_fails():
         fit_ou_ls_columns(halving, dt=1e-309)
 
 
+def test_a_sub_fit_keeps_what_its_fit_derived_bitwise(monkeypatch):
+    # fit_ou_ls derives the path's process once, to validate it, and its
+    # one-column fit reads that instead of deriving it again; a sub-fit of
+    # derived columns does too, with the bits a fresh derivation gives.
+    maps = []
+    elementwise = ou._elementwise
+    monkeypatch.setattr(ou, "_elementwise", lambda fn, x: maps.append(fn) or elementwise(fn, x))
+    path = simulate_ou(1.0, 0.5, 0.2, 0.0, 0.1, 200, seed=3)
+    fit = fit_ou_ls(path, 0.1)
+    lam, mu, sigma = fit.lam, fit.mu, fit.sigma
+    assert maps == [math.log]
+
+    def fresh(fit):
+        return OUFit(fit.a, fit.b, fit.resid_sd, fit.n_points, fit.dt, fit.degenerate,
+                     fit.non_reverting)
+
+    again = fresh(fit)
+    assert [float(v).hex() for v in (lam, mu, sigma)] == [
+        float(v).hex() for v in (again.lam, again.mu, again.sigma)]
+    wide = fit_ou_ls_columns(np.column_stack([path, path[::-1], np.ones_like(path)]), 0.1)
+    maps.clear()
+    for index in (1, [0, 2], np.array([True, False, True])):
+        sub, own = wide.columns(index), fresh(wide.columns(index))
+        for name in ("lam", "mu", "sigma", "flagged"):
+            assert np.asarray(getattr(sub, name)).tobytes() == np.asarray(
+                getattr(own, name)).tobytes()
+    assert maps == [math.log] * 3  # the fresh sub-fits' own
+
+
 def test_fit_requires_three_points():
     with pytest.raises(ValueError):
         fit_ou_ls(np.array([1.0, 2.0]), 1.0)

@@ -119,37 +119,72 @@ def test_hashlib_fallback_gives_the_same_words():
 
 
 def test_memo_stays_consistent_under_threads(monkeypatch):
+    # Threads share a table. With room for 8 of 24 keys, every call returns
+    # its key's array and the first 8 stored stay. With room for all, six
+    # threads that miss the same 1000 keys together store each key once, so
+    # the table's charge is exactly its entries': a store without its lock
+    # charges some twice.
     import threading
+    import weakref
 
     from fedsample import seeding
 
     def orders(i):
         return derive_rng(i, "shuffle", 0).permutation(8).astype(np.uint8)
 
-    monkeypatch.setattr(seeding, "_MEMO", seeding._Memo())
-    monkeypatch.setattr(seeding, "_MEMO_BYTES", 8 * seeding._charge((orders, 0), orders(0)))
-    errors = []
+    class Owner:  # stands in for a dataset
+        pass
 
-    def work(offset):
+    def in_threads(work):
+        errors = []
+
+        def run(offset):
+            try:
+                work(offset)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            for i in range(400):
-                key = (offset + i) % 24
-                assert np.array_equal(seeding.memoized(orders, key), orders(key))
-        except Exception as exc:  # noqa: BLE001 - reported below
-            errors.append(exc)
+            threads = [threading.Thread(target=run, args=(7 * k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(7 * n,)) for n in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
-    memo = seeding._MEMO
-    assert 0 < memo.nbytes == sum(seeding._charge(*entry) for entry in memo.items())
-    assert memo.nbytes <= seeding._MEMO_BYTES
+    monkeypatch.setattr(seeding, "_TABLES", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(seeding, "_TABLE_BYTES", 8 * seeding._charge((orders, 0), orders(0)))
+    owner = Owner()  # the budget counts the tables of live owners
+    table = seeding.shared_table(owner)
+    kept = []
+
+    def bounded(offset):
+        for i in range(400):
+            key = (offset + i) % 24
+            value = seeding.memoized(table, orders, key)
+            assert np.array_equal(value, orders(key)) and not value.flags.writeable
+        kept.append(sorted(key for _, key in table))
+
+    in_threads(bounded)
+    assert len(table) == 8 and kept == [sorted(key for _, key in table)] * 6
+    assert table.nbytes == sum(seeding._charge(*entry) for entry in table.items())
+    assert table.nbytes == seeding._TABLE_BYTES
+
+    monkeypatch.setattr(seeding, "_TABLE_BYTES", 1 << 24)
+    owner = Owner()
+    table = seeding.shared_table(owner)
+    step = threading.Barrier(6, timeout=30)
+
+    def together(_):
+        for key in range(1000):
+            step.wait()  # so that every thread misses each key
+            seeding.memoized(table, orders, key)
+
+    in_threads(together)
+    assert len(table) == 1000
+    assert table.nbytes == sum(seeding._charge(*entry) for entry in table.items())
