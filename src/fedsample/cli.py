@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import math
 import os
@@ -273,7 +272,7 @@ def cmd_sweep(args) -> int:
             fh.write(SUMMARY_HEADER + "\n")
             for policy, seed in cells:
                 dataset, model, round_config = built[seed]
-                cell = (dataset, model, dataclasses.replace(round_config, policy=policy))
+                cell = (dataset, model, round_config._replace(policy=policy))
                 csv_path = os.path.join(runs_dir, f"{policy.label}_s{seed}.csv")
                 try:
                     ledger, last, status = _stream_run(cell, settings.rounds, seed, csv_path)

@@ -28,9 +28,9 @@ engine's ``RoundConfig``, which checks their ranges; its ValueError, like
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
+from typing import NamedTuple
 
 from .data import FederatedDataset, load_csv, synth_blobs
 from .engine import RoundConfig, _check_client_count
@@ -52,8 +52,7 @@ _MODEL_KEYS = {"kind", "hidden_dim"}
 _POLICY_KEYS = {"kind", *POLICY_PARAMS.values()}
 
 
-@dataclasses.dataclass(frozen=True)
-class RunSettings:
+class RunSettings(NamedTuple):
     """A validated config, not yet materialized into arrays: the dataset
     and model sections as parsed, the horizon, and the round knobs at the
     config's seed."""
@@ -206,7 +205,7 @@ def build_experiment(
     ConfigError prefixed ``dataset:`` or ``model:``.
     """
     try:
-        round_config = dataclasses.replace(settings.round, seed=seed)
+        round_config = settings.round._replace(seed=seed)
     except ValueError as err:
         raise ConfigError(str(err)) from None
     ds, m = settings.dataset, settings.model

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,18 +27,15 @@ from .seeding import derive_rng
 TEST_CLIENT_ID = "test"
 
 
-@dataclass(frozen=True, eq=False)
 class FederatedDataset:
-    """Per-client labelled samples plus a shared held-out test set. Two
-    datasets are equal only if they are one object, which hashes by
-    identity and can key a ``weakref.WeakKeyDictionary``."""
+    """Per-client labelled samples plus a shared held-out test set, checked
+    when built; its fields are read-only. Two datasets are equal only if
+    they are one object, which hashes by identity and can key a
+    ``weakref.WeakKeyDictionary``."""
 
-    clients: tuple[tuple[np.ndarray, np.ndarray], ...]
-    test_set: tuple[np.ndarray, np.ndarray]
-    n_classes: int
-    dim: int
-
-    def __post_init__(self) -> None:
+    def __init__(self, clients: tuple[tuple[np.ndarray, np.ndarray], ...],
+                 test_set: tuple[np.ndarray, np.ndarray], n_classes: int, dim: int) -> None:
+        vars(self).update(clients=clients, test_set=test_set, n_classes=n_classes, dim=dim)
         if len(self.clients) < 1:
             raise ValueError("need at least one client")
         for x, y in list(self.clients) + [self.test_set]:
@@ -52,6 +48,11 @@ class FederatedDataset:
         for x, _ in self.clients:
             if x.shape[0] == 0:
                 raise ValueError("clients must be non-empty")
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"FederatedDataset is read-only: cannot set {name!r}")
+
+    __delattr__ = __setattr__
 
     @property
     def n_clients(self) -> int:

@@ -55,7 +55,7 @@ bitwise, so zero-sender rounds cannot drift the model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,12 +111,7 @@ def _check_nack_mode(mode: str) -> None:
         raise ValueError(f"nack_estimate_mode must be one of {', '.join(NACK_MODES)}")
 
 
-@dataclass(frozen=True)
-class RoundConfig:
-    """Protocol knobs shared by every round of an experiment: the one place
-    their ranges are checked. A message names the config key, so that a
-    config's ConfigError does too."""
-
+class _RoundConfig(NamedTuple):
     n_clients: int
     client_fraction: float
     epochs: int
@@ -128,30 +123,41 @@ class RoundConfig:
     track: None | str | int = "auto"
     history_len: int = 20
 
-    def __post_init__(self) -> None:
+
+class RoundConfig(_RoundConfig):
+    """Protocol knobs shared by every round of an experiment: the one place
+    their ranges are checked, whenever one is built (``_replace`` included).
+    A message names the config key, so that a config's ConfigError does too."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _round_size(self.n_clients, self.client_fraction)  # checks K and C
         _check_sgd_knobs(self.epochs, self.batch_size, self.eta, self.track)
         _check_nack_mode(self.nack_estimate_mode)
         check_seed(self.seed)
         if self.history_len < 3:
             raise ValueError("history_len must be >= 3")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks
 
 
-@dataclass
 class ServerState:
     """Global model, round counter, and the recent-model history used by
-    the decoding estimator. history[-1] is always the current model;
-    ou_estimate caches the round's decoded NACK estimate."""
+    the decoding estimator. history[-1] is always the current model (an
+    empty history starts as a copy of global_params); ou_estimate caches
+    the round's decoded NACK estimate."""
 
-    global_params: np.ndarray
-    round: int = 0
-    history: list[np.ndarray] = field(default_factory=list)
-    history_len: int = 20
-    ou_estimate: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if not self.history:
-            self.history = [self.global_params.copy()]
+    def __init__(self, global_params: np.ndarray, round: int = 0,
+                 history: list[np.ndarray] | None = None, history_len: int = 20,
+                 ou_estimate: np.ndarray | None = None) -> None:
+        self.global_params = global_params
+        self.round = round
+        self.history = history or [global_params.copy()]
+        self.history_len = history_len
+        self.ou_estimate = ou_estimate
 
     def advance(self, new_params: np.ndarray) -> None:
         self.global_params = new_params
@@ -162,25 +168,31 @@ class ServerState:
         self.ou_estimate = None
 
 
-@dataclass(frozen=True)
-class UpdateMessage:
-    """Client upload: full parameters (ACK) or sample count only (NACK)."""
-
+class _UpdateMessage(NamedTuple):
     client_id: int
     n_samples: int
     params: np.ndarray | None = None
 
-    def __post_init__(self) -> None:
+
+class UpdateMessage(_UpdateMessage):
+    """Client upload: full parameters (ACK) or sample count only (NACK)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks
 
     @property
     def ack(self) -> bool:
         return self.params is not None
 
 
-@dataclass(frozen=True)
-class RoundReport:
+class RoundReport(NamedTuple):
     round_idx: int
     selected: tuple[int, ...]
     senders: tuple[int, ...]
@@ -193,15 +205,20 @@ class RoundReport:
     ou_fallback: bool = False
 
 
-@dataclass
 class CommLedger:
     """Running communication totals of a run. Each round's own counts live
     in its RoundReport; the ledger keeps only the round count and the
-    uplink and downlink byte sums."""
+    uplink and downlink byte sums. Ledgers with equal totals are equal."""
 
-    rounds: int = field(default=0, init=False)
-    total_uplink: int = field(default=0, init=False)
-    total_downlink: int = field(default=0, init=False)
+    def __init__(self) -> None:
+        self.rounds = self.total_uplink = self.total_downlink = 0
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        return (f"CommLedger(rounds={self.rounds}, total_uplink={self.total_uplink}, "
+                f"total_downlink={self.total_downlink})")
 
     def append(self, selected: int, senders: int, uplink: int, downlink: int) -> None:
         if not 0 <= senders <= selected:

@@ -45,7 +45,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,14 +73,20 @@ _LOCKSTEP_ELEMENTS = 1 << 16
 _GATHER_ELEMENTS = 1 << 20
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class _ModelSpec(NamedTuple):
     kind: str
     input_dim: int
     n_classes: int = 1
     hidden_dim: int = 0
 
-    def __post_init__(self) -> None:
+
+class ModelSpec(_ModelSpec):
+    """A model's kind and sizes, checked whenever one is built (``_replace``
+    included). Equal specs hash equal, as a replay key needs; the instance
+    dict holds only the cached ``_layout``."""
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.input_dim < 1:
@@ -89,6 +95,9 @@ class ModelSpec:
             raise ValueError(f"{self.kind} needs n_classes >= 2")
         if self.kind == "mlp1" and self.hidden_dim < 1:
             raise ValueError("mlp1 needs hidden_dim >= 1")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks
 
     @property
     def param_count(self) -> int:
@@ -132,8 +141,7 @@ class ModelSpec:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class LocalTrainReport:
+class LocalTrainReport(NamedTuple):
     """One client's local training. With tracking on, ``tracked`` holds the
     recorded coordinate ids and ``path[t, j]`` is coordinate ``tracked[j]``
     after t SGD steps (row 0 is the starting point). ``train_clients`` gives

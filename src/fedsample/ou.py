@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -67,7 +66,6 @@ def _elementwise(fn, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
 
 
-@dataclass(frozen=True, eq=False)
 class OUFit:
     """Least-squares OU fits of k columns, each field but ``n_points`` and
     ``dt`` an array over the columns (scalars for one): the AR(1) regression
@@ -75,16 +73,18 @@ class OUFit:
     apart, and the process it implies (slopes <= 0 clamped) derived on first
     use. ``degenerate`` marks fits with no usable slope (constant predictor
     or slope <= 0), ``non_reverting`` those with slope >= 1; the process of
-    a flagged column may be NaN.
+    a flagged column may be NaN. The fields are read-only.
     """
 
-    a: np.ndarray
-    b: np.ndarray
-    resid_sd: np.ndarray
-    n_points: int
-    dt: float
-    degenerate: np.ndarray
-    non_reverting: np.ndarray
+    def __init__(self, a: np.ndarray, b: np.ndarray, resid_sd: np.ndarray, n_points: int,
+                 dt: float, degenerate: np.ndarray, non_reverting: np.ndarray) -> None:
+        vars(self).update(a=a, b=b, resid_sd=resid_sd, n_points=n_points, dt=dt,
+                          degenerate=degenerate, non_reverting=non_reverting)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"OUFit is read-only: cannot set {name!r}")
+
+    __delattr__ = __setattr__
 
     @cached_property
     def flagged(self) -> np.ndarray:

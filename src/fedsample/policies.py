@@ -24,7 +24,7 @@ round sends everything. Both behaviors are intended.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,16 +38,21 @@ BAND_POLICIES = ("ou", "aou")
 ADAPTIVE_POLICIES = ("at", "aou")
 
 
-@dataclass(frozen=True)
-class PolicyConfig:
-    """A participation rule plus its parameter (q, gamma, or r)."""
-
+class _PolicyConfig(NamedTuple):
     kind: str
     q: float | None = None
     gamma: float | None = None
     r: float | None = None
 
-    def __post_init__(self) -> None:
+
+class PolicyConfig(_PolicyConfig):
+    """A participation rule plus its parameter (q, gamma, or r), checked
+    whenever one is built (``_replace`` included)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in POLICY_KINDS:
             raise ValueError(
                 f"unknown policy kind {self.kind!r}; expected one of {', '.join(POLICY_KINDS)}"
@@ -67,6 +72,9 @@ class PolicyConfig:
             raise ValueError("gamma must be >= 0")
         if self.r is not None and not 0.0 <= self.r <= 1.0:
             raise ValueError("r must lie in [0, 1]")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks
 
     @property
     def adaptive(self) -> bool:

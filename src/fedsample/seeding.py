@@ -123,11 +123,12 @@ def shared_table(owner) -> _Table:
 
 def store(table: _Table, key, value, charge: int, was=None) -> None:
     """Set ``table[key] = value``, charged ``charge`` bytes more, if ``key``
-    still holds ``was`` (None: nothing) and every live table's charge stays
-    within ``_TABLE_BYTES``."""
+    still holds ``was`` (None: nothing) and the charge of every live table,
+    and of ``table`` itself if its owner has died, stays within
+    ``_TABLE_BYTES``."""
     with _TABLE_LOCK:
-        if (table.get(key) is was
-                and sum(t.nbytes for t in _TABLES.values()) + charge <= _TABLE_BYTES):
+        held = table.nbytes + sum(t.nbytes for t in _TABLES.values() if t is not table)
+        if table.get(key) is was and held + charge <= _TABLE_BYTES:
             table[key] = value
             table.nbytes += charge
 

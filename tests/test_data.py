@@ -221,6 +221,11 @@ def test_dataset_validation():
         FederatedDataset(
             clients=((x, np.array([0, 5])),), test_set=(x, y), n_classes=2, dim=3
         )
+    with pytest.raises(ValueError, match="one label per sample"):
+        FederatedDataset(clients=((x, np.zeros(3, np.int64)),), test_set=(x, y), n_classes=2,
+                         dim=3)
+    with pytest.raises(ValueError, match="clients must be non-empty"):
+        FederatedDataset(clients=((x, y), (x[:0], y[:0])), test_set=(x, y), n_classes=2, dim=3)
     # load_csv checks its ints before it opens the (missing) file
     with pytest.raises(ValueError, match="n_classes must be >= 1"):
         load_csv("missing.csv", n_classes=0)

@@ -743,6 +743,13 @@ def test_config_validation():
         config(PolicyConfig("full"), nack_estimate_mode="skip")
     with pytest.raises(ValueError):
         config(PolicyConfig("full"), history_len=2)
+    # A replaced field is checked as a built one is.
+    base = config(PolicyConfig("full"))
+    with pytest.raises(ValueError, match="seed must be in"):
+        base._replace(seed=2**64)
+    with pytest.raises(ValueError):
+        base._replace(eta=-1.0)
+    assert base._replace(seed=3).seed == 3
     assert len(select_clients(10, 0.25, 0, 0)) == 2
 
 

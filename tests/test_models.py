@@ -747,6 +747,8 @@ def test_model_spec_validation():
         ModelSpec("perceptron", input_dim=4, n_classes=2)
     with pytest.raises(ValueError):
         ModelSpec("logistic", input_dim=4, n_classes=1)
+    with pytest.raises(ValueError, match="input_dim must be >= 1"):
+        ModelSpec("logistic", input_dim=0, n_classes=2)
     with pytest.raises(ValueError):
         ModelSpec("mlp1", input_dim=4, n_classes=3, hidden_dim=0)
     with pytest.raises(ValueError):

@@ -188,3 +188,33 @@ def test_memo_stays_consistent_under_threads(monkeypatch):
     in_threads(together)
     assert len(table) == 1000
     assert table.nbytes == sum(seeding._charge(*entry) for entry in table.items())
+
+
+def test_a_table_whose_owner_died_stays_within_the_budget(monkeypatch):
+    # A table held past its owner's life is no longer among the live ones;
+    # it still counts itself, and the live tables, against the budget.
+    import gc
+    import weakref
+
+    from fedsample import seeding
+
+    def orders(i):
+        return derive_rng(i, "shuffle", 0).permutation(8).astype(np.uint8)
+
+    class Owner:  # stands in for a dataset
+        pass
+
+    monkeypatch.setattr(seeding, "_TABLES", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(seeding, "_TABLE_BYTES", 8 * seeding._charge((orders, 0), orders(0)))
+    owner = Owner()
+    live = seeding.shared_table(owner)
+    for key in range(5):
+        seeding.memoized(live, orders, key)
+    orphan = seeding.shared_table(Owner())
+    gc.collect()
+    assert list(seeding._TABLES.values()) == [live]
+    for key in range(24):
+        value = seeding.memoized(orphan, orders, key)
+        assert np.array_equal(value, orders(key))
+    assert sorted(key for _, key in orphan) == [0, 1, 2]
+    assert live.nbytes + orphan.nbytes == seeding._TABLE_BYTES
