@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .data import FederatedDataset, load_csv, synth_blobs
 from .engine import RoundConfig, _check_client_count
@@ -52,15 +52,13 @@ _MODEL_KEYS = {"kind", "hidden_dim"}
 _POLICY_KEYS = {"kind", *POLICY_PARAMS.values()}
 
 
-class RunSettings(NamedTuple):
+# dataset, model: dict; rounds: int; round: RoundConfig
+class RunSettings(namedtuple("RunSettings", "dataset model rounds round")):
     """A validated config, not yet materialized into arrays: the dataset
     and model sections as parsed, the horizon, and the round knobs at the
     config's seed."""
 
-    dataset: dict
-    model: dict
-    rounds: int
-    round: RoundConfig
+    __slots__ = ()
 
 
 def _require(obj: dict, key: str, where: str):

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import ParseError
-from .seeding import derive_rng
+from .seeding import _rngs, derive_rng
 
 TEST_CLIENT_ID = "test"
 
@@ -97,10 +97,10 @@ def synth_blobs(
     rem = samples_per_client % shards_per_client
 
     clients: list[tuple[np.ndarray, np.ndarray]] = []
-    for k in range(n_clients):
+    rngs = _rngs([(seed, "samples", k) for k in range(n_clients)])
+    for k, rng in enumerate(rngs):
         own = dealt[k * shards_per_client : (k + 1) * shards_per_client]
         sizes = [base + (1 if j < rem else 0) for j in range(shards_per_client)]
-        rng = derive_rng(seed, "samples", k)
         xs, ys = [], []
         for shard, size in zip(own, sizes):
             if size == 0:

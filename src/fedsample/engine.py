@@ -19,8 +19,9 @@ Cells of one seed on one dataset object, such as a sweep's policies,
 share the dataset's ``seeding.shared_table``, which ``run_round`` looks up
 once and hands the trainer for its shuffle orders. It memoizes the round's
 policy-independent draws, its selected ids and their train seeds, by
-``(K, C, round, seed)``; a miss calls ``select_clients`` and
-``client_train_seed``. It also keeps each round in which every selected
+``(K, C, round, seed)``; a miss calls ``select_clients`` and builds the
+seeds' streams together, each seed the ``client_train_seed`` of its
+client. It also keeps each round in which every selected
 client sends, under what alone fixes its outcome: the model, K, C, E, B,
 eta, seed, the track spec training used, the round and the start model's
 bits. A later round with that key runs its own policy's checks and
@@ -55,7 +56,7 @@ bitwise, so zero-sender rounds cannot drift the model.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -77,8 +78,8 @@ from .policies import (
     compute_adaptive_threshold,
     local_decide,
 )
-from .seeding import (_first_uint64, check_seed, derive_rng, memoized, seed_sequence,
-                      shared_table, store)
+from .seeding import (_first_uint64, _first_uint64s, _rngs, check_seed, derive_rng, memoized,
+                      seed_sequence, shared_table, store)
 
 PARAM_BYTES = 4      # single-precision payload accounting
 COUNT_BYTES = 8      # n_i attached to every message
@@ -111,17 +112,12 @@ def _check_nack_mode(mode: str) -> None:
         raise ValueError(f"nack_estimate_mode must be one of {', '.join(NACK_MODES)}")
 
 
-class _RoundConfig(NamedTuple):
-    n_clients: int
-    client_fraction: float
-    epochs: int
-    batch_size: int
-    eta: float
-    policy: PolicyConfig
-    nack_estimate_mode: str = "carry_forward"
-    seed: int = 0
-    track: None | str | int = "auto"
-    history_len: int = 20
+# n_clients: int; client_fraction: float; epochs, batch_size: int; eta:
+# float; policy: PolicyConfig; nack_estimate_mode: str; seed: int; track:
+# None | str | int; history_len: int
+_RoundConfig = namedtuple("_RoundConfig", "n_clients client_fraction epochs batch_size eta "
+                          "policy nack_estimate_mode seed track history_len",
+                          defaults=("carry_forward", 0, "auto", 20))
 
 
 class RoundConfig(_RoundConfig):
@@ -168,10 +164,8 @@ class ServerState:
         self.ou_estimate = None
 
 
-class _UpdateMessage(NamedTuple):
-    client_id: int
-    n_samples: int
-    params: np.ndarray | None = None
+# client_id, n_samples: int; params: np.ndarray | None
+_UpdateMessage = namedtuple("_UpdateMessage", "client_id n_samples params", defaults=(None,))
 
 
 class UpdateMessage(_UpdateMessage):
@@ -192,17 +186,15 @@ class UpdateMessage(_UpdateMessage):
         return self.params is not None
 
 
-class RoundReport(NamedTuple):
-    round_idx: int
-    selected: tuple[int, ...]
-    senders: tuple[int, ...]
-    threshold: float | None
-    uplink_bytes: int
-    cum_uplink_bytes: int
-    downlink_bytes: int
-    test_acc: float
-    test_loss: float
-    ou_fallback: bool = False
+# round_idx: int; selected, senders: tuple[int, ...]; threshold: float |
+# None; uplink_bytes, cum_uplink_bytes, downlink_bytes: int; test_acc,
+# test_loss: float; ou_fallback: bool
+class RoundReport(namedtuple("RoundReport", "round_idx selected senders threshold uplink_bytes "
+                             "cum_uplink_bytes downlink_bytes test_acc test_loss ou_fallback",
+                             defaults=(False,))):
+    """One round's record, as its metrics row reports it."""
+
+    __slots__ = ()
 
 
 class CommLedger:
@@ -247,9 +239,11 @@ def client_train_seed(seed: int, round_idx: int, client_id: int) -> int:
 
 
 def _round_draws(n_clients: int, fraction: float, round_idx: int, seed: int) -> np.ndarray:
-    """The round's selected ids (row 0) and their train seeds (row 1)."""
-    ids = select_clients(n_clients, fraction, round_idx, seed).tolist()
-    return np.array([ids, [client_train_seed(seed, round_idx, k) for k in ids]], np.uint64)
+    """The round's selected ids (row 0) and their train seeds (row 1), each
+    the ``client_train_seed`` of its id."""
+    ids = select_clients(n_clients, fraction, round_idx, seed)
+    seeds = _first_uint64s([(seed, "train", round_idx, k) for k in ids.tolist()])
+    return np.stack([ids.astype(np.uint64), seeds])
 
 
 def _round_bytes(n_params: int, selected: int, senders: int,
@@ -412,9 +406,9 @@ def run_round(
     if policy.adaptive:
         threshold = compute_adaptive_threshold(np.array(stats))
 
-    sends = [local_decide(policy, stat, threshold, derive_rng(config.seed, "decide", t, k)
-                          if policy.kind == "random" else None)
-             for k, stat in zip(ids, stats)]
+    rngs = (_rngs([(config.seed, "decide", t, k) for k in ids]) if policy.kind == "random"
+            else [None] * len(ids))
+    sends = [local_decide(policy, stat, threshold, rng) for stat, rng in zip(stats, rngs)]
     senders = [k for k, send in zip(ids, sends) if send]
     ou_fallback = False
     if hit and len(senders) == len(ids):

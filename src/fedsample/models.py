@@ -45,12 +45,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
 from .errors import NumericError
-from .seeding import derive_rng, memoized
+from .seeding import _rngs, derive_rng, memoized
 
 # "auto" tracking records every coordinate for models below this size and
 # falls back to a fixed-size uniform subsample above it, keeping trajectory
@@ -73,11 +73,8 @@ _LOCKSTEP_ELEMENTS = 1 << 16
 _GATHER_ELEMENTS = 1 << 20
 
 
-class _ModelSpec(NamedTuple):
-    kind: str
-    input_dim: int
-    n_classes: int = 1
-    hidden_dim: int = 0
+# kind: str; input_dim, n_classes, hidden_dim: int
+_ModelSpec = namedtuple("_ModelSpec", "kind input_dim n_classes hidden_dim", defaults=(1, 0))
 
 
 class ModelSpec(_ModelSpec):
@@ -141,19 +138,17 @@ class ModelSpec(_ModelSpec):
         return tuple(out)
 
 
-class LocalTrainReport(NamedTuple):
+# params_after: np.ndarray; update_norm: float; n_samples, steps_taken:
+# int; tracked, path: np.ndarray | None
+class LocalTrainReport(namedtuple("LocalTrainReport", "params_after update_norm n_samples "
+                                  "steps_taken tracked path", defaults=(None, None))):
     """One client's local training. With tracking on, ``tracked`` holds the
     recorded coordinate ids and ``path[t, j]`` is coordinate ``tracked[j]``
     after t SGD steps (row 0 is the starting point). ``train_clients`` gives
     ``path`` as row g of ``path.base``, its lockstep chunk's C-contiguous
     (G, T, k) array, whose rows are the chunk's clients in ascending order."""
 
-    params_after: np.ndarray
-    update_norm: float
-    n_samples: int
-    steps_taken: int
-    tracked: np.ndarray | None = None
-    path: np.ndarray | None = None
+    __slots__ = ()
 
 
 def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
@@ -375,8 +370,8 @@ def _resolve_track(track: None | str | int, n_params: int, seeds: list[int]) -> 
         ids.flags.writeable = False
         return [ids] * len(seeds)
     k = min(_AUTO_TRACK_SUBSAMPLE if track == "auto" else int(track), n_params)
-    draw = (derive_rng(seed, "track").choice(n_params, size=k, replace=False) for seed in seeds)
-    return [np.sort(idx).astype(np.int64) for idx in draw]
+    rngs = _rngs([(seed, "track") for seed in seeds])
+    return [np.sort(rng.choice(n_params, size=k, replace=False)).astype(np.int64) for rng in rngs]
 
 
 def local_train(
@@ -461,10 +456,13 @@ def train_clients(
 
 def _shuffle_orders(epochs: int, n: int, *seeds: int) -> np.ndarray:
     """Each client's sample order in each epoch, as an (E, G, n) block of
-    the smallest unsigned type that holds n - 1."""
+    the smallest unsigned type that holds n - 1: each row is ``arange(n)``
+    shuffled in place, the draws of ``permutation(n)``."""
     orders = np.empty((epochs, len(seeds), n), np.min_scalar_type(n - 1))
-    for e, g in itertools.product(range(epochs), range(len(seeds))):
-        orders[e, g] = derive_rng(seeds[g], "shuffle", e).permutation(n)
+    rows = orders.reshape(-1, n)
+    rows[:] = np.arange(n, dtype=orders.dtype)
+    for i, rng in enumerate(_rngs([(seed, "shuffle", e) for e in range(epochs) for seed in seeds])):
+        rng.shuffle(rows[i])
     return orders
 
 

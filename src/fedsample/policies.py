@@ -24,7 +24,7 @@ round sends everything. Both behaviors are intended.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -38,11 +38,8 @@ BAND_POLICIES = ("ou", "aou")
 ADAPTIVE_POLICIES = ("at", "aou")
 
 
-class _PolicyConfig(NamedTuple):
-    kind: str
-    q: float | None = None
-    gamma: float | None = None
-    r: float | None = None
+# kind: str; q, gamma, r: float | None
+_PolicyConfig = namedtuple("_PolicyConfig", "kind q gamma r", defaults=(None, None, None))
 
 
 class PolicyConfig(_PolicyConfig):

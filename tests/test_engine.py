@@ -904,16 +904,17 @@ def run_cell(policy, seed, mode, ds=None, rounds=8):
 
 
 def count_stream_builds(monkeypatch) -> list:
-    """Record each selection and shuffle stream built, through the module
-    globals a table miss calls."""
+    """Record each selection, and the label of each stream the trainer
+    builds, through the module globals a table miss calls."""
     import fedsample.engine as engine
     import fedsample.models as models
 
     builds = []
-    select, derive = engine.select_clients, models.derive_rng
+    select, rngs = engine.select_clients, models._rngs
     monkeypatch.setattr(engine, "select_clients",
                         lambda *a: builds.append("select") or select(*a))
-    monkeypatch.setattr(models, "derive_rng", lambda *a: builds.append(a[1]) or derive(*a))
+    monkeypatch.setattr(models, "_rngs",
+                        lambda streams: builds.extend(s[1] for s in streams) or rngs(streams))
     return builds
 
 
@@ -960,14 +961,14 @@ def test_cells_sharing_a_seed_equal_cells_run_cold_bitwise(monkeypatch, policies
     datasets = {seed: small_dataset(seed=seed) for seed in seeds}
     cells = [(policy, seed) for policy in policies for seed in seeds]
     warm = [run_cell(policy, seed, mode, datasets[seed]) for policy, seed in cells]
-    warm_builds = [label for label in builds if label != "init"]
+    warm_builds = builds.copy()
     builds.clear()
     cold = [run_cell(policy, seed, mode) for policy, seed in cells]
     assert warm == cold
     # Only the first cell of each seed built its streams.
-    cold_builds = [label for label in builds if label != "init"]
-    assert sorted(warm_builds * len(policies)) == sorted(cold_builds)
+    assert sorted(warm_builds * len(policies)) == sorted(builds)
     assert warm_builds.count("select") == 8 * len(seeds)
+    assert warm_builds.count("shuffle") > 0
 
 
 def test_a_policy_major_grid_over_budget_keeps_its_first_rounds_bitwise(monkeypatch):

@@ -14,7 +14,9 @@ import pytest
 from fedsample.cli import demo_train_seed
 from fedsample.engine import RoundConfig, client_train_seed
 from fedsample.policies import PolicyConfig
-from fedsample.seeding import _part_to_int, derive_rng, seed_sequence
+from fedsample.models import _shuffle_orders
+from fedsample.seeding import (_first_uint64, _first_uint64s, _part_to_int, _rngs, derive_rng,
+                               seed_sequence)
 
 EDGE_PARTS = [
     0, 1, 2**32 - 1, 2**32, 2**64 - 1,
@@ -57,6 +59,38 @@ def test_train_seeds_are_the_streams_first_uint64():
         assert demo_train_seed(seed) == int(reference.generate_state(1, np.uint64)[0])
 
 
+def test_stream_builders_draw_what_derive_rng_draws_bitwise():
+    rng = np.random.default_rng(20261020)
+    streams = [tuple(random_part(rng) for _ in range(int(rng.integers(1, 7)))) for _ in range(200)]
+    streams += [(value,) for value in (0, 2**32 - 1, 2**32, 2**64 - 1)]
+    streams += [("shuffle",), (2**64 - 1, "train", 2**32, 2**32 - 1)]
+    for batch in (streams, streams[-6:], streams[:2], streams[:1], []):
+        firsts = _first_uint64s(batch)
+        assert firsts.dtype == np.uint64
+        assert firsts.tolist() == [_first_uint64(seed_sequence(*parts)) for parts in batch]
+        generators = list(_rngs(batch))
+        assert len(generators) == len(batch)
+        for parts, got in zip(batch, generators):
+            expected = derive_rng(*parts)
+            assert np.array_equal(got.integers(0, 2**63, size=4),
+                                  expected.integers(0, 2**63, size=4)), parts
+            assert np.array_equal(got.permutation(50), expected.permutation(50)), parts
+    cases = [(0, 0, 0), (7, 3, 99), (2**32, 1, 2), (2**64 - 1, 2**40, 5)]
+    assert _first_uint64s([(seed, "train", t, k) for seed, t, k in cases]).tolist() == [
+        client_train_seed(*case) for case in cases]
+
+
+@pytest.mark.parametrize("n", [1, 256, 257])
+@pytest.mark.parametrize("epochs, seeds", [(0, [3, 4]), (1, [2**64 - 1]), (2, [0, 2**32, 9])])
+def test_shuffle_orders_are_each_streams_permutation_bitwise(n, epochs, seeds):
+    orders = _shuffle_orders(epochs, n, *seeds)
+    assert orders.shape == (epochs, len(seeds), n)
+    assert orders.dtype == (np.uint8 if n <= 256 else np.uint16)
+    for e in range(epochs):
+        for g, seed in enumerate(seeds):
+            assert np.array_equal(orders[e, g], derive_rng(seed, "shuffle", e).permutation(n))
+
+
 @pytest.mark.parametrize("bad", [2**64, -1, 2**70, np.int64(-1)])
 def test_int_parts_outside_64_bits_are_rejected(bad):
     message = r"must be in \[0, 2\*\*64\)"
@@ -66,6 +100,10 @@ def test_int_parts_outside_64_bits_are_rejected(bad):
         derive_rng(0, "shuffle", bad)
     with pytest.raises(ValueError, match=message):
         client_train_seed(bad, 0, 0)
+    with pytest.raises(ValueError, match=message):
+        _rngs([(0, "shuffle", 0), (bad, "shuffle", 0)])
+    with pytest.raises(ValueError, match=message):
+        _first_uint64s([(0, "train", 0, 0), (0, "train", 0, bad)])
     with pytest.raises(ValueError, match="^seed " + message):
         RoundConfig(n_clients=4, client_fraction=0.5, epochs=1, batch_size=2, eta=0.1,
                     policy=PolicyConfig("full"), seed=bad)
@@ -79,7 +117,8 @@ def test_seeds_at_the_ends_of_the_range_are_distinct_streams():
     assert len({tuple(d) for d in draws.values()}) == len(draws)
 
 
-# Every label the package passes to derive_rng or seed_sequence.
+# Every label the package passes to derive_rng, seed_sequence or the
+# many-stream builders _rngs and _first_uint64s.
 PACKAGE_LABELS = ("deal", "decide", "demo", "init", "means", "ou_path", "samples",
                   "select", "shuffle", "test", "track", "train")
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -96,7 +135,7 @@ def run_fresh(code: str) -> str:
 
 
 def test_package_labels_are_listed():
-    calls = re.findall(r"(?:derive_rng|seed_sequence)\([^)]*?\"(\w+)\"",
+    calls = re.findall(r"(?:derive_rng|seed_sequence|_rngs|_first_uint64s)\([^)]*?\"(\w+)\"",
                        "".join(p.read_text() for p in (SRC / "fedsample").glob("*.py")))
     assert sorted(set(calls)) == list(PACKAGE_LABELS)
 
@@ -218,3 +257,38 @@ def test_a_table_whose_owner_died_stays_within_the_budget(monkeypatch):
         assert np.array_equal(value, orders(key))
     assert sorted(key for _, key in orphan) == [0, 1, 2]
     assert live.nbytes + orphan.nbytes == seeding._TABLE_BYTES
+
+
+def test_tables_kept_past_their_owners_share_the_budget_with_live_ones(monkeypatch):
+    # Three tables kept after their owners died and one live table hold at
+    # most the budget between them; a table that is let go frees its share.
+    import gc
+    import weakref
+
+    from fedsample import seeding
+
+    def orders(i):
+        return derive_rng(i, "shuffle", 0).permutation(8).astype(np.uint8)
+
+    class Owner:  # stands in for a dataset
+        pass
+
+    monkeypatch.setattr(seeding, "_TABLES", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(seeding, "_MADE", weakref.WeakValueDictionary())
+    monkeypatch.setattr(seeding, "_TABLE_BYTES", 8 * seeding._charge((orders, 0), orders(0)))
+    owner = Owner()
+    live = seeding.shared_table(owner)
+    for key in range(2):
+        seeding.memoized(live, orders, key)
+    orphans = [seeding.shared_table(Owner()) for _ in range(3)]
+    gc.collect()
+    for table in [*orphans, live]:
+        for key in range(24):
+            assert np.array_equal(seeding.memoized(table, orders, key), orders(key))
+    assert [len(table) for table in [*orphans, live]] == [6, 0, 0, 2]
+    assert sum(table.nbytes for table in [*orphans, live]) == seeding._TABLE_BYTES
+    del orphans, table
+    gc.collect()
+    for key in range(24):
+        seeding.memoized(live, orders, key)
+    assert len(live) == 8 and live.nbytes == seeding._TABLE_BYTES
