@@ -97,7 +97,7 @@ def synth_blobs(
     rem = samples_per_client % shards_per_client
 
     clients: list[tuple[np.ndarray, np.ndarray]] = []
-    rngs = _rngs([(seed, "samples", k) for k in range(n_clients)])
+    rngs = _rngs((seed, "samples", np.arange(n_clients)))
     for k, rng in enumerate(rngs):
         own = dealt[k * shards_per_client : (k + 1) * shards_per_client]
         sizes = [base + (1 if j < rem else 0) for j in range(shards_per_client)]

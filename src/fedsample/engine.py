@@ -15,19 +15,26 @@ It gives each client its statistic or its own fit's error, so that the
 round raises the error, and the client, that fitting client by client
 would.
 
-Cells of one seed on one dataset object, such as a sweep's policies,
-share the dataset's ``seeding.shared_table``, which ``run_round`` looks up
-once and hands the trainer for its shuffle orders. It memoizes the round's
-policy-independent draws, its selected ids and their train seeds, by
-``(K, C, round, seed)``; a miss calls ``select_clients`` and builds the
-seeds' streams together, each seed the ``client_train_seed`` of its
-client. It also keeps each round in which every selected
-client sends, under what alone fixes its outcome: the model, K, C, E, B,
-eta, seed, the track spec training used, the round and the start model's
-bits. A later round with that key runs its own policy's checks and
-decisions on the stored statistics; if it too sends everyone, it takes a
-copy of the stored model, accuracy and loss, and trains, aggregates and
-evaluates nothing. Rounds with a NACK or an error store nothing.
+A run derives its rounds' policy-independent draws a window at a time:
+at the first ``next``, ``iter_rounds`` takes the rounds from the current
+one to the end of the run (at most ``_WINDOW_STREAMS`` streams), calls
+``select_clients`` once per round, and builds every selected client's
+train seed in one pass and the seed words of its E shuffle streams in
+another (``_round_draws``); a direct ``run_round`` call is a one-round
+window. Cells of one seed on one dataset object, such as a sweep's
+policies, share the dataset's ``seeding.shared_table``, which
+``run_round`` looks up once and hands the trainer for its shuffle orders.
+Each round stores its ids and train seeds there as it runs, by ``(K, C,
+round, seed)``, so a later cell's window takes them from the table and
+builds only the rounds it lacks (its shuffle orders are memoized too); a
+run keeps its own window when the table is full. The table also keeps
+each round in which every selected client sends, under what alone fixes
+its outcome: the model, K, C, E, B, eta, seed, the track spec training
+used, the round and the start model's bits. A later round with that key
+runs its own policy's checks and decisions on the stored statistics; if
+it too sends everyone, it takes a copy of the stored model, accuracy and
+loss, and trains, aggregates and evaluates nothing. Rounds with a NACK or
+an error store nothing.
 
 Byte accounting is exact and single-precision-based regardless of the
 double-precision arithmetic: 4 bytes per parameter, 8 bytes per sample
@@ -65,6 +72,7 @@ from .errors import NumericError
 from .models import (
     ModelSpec,
     _check_sgd_knobs,
+    _shuffle_words,
     evaluate,
     init_params,
     local_train,  # noqa: F401 - engine.local_train stays resolvable (bench/tracer.py wraps it)
@@ -78,7 +86,7 @@ from .policies import (
     compute_adaptive_threshold,
     local_decide,
 )
-from .seeding import (_first_uint64, _first_uint64s, _rngs, check_seed, derive_rng, memoized,
+from .seeding import (_charge, _first_uint64, _rngs, _state_words, check_seed, derive_rng,
                       seed_sequence, shared_table, store)
 
 PARAM_BYTES = 4      # single-precision payload accounting
@@ -86,6 +94,12 @@ COUNT_BYTES = 8      # n_i attached to every message
 SCALAR_BYTES = 4     # adaptive pre-phase report and threshold broadcast
 
 NACK_MODES = ("carry_forward", "ou_decode")
+
+# A run derives its rounds' draws a window of rounds at a time, each window
+# at most this many streams (a selected client's train seed and each of its
+# E shuffle streams count one). That bounds the pass's arrays, whose peak is
+# about 140 bytes a stream (0.6 MB at the cap), however long the run.
+_WINDOW_STREAMS = 1 << 12
 
 METRICS_HEADER = (
     "round,policy,selected,senders,threshold,uplink_bytes,"
@@ -225,7 +239,8 @@ def select_clients(
 ) -> np.ndarray:
     """The round's participant set: uniform without replacement, ascending
     ids, deterministic per (seed, round). Every call draws a fresh array;
-    ``run_round`` memoizes the ids with their train seeds."""
+    a run calls it once per round, as it builds its window's draws
+    (``_round_draws``)."""
     m = _round_size(n_clients, fraction)
     rng = derive_rng(seed, "select", round_idx)
     return np.sort(rng.choice(n_clients, size=m, replace=False)).astype(np.int64)
@@ -233,17 +248,50 @@ def select_clients(
 
 def client_train_seed(seed: int, round_idx: int, client_id: int) -> int:
     """Stable integer seed for one client's local work in one round: the
-    stream's first uint64. ``run_round`` memoizes a round's seeds with its
-    ids."""
+    stream's first uint64. A run derives its window's seeds in one pass
+    (``_round_draws``), each bit for bit this one."""
     return _first_uint64(seed_sequence(seed, "train", round_idx, client_id))
 
 
-def _round_draws(n_clients: int, fraction: float, round_idx: int, seed: int) -> np.ndarray:
-    """The round's selected ids (row 0) and their train seeds (row 1), each
-    the ``client_train_seed`` of its id."""
-    ids = select_clients(n_clients, fraction, round_idx, seed)
-    seeds = _first_uint64s([(seed, "train", round_idx, k) for k in ids.tolist()])
-    return np.stack([ids.astype(np.uint64), seeds])
+def _round_draws(n_clients: int, fraction: float, seed: int, epochs: int,
+                 rounds: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The policy-independent draws of each of ``rounds``, in one pass: its
+    selected ids (ascending) and their ``client_train_seed``s, an (m, 2)
+    uint64 array, and the four PCG64 seed words of each client's E shuffle
+    streams (``models._shuffle_words``), an (m, E, 4) array. Selection takes
+    one ``select_clients`` call per round; the train seeds of every round
+    are one ``_state_words`` pass, and their shuffle streams one more."""
+    ids = np.concatenate([select_clients(n_clients, fraction, t, seed) for t in rounds])
+    at = np.repeat(np.array(rounds, np.uint64), ids.size // len(rounds))
+    draws = np.stack([ids.astype(np.uint64), _state_words((seed, "train", at, ids), 1)[:, 0]],
+                     axis=1)
+    words = _shuffle_words(draws[:, 1], epochs)
+    return [(block.copy(), round_words) for block, round_words
+            in zip(np.split(draws, len(rounds)), np.split(words, len(rounds)))]
+
+
+def _draws_key(config: RoundConfig, round_idx: int) -> tuple:
+    """The table key of a round's ids and train seeds."""
+    return (_round_draws, config.n_clients, config.client_fraction, round_idx, config.seed)
+
+
+def _window(table, config: RoundConfig, first: int, count: int) -> dict[int, tuple]:
+    """The draws of rounds ``first``, ``first + 1``, ... (``count`` of them,
+    fewer if their streams would pass ``_WINDOW_STREAMS``), by round: the
+    read-only ids and train seeds of each and its shuffle words, or None for
+    the words of a round that ``table`` holds, the rest built in one pass.
+    ``run_round`` stores each round's ids and seeds as it runs, so the table
+    fills in round order; the words stay in the window."""
+    m = _round_size(config.n_clients, config.client_fraction)
+    span = max(1, min(count, _WINDOW_STREAMS // (m * (1 + config.epochs))))
+    window = {t: (table.get(_draws_key(config, t)), None) for t in range(first, first + span)}
+    missing = [t for t, (draws, _) in window.items() if draws is None]
+    if missing:
+        for t, (draws, words) in zip(missing, _round_draws(
+                config.n_clients, config.client_fraction, config.seed, config.epochs, missing)):
+            draws.flags.writeable = False
+            window[t] = draws, words
+    return window
 
 
 def _round_bytes(n_params: int, selected: int, senders: int,
@@ -344,14 +392,21 @@ def run_round(
     config: RoundConfig,
     dataset: FederatedDataset,
     ledger: CommLedger,
+    *,
+    _draws: tuple | None = None,
 ) -> RoundReport:
-    """Execute one protocol round, mutating state and appending to ledger."""
+    """Execute one protocol round, mutating state and appending to ledger.
+    ``_draws`` is the round's entry of ``iter_rounds``' window; a call
+    without it takes a one-round window."""
     policy = config.policy
     t = state.round
     start = state.global_params
     table = shared_table(dataset)
-    ids, seeds = memoized(table, _round_draws, config.n_clients, config.client_fraction,
-                          t, config.seed).tolist()
+    draws, words = _window(table, config, t, 1)[t] if _draws is None else _draws
+    draws_key = _draws_key(config, t)
+    if draws_key not in table:
+        store(table, draws_key, draws, _charge(draws_key, draws))
+    ids, seeds = draws[:, 0].tolist(), draws[:, 1].tolist()
 
     track = config.track if policy.needs_band_fraction else None
     key = (model, config.n_clients, config.client_fraction, config.epochs,
@@ -361,7 +416,7 @@ def run_round(
     def train():
         return train_clients(model, start, [dataset.clients[k] for k in ids], seeds,
                              epochs=config.epochs, batch_size=config.batch_size,
-                             eta=config.eta, track=track, table=table)
+                             eta=config.eta, track=track, table=table, words=words)
 
     trained = None if hit else train()
     # Each client's decision statistic, or the error that its round raises.
@@ -406,7 +461,7 @@ def run_round(
     if policy.adaptive:
         threshold = compute_adaptive_threshold(np.array(stats))
 
-    rngs = (_rngs([(config.seed, "decide", t, k) for k in ids]) if policy.kind == "random"
+    rngs = (_rngs((config.seed, "decide", t, draws[:, 0])) if policy.kind == "random"
             else [None] * len(ids))
     sends = [local_decide(policy, stat, threshold, rng) for stat, rng in zip(stats, rngs)]
     senders = [k for k, send in zip(ids, sends) if send]
@@ -512,7 +567,8 @@ def iter_rounds(
     """An iterator with one RoundReport per round; state/ledger mutate as it
     goes. An inconsistent experiment (a passed state's parameter shape,
     history_len and history included) raises ValueError at the call, before
-    any round runs."""
+    any round runs. The rounds' draws come from a window built at the first
+    ``next``, not at the call (see ``_rounds``)."""
     _validate_experiment(model, config, dataset, rounds)
     if state is None:
         state = ServerState(
@@ -527,7 +583,20 @@ def iter_rounds(
                          f"history_len {config.history_len}")
     else:
         _check_history(state)
-    return (run_round(state, model, config, dataset, ledger) for _ in range(rounds))
+    return _rounds(state, model, config, dataset, ledger, rounds)
+
+
+def _rounds(state, model, config, dataset, ledger, rounds: int):
+    """``rounds`` calls of ``run_round``, each handed its round's draws from
+    the run's window (``_window``): the rest of the run, up to the stream
+    budget, built in one pass as the first round starts. The run keeps its
+    window whether or not the table has room for it."""
+    table = shared_table(dataset)
+    window: dict[int, np.ndarray] = {}
+    for left in range(rounds, 0, -1):
+        if state.round not in window:
+            window = _window(table, config, state.round, left)
+        yield run_round(state, model, config, dataset, ledger, _draws=window.pop(state.round))
 
 
 def run_experiment(

@@ -50,7 +50,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import NumericError
-from .seeding import _rngs, derive_rng, memoized
+from .seeding import _rngs, _seeded_generator, _state_words, _values, derive_rng, memoized
 
 # "auto" tracking records every coordinate for models below this size and
 # falls back to a fixed-size uniform subsample above it, keeping trajectory
@@ -370,7 +370,7 @@ def _resolve_track(track: None | str | int, n_params: int, seeds: list[int]) -> 
         ids.flags.writeable = False
         return [ids] * len(seeds)
     k = min(_AUTO_TRACK_SUBSAMPLE if track == "auto" else int(track), n_params)
-    rngs = _rngs([(seed, "track") for seed in seeds])
+    rngs = _rngs((seeds, "track"))
     return [np.sort(rng.choice(n_params, size=k, replace=False)).astype(np.int64) for rng in rngs]
 
 
@@ -403,6 +403,7 @@ def train_clients(
     eta: float,
     track: None | str | int = None,
     table: dict | None = None,
+    words: np.ndarray | None = None,
 ) -> list[LocalTrainReport | NumericError]:
     """E epochs of mini-batch SGD from ``start`` for each client.
 
@@ -410,12 +411,14 @@ def train_clients(
     of ``batch_size``; a short final batch is kept and its gradient averaged
     over its actual size. Deterministic given the client's seed: the
     permutation for epoch e comes from a stream derived from
-    (seed, "shuffle", e), so clients cannot perturb each other. A lockstep
-    chunk's permutations are one read-only (E, G, n) block. ``table``, the
-    dataset's ``seeding.shared_table`` that the engine passes, keeps each
-    block by (E, n, the chunk's seeds), so a later call with the same seeds
-    and table, as another cell of the same seed makes, draws none; it
-    changes no output. Without one nothing is kept.
+    (seed, "shuffle", e), so clients cannot perturb each other. ``words``,
+    those streams' seed words as ``_shuffle_words(seeds, epochs)`` gives
+    them, saves deriving them: the engine passes its run window's. A
+    lockstep chunk's permutations are one read-only (E, G, n) block.
+    ``table``, the dataset's ``seeding.shared_table`` that the engine passes,
+    keeps each block by (E, n, the chunk's seeds), so a later call with the
+    same seeds and table, as another cell of the same seed makes, draws
+    none; it changes no output. Without one nothing is kept.
 
     Entry i is client i's report, or the NumericError its training raised:
     "non-finite parameters" at the step that would start from them, or
@@ -448,21 +451,37 @@ def train_clients(
                 results = _train_chunk(
                     spec, start, [batches[i] for i in chunk], [seeds[i] for i in chunk],
                     epochs, batch_size, eta, track, scratch, table,
+                    None if words is None else words[chunk],
                 )
                 for i, result in zip(chunk, results):
                     out[i] = result
     return out
 
 
-def _shuffle_orders(epochs: int, n: int, *seeds: int) -> np.ndarray:
+def _shuffle_words(seeds, epochs: int) -> np.ndarray:
+    """The four PCG64 seed words of each client's stream (seed, "shuffle", e)
+    for each epoch e, a (G, E, 4) uint64 array, all in one pass; ``seeds`` is
+    a uint64 array or a sequence of ints, one per client."""
+    values = _values(seeds)
+    streams = np.repeat(values, epochs)
+    epoch = np.tile(np.arange(epochs, dtype=np.uint64), values.size)
+    return _state_words((streams, "shuffle", epoch), 4).reshape(values.size, epochs, 4)
+
+
+def _shuffle_orders(epochs: int, n: int, *seeds: int, words: np.ndarray | None = None
+                    ) -> np.ndarray:
     """Each client's sample order in each epoch, as an (E, G, n) block of
-    the smallest unsigned type that holds n - 1: each row is ``arange(n)``
-    shuffled in place, the draws of ``permutation(n)``."""
+    the smallest unsigned type that holds n - 1: row (e, g) is ``arange(n)``
+    shuffled in place by the stream (seeds[g], "shuffle", e), the draws of
+    its ``permutation(n)``. ``words``, the streams' seed words as
+    ``_shuffle_words`` gives them, saves deriving them."""
+    if words is None:
+        words = _shuffle_words(seeds, epochs)
     orders = np.empty((epochs, len(seeds), n), np.min_scalar_type(n - 1))
     rows = orders.reshape(-1, n)
     rows[:] = np.arange(n, dtype=orders.dtype)
-    for i, rng in enumerate(_rngs([(seed, "shuffle", e) for e in range(epochs) for seed in seeds])):
-        rng.shuffle(rows[i])
+    for row, rng in zip(rows, map(_seeded_generator(), words.swapaxes(0, 1).reshape(-1, 4))):
+        rng.shuffle(row)
     return orders
 
 
@@ -477,6 +496,7 @@ def _train_chunk(
     track: None | str | int,
     scratch: dict,
     table: dict | None,
+    words: np.ndarray | None,
 ) -> list[LocalTrainReport | NumericError]:
     """Lockstep SGD of equal-size clients on a (G, P) parameter stack.
 
@@ -515,7 +535,7 @@ def _train_chunk(
     # last batch of an epoch may be short).
     cuts = [(lo, lo % block, lo % block + min(batch_size, n - lo))
             for lo in range(0, n, batch_size)]
-    orders = memoized(table, _shuffle_orders, epochs, n, *seeds)
+    orders = memoized(table, _shuffle_orders, epochs, n, *seeds, words=words)
     out: list[LocalTrainReport | NumericError | None] = [None] * rows  # a failed row's error
     step = 0  # lockstep steps taken
     for epoch, (lo, b, e) in itertools.product(range(epochs), cuts):

@@ -904,17 +904,29 @@ def run_cell(policy, seed, mode, ds=None, rounds=8):
 
 
 def count_stream_builds(monkeypatch) -> list:
-    """Record each selection, and the label of each stream the trainer
-    builds, through the module globals a table miss calls."""
+    """Record each selection, and the label of each other stream a round
+    builds (train seeds, shuffle, decide and track streams), through the
+    module globals of the stream builders that engine and models call."""
     import fedsample.engine as engine
     import fedsample.models as models
 
     builds = []
-    select, rngs = engine.select_clients, models._rngs
+    select = engine.select_clients
     monkeypatch.setattr(engine, "select_clients",
                         lambda *a: builds.append("select") or select(*a))
-    monkeypatch.setattr(models, "_rngs",
-                        lambda streams: builds.extend(s[1] for s in streams) or rngs(streams))
+    for module in (engine, models):
+        def columns(parts, n, words=module._state_words):
+            out = words(parts, n)
+            builds.extend([next(p for p in parts if isinstance(p, str))] * len(out))
+            return out
+
+        def generators(parts, rngs=module._rngs):
+            out = list(rngs(parts))
+            builds.extend([next(p for p in parts if isinstance(p, str))] * len(out))
+            return out
+
+        monkeypatch.setattr(module, "_state_words", columns)
+        monkeypatch.setattr(module, "_rngs", generators)
     return builds
 
 
@@ -965,10 +977,14 @@ def test_cells_sharing_a_seed_equal_cells_run_cold_bitwise(monkeypatch, policies
     builds.clear()
     cold = [run_cell(policy, seed, mode) for policy, seed in cells]
     assert warm == cold
-    # Only the first cell of each seed built its streams.
-    assert sorted(warm_builds * len(policies)) == sorted(builds)
-    assert warm_builds.count("select") == 8 * len(seeds)
-    assert warm_builds.count("shuffle") > 0
+    # Only the first cell of each seed built its policy-independent streams;
+    # a random cell builds its decide streams, warm or cold.
+    shared = [b for b in warm_builds if b != "decide"]
+    assert sorted(shared * len(policies)) == sorted(b for b in builds if b != "decide")
+    assert warm_builds.count("decide") == builds.count("decide")
+    # 8 rounds of 5 clients a seed, each with 3 shuffle streams.
+    assert [shared.count(label) for label in ("select", "train", "shuffle")] == [
+        8 * len(seeds), 40 * len(seeds), 120 * len(seeds)]
 
 
 def test_a_policy_major_grid_over_budget_keeps_its_first_rounds_bitwise(monkeypatch):
@@ -993,6 +1009,104 @@ def test_a_policy_major_grid_over_budget_keeps_its_first_rounds_bitwise(monkeypa
     assert builds.count("select") < len(cells) * 30
 
 
+# ------------------------------------------------------ the run's window
+
+def count_windows(monkeypatch) -> list:
+    """Record the rounds of each ``engine._round_draws`` pass."""
+    import fedsample.engine as engine
+
+    calls = []
+    round_draws = engine._round_draws
+    monkeypatch.setattr(engine, "_round_draws",
+                        lambda *a: calls.append(list(a[-1])) or round_draws(*a))
+    return calls
+
+
+def test_iter_rounds_builds_its_window_at_the_first_next(monkeypatch):
+    fresh_tables(monkeypatch)
+    builds = count_stream_builds(monkeypatch)
+    windows = count_windows(monkeypatch)
+    cfg = config(PolicyConfig("full"), client_fraction=0.5, epochs=3, batch_size=2)
+    ds = small_dataset()
+    state = ServerState(init_params(MLP, cfg.seed), history_len=cfg.history_len)
+    rounds = iter_rounds(MLP, cfg, ds, 3, CommLedger(), state)
+    assert builds == [] and windows == []
+    next(rounds)
+    # All 3 rounds' draws, in one pass: 5 clients a round, 3 epochs each.
+    assert windows == [[0, 1, 2]]
+    assert [builds.count(label) for label in ("select", "train", "shuffle")] == [3, 15, 45]
+    assert len(list(rounds)) == 2
+    assert windows == [[0, 1, 2]] and len(builds) == 3 + 15 + 45
+    # Another cell on the dataset finds every round in the table.
+    run_cell(PolicyConfig("at"), 0, "carry_forward", ds, rounds=3)
+    assert windows == [[0, 1, 2]] and len(builds) == 3 + 15 + 45
+
+
+def test_iter_rounds_equals_direct_run_round_calls_bitwise():
+    from fedsample import engine
+
+    cfg = config(PolicyConfig("aou"), client_fraction=0.5, epochs=3, batch_size=2,
+                 nack_estimate_mode="ou_decode")
+
+    def run(rounds):
+        ds = small_dataset()
+        state = ServerState(init_params(MLP, cfg.seed), history_len=cfg.history_len)
+        ledger = CommLedger()
+        return rounds(state, ds, ledger), state.global_params.tobytes(), ledger
+
+    windowed = run(lambda state, ds, ledger: list(iter_rounds(MLP, cfg, ds, 6, ledger, state)))
+    direct = run(lambda state, ds, ledger: [engine.run_round(state, MLP, cfg, ds, ledger)
+                                            for _ in range(6)])
+    assert repr(windowed) == repr(direct)  # exact for floats
+    assert any(r.senders != r.selected for r in windowed[0])
+
+
+def test_a_full_table_still_serves_every_round_from_the_run_window(monkeypatch):
+    from fedsample import seeding
+
+    cold = run_cell(PolicyConfig("ft", gamma=0.5), 0, "carry_forward", rounds=5)
+    fresh_tables(monkeypatch, budget=0)
+    windows = count_windows(monkeypatch)
+    builds = count_stream_builds(monkeypatch)
+    ds = small_dataset()
+    for _ in range(2):
+        assert run_cell(PolicyConfig("ft", gamma=0.5), 0, "carry_forward", ds, rounds=5) == cold
+    # The table stored nothing, so each run built its own window, once.
+    assert len(seeding._TABLES[ds]) == 0
+    assert windows == [[0, 1, 2, 3, 4]] * 2 and builds.count("select") == 10
+
+
+def test_rounds_whose_orders_left_the_table_derive_them_bitwise(monkeypatch):
+    from fedsample import engine, seeding
+
+    cold = run_cell(PolicyConfig("at"), 0, "carry_forward", rounds=4)
+    fresh_tables(monkeypatch)
+    windows = count_windows(monkeypatch)  # before any key names engine._round_draws
+    ds = small_dataset()
+    run_cell(PolicyConfig("full"), 0, "carry_forward", ds, rounds=4)
+    table = seeding._TABLES[ds]
+    for key in [key for key in table if key[0] is not engine._round_draws]:
+        del table[key]
+    windows.clear()
+    builds = count_stream_builds(monkeypatch)
+    assert run_cell(PolicyConfig("at"), 0, "carry_forward", ds, rounds=4) == cold
+    # The table held every round's ids and seeds but no shuffle words, so
+    # the trainer derived its 4 rounds x 5 clients x 3 epochs of streams.
+    assert windows == [] and sorted(set(builds)) == ["shuffle"] and len(builds) == 60
+
+
+def test_a_run_past_the_stream_budget_takes_one_window_per_budget_bitwise(monkeypatch):
+    from fedsample import engine
+
+    cold = run_cell(PolicyConfig("at"), 0, "carry_forward", rounds=5)
+    fresh_tables(monkeypatch)
+    windows = count_windows(monkeypatch)
+    # Each round selects 5 clients of 3 epochs: 20 streams, two rounds a window.
+    monkeypatch.setattr(engine, "_WINDOW_STREAMS", 40)
+    assert run_cell(PolicyConfig("at"), 0, "carry_forward", small_dataset(), rounds=5) == cold
+    assert windows == [[0, 1], [2, 3], [4]]
+
+
 def test_select_clients_returns_a_fresh_writable_array():
     cfg = config(PolicyConfig("full"))
     before, _ = run_experiment(MODEL, cfg, small_dataset(), rounds=3)
@@ -1008,6 +1122,8 @@ def test_select_clients_returns_a_fresh_writable_array():
 
 
 def test_invalid_round_sizes_raise_on_every_call():
+    from types import SimpleNamespace
+
     from fedsample import engine, seeding
 
     table = seeding.shared_table(small_dataset())
@@ -1015,8 +1131,10 @@ def test_invalid_round_sizes_raise_on_every_call():
         for n_clients, fraction, message in [(0, 0.5, "K"), (10, 1.5, "C"), (10, 0.0, "C")]:
             with pytest.raises(ValueError, match=message):
                 select_clients(n_clients, fraction, 0, 0)
+            # RoundConfig rejects these, so the window gets a stand-in.
+            cfg = SimpleNamespace(n_clients=n_clients, client_fraction=fraction, epochs=1, seed=0)
             with pytest.raises(ValueError, match=message):
-                seeding.memoized(table, engine._round_draws, n_clients, fraction, 0, 0)
+                engine._window(table, cfg, 0, 2)
     assert len(table) == 0 and table.nbytes == 0
 
 
