@@ -29,16 +29,20 @@ TEST_CLIENT_ID = "test"
 
 class FederatedDataset:
     """Per-client labelled samples plus a shared held-out test set, checked
-    when built; its fields are read-only. Two datasets are equal only if
-    they are one object, which hashes by identity and can key a
-    ``weakref.WeakKeyDictionary``."""
+    when built. Its fields, and the views of the given arrays that it keeps
+    (nothing is copied), are read-only: the engine replays rounds computed
+    on them. Two datasets are equal only if they are one object, which
+    hashes by identity and can key a ``weakref.WeakKeyDictionary``."""
 
     def __init__(self, clients: tuple[tuple[np.ndarray, np.ndarray], ...],
                  test_set: tuple[np.ndarray, np.ndarray], n_classes: int, dim: int) -> None:
-        vars(self).update(clients=clients, test_set=test_set, n_classes=n_classes, dim=dim)
+        views = [(x.view(), y.view()) for x, y in [*clients, test_set]]
+        vars(self).update(clients=tuple(views[:-1]), test_set=views[-1], n_classes=n_classes,
+                          dim=dim)
         if len(self.clients) < 1:
             raise ValueError("need at least one client")
-        for x, y in list(self.clients) + [self.test_set]:
+        for x, y in views:
+            x.flags.writeable = y.flags.writeable = False
             if x.ndim != 2 or x.shape[1] != self.dim:
                 raise ValueError("feature dimension must be uniform")
             if y.shape != (x.shape[0],):

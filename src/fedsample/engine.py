@@ -21,20 +21,16 @@ one to the end of the run (at most ``_WINDOW_STREAMS`` streams), calls
 ``select_clients`` once per round, and builds every selected client's
 train seed in one pass and the seed words of its E shuffle streams in
 another (``_round_draws``); a direct ``run_round`` call is a one-round
-window. Cells of one seed on one dataset object, such as a sweep's
-policies, share the dataset's ``seeding.shared_table``, which
-``run_round`` looks up once and hands the trainer for its shuffle orders.
-Each round stores its ids and train seeds there as it runs, by ``(K, C,
-round, seed)``, so a later cell's window takes them from the table and
-builds only the rounds it lacks (its shuffle orders are memoized too); a
-run keeps its own window when the table is full. The table also keeps
-each round in which every selected client sends, under what alone fixes
-its outcome: the model, K, C, E, B, eta, seed, the track spec training
-used, the round and the start model's bits. A later round with that key
-runs its own policy's checks and decisions on the stored statistics; if
-it too sends everyone, it takes a copy of the stored model, accuracy and
-loss, and trains, aggregates and evaluates nothing. Rounds with a NACK or
-an error store nothing.
+window. Every run builds its own draws, and its chunks their shuffle
+orders from the window's words. Cells of one seed on one dataset object,
+such as a sweep's policies, share only the dataset's
+``seeding.shared_table``, which keeps each round in which every selected
+client sends, under what alone fixes its outcome: the model, K, C, E, B,
+eta, seed, the track spec training used, the round and the start model's
+bits. A later round with that key runs its own policy's checks and
+decisions on the stored statistics; if it too sends everyone, it takes a
+copy of the stored model, accuracy and loss, and trains, aggregates and
+evaluates nothing. Rounds with a NACK or an error store nothing.
 
 Byte accounting is exact and single-precision-based regardless of the
 double-precision arithmetic: 4 bytes per parameter, 8 bytes per sample
@@ -48,7 +44,9 @@ order cannot change results. The platform can: the BLAS kernel sets the
 order of matmul's sums. The full-bit pins hold under OpenBLAS's Haswell,
 Zen and SkylakeX kernels. Under Sandybridge and Prescott the final
 parameters' last bits move (by at most 8.4e-15 relative in the pinned
-runs), while every sender set and byte count stays the same. Selected
+runs), while every sender set and byte count stays the same. The OU
+decode's ``math.log`` and ``math.exp`` come from the platform's libm, a
+second source of last-bit differences that no CI job varies. Selected
 clients are processed in ascending client-id order, and aggregation
 follows the anchored form
 
@@ -86,8 +84,8 @@ from .policies import (
     compute_adaptive_threshold,
     local_decide,
 )
-from .seeding import (_charge, _first_uint64, _rngs, _state_words, check_seed, derive_rng,
-                      seed_sequence, shared_table, store)
+from .seeding import (_first_uint64, _rngs, _state_words, check_seed, derive_rng, seed_sequence,
+                      shared_table, store)
 
 PARAM_BYTES = 4      # single-precision payload accounting
 COUNT_BYTES = 8      # n_i attached to every message
@@ -266,32 +264,18 @@ def _round_draws(n_clients: int, fraction: float, seed: int, epochs: int,
     draws = np.stack([ids.astype(np.uint64), _state_words((seed, "train", at, ids), 1)[:, 0]],
                      axis=1)
     words = _shuffle_words(draws[:, 1], epochs)
-    return [(block.copy(), round_words) for block, round_words
-            in zip(np.split(draws, len(rounds)), np.split(words, len(rounds)))]
+    return list(zip(np.split(draws, len(rounds)), np.split(words, len(rounds))))
 
 
-def _draws_key(config: RoundConfig, round_idx: int) -> tuple:
-    """The table key of a round's ids and train seeds."""
-    return (_round_draws, config.n_clients, config.client_fraction, round_idx, config.seed)
-
-
-def _window(table, config: RoundConfig, first: int, count: int) -> dict[int, tuple]:
+def _window(config: RoundConfig, first: int, count: int) -> dict[int, tuple]:
     """The draws of rounds ``first``, ``first + 1``, ... (``count`` of them,
-    fewer if their streams would pass ``_WINDOW_STREAMS``), by round: the
-    read-only ids and train seeds of each and its shuffle words, or None for
-    the words of a round that ``table`` holds, the rest built in one pass.
-    ``run_round`` stores each round's ids and seeds as it runs, so the table
-    fills in round order; the words stay in the window."""
+    fewer if their streams would pass ``_WINDOW_STREAMS``), by round, all
+    built in one ``_round_draws`` pass."""
     m = _round_size(config.n_clients, config.client_fraction)
     span = max(1, min(count, _WINDOW_STREAMS // (m * (1 + config.epochs))))
-    window = {t: (table.get(_draws_key(config, t)), None) for t in range(first, first + span)}
-    missing = [t for t, (draws, _) in window.items() if draws is None]
-    if missing:
-        for t, (draws, words) in zip(missing, _round_draws(
-                config.n_clients, config.client_fraction, config.seed, config.epochs, missing)):
-            draws.flags.writeable = False
-            window[t] = draws, words
-    return window
+    rounds = list(range(first, first + span))
+    return dict(zip(rounds, _round_draws(config.n_clients, config.client_fraction, config.seed,
+                                         config.epochs, rounds)))
 
 
 def _round_bytes(n_params: int, selected: int, senders: int,
@@ -402,10 +386,7 @@ def run_round(
     t = state.round
     start = state.global_params
     table = shared_table(dataset)
-    draws, words = _window(table, config, t, 1)[t] if _draws is None else _draws
-    draws_key = _draws_key(config, t)
-    if draws_key not in table:
-        store(table, draws_key, draws, _charge(draws_key, draws))
+    draws, words = _window(config, t, 1)[t] if _draws is None else _draws
     ids, seeds = draws[:, 0].tolist(), draws[:, 1].tolist()
 
     track = config.track if policy.needs_band_fraction else None
@@ -416,7 +397,7 @@ def run_round(
     def train():
         return train_clients(model, start, [dataset.clients[k] for k in ids], seeds,
                              epochs=config.epochs, batch_size=config.batch_size,
-                             eta=config.eta, track=track, table=table, words=words)
+                             eta=config.eta, track=track, words=words)
 
     trained = None if hit else train()
     # Each client's decision statistic, or the error that its round raises.
@@ -589,13 +570,11 @@ def iter_rounds(
 def _rounds(state, model, config, dataset, ledger, rounds: int):
     """``rounds`` calls of ``run_round``, each handed its round's draws from
     the run's window (``_window``): the rest of the run, up to the stream
-    budget, built in one pass as the first round starts. The run keeps its
-    window whether or not the table has room for it."""
-    table = shared_table(dataset)
-    window: dict[int, np.ndarray] = {}
+    budget, built in one pass as the first round starts."""
+    window: dict[int, tuple] = {}
     for left in range(rounds, 0, -1):
         if state.round not in window:
-            window = _window(table, config, state.round, left)
+            window = _window(config, state.round, left)
         yield run_round(state, model, config, dataset, ledger, _draws=window.pop(state.round))
 
 

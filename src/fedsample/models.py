@@ -50,7 +50,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import NumericError
-from .seeding import _rngs, _seeded_generator, _state_words, _values, derive_rng, memoized
+from .seeding import _rngs, _seeded_generator, _state_words, _values, derive_rng
 
 # "auto" tracking records every coordinate for models below this size and
 # falls back to a fixed-size uniform subsample above it, keeping trajectory
@@ -402,7 +402,6 @@ def train_clients(
     batch_size: int,
     eta: float,
     track: None | str | int = None,
-    table: dict | None = None,
     words: np.ndarray | None = None,
 ) -> list[LocalTrainReport | NumericError]:
     """E epochs of mini-batch SGD from ``start`` for each client.
@@ -414,11 +413,8 @@ def train_clients(
     (seed, "shuffle", e), so clients cannot perturb each other. ``words``,
     those streams' seed words as ``_shuffle_words(seeds, epochs)`` gives
     them, saves deriving them: the engine passes its run window's. A
-    lockstep chunk's permutations are one read-only (E, G, n) block.
-    ``table``, the dataset's ``seeding.shared_table`` that the engine passes,
-    keeps each block by (E, n, the chunk's seeds), so a later call with the
-    same seeds and table, as another cell of the same seed makes, draws
-    none; it changes no output. Without one nothing is kept.
+    lockstep chunk's permutations are one (E, G, n) block, drawn at its
+    start.
 
     Entry i is client i's report, or the NumericError its training raised:
     "non-finite parameters" at the step that would start from them, or
@@ -450,7 +446,7 @@ def train_clients(
                 chunk = members[lo : lo + width]
                 results = _train_chunk(
                     spec, start, [batches[i] for i in chunk], [seeds[i] for i in chunk],
-                    epochs, batch_size, eta, track, scratch, table,
+                    epochs, batch_size, eta, track, scratch,
                     None if words is None else words[chunk],
                 )
                 for i, result in zip(chunk, results):
@@ -470,11 +466,11 @@ def _shuffle_words(seeds, epochs: int) -> np.ndarray:
 
 def _shuffle_orders(epochs: int, n: int, *seeds: int, words: np.ndarray | None = None
                     ) -> np.ndarray:
-    """Each client's sample order in each epoch, as an (E, G, n) block of
-    the smallest unsigned type that holds n - 1: row (e, g) is ``arange(n)``
-    shuffled in place by the stream (seeds[g], "shuffle", e), the draws of
-    its ``permutation(n)``. ``words``, the streams' seed words as
-    ``_shuffle_words`` gives them, saves deriving them."""
+    """Each client's sample order in each epoch, as a read-only (E, G, n)
+    block of the smallest unsigned type that holds n - 1: row (e, g) is
+    ``arange(n)`` shuffled in place by the stream (seeds[g], "shuffle", e),
+    the draws of its ``permutation(n)``. ``words``, the streams' seed words
+    as ``_shuffle_words`` gives them, saves deriving them."""
     if words is None:
         words = _shuffle_words(seeds, epochs)
     orders = np.empty((epochs, len(seeds), n), np.min_scalar_type(n - 1))
@@ -482,6 +478,7 @@ def _shuffle_orders(epochs: int, n: int, *seeds: int, words: np.ndarray | None =
     rows[:] = np.arange(n, dtype=orders.dtype)
     for row, rng in zip(rows, map(_seeded_generator(), words.swapaxes(0, 1).reshape(-1, 4))):
         rng.shuffle(row)
+    orders.flags.writeable = False
     return orders
 
 
@@ -495,7 +492,6 @@ def _train_chunk(
     eta: float,
     track: None | str | int,
     scratch: dict,
-    table: dict | None,
     words: np.ndarray | None,
 ) -> list[LocalTrainReport | NumericError]:
     """Lockstep SGD of equal-size clients on a (G, P) parameter stack.
@@ -535,7 +531,7 @@ def _train_chunk(
     # last batch of an epoch may be short).
     cuts = [(lo, lo % block, lo % block + min(batch_size, n - lo))
             for lo in range(0, n, batch_size)]
-    orders = memoized(table, _shuffle_orders, epochs, n, *seeds, words=words)
+    orders = _shuffle_orders(epochs, n, *seeds, words=words)
     out: list[LocalTrainReport | NumericError | None] = [None] * rows  # a failed row's error
     step = 0  # lockstep steps taken
     for epoch, (lo, b, e) in itertools.product(range(epochs), cuts):

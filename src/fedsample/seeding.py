@@ -23,10 +23,9 @@ each PCG64 from them. A pass has a fixed cost of about what 15 streams
 take one by one, so the engine makes one per run window, not one per
 round. Each stream is bit for bit the one ``derive_rng`` gives.
 
-What the cells of one seed share is kept in their dataset's table
-(``shared_table``): ``memoized`` keeps there what pure functions of streams
-return, and the engine its rounds' draws and all-send rounds, through
-``store``.
+A dataset's table (``shared_table``) keeps only the engine's all-send
+rounds, through ``store``, for later cells of their seed to replay; every
+run builds its own streams.
 """
 
 from __future__ import annotations
@@ -271,7 +270,7 @@ _TABLE_LOCK = threading.Lock()
 
 
 class _Table(dict):
-    """One dataset's shared entries, read-only; ``nbytes`` is their charge
+    """One dataset's all-send rounds, read-only; ``nbytes`` is their charge
     and ``owner`` a weak reference to the dataset."""
 
     nbytes = 0
@@ -288,7 +287,7 @@ _MADE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def shared_table(owner) -> _Table:
-    """The table of ``owner`` (a dataset, whose arrays must not change),
+    """The table of ``owner`` (a dataset, whose arrays are read-only),
     made on first use; it dies with ``owner``, unless a caller keeps it."""
     with _TABLE_LOCK:
         table = _TABLES.get(owner)
@@ -310,23 +309,3 @@ def store(table: _Table, key, value, charge: int, was=None) -> None:
             table[key] = value
             table.nbytes += charge
 
-
-def _charge(key: tuple, value: np.ndarray) -> int:
-    """An array entry's charge: its bytes, 64 per key part, 512 for the rest."""
-    return value.nbytes + 64 * len(key) + 512
-
-
-def memoized(table: _Table | None, build, *args, **given) -> np.ndarray:
-    """``build(*args, **given)``, an array drawn from streams that ``args``
-    name, made read-only; ``given`` holds what ``args`` fix, worked out
-    already, so it is not part of the key. Given a table, the array is kept
-    there under ``(build, *args)`` while the budget has room, and later calls
-    with that table share it; an error is never kept."""
-    key = (build, *args)
-    value = None if table is None else table.get(key)
-    if value is None:
-        value = build(*args, **given)
-        value.flags.writeable = False
-        if table is not None:
-            store(table, key, value, _charge(key, value))
-    return value

@@ -208,6 +208,20 @@ def test_datasets_compare_and_hash_by_identity():
     assert list(table.values()) == ["b"]
 
 
+def test_a_dataset_keeps_read_only_views_of_its_arrays():
+    # Writes through the dataset raise; the given arrays are not copied and
+    # stay the caller's to write.
+    x, y = np.zeros((2, 3)), np.zeros(2, dtype=np.int64)
+    tx, ty = np.ones((4, 3)), np.ones(4, dtype=np.int64)
+    ds = FederatedDataset(clients=((x, y),), test_set=(tx, ty), n_classes=2, dim=3)
+    for mine, view in zip([x, y, tx, ty], [*ds.clients[0], *ds.test_set]):
+        assert np.shares_memory(mine, view) and mine.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 1
+    x *= 2.0
+    assert ds.clients[0][0] is not x and ds.test_set[0].sum() == 12.0
+
+
 def test_dataset_validation():
     x = np.zeros((2, 3))
     y = np.zeros(2, dtype=np.int64)

@@ -433,8 +433,8 @@ def test_experiment_is_deterministic_to_the_byte():
     cfg = config(PolicyConfig("at"))
     rows = []
     for _ in range(2):
-        # A dataset object of its own, so that no run reads the other's
-        # table: its draws, shuffle orders or all-send rounds.
+        # A dataset object of its own, so that no run replays the other's
+        # all-send rounds.
         reports, _ = run_experiment(MODEL, cfg, small_dataset(), rounds=4)
         rows.append([format_metrics_row(r, cfg.policy.label, cfg.seed) for r in reports])
     assert rows[0] == rows[1]
@@ -549,8 +549,8 @@ def test_resume_from_a_copied_state_is_bitwise(policy, mode):
                  nack_estimate_mode=mode, seed=3)
 
     def run(rounds, state=None, ledger=None):
-        # Each run on a dataset object of its own: none reads another's
-        # table of draws, shuffle orders and all-send rounds.
+        # Each run on a dataset object of its own: none replays another's
+        # all-send rounds.
         state = state or ServerState(init_params(MLP, cfg.seed), history_len=cfg.history_len)
         ledger = ledger or CommLedger()
         return (list(iter_rounds(MLP, cfg, small_dataset(), rounds, ledger, state=state)),
@@ -943,21 +943,16 @@ def fresh_tables(monkeypatch, budget=None):
 
 
 def replay_entries(table) -> list:
-    """The all-send round entries in ``table``: its values that are tuples of
-    entries, not memoized arrays."""
-    return [e for entries in table.values() if isinstance(entries, tuple) for e in entries]
+    """The all-send round entries in ``table``, every key's in turn."""
+    return [e for entries in table.values() for e in entries]
 
 
 def table_charge(table) -> int:
-    """What ``table``'s entries are charged: each memoized array's charge,
-    and each all-send round's new arrays' bytes and 8 per statistic."""
-    from fedsample import seeding
-
-    memo = sum(seeding._charge(key, value) for key, value in table.items()
-               if isinstance(value, np.ndarray))
+    """What ``table``'s entries are charged: each all-send round's new
+    arrays' bytes and 8 per statistic."""
     entries = replay_entries(table)
     arrays = {id(a): a for e in entries for a in (e[0], e[2])}
-    return memo + sum(a.nbytes for a in arrays.values()) + sum(8 * len(e[1]) for e in entries)
+    return sum(a.nbytes for a in arrays.values()) + sum(8 * len(e[1]) for e in entries)
 
 
 @pytest.mark.parametrize("policies, seeds, mode", [
@@ -977,36 +972,37 @@ def test_cells_sharing_a_seed_equal_cells_run_cold_bitwise(monkeypatch, policies
     builds.clear()
     cold = [run_cell(policy, seed, mode) for policy, seed in cells]
     assert warm == cold
-    # Only the first cell of each seed built its policy-independent streams;
-    # a random cell builds its decide streams, warm or cold.
-    shared = [b for b in warm_builds if b != "decide"]
-    assert sorted(shared * len(policies)) == sorted(b for b in builds if b != "decide")
-    assert warm_builds.count("decide") == builds.count("decide")
-    # 8 rounds of 5 clients a seed, each with 3 shuffle streams.
-    assert [shared.count(label) for label in ("select", "train", "shuffle")] == [
-        8 * len(seeds), 40 * len(seeds), 120 * len(seeds)]
+    # Each cell builds its own streams, warm or cold: 8 rounds of 5 clients,
+    # each with 3 shuffle streams (and a random cell its decide streams).
+    assert sorted(warm_builds) == sorted(builds)
+    assert [builds.count(label) for label in ("select", "train", "shuffle")] == [
+        8 * len(cells), 40 * len(cells), 120 * len(cells)]
 
 
 def test_a_policy_major_grid_over_budget_keeps_its_first_rounds_bitwise(monkeypatch):
     # 2 policies x 3 seeds x 30 rounds at K=20, C=0.5, one dataset per seed,
     # run policy-major as cmd_sweep does, under a budget below the grid's
-    # charge: the tables keep the first rounds stored, so the second policy
-    # reuses seed 0's, and every cell equals its cold run.
+    # charge (14.3 KB a seed): full stores seed 0's 30 all-send rounds and
+    # seed 1's first ones, and ft replays those in which it too sends
+    # everyone. Every cell equals its cold run.
     from fedsample import seeding
 
-    policies, seeds = [PolicyConfig("at"), PolicyConfig("random", q=0.3)], [0, 1, 2]
+    policies, seeds = [PolicyConfig("full"), PolicyConfig("ft", gamma=0.5)], [0, 1, 2]
     cells = [(policy, seed) for policy in policies for seed in seeds]
     cold = [run_cell(policy, seed, "carry_forward", small_dataset(20, seed), rounds=30)
             for policy, seed in cells]
-    budget = 40_000
+    budget = 20_000
     fresh_tables(monkeypatch, budget)
-    builds = count_stream_builds(monkeypatch)
+    calls = count_training(monkeypatch)
     datasets = {seed: small_dataset(20, seed) for seed in seeds}
     warm = [run_cell(policy, seed, "carry_forward", datasets[seed], rounds=30)
             for policy, seed in cells]
     assert warm == cold
     assert 0 < sum(seeding._TABLES[ds].nbytes for ds in datasets.values()) <= budget
-    assert builds.count("select") < len(cells) * 30
+    kept = [stored_rounds(datasets[seed]) for seed in seeds]
+    assert kept[0] == list(range(30)) and kept[2] == []
+    assert 0 < len(kept[1]) < 30 and kept[1] == list(range(len(kept[1])))
+    assert len(calls) < len(cells) * 30
 
 
 # ------------------------------------------------------ the run's window
@@ -1037,9 +1033,9 @@ def test_iter_rounds_builds_its_window_at_the_first_next(monkeypatch):
     assert [builds.count(label) for label in ("select", "train", "shuffle")] == [3, 15, 45]
     assert len(list(rounds)) == 2
     assert windows == [[0, 1, 2]] and len(builds) == 3 + 15 + 45
-    # Another cell on the dataset finds every round in the table.
+    # Another cell on the dataset, which replays every round, builds its own.
     run_cell(PolicyConfig("at"), 0, "carry_forward", ds, rounds=3)
-    assert windows == [[0, 1, 2]] and len(builds) == 3 + 15 + 45
+    assert windows == [[0, 1, 2]] * 2 and len(builds) == 2 * (3 + 15 + 45)
 
 
 def test_iter_rounds_equals_direct_run_round_calls_bitwise():
@@ -1071,28 +1067,34 @@ def test_a_full_table_still_serves_every_round_from_the_run_window(monkeypatch):
     ds = small_dataset()
     for _ in range(2):
         assert run_cell(PolicyConfig("ft", gamma=0.5), 0, "carry_forward", ds, rounds=5) == cold
-    # The table stored nothing, so each run built its own window, once.
+    # The table stored nothing, and each run built its own window, once.
     assert len(seeding._TABLES[ds]) == 0
     assert windows == [[0, 1, 2, 3, 4]] * 2 and builds.count("select") == 10
 
 
 def test_rounds_whose_orders_left_the_table_derive_them_bitwise(monkeypatch):
-    from fedsample import engine, seeding
+    # The table keeps no shuffle orders: a round that misses it, or finds
+    # its key but suppresses a client, trains on orders drawn from its
+    # window's words; so does a direct run_round call, from its own window.
+    from fedsample import engine
 
-    cold = run_cell(PolicyConfig("at"), 0, "carry_forward", rounds=4)
-    fresh_tables(monkeypatch)
-    windows = count_windows(monkeypatch)  # before any key names engine._round_draws
+    policy = PolicyConfig("ft", gamma=0.8)  # sends everyone in rounds 0-2 only
+    cold = run_cell(policy, 0, "carry_forward", rounds=4)
     ds = small_dataset()
     run_cell(PolicyConfig("full"), 0, "carry_forward", ds, rounds=4)
-    table = seeding._TABLES[ds]
-    for key in [key for key in table if key[0] is not engine._round_draws]:
-        del table[key]
-    windows.clear()
+    windows = count_windows(monkeypatch)
     builds = count_stream_builds(monkeypatch)
-    assert run_cell(PolicyConfig("at"), 0, "carry_forward", ds, rounds=4) == cold
-    # The table held every round's ids and seeds but no shuffle words, so
-    # the trainer derived its 4 rounds x 5 clients x 3 epochs of streams.
-    assert windows == [] and sorted(set(builds)) == ["shuffle"] and len(builds) == 60
+    calls = count_training(monkeypatch)
+    assert run_cell(policy, 0, "carry_forward", ds, rounds=4) == cold
+    # One window of 4 rounds x 5 clients x 3 epochs of shuffle streams; the
+    # trainer derived none, and only round 3 trained.
+    assert windows == [[0, 1, 2, 3]] and builds.count("shuffle") == 60 and calls == [5]
+    cfg = config(policy, client_fraction=0.5, epochs=3, batch_size=2)
+    state = ServerState(init_params(MLP, 0), history_len=cfg.history_len)
+    for _ in range(4):
+        engine.run_round(state, MLP, cfg, ds, CommLedger())
+    assert state.global_params.tobytes() == cold[0]
+    assert windows == [[0, 1, 2, 3], [0], [1], [2], [3]] and calls == [5, 5]
 
 
 def test_a_run_past_the_stream_budget_takes_one_window_per_budget_bitwise(monkeypatch):
@@ -1124,9 +1126,8 @@ def test_select_clients_returns_a_fresh_writable_array():
 def test_invalid_round_sizes_raise_on_every_call():
     from types import SimpleNamespace
 
-    from fedsample import engine, seeding
+    from fedsample import engine
 
-    table = seeding.shared_table(small_dataset())
     for _ in range(2):
         for n_clients, fraction, message in [(0, 0.5, "K"), (10, 1.5, "C"), (10, 0.0, "C")]:
             with pytest.raises(ValueError, match=message):
@@ -1134,8 +1135,7 @@ def test_invalid_round_sizes_raise_on_every_call():
             # RoundConfig rejects these, so the window gets a stand-in.
             cfg = SimpleNamespace(n_clients=n_clients, client_fraction=fraction, epochs=1, seed=0)
             with pytest.raises(ValueError, match=message):
-                engine._window(table, cfg, 0, 2)
-    assert len(table) == 0 and table.nbytes == 0
+                engine._window(cfg, 0, 2)
 
 
 def test_a_tiny_memo_stays_within_its_budget_bitwise(monkeypatch):
@@ -1143,7 +1143,7 @@ def test_a_tiny_memo_stays_within_its_budget_bitwise(monkeypatch):
 
     policies = (PolicyConfig("aou"), PolicyConfig("ft", gamma=0.5))
     expected = [run_cell(policy, 0, "ou_decode") for policy in policies]
-    budget = 6000  # room for a few rounds' entries
+    budget = 3000  # room for aou's two all-send rounds and a few of ft's
     fresh_tables(monkeypatch, budget)
     held = []
     store = seeding.store
@@ -1159,31 +1159,31 @@ def test_a_tiny_memo_stays_within_its_budget_bitwise(monkeypatch):
     assert max(nbytes for _, nbytes, _ in held) <= budget
     assert all(nbytes == charged for _, nbytes, charged in held)
     assert 1 < held[-1][0] < len(held)  # it stopped storing
-    # Rounds 0 to r - 1 kept their draws, and no later round did.
-    rounds = sorted(key[3] for key in seeding._TABLES[ds] if key[0] is engine._round_draws)
+    # ft (which tracks nothing) kept its rounds 0 to r - 1, and no later one.
+    rounds = sorted(key[-1] for key in seeding._TABLES[ds] if key[-2] is None)
     assert 0 < len(rounds) < 8 and rounds == list(range(len(rounds)))
 
 
 def test_memo_entries_cost_no_more_than_charged():
-    # Each entry's key tuple, its parts, the array and a dict slot (at most
-    # 100 bytes), against the charge the budget counts.
-    import sys
-
-    from fedsample import engine, models, seeding
+    # Each all-send entry is charged the data it adds: 8 bytes a statistic
+    # and the arrays no earlier entry holds (a round's start is the stored
+    # model of the round before), all read-only. The table holds nothing else.
+    from fedsample import seeding
 
     ds = small_dataset()
-    run_cell(PolicyConfig("aou"), 0, "carry_forward", ds)
+    replay_cell(PolicyConfig("full"), "ou_decode", ds, rounds=4)
     table = seeding._TABLES[ds]
-    kinds = set()
-    for key, value in table.items():
-        if isinstance(value, np.ndarray):
-            kinds.add(key[0])
-            held = (sys.getsizeof(key) + sum(map(sys.getsizeof, key[1:]))
-                    + sys.getsizeof(value) + 100)
-            assert held <= seeding._charge(key, value)
-            assert not value.flags.writeable
-    assert kinds == {engine._round_draws, models._shuffle_orders}
-    assert table.nbytes == table_charge(table)
+    held, charged = {}, 0
+    for t in range(4):
+        ((key, (entry,)),) = [(key, es) for key, es in table.items() if key[-1] == t]
+        start, stats, new_params, *_ = entry
+        assert len(stats) == 5 and all(type(stat) is float for stat in stats)
+        new = {id(a): a for a in (start, new_params) if id(a) not in held}
+        assert len(new) == (2 if t == 0 else 1)
+        charged += sum(a.nbytes for a in new.values()) + 8 * len(stats)
+        held.update(new)
+    assert len(table) == 4 and table.nbytes == charged == table_charge(table)
+    assert not any(a.flags.writeable for a in held.values())
 
 
 # ------------------------------------------------------ replayed all-send rounds
@@ -1226,8 +1226,7 @@ def stored_rounds(ds) -> list:
     """The round index of each all-send entry stored for ``ds``, in order."""
     from fedsample import seeding
 
-    table = seeding._TABLES.get(ds, {})
-    return sorted(key[-1] for key, entries in table.items() if isinstance(entries, tuple)
+    return sorted(key[-1] for key, entries in seeding._TABLES.get(ds, {}).items()
                   for _ in entries)
 
 
@@ -1295,24 +1294,49 @@ def test_rounds_with_a_nack_or_an_error_store_nothing():
 
 
 def test_replay_tables_die_with_their_dataset():
-    # The table holds the dataset's all-send rounds and also its draws and
-    # shuffle orders, and all of it goes with the dataset.
+    # The table holds the dataset's all-send rounds, and they go with it.
     import gc
     import weakref
 
-    from fedsample import engine, models, seeding
+    from fedsample import seeding
 
     ds = small_dataset()
     replay_cell(PolicyConfig("full"), "carry_forward", ds, rounds=3)
     assert stored_rounds(ds) == [0, 1, 2]
     table = seeding._TABLES[ds]
-    memo = {key: value for key, value in table.items() if isinstance(value, np.ndarray)}
-    assert {key[0] for key in memo} == {engine._round_draws, models._shuffle_orders}
-    refs = [weakref.ref(table), *map(weakref.ref, memo.values()),
+    assert len(table) == 3
+    refs = [weakref.ref(table),
             *(weakref.ref(a) for e in replay_entries(table) for a in (e[0], e[2]))]
-    del ds, table, memo
+    del ds, table
     gc.collect()
     assert [ref() for ref in refs] == [None] * len(refs)
+
+
+def test_writes_to_a_datasets_arrays_raise_so_replays_stay_bitwise():
+    # A run stores its all-send rounds; editing the features they were
+    # computed on would replay stale rounds, so the edit raises instead.
+    ds = small_dataset()
+    expected = replay_cell(PolicyConfig("full"), "carry_forward", ds, rounds=5)
+    for x, y in ds.clients:
+        with pytest.raises(ValueError, match="read-only"):
+            x *= 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            y[:] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        ds.test_set[0][:] = 0.0
+    assert replay_cell(PolicyConfig("full"), "carry_forward", ds, rounds=5) == expected
+    assert expected == replay_cell(PolicyConfig("full"), "carry_forward", small_dataset(), 5)
+
+
+def test_a_dataset_of_caller_owned_arrays_runs_bitwise():
+    # Writable arrays the caller keeps, handed to FederatedDataset uncopied.
+    ref = small_dataset()
+    clients = tuple((x.copy(), y.copy()) for x, y in ref.clients)
+    test_set = tuple(a.copy() for a in ref.test_set)
+    ds = FederatedDataset(clients, test_set, ref.n_classes, ref.dim)
+    assert np.shares_memory(ds.clients[0][0], clients[0][0]) and clients[0][0].flags.writeable
+    for policy, mode in REPLAY_CELLS:
+        assert replay_cell(policy, mode, ds) == replay_cell(policy, mode, ref)
 
 
 def test_mutating_a_stored_model_leaves_replays_bitwise():
@@ -1344,7 +1368,7 @@ def test_a_tiny_replay_table_stops_storing_bitwise(monkeypatch):
 
     def three_rounds():
         """The keys and charge of full's first 3 rounds on a dataset of its
-        own: their draws, shuffle orders and all-send entries."""
+        own: their all-send entries."""
         ds = small_dataset()
         replay_cell(PolicyConfig("full"), "carry_forward", ds, rounds=3)
         return set(seeding._TABLES[ds]), seeding._TABLES[ds].nbytes
@@ -1359,11 +1383,9 @@ def test_a_tiny_replay_table_stops_storing_bitwise(monkeypatch):
     table = seeding._TABLES[ds]
     assert set(table) == keys and stored_rounds(ds) == [0, 1, 2]
     assert table.nbytes == cap == table_charge(table)
-    entries = [e for t in range(3) for key, es in table.items()
-               if isinstance(es, tuple) and key[-1] == t for e in es]
+    entries = [e for t in range(3) for key, es in table.items() if key[-1] == t for e in es]
     assert entries[1][0] is entries[0][2] and entries[2][0] is entries[1][2]
     assert not any(a.flags.writeable for e in entries for a in (e[0], e[2]))
-    assert not any(v.flags.writeable for v in table.values() if isinstance(v, np.ndarray))
     arrays = {id(a): a for e in entries for a in (e[0], e[2])}
     entry = 2 * MLP.param_count * 8 + 8 * 5  # round 0: its start, next model, 5 stats
     assert (sum(a.nbytes for a in arrays.values()) + sum(8 * len(e[1]) for e in entries)

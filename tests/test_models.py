@@ -490,33 +490,28 @@ def test_diagnostic_clients_with_mixed_label_dtypes_train_together():
         assert rep.params_after.tobytes() == one.params_after.tobytes()
 
 
-def test_shuffle_orders_are_one_read_only_block_per_chunk():
-    from fedsample import seeding
-
-    class Owner:  # stands in for a dataset
-        pass
-
-    owner = Owner()
-    table = seeding.shared_table(owner)
+def test_shuffle_orders_are_one_read_only_block_per_chunk(monkeypatch):
+    # Each lockstep chunk draws its orders in one call, from the seed words
+    # it is given or, given none, from words it derives: the same bits.
+    blocks = []
+    shuffle_orders = models._shuffle_orders
+    monkeypatch.setattr(models, "_shuffle_orders",
+                        lambda *a, **kw: blocks.append(shuffle_orders(*a, **kw)) or blocks[-1])
     x, y = random_batch(LOGISTIC, 9, seed=3)
     start = init_params(LOGISTIC, seed=0)
-    first = train_clients(LOGISTIC, start, [(x, y), (x, y)], [5, 6], 2, 4, 0.1, table=table)
-    ((key, orders),) = table.items()
-    assert key == (models._shuffle_orders, 2, 9, 5, 6)
+    first = train_clients(LOGISTIC, start, [(x, y), (x, y)], [5, 6], 2, 4, 0.1)
+    (orders,) = blocks
     assert orders.dtype == np.uint8 and orders.shape == (2, 2, 9)
     for (e, seed), order in zip([(0, 5), (0, 6), (1, 5), (1, 6)], orders.reshape(4, 9)):
         assert np.array_equal(order, derive_rng(seed, "shuffle", e).permutation(9))
     with pytest.raises(ValueError, match="read-only"):
         orders[0, 0, 0] = 1
-    again = train_clients(LOGISTIC, start, [(x, y), (x, y)], [5, 6], 2, 4, 0.1, table=table)
-    assert [r.params_after.tobytes() for r in again] == [r.params_after.tobytes() for r in first]
-    assert len(table) == 1 and table.nbytes == seeding._charge(key, orders)
-    # Without a table nothing is kept, and the reports are the same bits.
-    alone = train_clients(LOGISTIC, start, [(x, y), (x, y)], [5, 6], 2, 4, 0.1)
-    assert [r.params_after.tobytes() for r in alone] == [r.params_after.tobytes() for r in first]
-    assert len(table) == 1
+    words = models._shuffle_words([5, 6], 2)
+    given = train_clients(LOGISTIC, start, [(x, y), (x, y)], [5, 6], 2, 4, 0.1, words=words)
+    assert [r.params_after.tobytes() for r in given] == [r.params_after.tobytes() for r in first]
+    assert len(blocks) == 2 and np.array_equal(blocks[1], orders)
     # The smallest unsigned type that holds every index.
-    assert [models._shuffle_orders(1, n, 0).dtype for n in (1, 256, 257, 65537)] == [
+    assert [shuffle_orders(1, n, 0).dtype for n in (1, 256, 257, 65537)] == [
         np.uint8, np.uint8, np.uint16, np.uint32]
 
 

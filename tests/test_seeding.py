@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from fedsample.cli import demo_train_seed
+from fedsample import seeding
 from fedsample.engine import RoundConfig, client_train_seed
 from fedsample.policies import PolicyConfig
 from fedsample.models import _shuffle_orders
@@ -201,6 +202,42 @@ def test_hashlib_fallback_gives_the_same_words():
     assert run_fresh(code).strip() == f"True {expected}"
 
 
+# ------------------------------------------------ the dataset's table budget
+
+# Each test entry stands in for an all-send round: one read-only array, stored
+# through seeding.store at a fixed charge.
+ENTRY_CHARGE = 100
+
+
+def entry(i: int) -> np.ndarray:
+    value = derive_rng(i, "shuffle", 0).permutation(8).astype(np.uint8)
+    value.flags.writeable = False
+    return value
+
+
+def kept(table, key: int) -> np.ndarray:
+    """``table[key]``, or ``entry(key)``, stored if the budget has room, as
+    the engine stores a computed all-send round that its table lacks."""
+    value = table.get(key)
+    if value is None:
+        value = entry(key)
+        seeding.store(table, key, value, ENTRY_CHARGE)
+    return value
+
+
+class Owner:  # stands in for a dataset
+    pass
+
+
+def fresh_tables(monkeypatch, entries: int) -> None:
+    """No table held yet, and a budget of ``entries`` entries."""
+    import weakref
+
+    monkeypatch.setattr(seeding, "_TABLES", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(seeding, "_MADE", weakref.WeakValueDictionary())
+    monkeypatch.setattr(seeding, "_TABLE_BYTES", entries * ENTRY_CHARGE)
+
+
 def test_memo_stays_consistent_under_threads(monkeypatch):
     # Threads share a table. With room for 8 of 24 keys, every call returns
     # its key's array and the first 8 stored stay. With room for all, six
@@ -208,15 +245,6 @@ def test_memo_stays_consistent_under_threads(monkeypatch):
     # the table's charge is exactly its entries': a store without its lock
     # charges some twice.
     import threading
-    import weakref
-
-    from fedsample import seeding
-
-    def orders(i):
-        return derive_rng(i, "shuffle", 0).permutation(8).astype(np.uint8)
-
-    class Owner:  # stands in for a dataset
-        pass
 
     def in_threads(work):
         errors = []
@@ -240,25 +268,23 @@ def test_memo_stays_consistent_under_threads(monkeypatch):
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
 
-    monkeypatch.setattr(seeding, "_TABLES", weakref.WeakKeyDictionary())
-    monkeypatch.setattr(seeding, "_TABLE_BYTES", 8 * seeding._charge((orders, 0), orders(0)))
+    fresh_tables(monkeypatch, 8)
     owner = Owner()  # the budget counts the tables of live owners
     table = seeding.shared_table(owner)
-    kept = []
+    stored = []
 
     def bounded(offset):
         for i in range(400):
             key = (offset + i) % 24
-            value = seeding.memoized(table, orders, key)
-            assert np.array_equal(value, orders(key)) and not value.flags.writeable
-        kept.append(sorted(key for _, key in table))
+            value = kept(table, key)
+            assert np.array_equal(value, entry(key)) and not value.flags.writeable
+        stored.append(sorted(table))
 
     in_threads(bounded)
-    assert len(table) == 8 and kept == [sorted(key for _, key in table)] * 6
-    assert table.nbytes == sum(seeding._charge(*entry) for entry in table.items())
-    assert table.nbytes == seeding._TABLE_BYTES
+    assert len(table) == 8 and stored == [sorted(table)] * 6
+    assert table.nbytes == seeding._TABLE_BYTES == len(table) * ENTRY_CHARGE
 
-    monkeypatch.setattr(seeding, "_TABLE_BYTES", 1 << 24)
+    fresh_tables(monkeypatch, 1000)
     owner = Owner()
     table = seeding.shared_table(owner)
     step = threading.Barrier(6, timeout=30)
@@ -266,40 +292,28 @@ def test_memo_stays_consistent_under_threads(monkeypatch):
     def together(_):
         for key in range(1000):
             step.wait()  # so that every thread misses each key
-            seeding.memoized(table, orders, key)
+            kept(table, key)
 
     in_threads(together)
-    assert len(table) == 1000
-    assert table.nbytes == sum(seeding._charge(*entry) for entry in table.items())
+    assert len(table) == 1000 and table.nbytes == 1000 * ENTRY_CHARGE
 
 
 def test_a_table_whose_owner_died_stays_within_the_budget(monkeypatch):
     # A table held past its owner's life is no longer among the live ones;
     # it still counts itself, and the live tables, against the budget.
     import gc
-    import weakref
 
-    from fedsample import seeding
-
-    def orders(i):
-        return derive_rng(i, "shuffle", 0).permutation(8).astype(np.uint8)
-
-    class Owner:  # stands in for a dataset
-        pass
-
-    monkeypatch.setattr(seeding, "_TABLES", weakref.WeakKeyDictionary())
-    monkeypatch.setattr(seeding, "_TABLE_BYTES", 8 * seeding._charge((orders, 0), orders(0)))
+    fresh_tables(monkeypatch, 8)
     owner = Owner()
     live = seeding.shared_table(owner)
     for key in range(5):
-        seeding.memoized(live, orders, key)
+        kept(live, key)
     orphan = seeding.shared_table(Owner())
     gc.collect()
     assert list(seeding._TABLES.values()) == [live]
     for key in range(24):
-        value = seeding.memoized(orphan, orders, key)
-        assert np.array_equal(value, orders(key))
-    assert sorted(key for _, key in orphan) == [0, 1, 2]
+        assert np.array_equal(kept(orphan, key), entry(key))
+    assert sorted(orphan) == [0, 1, 2]
     assert live.nbytes + orphan.nbytes == seeding._TABLE_BYTES
 
 
@@ -307,32 +321,36 @@ def test_tables_kept_past_their_owners_share_the_budget_with_live_ones(monkeypat
     # Three tables kept after their owners died and one live table hold at
     # most the budget between them; a table that is let go frees its share.
     import gc
-    import weakref
 
-    from fedsample import seeding
-
-    def orders(i):
-        return derive_rng(i, "shuffle", 0).permutation(8).astype(np.uint8)
-
-    class Owner:  # stands in for a dataset
-        pass
-
-    monkeypatch.setattr(seeding, "_TABLES", weakref.WeakKeyDictionary())
-    monkeypatch.setattr(seeding, "_MADE", weakref.WeakValueDictionary())
-    monkeypatch.setattr(seeding, "_TABLE_BYTES", 8 * seeding._charge((orders, 0), orders(0)))
+    fresh_tables(monkeypatch, 8)
     owner = Owner()
     live = seeding.shared_table(owner)
     for key in range(2):
-        seeding.memoized(live, orders, key)
+        kept(live, key)
     orphans = [seeding.shared_table(Owner()) for _ in range(3)]
     gc.collect()
     for table in [*orphans, live]:
         for key in range(24):
-            assert np.array_equal(seeding.memoized(table, orders, key), orders(key))
+            assert np.array_equal(kept(table, key), entry(key))
     assert [len(table) for table in [*orphans, live]] == [6, 0, 0, 2]
     assert sum(table.nbytes for table in [*orphans, live]) == seeding._TABLE_BYTES
     del orphans, table
     gc.collect()
     for key in range(24):
-        seeding.memoized(live, orders, key)
+        kept(live, key)
     assert len(live) == 8 and live.nbytes == seeding._TABLE_BYTES
+
+
+def test_a_store_replaces_only_what_it_was_given(monkeypatch):
+    # A key that no longer holds ``was`` keeps its value and its charge, as
+    # when two cells append to one round's all-send entries at once.
+    fresh_tables(monkeypatch, 8)
+    owner = Owner()
+    table = seeding.shared_table(owner)
+    seeding.store(table, "round", (entry(0),), ENTRY_CHARGE)
+    seeding.store(table, "round", (entry(1),), ENTRY_CHARGE)  # expects no entry
+    first = table["round"]
+    seeding.store(table, "round", (*first, entry(2)), ENTRY_CHARGE, was=(entry(0),))
+    assert table["round"] is first and table.nbytes == ENTRY_CHARGE
+    seeding.store(table, "round", (*first, entry(2)), ENTRY_CHARGE, was=first)
+    assert len(table["round"]) == 2 and table.nbytes == 2 * ENTRY_CHARGE
