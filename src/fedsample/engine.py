@@ -22,14 +22,17 @@ one to the end of the run (at most ``_WINDOW_STREAMS`` streams), calls
 train seed in one pass and the seed words of its E shuffle streams in
 another (``_round_draws``); a direct ``run_round`` call is a one-round
 window. Every run builds its own draws, and its chunks their shuffle
-orders from the window's words. Cells of one seed on one dataset object,
-such as a sweep's policies, share only the dataset's
-``seeding.shared_table``, which keeps each round in which every selected
-client sends, under what alone fixes its outcome: the model, K, C, E, B,
-eta, seed, the track spec training used, the round and the start model's
-bits. A later round with that key runs its own policy's checks and
-decisions on the stored statistics; if it too sends everyone, it takes a
-copy of the stored model, accuracy and loss, and trains, aggregates and
+orders from the window's words.
+
+Cells of one seed on one dataset object, such as a sweep's policies, share
+only the dataset's replay table (``_REPLAYS``), which keeps each round in
+which every selected client sends. Its key is what alone fixes the round's
+outcome: the model, K, C, E, B, eta, seed, the track spec training used,
+the start model's dtype and shape, and the round; under it, the start
+model's bytes map to the round's statistics, next model, test accuracy and
+loss. A later round with that key and start runs its own policy's checks
+and decisions on the stored statistics; if it too sends everyone, it takes
+a copy of the stored model, accuracy and loss, and trains, aggregates and
 evaluates nothing. Rounds with a NACK or an error store nothing.
 
 Byte accounting is exact and single-precision-based regardless of the
@@ -61,6 +64,8 @@ bitwise, so zero-sender rounds cannot drift the model.
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from collections import namedtuple
 
 import numpy as np
@@ -84,8 +89,7 @@ from .policies import (
     compute_adaptive_threshold,
     local_decide,
 )
-from .seeding import (_first_uint64, _rngs, _state_words, check_seed, derive_rng, seed_sequence,
-                      shared_table, store)
+from .seeding import _first_uint64, _rngs, _state_words, check_seed, derive_rng, seed_sequence
 
 PARAM_BYTES = 4      # single-precision payload accounting
 COUNT_BYTES = 8      # n_i attached to every message
@@ -349,25 +353,42 @@ def aggregate(estimates: list[tuple[np.ndarray, int]]) -> np.ndarray:
     return anchor + acc
 
 
-def _find(entries, at: int, params: np.ndarray) -> tuple | None:
-    """The entry whose array ``at`` has the bits of ``params``, if any."""
-    return next((e for e in entries if e[at].dtype == params.dtype
-                 and e[at].shape == params.shape and e[at].tobytes() == params.tobytes()),
-                None)
+# Each dataset's replay table, made at its first store and gone with the
+# dataset: by round key, then by the start model's bytes, each computed
+# all-send round's (statistics, next model, test_acc, test_loss). A round is
+# charged its next model's bytes, its start's bytes unless they are the
+# previous round's stored model (whose buffer the key then is), and 8 bytes
+# a statistic. Not charged: object headers, tuples, dict slots and floats,
+# 11.5% more (sys.getsizeof) for 20 clients a round at P=1,250. The tables
+# hold at most _REPLAY_BYTES (16 MiB) over every live dataset; once full
+# they store nothing more and evict nothing, so the first rounds, which the
+# cells of a seed share, stay.
+_REPLAY_BYTES = 1 << 24
+_REPLAY_LOCK = threading.Lock()
+_REPLAYS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _store(table, key, start, stats, new_params, outcome) -> None:
-    """Add a computed all-send round to ``key``'s entries (start, stats, next
-    model, test_acc, test_loss), arrays read-only, charged their new arrays'
-    bytes and 8 per statistic. Its start is the previous round's stored
-    model when that has its bits."""
-    prev = _find(table.get(key[:-1] + (key[-1] - 1,), ()), 2, start)
-    charge = new_params.nbytes + (prev is None) * start.nbytes + 8 * len(stats)
-    start, new_params = (start.copy() if prev is None else prev[2]), new_params.copy()
-    start.flags.writeable = new_params.flags.writeable = False
-    entries = table.get(key)
-    store(table, key, (*(entries or ()), (start, tuple(stats), new_params, *outcome)), charge,
-          entries)
+class _Table(dict):
+    """One dataset's replay table; ``nbytes`` is its charge."""
+
+    nbytes = 0
+
+
+def _store(dataset, key, bits: bytes, stats, new_params, outcome) -> None:
+    """Keep a computed all-send round under ``key`` and its start's ``bits``:
+    the statistics, a read-only copy of the next model and ``outcome``
+    (test_acc, test_loss), unless it is kept already or the budget is full."""
+    with _REPLAY_LOCK:
+        table = _REPLAYS.setdefault(dataset, _Table())
+        prev = table.get(key[:-1] + (key[-1] - 1,), {})
+        shared = next((m.base for _, m, *_ in prev.values() if m.base == bits), None)
+        charge = new_params.nbytes + (shared is None) * len(bits) + 8 * len(stats)
+        if (bits in table.get(key, ())
+                or sum(t.nbytes for t in _REPLAYS.values()) + charge > _REPLAY_BYTES):
+            return
+        model = np.frombuffer(new_params.tobytes(), new_params.dtype)  # a trained model is a vector
+        table.setdefault(key, {})[shared or bits] = (tuple(stats), model, *outcome)
+        table.nbytes += charge
 
 
 def run_round(
@@ -385,14 +406,13 @@ def run_round(
     policy = config.policy
     t = state.round
     start = state.global_params
-    table = shared_table(dataset)
     draws, words = _window(config, t, 1)[t] if _draws is None else _draws
     ids, seeds = draws[:, 0].tolist(), draws[:, 1].tolist()
 
     track = config.track if policy.needs_band_fraction else None
     key = (model, config.n_clients, config.client_fraction, config.epochs,
-           config.batch_size, config.eta, config.seed, track, t)
-    hit = _find(table.get(key, ()), 0, start)
+           config.batch_size, config.eta, config.seed, track, start.dtype, start.shape, t)
+    hit = _REPLAYS.get(dataset, {}).get(key, {}).get(start.tobytes())
 
     def train():
         return train_clients(model, start, [dataset.clients[k] for k in ids], seeds,
@@ -401,7 +421,7 @@ def run_round(
 
     trained = None if hit else train()
     # Each client's decision statistic, or the error that its round raises.
-    raw = hit[1] if hit else [rep if isinstance(rep, NumericError) else rep.update_norm
+    raw = hit[0] if hit else [rep if isinstance(rep, NumericError) else rep.update_norm
                               for rep in trained]
     if trained and policy.needs_band_fraction:
         # One path row per SGD step: the fit's time unit is one step. Each
@@ -448,7 +468,7 @@ def run_round(
     senders = [k for k, send in zip(ids, sends) if send]
     ou_fallback = False
     if hit and len(senders) == len(ids):
-        new_params, test_acc, test_loss = hit[2].copy(), *hit[3:]
+        new_params, test_acc, test_loss = hit[1].copy(), *hit[2:]
         state.advance(new_params)
     else:
         trained = trained or train()
@@ -467,7 +487,7 @@ def run_round(
         state.advance(new_params)
         test_acc, test_loss = evaluate(model, new_params, *dataset.test_set)
         if not hit and len(senders) == len(ids):
-            _store(table, key, start, stats, new_params, (test_acc, test_loss))
+            _store(dataset, key, start.tobytes(), stats, new_params, (test_acc, test_loss))
     uplink, downlink = _round_bytes(start.size, len(ids), len(senders), policy.adaptive)
     ledger.append(len(ids), len(senders), uplink, downlink)
     return RoundReport(
@@ -520,15 +540,21 @@ def _validate_experiment(
             )
 
 
-def _check_history(state: ServerState) -> None:
-    """A passed state's history holds 1 to history_len (P,) models, the last
-    of them global_params (NaN compared equal, so that a non-finite state
-    still fails in its round, as a NumericError)."""
-    shape = np.shape(state.global_params)
-    for i, model in enumerate(state.history):
-        if np.shape(model) != shape:
-            raise ValueError(f"state.history[{i}] must be a {shape} vector, "
+def _check_state(state: ServerState, size: int, history_len: int) -> None:
+    """A passed state keeps the config's history_len and holds float64
+    (size,) models: global_params and 1 to history_len of them in its
+    history, the last of them global_params (NaN compared equal, so that a
+    non-finite state still fails in its round, as a NumericError)."""
+    if state.history_len != history_len:
+        raise ValueError(f"state.history_len {state.history_len} does not match "
+                         f"history_len {history_len}")
+    for name, model in [("global_params", state.global_params),
+                        *((f"history[{i}]", model) for i, model in enumerate(state.history))]:
+        if np.shape(model) != (size,):
+            raise ValueError(f"state.{name} must be a ({size},) vector, "
                              f"got shape {np.shape(model)}")
+        if np.asarray(model).dtype != np.float64:
+            raise ValueError(f"state.{name} must be float64, got {np.asarray(model).dtype}")
     if len(state.history) > state.history_len:
         raise ValueError(f"state.history holds {len(state.history)} models, more than "
                          f"history_len {state.history_len}")
@@ -546,24 +572,18 @@ def iter_rounds(
     state: ServerState | None = None,
 ):
     """An iterator with one RoundReport per round; state/ledger mutate as it
-    goes. An inconsistent experiment (a passed state's parameter shape,
-    history_len and history included) raises ValueError at the call, before
-    any round runs. The rounds' draws come from a window built at the first
-    ``next``, not at the call (see ``_rounds``)."""
+    goes. An inconsistent experiment (a passed state's history_len, and the
+    shape and dtype of its model and history, included) raises ValueError at
+    the call, before any round runs. The rounds' draws come from a window
+    built at the first ``next``, not at the call (see ``_rounds``)."""
     _validate_experiment(model, config, dataset, rounds)
     if state is None:
         state = ServerState(
             global_params=init_params(model, config.seed),
             history_len=config.history_len,
         )
-    elif np.shape(state.global_params) != (model.param_count,):
-        raise ValueError(f"state.global_params must be a ({model.param_count},) vector, "
-                         f"got shape {np.shape(state.global_params)}")
-    elif state.history_len != config.history_len:
-        raise ValueError(f"state.history_len {state.history_len} does not match "
-                         f"history_len {config.history_len}")
     else:
-        _check_history(state)
+        _check_state(state, model.param_count, config.history_len)
     return _rounds(state, model, config, dataset, ledger, rounds)
 
 

@@ -21,18 +21,13 @@ re-implemented here with each of its steps one operation over every stream
 ``generate_state`` runs word by word gives its state words; numpy seeds
 each PCG64 from them. A pass has a fixed cost of about what 15 streams
 take one by one, so the engine makes one per run window, not one per
-round. Each stream is bit for bit the one ``derive_rng`` gives.
-
-A dataset's table (``shared_table``) keeps only the engine's all-send
-rounds, through ``store``, for later cells of their seed to replay; every
-run builds its own streams.
+round. Each stream is bit for bit the one ``derive_rng`` gives. The
+module keeps no stream: every run builds its own.
 """
 
 from __future__ import annotations
 
 import functools
-import threading
-import weakref
 from collections.abc import Iterable
 
 import numpy as np
@@ -260,52 +255,4 @@ def _seeded_generator():
             return self.words
 
     return lambda words: Generator(PCG64(Words(words)))
-
-
-# The tables hold at most this many bytes (16 MiB) over every table still
-# held. Once full they store nothing more and evict nothing: the first
-# rounds, which the cells of a seed share, stay.
-_TABLE_BYTES = 1 << 24
-_TABLE_LOCK = threading.Lock()
-
-
-class _Table(dict):
-    """One dataset's all-send rounds, read-only; ``nbytes`` is their charge
-    and ``owner`` a weak reference to the dataset."""
-
-    nbytes = 0
-
-    def __init__(self, owner) -> None:
-        super().__init__()
-        self.owner = weakref.ref(owner)
-
-
-_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # by live owner
-# Every table made, by id, while anything holds it: a caller may keep one
-# past its owner's life, and it still counts against the budget.
-_MADE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
-def shared_table(owner) -> _Table:
-    """The table of ``owner`` (a dataset, whose arrays are read-only),
-    made on first use; it dies with ``owner``, unless a caller keeps it."""
-    with _TABLE_LOCK:
-        table = _TABLES.get(owner)
-        if table is None:
-            table = _TABLES[owner] = _Table(owner)
-            _MADE[id(table)] = table
-        return table
-
-
-def store(table: _Table, key, value, charge: int, was=None) -> None:
-    """Set ``table[key] = value``, charged ``charge`` bytes more, if ``key``
-    still holds ``was`` (None: nothing) and the charge of every table still
-    held, the live owners' and those whose owner has died, stays within
-    ``_TABLE_BYTES``."""
-    with _TABLE_LOCK:
-        held = (sum(t.nbytes for t in _TABLES.values())
-                + sum(t.nbytes for t in _MADE.values() if t.owner() is None))
-        if table.get(key) is was and held + charge <= _TABLE_BYTES:
-            table[key] = value
-            table.nbytes += charge
 

@@ -462,12 +462,21 @@ def test_experiment_validation_errors():
                     config(PolicyConfig("full")), ds, 1, CommLedger())
 
 
-@pytest.mark.parametrize("shape", [(4, 7), (27,), (28, 1)])
-def test_iter_rounds_rejects_a_state_of_another_shape(shape):
-    # MODEL has 28 parameters: a state that does not hold one such vector
-    # fails at the call, not in round 0.
-    state = ServerState(global_params=np.zeros(shape))
-    with pytest.raises(ValueError, match=r"must be a \(28,\) vector, got shape"):
+@pytest.mark.parametrize("params, message", [
+    (np.zeros((4, 7)), r"must be a \(28,\) vector, got shape \(4, 7\)"),
+    (np.zeros(27), r"must be a \(28,\) vector, got shape \(27,\)"),
+    (np.zeros((28, 1)), r"must be a \(28,\) vector, got shape \(28, 1\)"),
+    (np.zeros(28, np.int64), "^state.global_params must be float64, got int64$"),
+    (np.zeros(28, np.complex128), "^state.global_params must be float64, got complex128$"),
+    (np.zeros(28, np.float32), "^state.global_params must be float64, got float32$"),
+], ids=["shape0", "shape1", "shape2", "int64", "complex128", "float32"])
+def test_iter_rounds_rejects_a_state_of_another_shape(params, message):
+    # MODEL has 28 parameters: a state that does not hold one such float64
+    # vector fails at the call. In round 0, an int64 or complex128 one would
+    # raise numpy's UFuncTypeError, and a float32 one would train in mixed
+    # precision.
+    state = ServerState(global_params=params)
+    with pytest.raises(ValueError, match=message):
         iter_rounds(MODEL, config(PolicyConfig("full")), small_dataset(), 1, CommLedger(),
                     state=state)
 
@@ -507,9 +516,13 @@ def state_with_history(history_len=20, **change):
         (state_with_history(history=[np.arange(28.0), np.zeros(28)]),
          r"^state.history\[-1\] must be state.global_params$"),
         (state_with_history(history=[]), r"^state.history\[-1\] must be state.global_params$"),
+        (state_with_history(history=[np.zeros(28, np.int64), np.arange(28.0)]),
+         r"^state.history\[0\] must be float64, got int64$"),
+        (state_with_history(history=[np.arange(28.0), np.arange(28.0, dtype=np.float32)]),
+         r"^state.history\[1\] must be float64, got float32$"),
     ],
     ids=["short_entry", "column_entry", "matrix_last_entry", "nine_of_five",
-         "last_is_not_params", "empty"],
+         "last_is_not_params", "empty", "int64_entry", "float32_last_entry"],
 )
 def test_iter_rounds_rejects_an_inconsistent_history(state, message):
     # Each fails at the call, before any round runs: an entry of another
@@ -935,24 +948,25 @@ def fresh_tables(monkeypatch, budget=None):
     with ``budget``, set it."""
     import weakref
 
-    from fedsample import seeding
+    from fedsample import engine
 
-    monkeypatch.setattr(seeding, "_TABLES", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(engine, "_REPLAYS", weakref.WeakKeyDictionary())
     if budget is not None:
-        monkeypatch.setattr(seeding, "_TABLE_BYTES", budget)
+        monkeypatch.setattr(engine, "_REPLAY_BYTES", budget)
 
 
 def replay_entries(table) -> list:
-    """The all-send round entries in ``table``, every key's in turn."""
-    return [e for entries in table.values() for e in entries]
+    """The all-send round entries in ``table``, every round key's in turn:
+    (start bytes, (statistics, next model, test_acc, test_loss))."""
+    return [e for starts in table.values() for e in starts.items()]
 
 
 def table_charge(table) -> int:
-    """What ``table``'s entries are charged: each all-send round's new
-    arrays' bytes and 8 per statistic."""
+    """What ``table``'s entries are charged: the bytes of each buffer they
+    hold, a start key or a next model's, once, and 8 per statistic."""
     entries = replay_entries(table)
-    arrays = {id(a): a for e in entries for a in (e[0], e[2])}
-    return sum(a.nbytes for a in arrays.values()) + sum(8 * len(e[1]) for e in entries)
+    buffers = {id(b): b for start, (_, model, *_) in entries for b in (start, model.base)}
+    return sum(map(len, buffers.values())) + sum(8 * len(value[0]) for _, value in entries)
 
 
 @pytest.mark.parametrize("policies, seeds, mode", [
@@ -985,7 +999,7 @@ def test_a_policy_major_grid_over_budget_keeps_its_first_rounds_bitwise(monkeypa
     # charge (14.3 KB a seed): full stores seed 0's 30 all-send rounds and
     # seed 1's first ones, and ft replays those in which it too sends
     # everyone. Every cell equals its cold run.
-    from fedsample import seeding
+    from fedsample import engine
 
     policies, seeds = [PolicyConfig("full"), PolicyConfig("ft", gamma=0.5)], [0, 1, 2]
     cells = [(policy, seed) for policy in policies for seed in seeds]
@@ -998,7 +1012,7 @@ def test_a_policy_major_grid_over_budget_keeps_its_first_rounds_bitwise(monkeypa
     warm = [run_cell(policy, seed, "carry_forward", datasets[seed], rounds=30)
             for policy, seed in cells]
     assert warm == cold
-    assert 0 < sum(seeding._TABLES[ds].nbytes for ds in datasets.values()) <= budget
+    assert 0 < sum(engine._REPLAYS[ds].nbytes for ds in datasets.values()) <= budget
     kept = [stored_rounds(datasets[seed]) for seed in seeds]
     assert kept[0] == list(range(30)) and kept[2] == []
     assert 0 < len(kept[1]) < 30 and kept[1] == list(range(len(kept[1])))
@@ -1058,7 +1072,7 @@ def test_iter_rounds_equals_direct_run_round_calls_bitwise():
 
 
 def test_a_full_table_still_serves_every_round_from_the_run_window(monkeypatch):
-    from fedsample import seeding
+    from fedsample import engine
 
     cold = run_cell(PolicyConfig("ft", gamma=0.5), 0, "carry_forward", rounds=5)
     fresh_tables(monkeypatch, budget=0)
@@ -1067,8 +1081,9 @@ def test_a_full_table_still_serves_every_round_from_the_run_window(monkeypatch):
     ds = small_dataset()
     for _ in range(2):
         assert run_cell(PolicyConfig("ft", gamma=0.5), 0, "carry_forward", ds, rounds=5) == cold
-    # The table stored nothing, and each run built its own window, once.
-    assert len(seeding._TABLES[ds]) == 0
+    # The table stored nothing, not even a round key, and each run built
+    # its own window, once.
+    assert engine._REPLAYS[ds] == {}
     assert windows == [[0, 1, 2, 3, 4]] * 2 and builds.count("select") == 10
 
 
@@ -1139,51 +1154,53 @@ def test_invalid_round_sizes_raise_on_every_call():
 
 
 def test_a_tiny_memo_stays_within_its_budget_bitwise(monkeypatch):
-    from fedsample import engine, seeding
+    from fedsample import engine
 
     policies = (PolicyConfig("aou"), PolicyConfig("ft", gamma=0.5))
     expected = [run_cell(policy, 0, "ou_decode") for policy in policies]
     budget = 3000  # room for aou's two all-send rounds and a few of ft's
     fresh_tables(monkeypatch, budget)
     held = []
-    store = seeding.store
+    store = engine._store
 
-    def checked(table, *args):
-        store(table, *args)
-        held.append((len(table), table.nbytes, table_charge(table)))
+    def checked(dataset, *args):
+        store(dataset, *args)
+        table = engine._REPLAYS[dataset]
+        held.append((len(replay_entries(table)), table.nbytes, table_charge(table)))
 
-    monkeypatch.setattr(seeding, "store", checked)
-    monkeypatch.setattr(engine, "store", checked)
+    monkeypatch.setattr(engine, "_store", checked)
     ds = small_dataset()
     assert [run_cell(policy, 0, "ou_decode", ds) for policy in policies] == expected
     assert max(nbytes for _, nbytes, _ in held) <= budget
     assert all(nbytes == charged for _, nbytes, charged in held)
     assert 1 < held[-1][0] < len(held)  # it stopped storing
-    # ft (which tracks nothing) kept its rounds 0 to r - 1, and no later one.
-    rounds = sorted(key[-1] for key in seeding._TABLES[ds] if key[-2] is None)
+    # ft (whose key's track, key[7], is None) kept its rounds 0 to r - 1,
+    # and no later one.
+    rounds = sorted(key[-1] for key in engine._REPLAYS[ds] if key[7] is None)
     assert 0 < len(rounds) < 8 and rounds == list(range(len(rounds)))
 
 
 def test_memo_entries_cost_no_more_than_charged():
     # Each all-send entry is charged the data it adds: 8 bytes a statistic
-    # and the arrays no earlier entry holds (a round's start is the stored
-    # model of the round before), all read-only. The table holds nothing else.
-    from fedsample import seeding
+    # and the buffers no earlier entry holds (a round's start key is the
+    # buffer of the round before's stored model), models read-only. The
+    # table holds nothing else.
+    from fedsample import engine
 
     ds = small_dataset()
     replay_cell(PolicyConfig("full"), "ou_decode", ds, rounds=4)
-    table = seeding._TABLES[ds]
+    table = engine._REPLAYS[ds]
     held, charged = {}, 0
     for t in range(4):
-        ((key, (entry,)),) = [(key, es) for key, es in table.items() if key[-1] == t]
-        start, stats, new_params, *_ = entry
+        ((key, starts),) = [(key, starts) for key, starts in table.items() if key[-1] == t]
+        ((start, (stats, model, *_)),) = starts.items()
         assert len(stats) == 5 and all(type(stat) is float for stat in stats)
-        new = {id(a): a for a in (start, new_params) if id(a) not in held}
+        assert type(start) is bytes and type(model.base) is bytes and not model.flags.writeable
+        new = {id(b): b for b in (start, model.base) if id(b) not in held}
         assert len(new) == (2 if t == 0 else 1)
-        charged += sum(a.nbytes for a in new.values()) + 8 * len(stats)
+        charged += sum(map(len, new.values())) + 8 * len(stats)
         held.update(new)
     assert len(table) == 4 and table.nbytes == charged == table_charge(table)
-    assert not any(a.flags.writeable for a in held.values())
 
 
 # ------------------------------------------------------ replayed all-send rounds
@@ -1224,10 +1241,10 @@ def count_training(monkeypatch) -> list:
 
 def stored_rounds(ds) -> list:
     """The round index of each all-send entry stored for ``ds``, in order."""
-    from fedsample import seeding
+    from fedsample import engine
 
-    return sorted(key[-1] for key, entries in seeding._TABLES.get(ds, {}).items()
-                  for _ in entries)
+    return sorted(key[-1] for key, starts in engine._REPLAYS.get(ds, {}).items()
+                  for _ in starts)
 
 
 def test_replayed_cells_equal_cells_run_cold_bitwise(monkeypatch):
@@ -1294,19 +1311,20 @@ def test_rounds_with_a_nack_or_an_error_store_nothing():
 
 
 def test_replay_tables_die_with_their_dataset():
-    # The table holds the dataset's all-send rounds, and they go with it.
+    # The table holds the dataset's all-send rounds, and they go with it:
+    # no table outlives its dataset.
     import gc
     import weakref
 
-    from fedsample import seeding
+    from fedsample import engine
 
     ds = small_dataset()
     replay_cell(PolicyConfig("full"), "carry_forward", ds, rounds=3)
     assert stored_rounds(ds) == [0, 1, 2]
-    table = seeding._TABLES[ds]
+    table = engine._REPLAYS[ds]
     assert len(table) == 3
-    refs = [weakref.ref(table),
-            *(weakref.ref(a) for e in replay_entries(table) for a in (e[0], e[2]))]
+    refs = [weakref.ref(ds), weakref.ref(table),
+            *(weakref.ref(model) for _, (_, model, *_) in replay_entries(table))]
     del ds, table
     gc.collect()
     assert [ref() for ref in refs] == [None] * len(refs)
@@ -1361,7 +1379,7 @@ def test_mutating_a_stored_model_leaves_replays_bitwise():
 def test_a_tiny_replay_table_stops_storing_bitwise(monkeypatch):
     import gc
 
-    from fedsample import seeding
+    from fedsample import engine
 
     cold = [replay_cell(policy, mode, small_dataset()) for policy, mode in REPLAY_CELLS]
     fresh_tables(monkeypatch)
@@ -1371,25 +1389,25 @@ def test_a_tiny_replay_table_stops_storing_bitwise(monkeypatch):
         own: their all-send entries."""
         ds = small_dataset()
         replay_cell(PolicyConfig("full"), "carry_forward", ds, rounds=3)
-        return set(seeding._TABLES[ds]), seeding._TABLES[ds].nbytes
+        return set(engine._REPLAYS[ds]), engine._REPLAYS[ds].nbytes
 
     keys, cap = three_rounds()
     gc.collect()  # that table is dead, and the budget counts live ones
-    monkeypatch.setattr(seeding, "_TABLE_BYTES", cap)
+    monkeypatch.setattr(engine, "_REPLAY_BYTES", cap)
     ds = small_dataset()
     assert [replay_cell(policy, mode, ds) for policy, mode in REPLAY_CELLS] == cold
-    # Rounds 0-2 of full, never evicted; each later round's start is the
-    # stored model of the round before.
-    table = seeding._TABLES[ds]
+    # Rounds 0-2 of full, never evicted; each later round's start key is
+    # the buffer of the round before's stored model.
+    table = engine._REPLAYS[ds]
     assert set(table) == keys and stored_rounds(ds) == [0, 1, 2]
     assert table.nbytes == cap == table_charge(table)
-    entries = [e for t in range(3) for key, es in table.items() if key[-1] == t for e in es]
-    assert entries[1][0] is entries[0][2] and entries[2][0] is entries[1][2]
-    assert not any(a.flags.writeable for e in entries for a in (e[0], e[2]))
-    arrays = {id(a): a for e in entries for a in (e[0], e[2])}
+    entries = [e for t in range(3) for key, starts in table.items() if key[-1] == t
+               for e in starts.items()]
+    models = [model for _, (_, model, *_) in entries]
+    assert entries[1][0] is models[0].base and entries[2][0] is models[1].base
+    assert not any(model.flags.writeable for model in models)
     entry = 2 * MLP.param_count * 8 + 8 * 5  # round 0: its start, next model, 5 stats
-    assert (sum(a.nbytes for a in arrays.values()) + sum(8 * len(e[1]) for e in entries)
-            == entry + 2 * (MLP.param_count * 8 + 8 * 5))  # and two more rounds
+    assert table_charge(table) == entry + 2 * (MLP.param_count * 8 + 8 * 5)  # and 2 more
 
 
 def test_threads_sharing_a_replay_table_stay_bitwise():
@@ -1399,7 +1417,7 @@ def test_threads_sharing_a_replay_table_stay_bitwise():
     import sys
     import threading
 
-    from fedsample import seeding
+    from fedsample import engine
 
     cells = REPLAY_CELLS * 2
     cold = [replay_cell(policy, mode, small_dataset()) for policy, mode in cells]
@@ -1421,5 +1439,146 @@ def test_threads_sharing_a_replay_table_stay_bitwise():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert warm == cold
-    table = seeding._TABLES[ds]
+    table = engine._REPLAYS[ds]
     assert replay_entries(table) and table.nbytes == table_charge(table)
+
+
+# Each stand-in entry below is a round i on its own key, ("round", i): its
+# start is 8 coordinates of i, its next model 8 of -1 - i (no round starts
+# from it), and it has one statistic, so it is charged 64 + 64 + 8 bytes.
+ENTRY_CHARGE = 136
+
+
+def kept(dataset, i: int) -> np.ndarray:
+    """Round i's next model: the stored one, or the computed one, stored if
+    the budget has room, as run_round stores an all-send round that its
+    table lacks."""
+    from fedsample import engine
+
+    key, bits = ("round", i), np.full(8, float(i)).tobytes()
+    hit = engine._REPLAYS.get(dataset, {}).get(key, {}).get(bits)
+    if hit is not None:
+        return hit[1]
+    engine._store(dataset, key, bits, [0.5], np.full(8, -1.0 - i), (1.0, 0.0))
+    return np.full(8, -1.0 - i)
+
+
+def test_memo_stays_consistent_under_threads(monkeypatch):
+    # Threads share a table. With room for 8 of 24 rounds, every call
+    # returns its round's model and the first 8 stored stay. With room for
+    # all, six threads that miss the same 1000 rounds together store each
+    # once, so the table's charge is exactly its entries': a store without
+    # its lock charges some twice.
+    import sys
+    import threading
+
+    from fedsample import engine
+
+    def in_threads(work):
+        errors = []
+
+        def run(offset):
+            try:
+                work(offset)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(7 * k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+    fresh_tables(monkeypatch, 8 * ENTRY_CHARGE)
+    ds = small_dataset()
+    stored = []
+
+    def bounded(offset):
+        for i in range(400):
+            t = (offset + i) % 24
+            assert np.array_equal(kept(ds, t), np.full(8, -1.0 - t))
+        stored.append(stored_rounds(ds))
+
+    in_threads(bounded)
+    table = engine._REPLAYS[ds]
+    assert len(stored_rounds(ds)) == 8 and stored == [stored_rounds(ds)] * 6
+    assert table.nbytes == engine._REPLAY_BYTES == table_charge(table)
+    assert not any(model.flags.writeable for _, (_, model, *_) in replay_entries(table))
+
+    fresh_tables(monkeypatch, 1000 * ENTRY_CHARGE)
+    ds = small_dataset()
+    step = threading.Barrier(6, timeout=30)
+
+    def together(_):
+        for t in range(1000):
+            step.wait()  # so that every thread misses each round
+            kept(ds, t)
+
+    in_threads(together)
+    assert stored_rounds(ds) == list(range(1000))
+    assert engine._REPLAYS[ds].nbytes == 1000 * ENTRY_CHARGE
+
+
+def test_a_store_replaces_only_what_it_was_given(monkeypatch):
+    # A round key keeps every start stored under it. A start stored again,
+    # as when two cells compute one round at once, keeps its first entry
+    # and its charge.
+    from fedsample import engine
+
+    fresh_tables(monkeypatch)
+    ds = small_dataset()
+    for start, value in [(0.0, 1.0), (1.0, 2.0), (0.0, 3.0)]:
+        engine._store(ds, ("round", 0), np.full(8, start).tobytes(), [value],
+                      np.full(8, value), (value, 0.0))
+    table = engine._REPLAYS[ds]
+    assert [(np.frombuffer(start)[0], stats) for start, (stats, *_) in replay_entries(table)] == [
+        (0.0, (1.0,)), (1.0, (2.0,))]
+    assert table.nbytes == 2 * ENTRY_CHARGE == table_charge(table)
+
+
+def test_a_start_one_ulp_from_a_stored_start_trains_every_round_bitwise(monkeypatch):
+    # The lookup is exact: a start one ulp from a stored start, in one
+    # coordinate, replays nothing and equals its cold run. Both starts'
+    # rounds are then kept under the same round keys.
+    cfg = config(PolicyConfig("full"), client_fraction=0.5, epochs=3, batch_size=2)
+    start = init_params(MLP, cfg.seed)
+    nudged = start.copy()
+    nudged[3] = np.nextafter(nudged[3], np.inf)
+
+    def run(ds, params):
+        state = ServerState(params.copy(), history_len=cfg.history_len)
+        reports = list(iter_rounds(MLP, cfg, ds, 8, CommLedger(), state))
+        return repr(reports), state.global_params.tobytes()
+
+    cold = run(small_dataset(), nudged)
+    ds = small_dataset()
+    stored = run(ds, start)
+    assert stored != cold
+    calls = count_training(monkeypatch)
+    assert run(ds, nudged) == cold
+    assert calls == [5] * 8
+    assert run(ds, start) == stored and calls == [5] * 8
+    assert stored_rounds(ds) == sorted(list(range(8)) * 2)
+
+
+def test_a_start_of_the_same_bytes_in_another_dtype_or_shape_does_not_replay():
+    # The round key holds the start's dtype and shape: the stored start's
+    # bytes as int64, or as a column, fail in training as they do cold.
+    from fedsample import engine
+
+    cfg = config(PolicyConfig("full"), client_fraction=0.5, epochs=3, batch_size=2)
+    ds = small_dataset()
+    start = init_params(MLP, cfg.seed)
+    engine.run_round(ServerState(start.copy()), MLP, cfg, ds, CommLedger())
+    assert stored_rounds(ds) == [0]
+    with pytest.raises(TypeError):
+        engine.run_round(ServerState(start.view(np.int64)), MLP, cfg, ds, CommLedger())
+    with pytest.raises(ValueError, match="expected a stack of vectors"):
+        engine.run_round(ServerState(start.reshape(-1, 1)), MLP, cfg, ds, CommLedger())
