@@ -24,7 +24,12 @@ views of the last parameter array given, kept while the same array comes
 back with the same shape. A call then allocates only the finiteness mask
 of the parameters, a transposed copy of the logits and arrays of one
 value per sample. Every ``out=`` target keeps C-contiguous 2-D slices, so
-the kernels and their bits are those of fresh arrays.
+the kernels and their bits are those of fresh arrays. The trainer's own
+scratch, a private ``_Checked`` dict, makes a call skip the finiteness
+scan and the batch check that the trainer has made and the loss that it
+discards (the loss returned is None); the trainer still makes one call of
+the module-global ``loss_and_grad`` per step, where a tracer counts SGD
+steps. A plain dict keeps every check and the loss.
 
 ``train_clients`` runs E epochs of mini-batch SGD with per-epoch
 reshuffling for each of several clients that start from one model, and can
@@ -213,6 +218,11 @@ def _ce_loss(probs: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return -np.add.reduce(np.log(np.maximum(picked, 1e-300)), axis=-1) / y.shape[-1], at
 
 
+class _Checked(dict):
+    """The trainer's scratch: calls given it skip the finiteness scan, the
+    batch check and the loss (see the module docstring)."""
+
+
 def _workspace(spec: ModelSpec, scratch: dict, rows: tuple[int, ...]) -> tuple:
     """The gradient, its layer views, the hidden layer, its gradient and the
     logits of a call on batches of ``rows`` (``lead + (n,)``): views into
@@ -270,9 +280,11 @@ def loss_and_grad(
     ``scratch``, a dict kept between calls on one model, holds the call's
     buffers (see the module docstring): the gradient returned is overwritten
     by the next call given the same dict. Without one the call allocates
-    fresh ones.
+    fresh ones. Only ``train_clients``' own scratch skips the checks of the
+    parameters and the batch and gives None for the loss.
     """
-    if not np.isfinite(params).all():
+    checked = isinstance(scratch, _Checked)
+    if not checked and not np.isfinite(params).all():
         raise NumericError("non-finite parameters")
     scratch = {} if scratch is None else scratch
     # Every operation below works on either rank (see the module docstring).
@@ -282,26 +294,29 @@ def loss_and_grad(
         seen = (params, params.shape, spec._views(params, 2 if params.ndim == 2 else 1))
     v = seen[2]
     lead = params.shape[:-1]
-    x, y = _check_batch(spec, *batch, lead=lead)
+    x, y = batch if checked else _check_batch(spec, *batch, lead=lead)
     grad, g, h, dh, z = _workspace(spec, scratch, x.shape[:-1])
     scratch["params"] = seen  # after _workspace, which may clear the dict
 
     if spec.kind == "quadratic-diagnostic":
+        np.copyto(grad, params)
+        if checked:
+            return None, grad
         # May overflow to inf on a diverging path; reported as-is. A dot per
         # row: one vectorised sum of squares would round differently.
         with np.errstate(over="ignore"):
             if lead:
-                loss = np.array([0.5 * float(p @ p) for p in params])
-            else:
-                loss = 0.5 * float(params @ params)
-        np.copyto(grad, params)
-        return loss, grad
+                return np.array([0.5 * float(p @ p) for p in params]), grad
+            return 0.5 * float(params @ params), grad
 
     # Each part of the gradient is written into its layer's view of `grad`.
     # Every 2-D slice of an `out=` target is C-contiguous, so numpy runs the
     # same gemm per slice as for a fresh output.
     a, d = _forward(spec, v, x, h, z)
-    loss, at = _ce_loss(d, y)
+    if checked:  # the true-class index as _ce_loss takes it, without the loss
+        loss, at = None, np.arange(y.size) * d.shape[-1] + y.ravel()
+    else:
+        loss, at = _ce_loss(d, y)
     d.reshape(-1)[at] -= 1.0
     d /= x.shape[-2]
     w, b = ("W", "b") if spec.kind == "logistic" else ("W2", "b2")
@@ -315,7 +330,7 @@ def loss_and_grad(
         dh *= h
         np.matmul(x.mT, dh, out=g["W1"])
         np.add.reduce(dh, axis=-2, out=g["b1"])
-    return (loss if lead else float(loss)), grad
+    return (loss if lead or checked else float(loss)), grad
 
 
 def evaluate(
@@ -429,6 +444,12 @@ def train_clients(
     _check_sgd_knobs(epochs, batch_size, eta, track)
     if len(seeds) != len(clients):
         raise ValueError("train_clients needs one seed per client")
+    if words is not None:
+        words = np.asarray(words)
+        if words.shape != (len(clients), epochs, 4) or words.dtype.kind not in "iu":
+            raise ValueError(f"words must be a ({len(clients)}, {epochs}, 4) integer array, "
+                             f"got shape {words.shape} of {words.dtype}")
+        words = words.astype(np.uint64, copy=False)  # PCG64 reads their raw uint64 bits
     batches = [_check_batch(spec, *data) for data in clients]
     # The client size fixes the step schedule: each group steps in lockstep,
     # in chunks that keep a (G, P) stack within _LOCKSTEP_ELEMENTS.
@@ -437,7 +458,7 @@ def train_clients(
         groups.setdefault(x.shape[0], []).append(i)
     width = max(1, _LOCKSTEP_ELEMENTS // start.size)
     out: list[LocalTrainReport | NumericError | None] = [None] * len(clients)
-    scratch: dict = {}  # every chunk's workspace, grown by the widest step
+    scratch = _Checked()  # every chunk's workspace, grown by the widest step
     # Overflow on a diverging run is reported as NumericError at the next
     # finiteness boundary, not as a warning mid-update.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -540,11 +561,11 @@ def _train_chunk(
                 sel = orders[epoch, j, lo : lo + block]
                 x.take(sel, axis=0, out=xs[j, : sel.size], mode="clip")
                 y.take(sel, out=ys[j, : sel.size], mode="clip")
-        if rows > 1 and not np.isfinite(theta).all():
-            # The rows that went non-finite fail here, as each would alone
-            # at its next gradient call. They restart from `start`, so the
-            # stack stays finite for that call's own check; their later
-            # steps are thrown away.
+        if not np.isfinite(theta).all():
+            # The rows that went non-finite fail here, before the gradient
+            # call that would start from them (the trainer's scratch makes
+            # that call skip its own check). They restart from `start`;
+            # their later steps are thrown away.
             bad = ~np.isfinite(theta).all(axis=1)
             exc = NumericError("non-finite parameters")
             for g in np.flatnonzero(bad).tolist():
@@ -552,13 +573,7 @@ def _train_chunk(
             if None not in out:
                 break
             theta[bad] = start
-        try:
-            _, grad = loss_and_grad(spec, params, (xs[lane, b:e], ys[lane, b:e]), scratch)
-        except NumericError as exc:
-            # Only a lone client gets here non-finite: the call's own check
-            # fails it.
-            out[0] = exc
-            break
+        _, grad = loss_and_grad(spec, params, (xs[lane, b:e], ys[lane, b:e]), scratch)
         grad *= eta
         params -= grad
         step += 1

@@ -628,6 +628,67 @@ def test_a_diverging_pair_steps_as_a_pair_to_the_end(monkeypatch):
     assert shapes == [(2, LOGISTIC.param_count)] * 9
 
 
+def test_no_gradient_call_on_non_finite_parameters(monkeypatch):
+    # A lone client fails at the trainer's own check before the step that
+    # would start from non-finite parameters; no call is made for that step.
+    start = init_params(LOGISTIC, seed=2)
+    x, y = random_batch(LOGISTIC, 6, seed=41)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, path = reference_local_train(LOGISTIC, start, (x * 1e300, y), 3, 2, 1e10, 8)
+    finite = np.isfinite(path).all(axis=1)
+    steps = int(np.argmin(finite))  # the first step whose result is non-finite
+    assert not finite[steps] and finite[:steps].all() and steps < len(path) - 1
+    counted = count_gradient_calls(monkeypatch)
+    (report,) = train_clients(LOGISTIC, start, [(x * 1e300, y)], [8], 3, 2, 1e10)
+    assert len(counted) == steps
+    assert isinstance(report, NumericError) and str(report) == "non-finite parameters"
+
+
+@pytest.mark.parametrize("spec", [LOGISTIC, MLP, QUAD], ids=lambda s: s.kind)
+@pytest.mark.parametrize("sizes", [(9, 9, 9), (9,)], ids=["stacked", "lone"])
+def test_trainer_skips_its_checks_a_user_call_keeps_them_bitwise(monkeypatch, spec, sizes):
+    # The trainer checks each client's data once at entry and never computes
+    # a loss; its steps give the bits of a one-client-at-a-time reference.
+    counts = {"_check_batch": 0, "_ce_loss": 0}
+    for name in counts:
+        def counted(*args, _fn=getattr(models, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(models, name, counted)
+    start = init_params(spec, seed=1)
+    clients = [random_batch(spec, n, seed=90 + i) for i, n in enumerate(sizes)]
+    seeds = list(range(5, 5 + len(sizes)))
+    reports = train_clients(spec, start, clients, seeds, 2, 4, 0.3)
+    assert counts == {"_check_batch": len(sizes), "_ce_loss": 0}
+    monkeypatch.undo()
+    for data, seed, rep in zip(clients, seeds, reports):
+        theta, _ = reference_local_train(spec, start, data, 2, 4, 0.3, seed)
+        assert rep.params_after.tobytes() == theta.tobytes()
+    # A caller's own dict keeps every check and the loss, bit for bit.
+    for g in (None, 3):
+        params, (x, y) = stacked_call(spec, g, 5, seed=7)
+        ref_loss, ref_grad = loss_and_grad(spec, params, (x, y))
+        loss, grad = loss_and_grad(spec, params, (x, y), {})
+        assert np.asarray(loss).tobytes() == np.asarray(ref_loss).tobytes()
+        assert np.asarray(loss).shape == (() if g is None else (g,))
+        assert grad.tobytes() == ref_grad.tobytes()
+        # The trainer's scratch gives the same gradient and no loss.
+        loss, grad = loss_and_grad(spec, params, (x, y), models._Checked())
+        assert loss is None and grad.tobytes() == ref_grad.tobytes()
+        with pytest.raises(ValueError, match="feature dim"):
+            loss_and_grad(spec, params, (x[..., :2], y), {})
+        if spec.kind != "quadratic-diagnostic":  # which never reads its labels
+            bad = y.copy()
+            bad.flat[0] = spec.n_classes
+            with pytest.raises(ValueError, match="label outside"):
+                loss_and_grad(spec, params, (x, bad), {})
+        nan = params.copy()
+        nan.flat[-1] = np.nan
+        with pytest.raises(NumericError, match="^non-finite parameters$"):
+            loss_and_grad(spec, nan, (x, y), {})
+
+
 @pytest.mark.parametrize("track", [None, "all"], ids=["none", "all"])
 def test_train_clients_whole_group_diverges(track):
     # Every row of a group leaves it at the same step, as each would alone.
@@ -696,6 +757,34 @@ def test_train_clients_rejects_bad_arguments():
     with pytest.raises(ValueError):
         train_clients(LOGISTIC, start, [data, (data[0][:, :2], data[1])], [0, 1], 1, 4, 0.1)
     assert train_clients(LOGISTIC, start, [], [], 1, 4, 0.1) == []
+
+
+@pytest.mark.parametrize("shape, dtype", [
+    ((2, 2, 4), np.uint64),   # one epoch short: the last would go unshuffled
+    ((1, 3, 4), np.uint64),   # one client short
+    ((3, 3, 4), np.uint64),   # one client too many
+    ((2, 3, 2), np.uint64),   # half a PCG64 seed
+    ((2, 3, 4), np.float64),
+    ((2, 3, 4), np.bool_),
+])
+def test_train_clients_rejects_mis_shaped_words(shape, dtype):
+    clients = [random_batch(LOGISTIC, 7, seed=s) for s in (1, 2)]
+    start = init_params(LOGISTIC, seed=1)
+    words = np.ones(shape, dtype)
+    with pytest.raises(ValueError, match=r"^words must be a \(2, 3, 4\) integer array"):
+        train_clients(LOGISTIC, start, clients, [1, 2], 3, 2, 0.1, words=words)
+
+
+def test_train_clients_takes_words_of_any_integer_dtype():
+    # Signed words carry the same bits as the uint64 words they stand for.
+    clients = [random_batch(LOGISTIC, 7, seed=s) for s in (1, 2)]
+    start = init_params(LOGISTIC, seed=1)
+    words = models._shuffle_words([1, 2], 3)
+    reference = train_clients(LOGISTIC, start, clients, [1, 2], 3, 2, 0.1)
+    for given in (words, words.view(np.int64), words.view(np.int64).tolist()):
+        got = train_clients(LOGISTIC, start, clients, [1, 2], 3, 2, 0.1, words=given)
+        assert [r.params_after.tobytes() for r in got] == [
+            r.params_after.tobytes() for r in reference]
 
 
 @pytest.mark.parametrize("spec", [LOGISTIC, MLP], ids=lambda s: s.kind)
